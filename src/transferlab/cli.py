@@ -27,7 +27,7 @@ from .diagnostics import (
     transfer_risk,
     worst_case_complexity_linear,
 )
-from .erm import HypothesisConfig, fit_downstream_head, pretrain
+from .erm import fit_downstream_head, pretrain
 from .model_space import SubspaceRep, load_bundle, principal_angles, save_bundle
 from .rngutil import derive_rng
 from .synthetic import (
@@ -104,10 +104,10 @@ def _cmd_gen(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
-    hyp = HypothesisConfig(
-        kind="subspace", embed_dim=args.embed_dim,
-        head_cap=cfg.truth["pre_head_cap"],
+    embed_dim = (
+        int(_first_cell(cfg)["r"]) if args.embed_dim is None else args.embed_dim
     )
+    hyp = cfg.hypothesis_config(embed_dim, cfg.truth["pre_head_cap"])
     result = pretrain(
         ds, hyp, args.lambda_div, cfg.optim_config(),
         derive_rng(cfg.seed, "cli-pretrain", args.data, args.lambda_div),
@@ -271,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_div", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--embed-dim", type=int, default=3)
+    p.add_argument(
+        "--embed-dim", type=int, default=None,
+        help="embedding width r (default: r of the config's first grid cell)",
+    )
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=_cmd_pretrain)
 

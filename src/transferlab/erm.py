@@ -149,13 +149,41 @@ def _least_gram_eig(alpha: np.ndarray) -> float:
     return float(max(lam[-1], 0.0))
 
 
-def _risk_and_probs(eta: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and the first K-1 softmax columns, one exp pass."""
-    shift = np.maximum(eta.max(axis=1), 0.0)
-    ex = np.exp(eta - shift[:, None])
-    denom = np.exp(-shift) + ex.sum(axis=1)
-    risk = float(np.mean(shift + np.log(denom) - (eta * y).sum(axis=1)))
-    return risk, ex / denom[:, None]
+def _head_risk(alpha: np.ndarray, z: np.ndarray, label_stat: np.ndarray
+               ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the logits z alpha, and their softmax, in one exp pass.
+
+    ``label_stat`` is z^T T / n for the targets T, so the label term
+    mean_i t_i . eta_i equals <alpha, label_stat> and needs no pass over
+    the samples. The logits are formed class-major, shape (K-1, n), so
+    every per-sample reduction runs across whole rows; the returned
+    probabilities of the first K-1 classes keep that layout.
+    """
+    probs = alpha.T @ z.T
+    shift = probs.max(axis=0)
+    np.maximum(shift, 0.0, out=shift)
+    probs -= shift
+    np.exp(probs, out=probs)
+    denom = probs.sum(axis=0)
+    denom += np.exp(-shift)
+    risk = float(np.mean(shift + np.log(denom)) - np.vdot(alpha, label_stat))
+    probs /= denom
+    return risk, probs
+
+
+def _label_stat(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The (r, K-1) label statistic z^T T / n of one embedding."""
+    return z.T @ targets / z.shape[0]
+
+
+def _head_grad(z: np.ndarray, probs: np.ndarray, label_stat: np.ndarray) -> np.ndarray:
+    """Mean-loss gradient w.r.t. the head: (P z)^T / n - z^T T / n."""
+    return (probs @ z).T / z.shape[0] - label_stat
+
+
+def _embed_grad(alpha: np.ndarray, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample loss gradient at the embeddings, (alpha P)^T - T alpha^T."""
+    return (alpha @ probs).T - y @ alpha.T
 
 
 def _forward(rep_kind: str, params, x: np.ndarray):
@@ -205,11 +233,10 @@ def loss_and_grad(rep: Representation, head: LinearHead, x, y):
     kind = "subspace" if isinstance(rep, SubspaceRep) else "mlp"
     params = rep.b if kind == "subspace" else list(rep.weights)
     z, acts = _forward(kind, params, x)
-    eta = z @ head.alpha
-    risk, probs = _risk_and_probs(eta, y)
-    delta = probs - y
-    grad_alpha = z.T @ delta / x.shape[0]
-    grad_rep = _rep_grad(kind, params, x, acts, delta @ head.alpha.T)
+    label_stat = _label_stat(z, y)
+    risk, probs = _head_risk(head.alpha, z, label_stat)
+    grad_alpha = _head_grad(z, probs, label_stat)
+    grad_rep = _rep_grad(kind, params, x, acts, _embed_grad(head.alpha, probs, y))
     return risk, grad_alpha, grad_rep
 
 
@@ -268,7 +295,7 @@ def pretrain(
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
     x, y = dataset.x, dataset.y
-    n, d = x.shape
+    d = x.shape[1]
     k_minus_1 = y.shape[1]
     r = hypothesis.embed_dim
     if lambda_div < 0:
@@ -311,7 +338,8 @@ def pretrain(
         return logdet_psd(a @ a.T + mu * np.eye(r))
 
     z, acts = _forward(kind, params, x)
-    risk, probs = _risk_and_probs(z @ alpha, y)
+    label_stat = _label_stat(z, y)
+    risk, probs = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
     s_head = cfg.step_init
     s_rep = cfg.step_init
@@ -321,14 +349,13 @@ def pretrain(
     phase_floor = 0.5 * cfg.grad_tol
 
     for it in range(cfg.max_iters):
-        delta = probs - y
-        grad_alpha = z.T @ delta / n
+        grad_alpha = _head_grad(z, probs, label_stat)
         if lambda_div > 0.0:
             _, reg_grad = logdet_regularizer(alpha, mu)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
 
-        grad_rep_probe = _rep_grad(kind, params, x, acts, delta @ alpha.T)
+        grad_rep_probe = _rep_grad(kind, params, x, acts, _embed_grad(alpha, probs, y))
         if kind == "subspace":
             pg_rep = float(np.linalg.norm(_tangent_project(params, grad_rep_probe)))
         else:
@@ -354,7 +381,7 @@ def pretrain(
                 return cand, float((diff * diff).sum())
 
             def head_objective(cand):
-                risk_c, probs_c = _risk_and_probs(z @ cand, y)
+                risk_c, probs_c = _head_risk(cand, z, label_stat)
                 return risk_c - lambda_div * reg_value(cand), (risk_c, probs_c)
 
             try:
@@ -364,14 +391,13 @@ def pretrain(
                 reg = reg_value(alpha)
                 s_head = min(s_acc * cfg.step_grow, cfg.step_max)
                 last_step = s_acc
-                delta = probs - y
             except _LineSearchStall as stall:
                 trace.stalled = True
                 trace.stall_reason = f"head: {stall.where}"
                 return finalize()
 
         # --- representation phase at the fresh head ---
-        grad_rep = _rep_grad(kind, params, x, acts, delta @ alpha.T)
+        grad_rep = _rep_grad(kind, params, x, acts, _embed_grad(alpha, probs, y))
         if kind == "subspace":
             riem = _tangent_project(params, grad_rep)
             move_norm = float(np.linalg.norm(riem))
@@ -396,12 +422,13 @@ def pretrain(
 
         def rep_objective(cand):
             z_c, acts_c = _forward(kind, cand, x)
-            risk_c, probs_c = _risk_and_probs(z_c @ alpha, y)
-            return risk_c, (z_c, acts_c, risk_c, probs_c)
+            stat_c = _label_stat(z_c, y)
+            risk_c, probs_c = _head_risk(alpha, z_c, stat_c)
+            return risk_c, (z_c, acts_c, stat_c, risk_c, probs_c)
 
         if move_norm > phase_floor:
             try:
-                s_acc, params, _, (z, acts, risk, probs) = _backtrack(
+                s_acc, params, _, (z, acts, label_stat, risk, probs) = _backtrack(
                     rep_objective, risk, rep_step, cfg, s_rep
                 )
                 s_rep = min(s_acc * cfg.step_grow, cfg.step_max)
@@ -439,12 +466,13 @@ def fit_head_on_embeddings(
         np.zeros((r, width)) if alpha0 is None else cap_columns(np.array(alpha0), cap)
     )
     trace = TrainTrace()
-    risk, probs = _risk_and_probs(z @ alpha, targets)
+    label_stat = _label_stat(z, targets)
+    risk, probs = _head_risk(alpha, z, label_stat)
     s_cur = cfg.step_init
     last_step = 0.0
 
     for it in range(cfg.max_iters):
-        grad = z.T @ (probs - targets) / n
+        grad = _head_grad(z, probs, label_stat)
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
         trace.append(it, risk, 0.0, pg, last_step, _least_gram_eig(alpha))
         if pg <= cfg.grad_tol:
@@ -456,7 +484,7 @@ def fit_head_on_embeddings(
             return cand, float((diff * diff).sum())
 
         def objective(cand):
-            return _risk_and_probs(z @ cand, targets)
+            return _head_risk(cand, z, label_stat)
 
         try:
             s_acc, alpha, risk, probs = _backtrack(objective, risk, step, cfg, s_cur)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -119,6 +119,10 @@ class SweepConfig:
                     raise ContractViolation(f"grid value {v!r} for {key!r} invalid")
         if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
             raise ContractViolation("class counts must be at least 2")
+        # build the typed sections once so that bad values fail before any work
+        self.optim_config()
+        self.head_optim_config()
+        self.hypothesis_config(self.grid["r"][0], self.truth["pre_head_cap"])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -127,11 +131,22 @@ class SweepConfig:
         if unknown:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
+        optim_keys = {f.name for f in fields(OptimConfig)}
         for nested in (
             "grid", "covariates", "truth", "hypothesis", "optimizer",
             "head_optimizer", "diagnostics", "bound",
         ):
-            merged[nested] = {**base[nested], **(doc.get(nested) or {})}
+            section = doc.get(nested) or {}
+            if not isinstance(section, dict):
+                raise ContractViolation(f"config section {nested!r} must be an object")
+            allowed = (
+                optim_keys if nested in ("optimizer", "head_optimizer")
+                else set(base[nested])
+            )
+            unknown = set(section) - allowed
+            if unknown:
+                raise ContractViolation(f"unknown {nested} keys {sorted(unknown)}")
+            merged[nested] = {**base[nested], **section}
         return cls(**merged)
 
     def to_dict(self) -> dict:

@@ -108,6 +108,15 @@ def pinv_psd(m, tol: float = 1e-10) -> np.ndarray:
     return (vec * inv) @ vec.T
 
 
+def _cholesky_diag(a: np.ndarray) -> np.ndarray | None:
+    """Diagonal of the Cholesky factor; None if a pivot is nonpositive or non-finite."""
+    try:
+        diag = np.diagonal(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return None
+    return diag if np.all(np.isfinite(diag)) else None
+
+
 def logdet_psd(m) -> float:
     """log det of a symmetric positive-definite matrix.
 
@@ -115,19 +124,11 @@ def logdet_psd(m) -> float:
     raises ``SingularMatrixError`` carrying the pivot index.
     """
     a = _check_symmetric(as_matrix(m, "logdet_psd input"), "logdet_psd input")
-    n = a.shape[0]
-    # unblocked Cholesky; n stays small so the column loop is cheap
-    chol = np.zeros_like(a)
-    total = 0.0
-    for j in range(n):
-        pivot = a[j, j] - chol[j, :j] @ chol[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise SingularMatrixError(
-                f"nonpositive pivot {pivot:.3e} at index {j}", pivot_index=j
-            )
-        root = np.sqrt(pivot)
-        chol[j, j] = root
-        if j + 1 < n:
-            chol[j + 1 :, j] = (a[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j]) / root
-        total += np.log(root)
-    return 2.0 * total
+    diag = _cholesky_diag(a)
+    if diag is None:
+        # the failing pivot is the first leading block that does not factor
+        j = next(
+            j for j in range(a.shape[0]) if _cholesky_diag(a[: j + 1, : j + 1]) is None
+        )
+        raise SingularMatrixError(f"nonpositive pivot at index {j}", pivot_index=j)
+    return 2.0 * float(np.log(diag).sum())

@@ -6,7 +6,7 @@ import pytest
 
 from transferlab.cli import main
 from transferlab.harness import default_config
-from transferlab.model_space import load_bundle
+from transferlab.model_space import MlpRep, load_bundle
 from transferlab.synthetic import load_dataset
 
 
@@ -123,3 +123,29 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     assert main(["report", "--in", str(out), "--out", str(rep)]) == 0
     assert (rep / "summary.txt").exists()
     assert (rep / "risk_vs_n.csv").exists()
+
+
+def test_pretrain_honours_mlp_config(tmp_path, micro_config):
+    doc = json.loads(open(micro_config).read())
+    doc["hypothesis"] = {"kind": "mlp", "mlp_widths": [4], "mlp_caps": [4.0, 4.0]}
+    doc["optimizer"].update(max_iters=20)
+    config = tmp_path / "mlp.json"
+    config.write_text(json.dumps(doc))
+    data, model = tmp_path / "pre.csv", tmp_path / "model.json"
+    assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    assert main([
+        "pretrain", "--data", str(data), "--out", str(model), "--config", str(config),
+    ]) == 0
+    rep = load_bundle(model)["rep"]
+    assert isinstance(rep, MlpRep)
+    # the embedding width defaults to r of the config's first cell
+    assert rep.weights[-1].shape[0] == doc["grid"]["r"][0]
+
+
+def test_sweep_rejects_nested_config_typo(tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"optimizer": {"max_iter": 50}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert "max_iter" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()

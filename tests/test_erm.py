@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferlab.diagnostics import diversity_parameter
 from transferlab.errors import ContractViolation, SingularMatrixError
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import LinearHead, MlpRep, SubspaceRep
 from transferlab.rngutil import derive_rng
-from transferlab.softmax import cross_entropy_rows, softmax_prob
+from transferlab.softmax import cross_entropy_rows, softmax_full_rows, softmax_prob
 from transferlab.synthetic import (
     LabeledDataset,
     isotropic_covariates,
@@ -18,6 +20,10 @@ from transferlab.synthetic import (
     make_ground_truth,
 )
 from transferlab.erm import (
+    _forward,
+    _head_risk,
+    _label_stat,
+    _rep_grad,
     HypothesisConfig,
     OptimConfig,
     fit_downstream_head,
@@ -120,6 +126,81 @@ class TestLossAndGrad:
         head = LinearHead(np.zeros((2, 3)), 1.0)
         with pytest.raises(ContractViolation):
             loss_and_grad(rep, head, np.ones((5, 4)), np.zeros((5, 2)))
+
+
+def mixed_targets(rng, n, k_minus_1):
+    """Target rows mixing one-hot labels, class-K (all-zero) rows and soft rows."""
+    t = np.zeros((n, k_minus_1))
+    kind = rng.integers(0, 3, n)
+    kind[0] = 1  # at least one class-K row
+    for i in range(n):
+        if kind[i] == 0:
+            t[i, rng.integers(0, k_minus_1)] = 1.0
+        elif kind[i] == 2:
+            w = rng.exponential(size=k_minus_1 + 1)
+            t[i] = (w / w.sum())[:-1]
+    return t
+
+
+class TestHeadRiskKernel:
+    """The class-major loss kernel against the row-wise softmax reference."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 12),
+        st.floats(0.0, 700.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_rows(self, seed, n, k_minus_1, scale):
+        rng = np.random.default_rng(seed)
+        eta = rng.uniform(-scale, scale, (n, k_minus_1))
+        t = mixed_targets(rng, n, k_minus_1)
+        # an identity head makes the class-major logits exactly eta^T
+        alpha = np.eye(k_minus_1)
+        risk, probs = _head_risk(alpha, eta, _label_stat(eta, t))
+        ref = float(cross_entropy_rows(eta, t).mean())
+        # the risk is a difference of terms as large as max |eta|
+        assert abs(risk - ref) <= 1e-12 * max(abs(ref), scale, 1.0)
+        assert probs.shape == (k_minus_1, n)
+        np.testing.assert_allclose(
+            probs.T, softmax_full_rows(eta)[:, :-1], rtol=1e-12, atol=1e-300
+        )
+
+    @pytest.mark.parametrize("kind", ["subspace", "mlp"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    @settings(max_examples=50, deadline=None)
+    def test_loss_and_grad_matches_reference(self, kind, seed, n):
+        rng = np.random.default_rng(seed)
+        d, r, k_minus_1 = 5, 2, 4
+        if kind == "subspace":
+            rep = SubspaceRep(orthonormalize(rng.standard_normal((d, r))))
+            params = rep.b
+        else:
+            rep = MlpRep((rng.standard_normal((6, d)), rng.standard_normal((r, 6))),
+                         (100.0, 100.0))
+            params = list(rep.weights)
+        head = LinearHead(rng.standard_normal((r, k_minus_1)) * 2.0, 100.0)
+        x = rng.standard_normal((n, d))
+        y = mixed_targets(rng, n, k_minus_1)
+        risk, g_alpha, g_rep = loss_and_grad(rep, head, x, y)
+
+        z, acts = _forward(kind, params, x)
+        eta = z @ head.alpha
+        delta = softmax_full_rows(eta)[:, :-1] - y
+        ref_risk = float(cross_entropy_rows(eta, y).mean())
+        ref_alpha = z.T @ delta / n
+        ref_rep = _rep_grad(kind, params, x, acts, delta @ head.alpha.T)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), 1.0)
+
+        assert abs(risk - ref_risk) <= 1e-12 * max(abs(ref_risk), 1.0)
+        assert close(g_alpha, ref_alpha)
+        if kind == "subspace":
+            assert close(g_rep, ref_rep)
+        else:
+            assert all(close(a, b) for a, b in zip(g_rep, ref_rep))
 
 
 class TestPretrain:

@@ -80,6 +80,24 @@ class TestSweepConfig:
         with pytest.raises(ContractViolation):
             SweepConfig.from_dict({"grdi": {}})
 
+    @pytest.mark.parametrize("doc", [
+        {"optimizer": {"max_iter": 50}},
+        {"head_optimizer": {"gradtol": 1e-6}},
+        {"truth": {"pre_head_capp": 1.0}},
+        {"grid": {"lambda": [0.0]}},
+        {"diagnostics": {"mc_samples": 100}},
+        {"optimizer": {"grad_tol": -1.0}},
+        {"hypothesis": {"kind": "mlp", "mlp_widths": [4], "mlp_caps": [1.0]}},
+        {"bound": "subspace"},
+    ])
+    def test_bad_nested_section_rejected(self, doc):
+        with pytest.raises(ContractViolation):
+            SweepConfig.from_dict(doc)
+
+    def test_optimizer_accepts_every_optim_field(self):
+        cfg = SweepConfig.from_dict({"optimizer": {"armijo_c": 1e-3}})
+        assert cfg.optim_config().armijo_c == 1e-3
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ContractViolation):
             SweepConfig.from_dict({"trials": 0})
