@@ -8,7 +8,6 @@ harness that verifies the predicted risk scaling on desk-scale data.
 from .errors import (
     ContractViolation,
     DegenerateInput,
-    HeadOutputCapExceeded,
     InfeasibleDiversityError,
     InfeasibleSamplingError,
     SingularMatrixError,
@@ -29,11 +28,8 @@ from .model_space import (
     LinearHead,
     MlpRep,
     SubspaceRep,
-    apply_head,
-    apply_representation,
+    diversity_parameter,
     principal_angles,
-    project_head,
-    stiefel_retract,
 )
 from .synthetic import (
     CovariateSpec,
@@ -60,14 +56,12 @@ from .diagnostics import (
     ComplexityEstimate,
     RiskReport,
     chain_rule_check,
-    diversity_parameter,
     empirical_gaussian_complexity_linear,
     evaluate_risk_bound,
     mc_complexity_finite,
     measure_excess_risks,
-    pretrain_rep_difference,
+    representation_difference,
     schur_complement_bound,
-    transfer_risk,
 )
 from .harness import SweepConfig, default_config, fit_power_law, run_sweep, write_report
 from .rngutil import derive_rng

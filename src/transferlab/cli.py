@@ -19,24 +19,27 @@ import numpy as np
 from . import harness
 from .errors import ContractViolation
 from .diagnostics import (
-    diversity_parameter,
     empirical_gaussian_complexity_linear,
     measure_excess_risks,
-    pretrain_rep_difference,
+    representation_difference,
     schur_complement_bound,
-    transfer_risk,
     worst_case_complexity_linear,
 )
 from .erm import fit_downstream_head, pretrain
-from .model_space import SubspaceRep, load_bundle, principal_angles, save_bundle
+from .model_space import (
+    SubspaceRep,
+    diversity_parameter,
+    load_bundle,
+    principal_angles,
+    save_bundle,
+)
 from .rngutil import derive_rng
 from .synthetic import (
     covariate_spec_hash,
-    isotropic_covariates,
     load_dataset,
     load_truth,
     make_dataset,
-    make_ground_truth,
+    sample_covariates,
     save_dataset,
     save_truth,
 )
@@ -74,19 +77,7 @@ def _cmd_print_default_config(_args) -> int:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     cell = _first_cell(cfg)
-    spec = isotropic_covariates(
-        int(cell["d"]), cfg.covariates["scale"], cfg.covariates["cap_factor"]
-    )
-    truth_tok = harness._truth_tokens(cfg, cell)
-    truth = make_ground_truth(
-        int(cell["d"]), int(cell["r"]), int(cell["k"]), int(cell["k_prime"]),
-        float(cell["condition_number"]),
-        derive_rng(cfg.seed, "truth", args.trial, truth_tok),
-        top_singular_value=cfg.truth["top_singular_value"],
-        pre_head_cap=cfg.truth["pre_head_cap"],
-        down_head_cap=cfg.truth["down_head_cap"],
-        down_head_fill=cfg.truth["down_head_fill"],
-    )
+    spec, truth, truth_tok = harness.cell_truth(cfg, cell, args.trial)
     n = int(cell["n"]) if args.stage == "pretrain" else int(cell["m"])
     stream = "pretrain_data" if args.stage == "pretrain" else "down_data"
     ds = make_dataset(
@@ -139,10 +130,6 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
@@ -160,23 +147,18 @@ def _cmd_diagnose(args) -> int:
         add("nu_learned", diversity_parameter(bundle["pre_head"]))
     if isinstance(rep, SubspaceRep) and isinstance(truth.rep, SubspaceRep):
         add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
-    if "pre_head" in bundle and "down_head" in bundle:
+    if "down_head" in bundle:
         report = measure_excess_risks(
-            rep, bundle["pre_head"], bundle["down_head"], truth, spec, n_mc,
+            rep, bundle.get("pre_head"), bundle["down_head"], truth, spec, n_mc,
             derive_rng(cfg.seed, *rng_tok, "risk"),
         )
         add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
-        add("excess_pretrain_risk", report.excess_pretrain_risk,
-            report.pretrain_std_error)
-    elif "down_head" in bundle:
-        report = transfer_risk(
-            rep, bundle["down_head"], truth, spec, n_mc,
-            derive_rng(cfg.seed, *rng_tok, "risk"),
-        )
-        add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
+        if "pre_head" in bundle:
+            add("excess_pretrain_risk", report.excess_pretrain_risk,
+                report.pretrain_std_error)
     add(
         "pretrain_rep_difference",
-        pretrain_rep_difference(
+        *representation_difference(
             rep, truth, spec, n_mc, cfg.head_optim_config(),
             derive_rng(cfg.seed, *rng_tok, "repdiff"),
         ),
@@ -189,8 +171,6 @@ def _cmd_diagnose(args) -> int:
 
     # head-class complexity at the fitted embeddings, plus its analytic
     # worst case over admissible embeddings
-    from .synthetic import sample_covariates
-
     comp_rng = derive_rng(cfg.seed, *rng_tok, "complexity")
     x_comp = sample_covariates(spec, max(10, n_mc // 10), comp_rng)
     z_comp = rep.apply(x_comp)
@@ -204,10 +184,15 @@ def _cmd_diagnose(args) -> int:
     )
     add("worst_case_head_complexity", worst.value)
 
-    with open(args.out, "w") as fh:
-        fh.write("metric,value,std_error,seed,n_mc\n")
-        for metric, value, se in rows:
-            fh.write(f"{metric},{_fmt(value)},{_fmt(se)},{cfg.seed},{n_mc}\n")
+    harness.write_csv(
+        args.out,
+        [
+            {"metric": metric, "value": value, "std_error": se,
+             "seed": cfg.seed, "n_mc": n_mc}
+            for metric, value, se in rows
+        ],
+        ["metric", "value", "std_error", "seed", "n_mc"],
+    )
     summary_path = args.summary or (args.out + ".txt")
     with open(summary_path, "w") as fh:
         fh.write(f"diagnostics for {args.model} against {args.truth}\n")

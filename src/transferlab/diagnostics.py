@@ -3,8 +3,8 @@
 Excess risks are estimated in KL form: under the generating model the
 expected loss gap between a fitted predictor and the truth equals the
 expected KL divergence between their conditionals, which is pointwise
-nonnegative and needs no label sampling. The naive sampled-label
-estimator is kept as an independent cross-check.
+nonnegative and needs no label sampling. The test suite cross-checks it
+against the naive sampled-label estimator.
 
 The worst-case representation difference of a candidate embedding is not
 searched by brute force; its closed-form bound through the generalized
@@ -23,26 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import pinv_psd, singular_values, sym_spectral
-from .model_space import LinearHead, Representation, apply_representation
-from .softmax import cross_entropy_rows, kl_rows, softmax_full_rows
-from .synthetic import CovariateSpec, GroundTruth, sample_covariates, sample_labels
+from .linalg import pinv_psd, singular_values
+from .model_space import LinearHead, Representation
+from .softmax import kl_rows, softmax_full_rows
+from .synthetic import CovariateSpec, GroundTruth, sample_covariates
 from .erm import OptimConfig, fit_head_on_embeddings
 
 __all__ = [
     "RiskReport",
     "ComplexityEstimate",
     "ChainRuleReport",
-    "diversity_parameter",
     "empirical_gaussian_complexity_linear",
     "worst_case_complexity_linear",
     "mc_complexity_finite",
-    "transfer_risk",
     "measure_excess_risks",
-    "naive_excess_risk",
     "representation_difference",
-    "pretrain_rep_difference",
-    "diversity_ratio",
     "schur_complement_bound",
     "chain_rule_check",
     "BoundParams",
@@ -53,13 +48,18 @@ __all__ = [
 
 @dataclass
 class RiskReport:
-    """Excess risks of a fitted pipeline, with Monte Carlo error bars."""
+    """Excess risks of a fitted pipeline, with Monte Carlo error bars.
+
+    The risks of stages whose head was not given are NaN.
+    """
 
     excess_transfer_risk: float
     excess_pretrain_risk: float
     mc_samples: int
     std_error: float
-    pretrain_std_error: float = float("nan")
+    pretrain_std_error: float = math.nan
+    baseline_excess_risk: float = math.nan
+    baseline_std_error: float = math.nan
 
 
 @dataclass
@@ -71,19 +71,6 @@ class ComplexityEstimate:
     std_error: float
     kind: str = "gaussian"
     scope: str = "empirical"
-
-
-def _head_alpha(head) -> np.ndarray:
-    return head.alpha if isinstance(head, LinearHead) else np.asarray(head, float)
-
-
-def diversity_parameter(head) -> float:
-    """Least eigenvalue sigma_r of alpha alpha^T for an r x (K-1) head."""
-    alpha = _head_alpha(head)
-    if alpha.ndim != 2 or min(alpha.shape) < 1:
-        raise ContractViolation("head matrix must be 2-D and nonempty")
-    lam, _ = sym_spectral(alpha @ alpha.T)
-    return float(max(lam[-1], 0.0))
 
 
 _CHUNK_SCALARS = 2_000_000
@@ -163,10 +150,6 @@ def mc_complexity_finite(
     return ComplexityEstimate(float(sups.mean()), draws, se, kind, "empirical")
 
 
-def _stage_eta(rep, head, x) -> np.ndarray:
-    return apply_representation(rep, x) @ _head_alpha(head)
-
-
 def _kl_stats(eta_true, eta_fit) -> tuple[float, float]:
     kls = kl_rows(eta_true, eta_fit)
     n = kls.shape[0]
@@ -174,75 +157,37 @@ def _kl_stats(eta_true, eta_fit) -> tuple[float, float]:
     return float(kls.mean()), se
 
 
-def transfer_risk(
-    rep_hat: Representation,
-    head_hat: LinearHead,
-    truth: GroundTruth,
-    spec: CovariateSpec,
-    n_mc: int,
-    rng: np.random.Generator,
-    task: str = "downstream",
-) -> RiskReport:
-    """Excess risk of a fitted (representation, head) pair on one stage.
-
-    Estimated as the Monte Carlo mean over fresh covariates of the KL
-    divergence between the true and fitted conditionals, which is the
-    expected loss gap under the generating model and is pointwise
-    nonnegative.
-    """
-    if task not in ("downstream", "pretrain"):
-        raise ContractViolation(f"unknown task {task!r}")
-    truth_head = truth.down_head if task == "downstream" else truth.pre_head
-    if head_hat.n_logits != truth_head.n_logits:
-        raise ContractViolation("fitted head class count does not match truth")
-    x = sample_covariates(spec, n_mc, rng)
-    mean, se = _kl_stats(
-        _stage_eta(truth.rep, truth_head, x), _stage_eta(rep_hat, head_hat, x)
-    )
-    if task == "downstream":
-        return RiskReport(mean, float("nan"), n_mc, se)
-    return RiskReport(float("nan"), mean, n_mc, se, se)
-
-
 def measure_excess_risks(
     rep_hat: Representation,
-    pre_head_hat: LinearHead,
+    pre_head_hat: LinearHead | None,
     down_head_hat: LinearHead,
     truth: GroundTruth,
     spec: CovariateSpec,
     n_mc: int,
     rng: np.random.Generator,
+    baseline_head: LinearHead | None = None,
 ) -> RiskReport:
-    """Both stages' excess risks from a single covariate draw."""
-    x = sample_covariates(spec, n_mc, rng)
-    down_mean, down_se = _kl_stats(
-        _stage_eta(truth.rep, truth.down_head, x),
-        _stage_eta(rep_hat, down_head_hat, x),
-    )
-    pre_mean, pre_se = _kl_stats(
-        _stage_eta(truth.rep, truth.pre_head, x),
-        _stage_eta(rep_hat, pre_head_hat, x),
-    )
-    return RiskReport(down_mean, pre_mean, n_mc, down_se, pre_se)
+    """Excess risks of a fitted pipeline, all from one covariate draw.
 
-
-def naive_excess_risk(
-    rep_hat: Representation,
-    head_hat: LinearHead,
-    truth: GroundTruth,
-    spec: CovariateSpec,
-    n_mc: int,
-    rng: np.random.Generator,
-    task: str = "downstream",
-) -> tuple[float, float]:
-    """Sampled-label cross-check: mean loss difference on fresh data."""
-    truth_head = truth.down_head if task == "downstream" else truth.pre_head
+    Each risk is the Monte Carlo mean over fresh covariates of the KL
+    divergence between the true and fitted conditionals, which is the
+    expected loss gap under the generating model and is pointwise
+    nonnegative. The downstream (transfer) risk is always measured; the
+    pre-training risk only when ``pre_head_hat`` is given. A
+    ``baseline_head`` acts on the raw covariates and is scored against
+    the downstream truth on the same draw.
+    """
     x = sample_covariates(spec, n_mc, rng)
-    y = sample_labels(truth.rep, truth_head, x, rng)
-    gaps = cross_entropy_rows(_stage_eta(rep_hat, head_hat, x), y) - cross_entropy_rows(
-        _stage_eta(truth.rep, truth_head, x), y
-    )
-    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_mc))
+    z_true = truth.rep.apply(x)
+    z_hat = rep_hat.apply(x)
+    eta_down = z_true @ truth.down_head.alpha
+    down = _kl_stats(eta_down, z_hat @ down_head_hat.alpha)
+    pre = base = (math.nan, math.nan)
+    if pre_head_hat is not None:
+        pre = _kl_stats(z_true @ truth.pre_head.alpha, z_hat @ pre_head_hat.alpha)
+    if baseline_head is not None:
+        base = _kl_stats(eta_down, x @ baseline_head.alpha)
+    return RiskReport(down[0], pre[0], n_mc, down[1], pre[1], base[0], base[1])
 
 
 def representation_difference(
@@ -253,71 +198,23 @@ def representation_difference(
     fit_cfg: OptimConfig,
     rng: np.random.Generator,
     stage: str = "pretrain",
-    with_std_error: bool = False,
-):
+) -> tuple[float, float]:
     """Best-head expected loss gap of a candidate representation.
 
     The inner infimum over the stage's capped heads is a convex fit
     against the exact conditional class probabilities of the truth on an
     n_mc-sample surrogate of the covariate expectation; the value is the
-    mean KL achieved by that best head.
+    mean KL achieved by that best head. Returns ``(value, std_error)``.
     """
     if stage not in ("pretrain", "downstream"):
         raise ContractViolation(f"unknown stage {stage!r}")
     truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
     x = sample_covariates(spec, n_mc, rng)
-    eta_true = _stage_eta(truth.rep, truth_head, x)
+    eta_true = truth.rep.apply(x) @ truth_head.alpha
     soft = softmax_full_rows(eta_true)[:, :-1]
-    z_hat = apply_representation(rep_hat, x)
+    z_hat = rep_hat.apply(x)
     alpha, _ = fit_head_on_embeddings(z_hat, soft, truth_head.column_cap, fit_cfg)
-    mean, se = _kl_stats(eta_true, z_hat @ alpha)
-    return (mean, se) if with_std_error else mean
-
-
-def pretrain_rep_difference(
-    rep_hat: Representation,
-    truth: GroundTruth,
-    spec: CovariateSpec,
-    n_mc: int,
-    fit_cfg: OptimConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Pre-training-stage representation difference (see above)."""
-    return representation_difference(
-        rep_hat, truth, spec, n_mc, fit_cfg, rng, stage="pretrain"
-    )
-
-
-def diversity_ratio(
-    rep_hat: Representation,
-    truth: GroundTruth,
-    spec: CovariateSpec,
-    n_mc: int,
-    fit_cfg: OptimConfig,
-    rng: np.random.Generator,
-) -> dict:
-    """One row of the diversity-direction ratio table.
-
-    Relates the closed-form worst-case downstream bound to the measured
-    pre-training representation difference scaled by the head diversity;
-    the ratio is meaningful only up to an explicit constant profile.
-    """
-    nu = diversity_parameter(truth.pre_head)
-    _, bound = schur_complement_bound(
-        rep_hat, truth.rep, spec, n_mc, truth.down_head.column_cap,
-        truth.k_prime, rng,
-    )
-    d_fp = representation_difference(
-        rep_hat, truth, spec, n_mc, fit_cfg, rng, stage="pretrain"
-    )
-    ratio = bound * nu / d_fp if d_fp > 0 else math.inf
-    return {
-        "downstream_bound": bound,
-        "pretrain_difference": d_fp,
-        "nu_tilde": nu,
-        "ratio": ratio,
-        "n_mc": n_mc,
-    }
+    return _kl_stats(eta_true, z_hat @ alpha)
 
 
 def schur_complement_bound(
@@ -339,8 +236,8 @@ def schur_complement_bound(
     if n_mc < 10 * r:
         raise ContractViolation(f"need n_mc >= 10 r = {10 * r} for block moments")
     x = sample_covariates(spec, n_mc, rng)
-    h = apply_representation(truth_rep, x)
-    h_hat = apply_representation(rep_hat, x)
+    h = truth_rep.apply(x)
+    h_hat = rep_hat.apply(x)
     f_hh = h.T @ h / n_mc
     f_hath = h_hat.T @ h / n_mc
     f_hathat = h_hat.T @ h_hat / n_mc
@@ -394,7 +291,10 @@ def chain_rule_check(
         return x @ np.asarray(h, dtype=np.float64)
 
     h_outputs = [embed(h) for h in h_candidates]
-    alphas = [_head_alpha(f) for f in f_candidates]
+    alphas = [
+        f.alpha if isinstance(f, LinearHead) else np.asarray(f, dtype=np.float64)
+        for f in f_candidates
+    ]
     k_minus_1 = alphas[0].shape[1]
 
     composite = [z @ a for z in h_outputs for a in alphas]
@@ -476,12 +376,14 @@ def evaluate_risk_bound(
     """Evaluate the closed-form excess-risk rate for one setting.
 
     Hidden universal constants are supplied by ``profile`` (all ones by
-    default) and are configuration, not ground truth. ``nu_tilde = 0``
+    default; unknown keys are rejected) and are configuration, not ground
+    truth. ``nu_tilde = 0``
     returns infinity.
     """
-    prof = dict(DEFAULT_PROFILE)
-    if profile:
-        prof.update(profile)
+    unknown = set(profile or {}) - set(DEFAULT_PROFILE)
+    if unknown:
+        raise ContractViolation(f"unknown bound profile keys {sorted(unknown)}")
+    prof = {**DEFAULT_PROFILE, **(profile or {})}
     p = params
     if p.nu_tilde == 0.0:
         return math.inf

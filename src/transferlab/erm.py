@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput
-from .linalg import logdet_psd, orthonormalize, sym_spectral
+from .linalg import logdet_psd, orthonormalize
 from .model_space import (
     LinearHead,
     MlpRep,
@@ -29,6 +29,7 @@ from .model_space import (
     SubspaceRep,
     cap_columns,
     cap_mlp_weights,
+    diversity_parameter,
 )
 from .synthetic import LabeledDataset
 
@@ -144,11 +145,6 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
     return value, grad
 
 
-def _least_gram_eig(alpha: np.ndarray) -> float:
-    lam, _ = sym_spectral(alpha @ alpha.T)
-    return float(max(lam[-1], 0.0))
-
-
 def _head_risk(alpha: np.ndarray, z: np.ndarray, label_stat: np.ndarray
                ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of the logits z alpha, and their softmax, in one exp pass.
@@ -244,6 +240,21 @@ def _tangent_project(b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at b."""
     btg = b.T @ g
     return g - b @ (0.5 * (btg + btg.T))
+
+
+def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
+    """Step map of projected gradient descent on a column-capped head.
+
+    Maps a step size s to the capped candidate and its squared move, the
+    ``direction_step`` that ``_backtrack`` expects.
+    """
+
+    def step(s):
+        cand = cap_columns(alpha - s * grad, cap)
+        diff = cand - alpha
+        return cand, float((diff * diff).sum())
+
+    return step
 
 
 class _LineSearchStall(Exception):
@@ -367,7 +378,7 @@ def pretrain(
             )
 
         gnorm = float(np.hypot(pg_head, pg_rep))
-        trace.append(it, risk, reg, gnorm, last_step, _least_gram_eig(alpha))
+        trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
             break
 
@@ -375,20 +386,16 @@ def pretrain(
         if pg_head > phase_floor:
             j_cur = risk - lambda_div * reg
 
-            def head_step(s):
-                cand = cap_columns(alpha - s * grad_alpha, cap)
-                diff = cand - alpha
-                return cand, float((diff * diff).sum())
-
             def head_objective(cand):
                 risk_c, probs_c = _head_risk(cand, z, label_stat)
-                return risk_c - lambda_div * reg_value(cand), (risk_c, probs_c)
+                reg_c = reg_value(cand)
+                return risk_c - lambda_div * reg_c, (risk_c, probs_c, reg_c)
 
             try:
-                s_acc, alpha, _, (risk, probs) = _backtrack(
-                    head_objective, j_cur, head_step, cfg, s_head
+                s_acc, alpha, _, (risk, probs, reg) = _backtrack(
+                    head_objective, j_cur, _capped_step(alpha, grad_alpha, cap),
+                    cfg, s_head,
                 )
-                reg = reg_value(alpha)
                 s_head = min(s_acc * cfg.step_grow, cfg.step_max)
                 last_step = s_acc
             except _LineSearchStall as stall:
@@ -474,20 +481,17 @@ def fit_head_on_embeddings(
     for it in range(cfg.max_iters):
         grad = _head_grad(z, probs, label_stat)
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
-        trace.append(it, risk, 0.0, pg, last_step, _least_gram_eig(alpha))
+        trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
         if pg <= cfg.grad_tol:
             break
-
-        def step(s):
-            cand = cap_columns(alpha - s * grad, cap)
-            diff = cand - alpha
-            return cand, float((diff * diff).sum())
 
         def objective(cand):
             return _head_risk(cand, z, label_stat)
 
         try:
-            s_acc, alpha, risk, probs = _backtrack(objective, risk, step, cfg, s_cur)
+            s_acc, alpha, risk, probs = _backtrack(
+                objective, risk, _capped_step(alpha, grad, cap), cfg, s_cur
+            )
             s_cur = min(s_acc * cfg.step_grow, cfg.step_max)
             last_step = s_acc
         except _LineSearchStall as stall:

@@ -27,11 +27,3 @@ class InfeasibleSamplingError(ValueError):
 
 class InfeasibleDiversityError(ValueError):
     """Requested head dimensions cannot yield a full-rank Gram spectrum."""
-
-
-class HeadOutputCapExceeded(ValueError):
-    """A head produced logits above its configured output-norm cap."""
-
-
-class StalledOptimizerError(RuntimeError):
-    """Raised only where a stall cannot be reported in-band via the trace."""

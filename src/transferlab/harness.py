@@ -24,24 +24,26 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .errors import ContractViolation
-from .model_space import SubspaceRep, principal_angles
+from .model_space import SubspaceRep, diversity_parameter, principal_angles
 from .rngutil import derive_rng
-from .synthetic import isotropic_covariates, make_dataset, make_ground_truth
-from .erm import HypothesisConfig, OptimConfig, fit_downstream_head, pretrain, train_baseline
-from .diagnostics import (
-    BoundParams,
-    diversity_parameter,
-    evaluate_risk_bound,
-    measure_excess_risks,
-    transfer_risk,
+from .synthetic import (
+    CovariateSpec,
+    GroundTruth,
+    isotropic_covariates,
+    make_dataset,
+    make_ground_truth,
 )
+from .erm import HypothesisConfig, OptimConfig, fit_downstream_head, pretrain, train_baseline
+from .diagnostics import BoundParams, evaluate_risk_bound, measure_excess_risks
 
 __all__ = [
     "SweepConfig",
     "ExperimentRecord",
     "default_config",
     "cells_of",
+    "cell_truth",
     "run_sweep",
+    "write_csv",
     "write_records_csv",
     "load_records_csv",
     "fit_power_law",
@@ -119,10 +121,20 @@ class SweepConfig:
                     raise ContractViolation(f"grid value {v!r} for {key!r} invalid")
         if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
             raise ContractViolation("class counts must be at least 2")
-        # build the typed sections once so that bad values fail before any work
+        # the grid is a product, so every cell has r <= d and r <= k-1 iff
+        # the extremes do
+        r_max = max(self.grid["r"])
+        if r_max > min(self.grid["d"]) or r_max > min(self.grid["k"]) - 1:
+            raise ContractViolation("every grid cell needs r <= d and r <= k-1")
+        n_mc = self.diagnostics["risk_mc_samples"]
+        if not isinstance(n_mc, (int, float)) or n_mc < 1:
+            raise ContractViolation("diagnostics.risk_mc_samples must be >= 1")
+        # build the typed sections and one bound so that bad values fail
+        # before any work
         self.optim_config()
         self.head_optim_config()
         self.hypothesis_config(self.grid["r"][0], self.truth["pre_head_cap"])
+        self.risk_bound({key: self.grid[key][0] for key in GRID_KEYS}, 1.0, 1.0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -167,6 +179,19 @@ class SweepConfig:
             mlp_caps=tuple(self.hypothesis["mlp_caps"]),
         )
 
+    def risk_bound(self, cell: dict, nu_tilde: float, norm_cap: float) -> float:
+        """The configured closed-form rate at one cell."""
+        return evaluate_risk_bound(
+            self.bound["setting"],
+            BoundParams(
+                n=int(cell["n"]), m=int(cell["m"]), k=int(cell["k"]),
+                k_prime=int(cell["k_prime"]), r=int(cell["r"]), d=int(cell["d"]),
+                nu_tilde=nu_tilde, norm_cap=norm_cap, delta=self.bound["delta"],
+                mlp_caps=tuple(self.hypothesis["mlp_caps"]),
+            ),
+            self.bound.get("profile"),
+        )
+
 
 @dataclass
 class ExperimentRecord:
@@ -209,37 +234,40 @@ def cells_of(cfg: SweepConfig) -> list[dict]:
     return [dict(zip(GRID_KEYS, combo)) for combo in combos]
 
 
-def _truth_tokens(cfg: SweepConfig, cell: dict) -> tuple:
-    t = cfg.truth
-    return (
+def cell_truth(cfg: SweepConfig, cell: dict, trial: int
+               ) -> tuple[CovariateSpec, GroundTruth, tuple]:
+    """Covariate law, ground truth and truth token of one cell and trial.
+
+    The token holds every parameter the truth depends on; random streams
+    derived from it are shared by all cells with the same truth.
+    """
+    t, cov = cfg.truth, cfg.covariates
+    d, r = int(cell["d"]), int(cell["r"])
+    k, k_prime = int(cell["k"]), int(cell["k_prime"])
+    truth_tok = (
         cell["d"], cell["r"], cell["k"], cell["k_prime"], cell["condition_number"],
         t["top_singular_value"], t["pre_head_cap"], t["down_head_cap"],
-        t["down_head_fill"], cfg.covariates["scale"], cfg.covariates["cap_factor"],
+        t["down_head_fill"], cov["scale"], cov["cap_factor"],
     )
+    spec = isotropic_covariates(d, cov["scale"], cov["cap_factor"])
+    truth = make_ground_truth(
+        d, r, k, k_prime, float(cell["condition_number"]),
+        derive_rng(cfg.seed, "truth", trial, truth_tok),
+        top_singular_value=t["top_singular_value"],
+        pre_head_cap=t["pre_head_cap"],
+        down_head_cap=t["down_head_cap"],
+        down_head_fill=t["down_head_fill"],
+    )
+    return spec, truth, truth_tok
 
 
 def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: dict
               ) -> ExperimentRecord:
     rec = ExperimentRecord(cell_index=cell_index, trial=trial, status="ok", params=dict(cell))
     start = time.perf_counter()
-    n, m = int(cell["n"]), int(cell["m"])
-    k, k_prime = int(cell["k"]), int(cell["k_prime"])
-    r, d = int(cell["r"]), int(cell["d"])
-    cond = float(cell["condition_number"])
+    n, m, r = int(cell["n"]), int(cell["m"]), int(cell["r"])
     lam = float(cell["lambda_div"])
-    truth_tok = _truth_tokens(cfg, cell)
-
-    spec = isotropic_covariates(
-        d, cfg.covariates["scale"], cfg.covariates["cap_factor"]
-    )
-    truth = make_ground_truth(
-        d, r, k, k_prime, cond,
-        derive_rng(cfg.seed, "truth", trial, truth_tok),
-        top_singular_value=cfg.truth["top_singular_value"],
-        pre_head_cap=cfg.truth["pre_head_cap"],
-        down_head_cap=cfg.truth["down_head_cap"],
-        down_head_fill=cfg.truth["down_head_fill"],
-    )
+    spec, truth, truth_tok = cell_truth(cfg, cell, trial)
 
     pre_key = (trial, truth_tok, n, lam)
     if pre_key in cache:
@@ -267,17 +295,24 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     head_down, _ = fit_downstream_head(
         result.rep, down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
     )
+    base_head = None
+    if cfg.baseline:
+        base_head, _ = train_baseline(
+            down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
+        )
 
-    n_mc = int(cfg.diagnostics["risk_mc_samples"])
-    risk_tok = ("risk_mc", trial, truth_tok, n, m, lam)
     report = measure_excess_risks(
-        result.rep, result.head, head_down, truth, spec, n_mc,
-        derive_rng(cfg.seed, *risk_tok),
+        result.rep, result.head, head_down, truth, spec,
+        int(cfg.diagnostics["risk_mc_samples"]),
+        derive_rng(cfg.seed, "risk_mc", trial, truth_tok, n, m, lam),
+        baseline_head=base_head,
     )
     rec.excess_transfer = report.excess_transfer_risk
     rec.excess_transfer_se = report.std_error
     rec.excess_pretrain = report.excess_pretrain_risk
     rec.excess_pretrain_se = report.pretrain_std_error
+    rec.baseline_excess = report.baseline_excess_risk
+    rec.baseline_excess_se = report.baseline_std_error
 
     rec.nu_true = diversity_parameter(truth.pre_head)
     rec.nu_learned = diversity_parameter(result.head)
@@ -285,28 +320,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_stalled = result.trace.stalled
-
-    if cfg.baseline:
-        base_head, _ = train_baseline(
-            down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
-        )
-        base_report = transfer_risk(
-            SubspaceRep(np.eye(d)), base_head, truth, spec, n_mc,
-            derive_rng(cfg.seed, *risk_tok),   # same stream: same covariate draw
-        )
-        rec.baseline_excess = base_report.excess_transfer_risk
-        rec.baseline_excess_se = base_report.std_error
-
-    rec.bound_value = evaluate_risk_bound(
-        cfg.bound["setting"],
-        BoundParams(
-            n=n, m=m, k=k, k_prime=k_prime, r=r, d=d,
-            nu_tilde=rec.nu_true, norm_cap=spec.norm_cap,
-            delta=cfg.bound["delta"],
-            mlp_caps=tuple(cfg.hypothesis["mlp_caps"]),
-        ),
-        cfg.bound.get("profile"),
-    )
+    rec.bound_value = cfg.risk_bound(cell, rec.nu_true, spec.norm_cap)
     rec.wall_time = time.perf_counter() - start
     return rec
 
@@ -375,7 +389,12 @@ def write_records_csv(path, records: list[ExperimentRecord]) -> None:
             fh.write(_record_row(rec))
 
 
+# parsers of the CSV text, by the field's annotation in ExperimentRecord
+_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
+
+
 def load_records_csv(path) -> list[ExperimentRecord]:
+    kinds = {f.name: f.type for f in fields(ExperimentRecord)}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _CSV_FIELDS:
@@ -383,29 +402,12 @@ def load_records_csv(path) -> list[ExperimentRecord]:
         records = []
         for line in fh:
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(_CSV_FIELDS):
+                raise ContractViolation(f"malformed records row in {path}: {line!r}")
             row = dict(zip(_CSV_FIELDS, parts))
-            params = {key: float(row[key]) for key in GRID_KEYS}
-            records.append(
-                ExperimentRecord(
-                    cell_index=int(row["cell_index"]),
-                    trial=int(row["trial"]),
-                    status=row["status"],
-                    params=params,
-                    excess_transfer=float(row["excess_transfer"]),
-                    excess_transfer_se=float(row["excess_transfer_se"]),
-                    excess_pretrain=float(row["excess_pretrain"]),
-                    excess_pretrain_se=float(row["excess_pretrain_se"]),
-                    nu_true=float(row["nu_true"]),
-                    nu_learned=float(row["nu_learned"]),
-                    max_principal_angle=float(row["max_principal_angle"]),
-                    baseline_excess=float(row["baseline_excess"]),
-                    baseline_excess_se=float(row["baseline_excess_se"]),
-                    bound_value=float(row["bound_value"]),
-                    pretrain_iters=int(row["pretrain_iters"]),
-                    pretrain_stalled=row["pretrain_stalled"] == "1",
-                    reason=row["reason"],
-                )
-            )
+            params = {key: float(row.pop(key)) for key in GRID_KEYS}
+            values = {name: _PARSERS[kinds[name]](text) for name, text in row.items()}
+            records.append(ExperimentRecord(params=params, **values))
     return records
 
 
@@ -486,7 +488,8 @@ def _cell_rows(groups):
     return rows
 
 
-def _write_figure_csv(path, rows, columns) -> None:
+def write_csv(path, rows, columns) -> None:
+    """Write dict rows as CSV; floats keep all 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -521,21 +524,20 @@ def write_report(records, out_dir, slope_window=(-0.75, -0.25), min_r2=0.8
     base_cols = ["cell_index", *GRID_KEYS, "trials",
                  "median_excess", "q25_excess", "q75_excess"]
 
-    n_rows = sorted(rows, key=lambda row: row["n"])
-    _write_figure_csv(f"{out_dir}/risk_vs_n.csv", n_rows, base_cols)
-    m_rows = sorted(rows, key=lambda row: row["m"])
-    _write_figure_csv(f"{out_dir}/risk_vs_m.csv", m_rows, base_cols)
-    nu_rows = sorted(rows, key=lambda row: row["condition_number"])
-    _write_figure_csv(
-        f"{out_dir}/risk_vs_nu.csv", nu_rows,
+    def by(key):
+        return sorted(rows, key=lambda row: row[key])
+
+    write_csv(f"{out_dir}/risk_vs_n.csv", by("n"), base_cols)
+    write_csv(f"{out_dir}/risk_vs_m.csv", by("m"), base_cols)
+    write_csv(
+        f"{out_dir}/risk_vs_nu.csv", by("condition_number"),
         base_cols + ["median_nu_true", "median_angle"],
     )
-    lam_rows = sorted(rows, key=lambda row: row["lambda_div"])
-    _write_figure_csv(
-        f"{out_dir}/regularizer_ablation.csv", lam_rows,
+    write_csv(
+        f"{out_dir}/regularizer_ablation.csv", by("lambda_div"),
         base_cols + ["median_nu_learned", "stalls"],
     )
-    _write_figure_csv(
+    write_csv(
         f"{out_dir}/bound_vs_measured.csv", rows,
         base_cols + ["median_bound", "median_baseline"],
     )
@@ -546,36 +548,17 @@ def write_report(records, out_dir, slope_window=(-0.75, -0.25), min_r2=0.8
     def distinct(key):
         return sorted({row[key] for row in rows})
 
-    if len(distinct("n")) >= 3:
+    for key in ("n", "m"):
         pts = {}
-        for row in n_rows:
-            pts.setdefault(row["n"], []).append(row["median_excess"])
-        series = [(n, float(np.median(v))) for n, v in sorted(pts.items())]
-        if all(y > 0 for _, y in series):
-            summary.slope_n = fit_power_law(series)
-            ok = (
-                slope_window[0] <= summary.slope_n.slope <= slope_window[1]
-                and summary.slope_n.r_squared >= min_r2
-            )
+        for row in rows:
+            pts.setdefault(row[key], []).append(row["median_excess"])
+        series = [(x, float(np.median(v))) for x, v in sorted(pts.items())]
+        if len(series) >= 3 and all(y > 0 for _, y in series):
+            fit = fit_power_law(series)
+            setattr(summary, f"slope_{key}", fit)
+            ok = slope_window[0] <= fit.slope <= slope_window[1] and fit.r_squared >= min_r2
             lines.append(
-                f"slope_n: {summary.slope_n.slope:.4f} "
-                f"(R2 {summary.slope_n.r_squared:.4f}) "
-                f"window {slope_window} -> {'pass' if ok else 'FAIL'}"
-            )
-    if len(distinct("m")) >= 3:
-        pts = {}
-        for row in m_rows:
-            pts.setdefault(row["m"], []).append(row["median_excess"])
-        series = [(m, float(np.median(v))) for m, v in sorted(pts.items())]
-        if all(y > 0 for _, y in series):
-            summary.slope_m = fit_power_law(series)
-            ok = (
-                slope_window[0] <= summary.slope_m.slope <= slope_window[1]
-                and summary.slope_m.r_squared >= min_r2
-            )
-            lines.append(
-                f"slope_m: {summary.slope_m.slope:.4f} "
-                f"(R2 {summary.slope_m.r_squared:.4f}) "
+                f"slope_{key}: {fit.slope:.4f} (R2 {fit.r_squared:.4f}) "
                 f"window {slope_window} -> {'pass' if ok else 'FAIL'}"
             )
     conds = distinct("condition_number")

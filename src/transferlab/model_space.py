@@ -18,19 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, HeadOutputCapExceeded
-from .linalg import as_matrix, orthonormalize, singular_values
+from .errors import ContractViolation
+from .linalg import as_matrix, singular_values, sym_spectral
 
 __all__ = [
     "SubspaceRep",
     "MlpRep",
     "LinearHead",
-    "apply_representation",
-    "apply_head",
-    "project_head",
+    "diversity_parameter",
     "cap_columns",
     "cap_mlp_weights",
-    "stiefel_retract",
     "principal_angles",
     "row_sum_norm",
     "output_norm_bound",
@@ -128,15 +125,6 @@ class MlpRep:
             a = np.tanh(a @ w.T)
         return a @ self.weights[-1].T
 
-    def hidden_activations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-layer activations (inputs first), for backpropagation."""
-        a = np.asarray(x, dtype=np.float64)
-        acts = [a]
-        for w in self.weights[:-1]:
-            a = np.tanh(a @ w.T)
-            acts.append(a)
-        return acts
-
 
 Representation = SubspaceRep | MlpRep
 
@@ -147,7 +135,6 @@ class LinearHead:
 
     alpha: np.ndarray
     column_cap: float
-    output_cap: float | None = None
 
     def __post_init__(self):
         a = as_matrix(self.alpha, "head matrix")
@@ -171,30 +158,16 @@ class LinearHead:
         return self.alpha.shape[1]
 
 
-def apply_representation(rep: Representation, x) -> np.ndarray:
-    """Embed a single covariate vector or a stacked (n, d) batch."""
-    return rep.apply(x)
+def diversity_parameter(head) -> float:
+    """Least eigenvalue sigma_r of alpha alpha^T for an r x (K-1) head.
 
-
-def apply_head(head: LinearHead, z) -> np.ndarray:
-    """Natural parameters alpha^T z for one embedding or an (n, r) batch.
-
-    If the head carries an output cap, logit norms above it raise
-    ``HeadOutputCapExceeded`` instead of being clipped.
+    ``head`` is a ``LinearHead`` or its bare matrix.
     """
-    zz = np.asarray(z, dtype=np.float64)
-    if zz.shape[-1] != head.embed_dim:
-        raise ContractViolation(
-            f"embedding dim {zz.shape[-1]} != head dim {head.embed_dim}"
-        )
-    eta = zz @ head.alpha
-    if head.output_cap is not None:
-        worst = float(np.linalg.norm(np.atleast_2d(eta), axis=1).max())
-        if worst > head.output_cap * (1 + 1e-9):
-            raise HeadOutputCapExceeded(
-                f"logit norm {worst:.6e} exceeds output cap {head.output_cap:.6e}"
-            )
-    return eta
+    alpha = head.alpha if isinstance(head, LinearHead) else np.asarray(head, float)
+    if alpha.ndim != 2 or min(alpha.shape) < 1:
+        raise ContractViolation("head matrix must be 2-D and nonempty")
+    lam, _ = sym_spectral(alpha @ alpha.T)
+    return float(max(lam[-1], 0.0))
 
 
 def cap_columns(alpha: np.ndarray, cap: float) -> np.ndarray:
@@ -204,13 +177,6 @@ def cap_columns(alpha: np.ndarray, cap: float) -> np.ndarray:
     over = norms > cap
     scale[over] = cap / norms[over]
     return alpha * scale
-
-
-def project_head(head: LinearHead, cap: float) -> LinearHead:
-    """Project onto the per-column norm ball of radius ``cap``."""
-    if cap <= 0:
-        raise ContractViolation("cap must be positive")
-    return LinearHead(cap_columns(head.alpha, cap), cap, head.output_cap)
 
 
 def cap_mlp_weights(
@@ -232,11 +198,6 @@ def cap_mlp_weights(
         w_last = w_last * (caps[-1] / bound)
     out.append(w_last)
     return out
-
-
-def stiefel_retract(b_plus_step) -> SubspaceRep:
-    """Retract a perturbed basis back onto the orthonormal frames."""
-    return SubspaceRep(orthonormalize(b_plus_step))
 
 
 def principal_angles(rep1: SubspaceRep, rep2: SubspaceRep) -> np.ndarray:
@@ -275,7 +236,6 @@ def component_to_payload(obj) -> dict:
             "r": obj.embed_dim,
             "n_logits": obj.n_logits,
             "column_cap": obj.column_cap,
-            "output_cap": obj.output_cap,
             "entries": obj.alpha.tolist(),
         }
     raise ContractViolation(f"cannot serialize {type(obj).__name__}")
@@ -292,9 +252,7 @@ def component_from_payload(payload: dict):
         )
     if kind == "linear_head":
         return LinearHead(
-            np.array(payload["entries"], dtype=np.float64),
-            payload["column_cap"],
-            payload["output_cap"],
+            np.array(payload["entries"], dtype=np.float64), payload["column_cap"]
         )
     raise ContractViolation(f"unknown model kind {kind!r}")
 

@@ -37,7 +37,6 @@ __all__ = [
     "SelfConcordanceReport",
     "check_self_concordance",
     "kl_quadratic_bounds",
-    "log_partition_taylor_envelope",
 ]
 
 
@@ -178,6 +177,14 @@ def directional_derivatives(eta, v, t: float = 0.0) -> tuple[float, float, float
     return float(g1[0]), float(g2[0]), float(g3[0])
 
 
+# the modified self-concordance constant of Phi, and the rounding slack
+# allowed when checking it numerically
+_RATIO_BOUND = 5.0
+_RATIO_SLACK = 1e-9
+# g'' below this is treated as an exact zero limit and the point skipped
+_CURVATURE_FLOOR = 1e-300
+
+
 @dataclass
 class SelfConcordanceReport:
     """Outcome of a line-restricted curvature-ratio check."""
@@ -186,12 +193,23 @@ class SelfConcordanceReport:
     passed: bool
     n_points: int
     n_skipped: int
-    ratio_bound: float = 5.0
+    ratio_bound: float = _RATIO_BOUND
 
 
-# g'' below this is treated as an exact zero limit and the point skipped
-_CURVATURE_FLOOR = 1e-300
-_RATIO_SLACK = 1e-9
+def _max_curvature_ratio(eta_rows, v_rows, t) -> tuple[float, int, bool]:
+    """Largest |g'''(t)| / (||v|| g''(t)) over the rows, with g(t) = Phi(eta + t v).
+
+    Returns the ratio (0 when no row is usable), the number of rows
+    skipped because g'' underflows to zero, where the inequality
+    degenerates to 0 <= 0, and whether the ratio is within the bound.
+    """
+    _, g2, g3 = directional_derivatives_rows(eta_rows, v_rows, t)
+    usable = g2 > _CURVATURE_FLOOR
+    vnorm = np.linalg.norm(v_rows, axis=1)
+    ratios = np.abs(g3[usable]) / (vnorm[usable] * g2[usable])
+    max_ratio = float(ratios.max()) if ratios.size else 0.0
+    skipped = int(usable.size - usable.sum())
+    return max_ratio, skipped, max_ratio <= _RATIO_BOUND + _RATIO_SLACK
 
 
 def check_self_concordance(eta, v, t_grid) -> SelfConcordanceReport:
@@ -207,17 +225,8 @@ def check_self_concordance(eta, v, t_grid) -> SelfConcordanceReport:
     ts = np.asarray(t_grid, dtype=np.float64).ravel()
     rows = np.repeat(e[None, :], ts.size, axis=0)
     vs = np.repeat(vv[None, :], ts.size, axis=0)
-    _, g2, g3 = directional_derivatives_rows(rows, vs, ts)
-    vnorm = float(np.linalg.norm(vv))
-    usable = g2 > _CURVATURE_FLOOR
-    ratios = np.abs(g3[usable]) / (vnorm * g2[usable])
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
-    return SelfConcordanceReport(
-        max_ratio=max_ratio,
-        passed=max_ratio <= 5.0 + _RATIO_SLACK,
-        n_points=int(ts.size),
-        n_skipped=int(ts.size - usable.sum()),
-    )
+    max_ratio, skipped, passed = _max_curvature_ratio(rows, vs, ts)
+    return SelfConcordanceReport(max_ratio, passed, int(ts.size), skipped)
 
 
 def kl_quadratic_bounds(eta_true, eta_model) -> tuple[float, float, float]:
@@ -244,34 +253,3 @@ def kl_quadratic_bounds(eta_true, eta_model) -> tuple[float, float, float]:
     lower = c0 * np.exp(-10.0 * q0) * vsq
     upper = 0.5 * vsq
     return float(lower), kl_divergence(t, m), float(upper)
-
-
-def log_partition_taylor_envelope(
-    eta, v, r_const: float = 5.0
-) -> tuple[float, float, float]:
-    """Exponential-form Taylor envelope of Phi along v.
-
-    Returns (lower, Phi(eta + v), upper) where, with h = v.H(eta).v and
-    x = r_const ||v||,
-
-        lower = Phi(eta) + grad.v + h (exp(-x) + x - 1) / x^2
-        upper = Phi(eta) + grad.v + h (exp(x) - x - 1) / x^2.
-
-    Valid whenever Phi is modified self-concordant with constant r_const.
-    """
-    e = _as_eta(eta)
-    vv = np.asarray(v, dtype=np.float64)
-    if e.shape != vv.shape:
-        raise ContractViolation(f"length mismatch {e.size} vs {vv.size}")
-    value = log_partition(e + vv)
-    vnorm = float(np.linalg.norm(vv))
-    if vnorm == 0.0:
-        base = log_partition(e)
-        return base, value, base
-    grad = grad_log_partition(e)
-    quad = float(vv @ hessian_log_partition(e) @ vv)
-    base = log_partition(e) + float(grad @ vv)
-    x = r_const * vnorm
-    lower = base + quad * (np.exp(-x) + x - 1.0) / x**2
-    upper = base + quad * (np.expm1(x) - x) / x**2
-    return float(lower), value, float(upper)

@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleSamplingError,
 )
 from .linalg import as_matrix, orthonormalize, sym_spectral
-from .model_space import LinearHead, Representation, SubspaceRep, apply_representation
+from .model_space import LinearHead, Representation, SubspaceRep
 from .softmax import softmax_full_rows
 
 __all__ = [
@@ -250,7 +250,7 @@ def sample_labels(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One-hot labels drawn from the softmax conditional of head(rep(x))."""
-    eta = apply_representation(rep, x) @ head.alpha
+    eta = rep.apply(x) @ head.alpha
     probs = softmax_full_rows(eta)
     n, k = probs.shape
     u = rng.random(n)

@@ -142,6 +142,25 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     assert rep.weights[-1].shape[0] == doc["grid"]["r"][0]
 
 
+@pytest.mark.parametrize("section", [
+    {"bound": {"setting": "mlpp"}},
+    {"bound": {"setting": "mlp"}},
+    {"bound": {"delta": 1.5}},
+    {"bound": {"profile": {"rep_complexty": 5}}},
+    {"diagnostics": {"risk_mc_samples": 0}},
+    {"grid": {"n": [500], "r": [25]}},
+    {"grid": {"n": [500], "k": [3]}},
+])
+def test_sweep_rejects_config_that_fails_every_row(tmp_path, section, capsys):
+    doc = {"trials": 1, "grid": {"n": [500]}, **section}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 def test_sweep_rejects_nested_config_typo(tmp_path, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({"optimizer": {"max_iter": 50}}))

@@ -7,28 +7,26 @@ import pytest
 
 from transferlab.errors import ContractViolation
 from transferlab.linalg import orthonormalize
-from transferlab.model_space import LinearHead, SubspaceRep
+from transferlab.model_space import LinearHead, SubspaceRep, diversity_parameter
 from transferlab.rngutil import derive_rng
+from transferlab.softmax import cross_entropy_rows
 from transferlab.synthetic import (
     GroundTruth,
     isotropic_covariates,
     make_ground_truth,
+    sample_covariates,
+    sample_labels,
 )
 from transferlab.erm import OptimConfig
 from transferlab.diagnostics import (
     BoundParams,
     chain_rule_check,
-    diversity_parameter,
-    diversity_ratio,
     empirical_gaussian_complexity_linear,
     evaluate_risk_bound,
     mc_complexity_finite,
     measure_excess_risks,
-    naive_excess_risk,
-    pretrain_rep_difference,
     representation_difference,
     schur_complement_bound,
-    transfer_risk,
     worst_case_complexity_linear,
 )
 
@@ -129,12 +127,24 @@ def _perturbed_rep(truth, scale, rng):
     )
 
 
+def naive_excess_risk(rep_hat, head_hat, truth, spec, n_mc, rng):
+    """Sampled-label oracle: mean downstream loss gap on fresh labeled data."""
+    x = sample_covariates(spec, n_mc, rng)
+    y = sample_labels(truth.rep, truth.down_head, x, rng)
+    gaps = cross_entropy_rows(rep_hat.apply(x) @ head_hat.alpha, y) - cross_entropy_rows(
+        truth.rep.apply(x) @ truth.down_head.alpha, y
+    )
+    return float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(n_mc))
+
+
 class TestTransferRisk:
     def test_truth_has_zero_excess(self):
         rng = derive_rng(12, "risk")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(6)
-        report = transfer_risk(truth.rep, truth.down_head, truth, spec, 2000, rng)
+        report = measure_excess_risks(
+            truth.rep, None, truth.down_head, truth, spec, 2000, rng
+        )
         assert report.excess_transfer_risk == 0.0
         assert report.std_error == 0.0
 
@@ -144,7 +154,9 @@ class TestTransferRisk:
         zero = LinearHead(np.zeros((2, 1)), 1.0)
         truth = GroundTruth(rep=base.rep, pre_head=base.pre_head, down_head=zero)
         other_rep = _perturbed_rep(base, 0.5, rng)
-        report = transfer_risk(other_rep, zero, truth, isotropic_covariates(6), 1000, rng)
+        report = measure_excess_risks(
+            other_rep, None, zero, truth, isotropic_covariates(6), 1000, rng
+        )
         assert report.excess_transfer_risk == 0.0
 
     def test_agrees_with_naive_sampled_estimator(self):
@@ -153,7 +165,9 @@ class TestTransferRisk:
         spec = isotropic_covariates(8)
         rep_hat = _perturbed_rep(truth, 0.3, rng)
         head_hat = LinearHead(truth.down_head.alpha * 0.8, truth.down_head.column_cap)
-        kl_report = transfer_risk(rep_hat, head_hat, truth, spec, 50_000, derive_rng(15, "a"))
+        kl_report = measure_excess_risks(
+            rep_hat, None, head_hat, truth, spec, 50_000, derive_rng(15, "a")
+        )
         naive, naive_se = naive_excess_risk(
             rep_hat, head_hat, truth, spec, 200_000, derive_rng(15, "b")
         )
@@ -164,11 +178,36 @@ class TestTransferRisk:
         rng = derive_rng(16, "risk")
         truth = make_ground_truth(6, 2, 9, 2, 1.0, rng)
         spec = isotropic_covariates(6)
-        report = transfer_risk(
-            truth.rep, truth.pre_head, truth, spec, 500, rng, task="pretrain"
+        report = measure_excess_risks(
+            truth.rep, truth.pre_head, truth.down_head, truth, spec, 500, rng
         )
         assert report.excess_pretrain_risk == 0.0
-        assert math.isnan(report.excess_transfer_risk)
+        assert report.pretrain_std_error == 0.0
+        # without a pre-training head only the downstream stage is measured
+        report = measure_excess_risks(
+            truth.rep, None, truth.down_head, truth, spec, 500, rng
+        )
+        assert math.isnan(report.excess_pretrain_risk)
+        assert math.isnan(report.baseline_excess_risk)
+
+    def test_baseline_is_identity_representation_risk(self):
+        # a baseline head acts on raw covariates: its risk is the downstream
+        # risk of the identity representation with that head, same draw
+        rng = derive_rng(35, "risk")
+        truth = make_ground_truth(6, 2, 8, 3, 1.0, rng)
+        spec = isotropic_covariates(6)
+        base_head = LinearHead(rng.standard_normal((6, 2)) * 0.1, 1.0)
+        report = measure_excess_risks(
+            truth.rep, truth.pre_head, truth.down_head, truth, spec, 3000,
+            derive_rng(36, "mc"), baseline_head=base_head,
+        )
+        identity = measure_excess_risks(
+            SubspaceRep(np.eye(6)), None, base_head, truth, spec, 3000,
+            derive_rng(36, "mc"),
+        )
+        assert report.baseline_excess_risk > 0.0
+        assert report.baseline_excess_risk == identity.excess_transfer_risk
+        assert report.baseline_std_error == identity.std_error
 
     def test_measure_both_stages(self):
         rng = derive_rng(17, "risk")
@@ -188,7 +227,7 @@ class TestRepresentationDifference:
         rng = derive_rng(18, "rd")
         truth = make_ground_truth(7, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(7)
-        value = pretrain_rep_difference(truth.rep, truth, spec, 4000, FIT_CFG, rng)
+        value, _ = representation_difference(truth.rep, truth, spec, 4000, FIT_CFG, rng)
         assert 0.0 <= value <= 5e-5  # the truth head is feasible for the fit
 
     def test_orthogonal_complement_rep_is_poor(self):
@@ -201,7 +240,7 @@ class TestRepresentationDifference:
         )
         ortho = SubspaceRep(full[:, 2:4])
         value, se = representation_difference(
-            ortho, truth, spec, 6000, FIT_CFG, rng, with_std_error=True
+            ortho, truth, spec, 6000, FIT_CFG, rng
         )
         assert value > 10.0 * se
         assert value > 0.01
@@ -212,10 +251,10 @@ class TestRepresentationDifference:
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.4, rng)
         v1, se1 = representation_difference(
-            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "a"), with_std_error=True
+            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "a")
         )
         v2, se2 = representation_difference(
-            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "b"), with_std_error=True
+            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "b")
         )
         assert abs(v1 - v2) <= 3.0 * math.hypot(se1, se2)
 
@@ -270,7 +309,7 @@ class TestSchurComplementBound:
             )
             measured, se = representation_difference(
                 rep_hat, truth, spec, 40_000, FIT_CFG, derive_rng(27, scale),
-                stage="downstream", with_std_error=True,
+                stage="downstream",
             )
             assert measured <= bound + 3.0 * se
 
@@ -295,11 +334,18 @@ class TestDiversityRatio:
         spec = isotropic_covariates(8)
         for seed in range(3):
             rep_hat = _perturbed_rep(truth, 0.4, derive_rng(seed, "p"))
-            row = diversity_ratio(
-                rep_hat, truth, spec, 20_000, FIT_CFG, derive_rng(seed, "r")
+            # closed-form downstream bound times the diversity, over the
+            # measured pre-training difference, both from one stream
+            ratio_rng = derive_rng(seed, "r")
+            _, bound = schur_complement_bound(
+                rep_hat, truth.rep, spec, 20_000, truth.down_head.column_cap,
+                truth.k_prime, ratio_rng,
             )
-            assert row["ratio"] <= self.PROFILE_CONSTANT
-            assert row["pretrain_difference"] > 0
+            d_fp, _ = representation_difference(
+                rep_hat, truth, spec, 20_000, FIT_CFG, ratio_rng
+            )
+            assert d_fp > 0
+            assert bound * diversity_parameter(truth.pre_head) / d_fp <= self.PROFILE_CONSTANT
 
 
 class TestChainRule:

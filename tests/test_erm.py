@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferlab.diagnostics import diversity_parameter
 from transferlab.errors import ContractViolation, SingularMatrixError
 from transferlab.linalg import orthonormalize
-from transferlab.model_space import LinearHead, MlpRep, SubspaceRep
+from transferlab.model_space import LinearHead, MlpRep, SubspaceRep, diversity_parameter
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows, softmax_prob
 from transferlab.synthetic import (
@@ -364,7 +363,7 @@ class TestBaseline:
     def test_fresh_data_excess_ordering(self):
         # same data through the baseline and the true-rep pipeline: the
         # full-dimensional fit carries more estimation error off-sample
-        from transferlab.diagnostics import transfer_risk
+        from transferlab.diagnostics import measure_excess_risks
 
         rng = derive_rng(20, "base")
         truth = make_ground_truth(12, 2, 8, 2, 1.0, rng)
@@ -376,13 +375,11 @@ class TestBaseline:
             cfg = OptimConfig(max_iters=1200, grad_tol=1e-7)
             pipe_head, _ = fit_downstream_head(truth.rep, ds, 1.0, cfg)
             base_head, _ = train_baseline(ds, 1.0, cfg)
-            mc = derive_rng(seed, "base-mc")
-            pipe = transfer_risk(truth.rep, pipe_head, truth, spec, 20_000, mc)
-            mc = derive_rng(seed, "base-mc")
-            base = transfer_risk(
-                SubspaceRep(np.eye(12)), base_head, truth, spec, 20_000, mc
+            report = measure_excess_risks(
+                truth.rep, None, pipe_head, truth, spec, 20_000,
+                derive_rng(seed, "base-mc"), baseline_head=base_head,
             )
-            wins += pipe.excess_transfer_risk < base.excess_transfer_risk
+            wins += report.excess_transfer_risk < report.baseline_excess_risk
         assert wins >= 4
 
     def test_empty_dataset_rejected(self):

@@ -135,12 +135,13 @@ class TestRunSweep:
 
     def test_crash_isolation(self):
         doc = dict(MICRO, trials=1)
-        # k=2 gives k-1=1 < r=2: that cell must fail, the other succeed
-        doc["grid"] = dict(MICRO["grid"], n=[300], k=[6, 2])
+        # a one-dimensional head spectrum cannot have condition number 2:
+        # that cell must fail at run time, the other succeed
+        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
         records = run_sweep(SweepConfig.from_dict(doc))
-        statuses = {rec.params["k"]: rec.status for rec in records}
-        assert statuses[6] == "ok"
-        assert statuses[2] == "failed"
+        statuses = {rec.params["condition_number"]: rec.status for rec in records}
+        assert statuses[1.0] == "ok"
+        assert statuses[2.0] == "failed"
         failed = [r for r in records if r.status == "failed"][0]
         assert "InfeasibleDiversityError" in failed.reason
 
@@ -211,7 +212,7 @@ class TestWriteReport:
 
     def test_failed_rows_counted(self, tmp_path):
         doc = dict(MICRO, trials=1)
-        doc["grid"] = dict(MICRO["grid"], n=[300], k=[6, 2])
+        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
         records = run_sweep(SweepConfig.from_dict(doc))
         summary = write_report(records, tmp_path)
         assert summary.n_failed == 1

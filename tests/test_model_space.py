@@ -1,5 +1,6 @@
 """Hypothesis-space contracts: representations, heads, retraction, angles."""
 
+import json
 import math
 
 import numpy as np
@@ -7,22 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferlab.errors import ContractViolation, DegenerateInput, HeadOutputCapExceeded
+from transferlab.errors import ContractViolation, DegenerateInput
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import (
     LinearHead,
     MlpRep,
     SubspaceRep,
-    apply_head,
-    apply_representation,
+    cap_columns,
     cap_mlp_weights,
     load_bundle,
     output_norm_bound,
     principal_angles,
-    project_head,
     row_sum_norm,
     save_bundle,
-    stiefel_retract,
 )
 
 
@@ -48,22 +46,22 @@ class TestSubspaceRep:
         b[:3, :3] = np.eye(3)
         rep = SubspaceRep(b)
         x = np.array([1.0, 2.0, 3.0, 9.0, 9.0, 9.0])
-        np.testing.assert_allclose(apply_representation(rep, x), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(rep.apply(x), [1.0, 2.0, 3.0])
 
     def test_projection_contraction(self):
         rng = np.random.default_rng(0)
         rep = SubspaceRep(orthonormalize(rng.standard_normal((8, 3))))
         for _ in range(100):
             x = rng.standard_normal(8) * 5
-            assert np.linalg.norm(apply_representation(rep, x)) <= np.linalg.norm(x) + 1e-12
+            assert np.linalg.norm(rep.apply(x)) <= np.linalg.norm(x) + 1e-12
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         rep = SubspaceRep(orthonormalize(rng.standard_normal((5, 2))))
         xs = rng.standard_normal((7, 5))
-        batch = apply_representation(rep, xs)
+        batch = rep.apply(xs)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], apply_representation(rep, xs[i]))
+            np.testing.assert_allclose(batch[i], rep.apply(xs[i]))
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ContractViolation):
@@ -72,14 +70,14 @@ class TestSubspaceRep:
     def test_dimension_mismatch(self):
         rep = SubspaceRep(np.eye(4)[:, :2])
         with pytest.raises(ContractViolation):
-            apply_representation(rep, np.ones(5))
+            rep.apply(np.ones(5))
 
 
 class TestMlpRep:
     def test_zero_weights_zero_embedding(self):
         rep = MlpRep((np.zeros((4, 6)), np.zeros((2, 4))), (1.0, 1.0))
         x = np.random.default_rng(2).standard_normal(6)
-        np.testing.assert_allclose(apply_representation(rep, x), np.zeros(2))
+        np.testing.assert_allclose(rep.apply(x), np.zeros(2))
 
     def test_output_norm_capped(self):
         rng = np.random.default_rng(3)
@@ -89,7 +87,7 @@ class TestMlpRep:
         rep = MlpRep((w1, w2), caps)
         for _ in range(50):
             x = rng.standard_normal(4) * 100  # tanh saturates, inputs unbounded
-            assert np.linalg.norm(apply_representation(rep, x)) <= caps[-1] + 1e-12
+            assert np.linalg.norm(rep.apply(x)) <= caps[-1] + 1e-12
 
     def test_cap_violation_rejected(self):
         w = np.ones((2, 3))
@@ -109,7 +107,7 @@ class TestMlpRep:
 class TestLinearHead:
     def test_zero_head(self):
         head = LinearHead(np.zeros((3, 4)), 1.0)
-        np.testing.assert_allclose(apply_head(head, np.ones(3)), np.zeros(4))
+        np.testing.assert_allclose(np.ones(3) @ head.alpha, np.zeros(4))
 
     def test_coordinate_pick(self):
         alpha = np.zeros((3, 2))
@@ -117,7 +115,7 @@ class TestLinearHead:
         alpha[1, 1] = 1.0
         head = LinearHead(alpha, 1.0)
         z = np.array([0.3, -0.7, 5.0])
-        np.testing.assert_allclose(apply_head(head, z), [0.3, -0.7])
+        np.testing.assert_allclose(z @ head.alpha, [0.3, -0.7])
 
     def test_cauchy_schwarz_bound(self):
         rng = np.random.default_rng(5)
@@ -128,13 +126,8 @@ class TestLinearHead:
             alpha = alpha / np.linalg.norm(alpha, axis=0) * cap
             head = LinearHead(alpha, cap)
             z = rng.standard_normal(r) * 3
-            eta = apply_head(head, z)
+            eta = z @ head.alpha
             assert np.linalg.norm(eta) <= math.sqrt(km1) * cap * np.linalg.norm(z) + 1e-12
-
-    def test_output_cap_violation_raises(self):
-        head = LinearHead(np.eye(2), 1.0, output_cap=0.5)
-        with pytest.raises(HeadOutputCapExceeded):
-            apply_head(head, np.array([3.0, 0.0]))
 
     def test_column_cap_validated(self):
         with pytest.raises(ContractViolation):
@@ -142,23 +135,22 @@ class TestLinearHead:
 
 
 class TestProjectHead:
+    # projection of a head onto the per-column norm ball is cap_columns
     def test_within_cap_untouched(self):
         alpha = np.array([[0.3, 0.0], [0.0, 0.4]])
-        head = LinearHead(alpha, 1.0)
-        np.testing.assert_array_equal(project_head(head, 1.0).alpha, alpha)
+        np.testing.assert_array_equal(cap_columns(alpha, 1.0), alpha)
 
     def test_oversized_column_rescaled(self):
-        head = LinearHead(np.array([[2.0], [0.0]]), 5.0)
-        got = project_head(head, 1.0)
-        np.testing.assert_allclose(got.alpha, [[1.0], [0.0]], atol=1e-15)
+        got = cap_columns(np.array([[2.0], [0.0]]), 1.0)
+        np.testing.assert_allclose(got, [[1.0], [0.0]], atol=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            head = LinearHead(rng.standard_normal((3, 5)) * 2, 100.0)
-            once = project_head(head, 0.7)
-            twice = project_head(once, 0.7)
-            np.testing.assert_allclose(twice.alpha, once.alpha, atol=1e-15)
+            once = cap_columns(rng.standard_normal((3, 5)) * 2, 0.7)
+            twice = cap_columns(once, 0.7)
+            np.testing.assert_allclose(twice, once, atol=1e-15)
+            LinearHead(once, 0.7)  # the projection is a valid head
 
     @given(
         st.lists(st.floats(-50, 50), min_size=6, max_size=6),
@@ -166,8 +158,6 @@ class TestProjectHead:
     )
     @settings(max_examples=150, deadline=None)
     def test_projection_properties_hold_generally(self, entries, cap):
-        from transferlab.model_space import cap_columns
-
         alpha = np.array(entries).reshape(3, 2)
         capped = cap_columns(alpha, cap)
         norms = np.linalg.norm(capped, axis=0)
@@ -179,11 +169,13 @@ class TestProjectHead:
 
 
 class TestStiefelRetract:
+    # stage one retracts a stepped frame onto the orthonormal frames
+    # with orthonormalize
     def test_orthonormal_fixed_point(self):
         rng = np.random.default_rng(7)
         b = orthonormalize(rng.standard_normal((6, 3)))
-        np.testing.assert_allclose(stiefel_retract(b).b, b, atol=1e-13)
-        np.testing.assert_allclose(stiefel_retract(b + 0.0).b, b, atol=1e-13)
+        np.testing.assert_allclose(orthonormalize(b), b, atol=1e-13)
+        np.testing.assert_allclose(orthonormalize(b + 0.0), b, atol=1e-13)
 
     def test_first_order_retraction(self):
         # distance to the stepped point shrinks like step^2 along tangents
@@ -195,7 +187,7 @@ class TestStiefelRetract:
         errs = []
         for t in (1e-2, 5e-3, 2.5e-3):
             stepped = b + t * tangent
-            errs.append(np.linalg.norm(stiefel_retract(stepped).b - stepped))
+            errs.append(np.linalg.norm(orthonormalize(stepped) - stepped))
         assert errs[0] <= 10 * (1e-2) ** 2 * np.linalg.norm(tangent) ** 2
         # halving the step cuts the defect by about four
         assert errs[1] <= errs[0] / 3.0
@@ -203,7 +195,7 @@ class TestStiefelRetract:
 
     def test_rank_deficient_step_rejected(self):
         with pytest.raises(DegenerateInput):
-            stiefel_retract(np.ones((4, 2)))
+            orthonormalize(np.ones((4, 2)))
 
 
 class TestPrincipalAngles:
@@ -242,7 +234,7 @@ class TestSerialization:
         w1 = rng.standard_normal((4, 3)) / 3
         w2 = rng.standard_normal((2, 4)) / 3
         rep = MlpRep((w1, w2), (5.0, 5.0))
-        head = LinearHead(rng.standard_normal((2, 4)) / 3, 1.0, output_cap=7.5)
+        head = LinearHead(rng.standard_normal((2, 4)) / 3, 1.0)
         path = tmp_path / "bundle.json"
         save_bundle(path, {"rep": rep, "head": head})
         back = load_bundle(path)
@@ -250,4 +242,13 @@ class TestSerialization:
         np.testing.assert_array_equal(back["rep"].weights[1], w2)
         np.testing.assert_array_equal(back["head"].alpha, head.alpha)
         assert back["head"].column_cap == head.column_cap
-        assert back["head"].output_cap == head.output_cap
+
+    def test_stray_output_cap_key_ignored(self, tmp_path):
+        # bundles written before heads lost their output cap still load
+        head = LinearHead(np.eye(2) * 0.5, 1.0)
+        path = tmp_path / "old.json"
+        save_bundle(path, {"head": head})
+        doc = json.loads(path.read_text())
+        doc["head"]["output_cap"] = None
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(load_bundle(path)["head"].alpha, head.alpha)

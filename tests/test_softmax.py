@@ -24,7 +24,6 @@ from transferlab.softmax import (
     kl_divergence,
     kl_quadratic_bounds,
     log_partition,
-    log_partition_taylor_envelope,
     softmax_prob,
 )
 
@@ -321,20 +320,3 @@ class TestKlQuadraticBounds:
             b *= 3.0 * rng.random() / max(np.linalg.norm(b), 1e-12)
             lower, kl, upper = kl_quadratic_bounds(a, b)
             assert lower <= kl <= upper
-
-
-class TestTaylorEnvelope:
-    def test_envelope_contains_value(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            k = int(rng.integers(2, 11))
-            w = rng.standard_normal(k - 1) * 2
-            v = rng.standard_normal(k - 1) * 2
-            lower, value, upper = log_partition_taylor_envelope(w, v)
-            assert lower <= value + 1e-12
-            assert value <= upper + 1e-12
-
-    def test_zero_displacement(self):
-        w = np.array([0.5, -0.5])
-        lower, value, upper = log_partition_taylor_envelope(w, np.zeros(2))
-        assert lower == value == upper

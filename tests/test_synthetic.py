@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from transferlab.diagnostics import diversity_parameter
+from transferlab.model_space import diversity_parameter
 from transferlab.errors import (
     ContractViolation,
     InfeasibleDiversityError,
