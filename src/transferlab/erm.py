@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput
-from .linalg import logdet_psd, orthonormalize
+from .linalg import logdet_psd
 from .model_space import (
     LinearHead,
     MlpRep,
     Representation,
     SubspaceRep,
     cap_columns,
-    cap_mlp_weights,
     diversity_parameter,
 )
 from .synthetic import LabeledDataset
@@ -106,6 +105,11 @@ class TrainTrace:
         self.step.append(float(step))
         self.nu_tilde.append(float(nu))
 
+    def stall(self, phase: str) -> None:
+        """Record that ``phase``'s line search reached the minimum step."""
+        self.stalled = True
+        self.stall_reason = f"{phase}: line search hit minimum step without decrease"
+
     def __len__(self):
         return len(self.iters)
 
@@ -182,38 +186,6 @@ def _embed_grad(alpha: np.ndarray, probs: np.ndarray, y: np.ndarray) -> np.ndarr
     return (alpha @ probs).T - y @ alpha.T
 
 
-def _forward(rep_kind: str, params, x: np.ndarray):
-    """Embeddings plus the per-layer activations an MLP backward needs."""
-    if rep_kind == "subspace":
-        return x @ params, None
-    acts = [x]
-    a = x
-    for w in params[:-1]:
-        a = np.tanh(a @ w.T)
-        acts.append(a)
-    return a @ params[-1].T, acts
-
-
-def _rep_grad(rep_kind: str, params, x, acts, g_embed: np.ndarray):
-    """Gradient of the mean loss w.r.t. representation parameters.
-
-    ``g_embed`` is the (n, r) per-sample loss gradient at the embedding
-    output; the mean over samples is taken here.
-    """
-    n = x.shape[0]
-    if rep_kind == "subspace":
-        return x.T @ g_embed / n
-    grads = [None] * len(params)
-    grads[-1] = g_embed.T @ acts[-1] / n
-    g_a = g_embed @ params[-1]
-    for p in range(len(params) - 2, -1, -1):
-        g_pre = g_a * (1.0 - acts[p + 1] ** 2)
-        grads[p] = g_pre.T @ acts[p] / n
-        if p > 0:
-            g_a = g_pre @ params[p]
-    return grads
-
-
 def loss_and_grad(rep: Representation, head: LinearHead, x, y):
     """Empirical risk with gradients for both the head and the representation.
 
@@ -226,20 +198,12 @@ def loss_and_grad(rep: Representation, head: LinearHead, x, y):
         raise ContractViolation("x and y must be matching 2-D sample blocks")
     if y.shape[1] != head.n_logits:
         raise ContractViolation("label width does not match head logits")
-    kind = "subspace" if isinstance(rep, SubspaceRep) else "mlp"
-    params = rep.b if kind == "subspace" else list(rep.weights)
-    z, acts = _forward(kind, params, x)
+    z, cache = rep.forward(x)
     label_stat = _label_stat(z, y)
     risk, probs = _head_risk(head.alpha, z, label_stat)
     grad_alpha = _head_grad(z, probs, label_stat)
-    grad_rep = _rep_grad(kind, params, x, acts, _embed_grad(head.alpha, probs, y))
+    grad_rep = rep.grad(x, cache, _embed_grad(head.alpha, probs, y))
     return risk, grad_alpha, grad_rep
-
-
-def _tangent_project(b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space at b."""
-    btg = b.T @ g
-    return g - b @ (0.5 * (btg + btg.T))
 
 
 def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
@@ -257,19 +221,17 @@ def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
     return step
 
 
-class _LineSearchStall(Exception):
-    def __init__(self, where: str):
-        self.where = where
-
-
 def _backtrack(objective, current_value, direction_step, cfg, step0):
-    """Shrink the step until sufficient decrease; raise on stall.
+    """Shrink the step until sufficient decrease; None on a stall.
 
     ``direction_step(s)`` maps a step size to (candidate, squared move)
     and may raise ``DegenerateInput`` for overlong steps, which shrinks
     the step like a failed trial. ``objective(candidate)`` returns
     (value, payload). A step is accepted when
-    value <= current - armijo_c / s * move^2.
+    value <= current - armijo_c / s * move^2. Returns
+    ``(step, next initial step, candidate, value, payload)``, or None
+    once the step falls below ``min_step``; this is the one place the
+    step-size policy lives.
     """
     s = step0
     while s >= cfg.min_step:
@@ -280,9 +242,9 @@ def _backtrack(objective, current_value, direction_step, cfg, step0):
             continue
         value, payload = objective(cand)
         if np.isfinite(value) and value <= current_value - cfg.armijo_c / s * move_sq:
-            return s, cand, value, payload
+            return s, min(s * cfg.step_grow, cfg.step_max), cand, value, payload
         s *= cfg.step_shrink
-    raise _LineSearchStall("line search hit minimum step without decrease")
+    return None
 
 
 def pretrain(
@@ -317,43 +279,35 @@ def pretrain(
         )
     cap = hypothesis.head_cap
     mu = cfg.ridge_mu
-
-    kind = hypothesis.kind
-    if kind == "subspace":
-        params = orthonormalize(rng.standard_normal((d, r)))
-        caps = None
+    if hypothesis.kind == "subspace":
+        rep = SubspaceRep.random(d, r, rng)
     else:
-        widths = (*hypothesis.mlp_widths, r)
-        caps = hypothesis.mlp_caps
-        fan_in = (d, *hypothesis.mlp_widths)
-        params = cap_mlp_weights(
-            [
-                rng.standard_normal((w_out, w_in)) / np.sqrt(w_in)
-                for w_out, w_in in zip(widths, fan_in)
-            ],
-            caps,
-        )
-
+        rep = MlpRep.random(d, (*hypothesis.mlp_widths, r), hypothesis.mlp_caps, rng)
     alpha = np.zeros((r, k_minus_1))
     trace = TrainTrace()
-
-    def finalize():
-        rep_out = (
-            SubspaceRep(params) if kind == "subspace" else MlpRep(tuple(params), caps)
-        )
-        return PretrainResult(rep_out, LinearHead(alpha, cap), trace)
 
     def reg_value(a):
         if lambda_div == 0.0:
             return 0.0
         return logdet_psd(a @ a.T + mu * np.eye(r))
 
-    z, acts = _forward(kind, params, x)
+    # both objectives read the current iterate of the other block
+    def head_objective(cand):
+        risk_c, probs_c = _head_risk(cand, z, label_stat)
+        reg_c = reg_value(cand)
+        return risk_c - lambda_div * reg_c, (risk_c, probs_c, reg_c)
+
+    def rep_objective(cand):
+        z_c, cache_c = cand.forward(x)
+        stat_c = _label_stat(z_c, y)
+        risk_c, probs_c = _head_risk(alpha, z_c, stat_c)
+        return risk_c, (z_c, cache_c, stat_c, probs_c)
+
+    z, cache = rep.forward(x)
     label_stat = _label_stat(z, y)
     risk, probs = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
-    s_head = cfg.step_init
-    s_rep = cfg.step_init
+    s_head = s_rep = cfg.step_init
     last_step = 0.0
     # a phase with projected gradient this far under tol cannot make
     # progress distinguishable from rounding; skip it instead of stalling
@@ -365,18 +319,7 @@ def pretrain(
             _, reg_grad = logdet_regularizer(alpha, mu)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-
-        grad_rep_probe = _rep_grad(kind, params, x, acts, _embed_grad(alpha, probs, y))
-        if kind == "subspace":
-            pg_rep = float(np.linalg.norm(_tangent_project(params, grad_rep_probe)))
-        else:
-            capped = cap_mlp_weights(
-                [w - g for w, g in zip(params, grad_rep_probe)], caps
-            )
-            pg_rep = float(
-                np.sqrt(sum(((w - c) ** 2).sum() for w, c in zip(params, capped)))
-            )
-
+        pg_rep, _ = rep.descent(rep.grad(x, cache, _embed_grad(alpha, probs, y)))
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
@@ -384,68 +327,27 @@ def pretrain(
 
         # --- head phase (objective includes the regularizer term) ---
         if pg_head > phase_floor:
-            j_cur = risk - lambda_div * reg
-
-            def head_objective(cand):
-                risk_c, probs_c = _head_risk(cand, z, label_stat)
-                reg_c = reg_value(cand)
-                return risk_c - lambda_div * reg_c, (risk_c, probs_c, reg_c)
-
-            try:
-                s_acc, alpha, _, (risk, probs, reg) = _backtrack(
-                    head_objective, j_cur, _capped_step(alpha, grad_alpha, cap),
-                    cfg, s_head,
-                )
-                s_head = min(s_acc * cfg.step_grow, cfg.step_max)
-                last_step = s_acc
-            except _LineSearchStall as stall:
-                trace.stalled = True
-                trace.stall_reason = f"head: {stall.where}"
-                return finalize()
+            found = _backtrack(
+                head_objective, risk - lambda_div * reg,
+                _capped_step(alpha, grad_alpha, cap), cfg, s_head,
+            )
+            if found is None:
+                trace.stall("head")
+                break
+            last_step, s_head, alpha, _, (risk, probs, reg) = found
 
         # --- representation phase at the fresh head ---
-        grad_rep = _rep_grad(kind, params, x, acts, _embed_grad(alpha, probs, y))
-        if kind == "subspace":
-            riem = _tangent_project(params, grad_rep)
-            move_norm = float(np.linalg.norm(riem))
-
-            def rep_step(s):
-                cand = orthonormalize(params - s * riem)
-                diff = cand - params
-                return cand, float((diff * diff).sum())
-
-        else:
-            capped = cap_mlp_weights([w - g for w, g in zip(params, grad_rep)], caps)
-            move_norm = float(
-                np.sqrt(sum(((w - c) ** 2).sum() for w, c in zip(params, capped)))
-            )
-
-            def rep_step(s):
-                cand = cap_mlp_weights(
-                    [w - s * g for w, g in zip(params, grad_rep)], caps
-                )
-                move = sum(((w - c) ** 2).sum() for w, c in zip(params, cand))
-                return cand, float(move)
-
-        def rep_objective(cand):
-            z_c, acts_c = _forward(kind, cand, x)
-            stat_c = _label_stat(z_c, y)
-            risk_c, probs_c = _head_risk(alpha, z_c, stat_c)
-            return risk_c, (z_c, acts_c, stat_c, risk_c, probs_c)
-
+        move_norm, rep_step = rep.descent(
+            rep.grad(x, cache, _embed_grad(alpha, probs, y))
+        )
         if move_norm > phase_floor:
-            try:
-                s_acc, params, _, (z, acts, label_stat, risk, probs) = _backtrack(
-                    rep_objective, risk, rep_step, cfg, s_rep
-                )
-                s_rep = min(s_acc * cfg.step_grow, cfg.step_max)
-                last_step = s_acc
-            except _LineSearchStall as stall:
-                trace.stalled = True
-                trace.stall_reason = f"representation: {stall.where}"
-                return finalize()
+            found = _backtrack(rep_objective, risk, rep_step, cfg, s_rep)
+            if found is None:
+                trace.stall("representation")
+                break
+            last_step, s_rep, rep, risk, (z, cache, label_stat, probs) = found
 
-    return finalize()
+    return PretrainResult(rep, LinearHead(alpha, cap), trace)
 
 
 def fit_head_on_embeddings(
@@ -478,6 +380,9 @@ def fit_head_on_embeddings(
     s_cur = cfg.step_init
     last_step = 0.0
 
+    def objective(cand):
+        return _head_risk(cand, z, label_stat)
+
     for it in range(cfg.max_iters):
         grad = _head_grad(z, probs, label_stat)
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
@@ -485,19 +390,11 @@ def fit_head_on_embeddings(
         if pg <= cfg.grad_tol:
             break
 
-        def objective(cand):
-            return _head_risk(cand, z, label_stat)
-
-        try:
-            s_acc, alpha, risk, probs = _backtrack(
-                objective, risk, _capped_step(alpha, grad, cap), cfg, s_cur
-            )
-            s_cur = min(s_acc * cfg.step_grow, cfg.step_max)
-            last_step = s_acc
-        except _LineSearchStall as stall:
-            trace.stalled = True
-            trace.stall_reason = f"head fit: {stall.where}"
+        found = _backtrack(objective, risk, _capped_step(alpha, grad, cap), cfg, s_cur)
+        if found is None:
+            trace.stall("head fit")
             break
+        last_step, s_cur, alpha, risk, probs = found
     return alpha, trace
 
 

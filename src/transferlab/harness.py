@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, InfeasibleDiversityError, InfeasibleSamplingError
 from .model_space import SubspaceRep, diversity_parameter, principal_angles
 from .rngutil import derive_rng
 from .synthetic import (
@@ -32,6 +32,7 @@ from .synthetic import (
     isotropic_covariates,
     make_dataset,
     make_ground_truth,
+    sample_covariates,
 )
 from .erm import HypothesisConfig, OptimConfig, fit_downstream_head, pretrain, train_baseline
 from .diagnostics import BoundParams, evaluate_risk_bound, measure_excess_risks
@@ -44,7 +45,6 @@ __all__ = [
     "cell_truth",
     "run_sweep",
     "write_csv",
-    "write_records_csv",
     "load_records_csv",
     "fit_power_law",
     "PowerLawFit",
@@ -129,12 +129,19 @@ class SweepConfig:
         n_mc = self.diagnostics["risk_mc_samples"]
         if not isinstance(n_mc, (int, float)) or n_mc < 1:
             raise ContractViolation("diagnostics.risk_mc_samples must be >= 1")
-        # build the typed sections and one bound so that bad values fail
-        # before any work
+        # build the typed sections, the first cell's trial-0 truth and
+        # covariate law (probing the sampler once) and its bound, so that
+        # bad values fail before any work
         self.optim_config()
         self.head_optim_config()
         self.hypothesis_config(self.grid["r"][0], self.truth["pre_head_cap"])
-        self.risk_bound({key: self.grid[key][0] for key in GRID_KEYS}, 1.0, 1.0)
+        first = {key: self.grid[key][0] for key in GRID_KEYS}
+        try:
+            spec, truth, _ = cell_truth(self, first, 0)
+            sample_covariates(spec, 1, derive_rng(self.seed, "covariate_probe"))
+        except (InfeasibleDiversityError, InfeasibleSamplingError) as exc:
+            raise ContractViolation(f"first grid cell: {exc}") from exc
+        self.risk_bound(first, diversity_parameter(truth.pre_head), spec.norm_cap)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -380,13 +387,6 @@ def _record_row(rec: ExperimentRecord) -> str:
         else:
             row.append(_fmt(getattr(rec, name)))
     return ",".join(row) + "\n"
-
-
-def write_records_csv(path, records: list[ExperimentRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(_CSV_FIELDS) + "\n")
-        for rec in records:
-            fh.write(_record_row(rec))
 
 
 # parsers of the CSV text, by the field's annotation in ExperimentRecord

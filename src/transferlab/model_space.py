@@ -8,6 +8,11 @@ infinity-to-2 operator norm (enforced through the column-norm-sum upper
 bound, which certifies the true operator norm). Heads are linear maps
 ``z -> alpha^T z`` with per-column Euclidean norm caps.
 
+Each representation family owns its training geometry: ``forward``
+(embeddings plus the cache ``grad`` needs), ``grad`` (parameter gradient
+from the gradient at the embeddings) and ``descent`` (stationarity norm
+and the constrained step map).
+
 Values are immutable after construction; all operations are pure.
 """
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import as_matrix, singular_values, sym_spectral
+from .linalg import as_matrix, orthonormalize, singular_values, sym_spectral
 
 __all__ = [
     "SubspaceRep",
@@ -38,6 +43,13 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-8
+
+
+def _as_input(x, dim: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != dim:
+        raise ContractViolation(f"input dim {x.shape[-1]} != representation dim {dim}")
+    return x
 
 
 def row_sum_norm(w: np.ndarray) -> float:
@@ -74,13 +86,38 @@ class SubspaceRep:
     def embed_dim(self) -> int:
         return self.b.shape[1]
 
+    @classmethod
+    def random(cls, d: int, r: int, rng: np.random.Generator) -> "SubspaceRep":
+        """Uniformly random orthonormal d x r frame."""
+        return cls(orthonormalize(rng.standard_normal((d, r))))
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, None]:
+        """Embeddings B^T x; a subspace keeps no cache for ``grad``."""
+        return _as_input(x, self.input_dim) @ self.b, None
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.input_dim:
-            raise ContractViolation(
-                f"input dim {x.shape[-1]} != representation dim {self.input_dim}"
-            )
-        return x @ self.b
+        return self.forward(x)[0]
+
+    def grad(self, x: np.ndarray, cache, g_embed: np.ndarray) -> np.ndarray:
+        """Mean-loss gradient w.r.t. B from the (n, r) per-sample gradient at z."""
+        return x.T @ g_embed / x.shape[0]
+
+    def descent(self, grad: np.ndarray):
+        """Riemannian gradient norm and the QR-retracted step map.
+
+        s -> (frame of B - s * riem, squared move); riem is ``grad``
+        projected onto the tangent space of the orthonormal frames at B.
+        """
+        b = self.b
+        btg = b.T @ grad
+        riem = grad - b @ (0.5 * (btg + btg.T))
+
+        def step(s):
+            cand = orthonormalize(b - s * riem)
+            diff = cand - b
+            return SubspaceRep(cand), float((diff * diff).sum())
+
+        return float(np.linalg.norm(riem)), step
 
 
 @dataclass(frozen=True)
@@ -115,15 +152,62 @@ class MlpRep:
     def embed_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64)
-        if a.shape[-1] != self.input_dim:
-            raise ContractViolation(
-                f"input dim {a.shape[-1]} != representation dim {self.input_dim}"
-            )
+    @classmethod
+    def random(cls, d: int, widths: tuple[int, ...], caps: tuple[float, ...],
+               rng: np.random.Generator) -> "MlpRep":
+        """Gaussian layers scaled by 1/sqrt(fan-in), rescaled into the caps.
+
+        ``widths`` are the layer output widths, the embedding width last.
+        """
+        fan_in = (d, *widths[:-1])
+        weights = [
+            rng.standard_normal((w_out, w_in)) / np.sqrt(w_in)
+            for w_out, w_in in zip(widths, fan_in)
+        ]
+        return cls(tuple(cap_mlp_weights(weights, caps)), caps)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Embeddings plus the layer inputs (x, then each tanh layer) ``grad`` needs."""
+        a = _as_input(x, self.input_dim)
+        acts = [a]
         for w in self.weights[:-1]:
             a = np.tanh(a @ w.T)
-        return a @ self.weights[-1].T
+            acts.append(a)
+        return a @ self.weights[-1].T, acts
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[0]
+
+    def grad(self, x: np.ndarray, acts: list[np.ndarray], g_embed: np.ndarray
+             ) -> list[np.ndarray]:
+        """Per-layer mean-loss gradients by backpropagating the (n, r) gradient at z."""
+        ws = self.weights
+        n = x.shape[0]
+        grads = [None] * len(ws)
+        grads[-1] = g_embed.T @ acts[-1] / n
+        g_a = g_embed @ ws[-1]
+        for p in range(len(ws) - 2, -1, -1):
+            g_pre = g_a * (1.0 - acts[p + 1] ** 2)
+            grads[p] = g_pre.T @ acts[p] / n
+            if p > 0:
+                g_a = g_pre @ ws[p]
+        return grads
+
+    def descent(self, grad: list[np.ndarray]):
+        """Projected-gradient norm and the step-then-cap step map.
+
+        s -> (layers W - s * grad rescaled into the caps, squared move);
+        the norm is the square root of the move at s = 1.
+        """
+
+        def step(s):
+            cand = cap_mlp_weights(
+                [w - s * g for w, g in zip(self.weights, grad)], self.caps
+            )
+            move = sum(((w - c) ** 2).sum() for w, c in zip(self.weights, cand))
+            return MlpRep(tuple(cand), self.caps), float(move)
+
+        return float(np.sqrt(step(1.0)[1])), step
 
 
 Representation = SubspaceRep | MlpRep

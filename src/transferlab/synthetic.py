@@ -51,7 +51,9 @@ class CovariateSpec:
     """Covariate law: N(0, Sigma) truncated to the ball of radius ``norm_cap``.
 
     ``sigma_min``/``sigma_max`` are the certified bounds on the spectrum
-    of Sigma; construction fails if Sigma leaves them.
+    of Sigma; construction fails if Sigma leaves them, if they are not
+    0 <= sigma_min <= sigma_max, or if ``norm_cap`` is not positive
+    (NaN included).
     """
 
     sigma: np.ndarray
@@ -60,6 +62,10 @@ class CovariateSpec:
     sigma_max: float
 
     def __post_init__(self):
+        if not 0.0 <= self.sigma_min <= self.sigma_max:
+            raise ContractViolation("spectrum bounds need 0 <= sigma_min <= sigma_max")
+        if not self.norm_cap > 0:
+            raise ContractViolation(f"norm cap must be positive, got {self.norm_cap}")
         s = as_matrix(self.sigma, "covariance")
         lam, _ = sym_spectral(s)
         if lam[-1] < self.sigma_min - 1e-10 or lam[0] > self.sigma_max + 1e-10:
@@ -67,8 +73,6 @@ class CovariateSpec:
                 f"spectrum [{lam[-1]:.3e}, {lam[0]:.3e}] outside "
                 f"[{self.sigma_min:.3e}, {self.sigma_max:.3e}]"
             )
-        if self.norm_cap <= 0:
-            raise ContractViolation("norm cap must be positive")
         object.__setattr__(self, "sigma", s)
 
     @property
@@ -83,7 +87,9 @@ def isotropic_covariates(d: int, scale: float = 1.0, cap_factor: float = 3.0) ->
     couple of percent.
     """
     sigma = np.eye(d) * scale
-    cap = cap_factor * np.sqrt(d * scale)
+    # a negative scale gives a NaN cap, which CovariateSpec rejects
+    with np.errstate(invalid="ignore"):
+        cap = cap_factor * np.sqrt(d * scale)
     return CovariateSpec(sigma, cap, sigma_min=scale, sigma_max=scale)
 
 
@@ -178,7 +184,7 @@ def make_ground_truth(
     if r == 1 and condition_number != 1.0:
         raise InfeasibleDiversityError("r=1 spectrum has a single value; need cond=1")
 
-    rep = SubspaceRep(orthonormalize(rng.standard_normal((d, r))))
+    rep = SubspaceRep.random(d, r, rng)
 
     # singular values of alpha so that alpha alpha^T has the requested spectrum
     s1 = np.sqrt(top_singular_value)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import chain_rule_check
 from .erm import logdet_regularizer, loss_and_grad
-from .linalg import orthonormalize, sym_spectral
+from .linalg import sym_spectral
 from .model_space import LinearHead, MlpRep, SubspaceRep
 from .rngutil import derive_rng
 from .softmax import (
@@ -174,7 +174,7 @@ def gradient_check_suite(
         alpha = rng.standard_normal((r, k - 1)) * 0.5
         head = LinearHead(alpha, column_cap=10.0)
         if i % 2 == 0:
-            rep = SubspaceRep(orthonormalize(rng.standard_normal((d, r))))
+            rep = SubspaceRep.random(d, r, rng)
             _, g_alpha, g_rep = loss_and_grad(rep, head, x, yy)
 
             def risk_of_b(b):

@@ -150,6 +150,12 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     {"diagnostics": {"risk_mc_samples": 0}},
     {"grid": {"n": [500], "r": [25]}},
     {"grid": {"n": [500], "k": [3]}},
+    {"grid": {"n": [500], "r": [1], "condition_number": [2.0]}},
+    {"truth": {"down_head_fill": 1.5}},
+    {"covariates": {"scale": -1.0}},
+    {"covariates": {"cap_factor": 0.05}},
+    # the largest column norm is at least 10 sqrt(3/29) > 1 for every seed
+    {"truth": {"top_singular_value": 100}},
 ])
 def test_sweep_rejects_config_that_fails_every_row(tmp_path, section, capsys):
     doc = {"trials": 1, "grid": {"n": [500]}, **section}

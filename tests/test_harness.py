@@ -15,7 +15,6 @@ from transferlab.harness import (
     fit_power_law,
     load_records_csv,
     run_sweep,
-    write_records_csv,
     write_report,
 )
 
@@ -40,8 +39,13 @@ MICRO = {
 
 
 @pytest.fixture(scope="module")
-def micro_records():
-    return run_sweep(SweepConfig.from_dict(MICRO))
+def micro_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("micro") / "records.csv"
+
+
+@pytest.fixture(scope="module")
+def micro_records(micro_csv):
+    return run_sweep(SweepConfig.from_dict(MICRO), out_csv=micro_csv)
 
 
 class TestPowerLawFit:
@@ -145,10 +149,9 @@ class TestRunSweep:
         failed = [r for r in records if r.status == "failed"][0]
         assert "InfeasibleDiversityError" in failed.reason
 
-    def test_records_csv_roundtrip(self, tmp_path, micro_records):
-        path = tmp_path / "records.csv"
-        write_records_csv(path, micro_records)
-        back = load_records_csv(path)
+    def test_records_csv_roundtrip(self, micro_csv, micro_records):
+        # the file run_sweep streamed while it ran
+        back = load_records_csv(micro_csv)
         assert len(back) == len(micro_records)
         for a, b in zip(back, micro_records):
             assert a.cell_index == b.cell_index

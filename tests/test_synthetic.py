@@ -109,6 +109,22 @@ class TestSampleCovariates:
         with pytest.raises(ContractViolation):
             CovariateSpec(np.eye(3) * 2.0, 10.0, sigma_min=0.5, sigma_max=1.0)
 
+    @pytest.mark.parametrize("norm_cap, sigma_min, sigma_max", [
+        (math.nan, 1.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (10.0, -1.0, -1.0),
+        (10.0, math.nan, 1.0),
+        (10.0, 1.0, 0.5),
+    ])
+    def test_bad_cap_and_bounds_rejected(self, norm_cap, sigma_min, sigma_max):
+        with pytest.raises(ContractViolation):
+            CovariateSpec(np.eye(3), norm_cap, sigma_min=sigma_min, sigma_max=sigma_max)
+
+    def test_negative_scale_rejected(self):
+        # scale -1 gives sigma = -I and a NaN cap; neither may pass
+        with pytest.raises(ContractViolation):
+            isotropic_covariates(3, scale=-1.0)
+
 
 class TestSampleLabels:
     def test_uniform_marginal_under_zero_head(self):
