@@ -106,9 +106,8 @@ def _cmd_pretrain(args) -> int:
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
         result.trace.to_csv(args.trace_out)
-    state = "stalled" if result.trace.stalled else "converged"
     print(
-        f"{state} after {len(result.trace)} iterations; "
+        f"{result.trace.outcome} after {len(result.trace)} iterations; "
         f"final risk {result.trace.risk[-1] if len(result.trace) else float('nan'):.6f}; "
         f"model -> {args.out}"
     )

@@ -9,18 +9,20 @@ downstream task, a convex problem solved by projected gradient descent.
 A no-pretraining baseline fits a full-dimensional linear predictor with
 the same machinery.
 
-Training is full batch and deterministic given the RNG used for
-initialization; line-search failure is reported as a stall in the trace
-rather than raised.
+Every line search starts from a Barzilai-Borwein step of its own block
+(``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
+full batch and deterministic given the RNG used for initialization; the
+trace records how each run ended, and line-search failure is reported
+as a stall rather than raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateInput
+from .errors import ContractViolation, DegenerateInput, check_scalars
 from .linalg import logdet_psd
 from .model_space import (
     LinearHead,
@@ -48,23 +50,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """Settings of the projected / retracted gradient descent.
+
+    A block's first line search starts at ``step_init``, later ones at the
+    Barzilai-Borwein step clipped to [``min_step``, ``step_max``], with the
+    fallback ``min(previous step * step_grow, step_max)`` when no positive
+    curvature was measured. Each search shrinks the step by ``step_shrink``
+    until the Armijo test with ``armijo_c`` holds, stalling below ``min_step``.
+    """
+
     max_iters: int = 5000
     grad_tol: float = 1e-6
     step_init: float = 1.0
     step_shrink: float = 0.5
     armijo_c: float = 1e-4
     step_grow: float = 2.0
-    # growth ceiling: projected steps saturate once columns pin to the cap,
-    # and an unbounded warm start would eventually overflow the trial point
+    # step ceiling: projected steps saturate once columns pin to the cap,
+    # and an unbounded initial step would eventually overflow the trial point
     step_max: float = 1e6
     min_step: float = 1e-14
     ridge_mu: float = 1e-8
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or not (0 < self.step_shrink < 1) or self.ridge_mu < 0:
-            raise ContractViolation("invalid optimizer configuration")
-        if not (self.min_step <= self.step_init <= self.step_max):
-            raise ContractViolation("need min_step <= step_init <= step_max")
+        check_scalars("optimizer.", vars(self), {f.name: f.default for f in fields(self)})
+        if self.max_iters < 1 or self.grad_tol <= 0 or self.ridge_mu < 0:
+            raise ContractViolation("need max_iters >= 1, grad_tol > 0 and ridge_mu >= 0")
+        if not (0 < self.step_shrink < 1 and 0 < self.armijo_c < 1 and self.step_grow >= 1):
+            raise ContractViolation(
+                "need 0 < step_shrink < 1, 0 < armijo_c < 1 and step_grow >= 1"
+            )
+        if not (0 < self.min_step <= self.step_init <= self.step_max):
+            raise ContractViolation("need 0 < min_step <= step_init <= step_max")
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,13 @@ class HypothesisConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-iteration optimizer log plus the stall flag."""
+    """Per-iteration optimizer log plus how the run ended.
+
+    ``outcome`` is "converged" (the projected-gradient norm reached
+    ``grad_tol``), "stalled" (a line search fell below ``min_step``) or
+    "max_iters" (the iteration budget ran out first); it is empty until
+    the run ends.
+    """
 
     iters: list = field(default_factory=list)
     risk: list = field(default_factory=list)
@@ -94,7 +116,7 @@ class TrainTrace:
     grad_norm: list = field(default_factory=list)
     step: list = field(default_factory=list)
     nu_tilde: list = field(default_factory=list)
-    stalled: bool = False
+    outcome: str = ""
     stall_reason: str = ""
 
     def append(self, it, risk, reg, gnorm, step, nu):
@@ -105,9 +127,13 @@ class TrainTrace:
         self.step.append(float(step))
         self.nu_tilde.append(float(nu))
 
+    @property
+    def stalled(self) -> bool:
+        return self.outcome == "stalled"
+
     def stall(self, phase: str) -> None:
         """Record that ``phase``'s line search reached the minimum step."""
-        self.stalled = True
+        self.outcome = "stalled"
         self.stall_reason = f"{phase}: line search hit minimum step without decrease"
 
     def __len__(self):
@@ -221,6 +247,24 @@ def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
     return step
 
 
+def _bb_step(point, grad, prev, fallback: float, cfg: OptimConfig) -> float:
+    """Barzilai-Borwein (BB1) initial step of one block's line search.
+
+    With S = point - previous point and Y = grad - previous gradient, the
+    step <S,S>/<S,Y> is the inverse of the curvature seen along S
+    (Barzilai and Borwein 1988), clipped to [min_step, step_max]. Without
+    a previous ``(point, grad)`` pair, or when <S,Y> <= 0, it is
+    ``fallback``: the grown step ``_backtrack`` returned last time.
+    """
+    if prev is None:
+        return fallback
+    s = point - prev[0]
+    sy = float(np.vdot(s, grad - prev[1]))
+    if not sy > 0.0:
+        return fallback
+    return min(max(float(np.vdot(s, s)) / sy, cfg.min_step), cfg.step_max)
+
+
 def _backtrack(objective, current_value, direction_step, cfg, step0):
     """Shrink the step until sufficient decrease; None on a stall.
 
@@ -229,9 +273,10 @@ def _backtrack(objective, current_value, direction_step, cfg, step0):
     the step like a failed trial. ``objective(candidate)`` returns
     (value, payload). A step is accepted when
     value <= current - armijo_c / s * move^2. Returns
-    ``(step, next initial step, candidate, value, payload)``, or None
-    once the step falls below ``min_step``; this is the one place the
-    step-size policy lives.
+    ``(step, grown step, candidate, value, payload)``, or None once the
+    step falls below ``min_step``. The grown step
+    ``min(step * step_grow, step_max)`` is the fallback initial step of
+    the block's next search; ``_bb_step`` normally replaces it.
     """
     s = step0
     while s >= cfg.min_step:
@@ -259,11 +304,13 @@ def pretrain(
     The minimized objective is mean cross-entropy minus
     ``lambda_div * ln det(alpha alpha^T + mu I)``. The head is projected
     onto its column-norm ball after every step; the representation is
-    retracted onto the orthonormal frames (subspace) or rescaled into its
+    retracted onto the orthonormal frames (subspace) or projected onto its
     norm caps (MLP). The trace records risk, regularizer value, combined
     projected-gradient norm, accepted step, and the running least Gram
-    eigenvalue of the head. Line-search failure stalls the run and
-    returns the current iterate with the stall recorded.
+    eigenvalue of the head. The representation's Barzilai-Borwein secant
+    pair is its family's ``coords`` and ``descent`` gradient. Line-search
+    failure stalls the run and returns the current iterate with the stall
+    recorded.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
@@ -308,6 +355,7 @@ def pretrain(
     risk, probs = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
     s_head = s_rep = cfg.step_init
+    prev_head = prev_rep = None
     last_step = 0.0
     # a phase with projected gradient this far under tol cannot make
     # progress distinguishable from rounding; skip it instead of stalling
@@ -319,33 +367,43 @@ def pretrain(
             _, reg_grad = logdet_regularizer(alpha, mu)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep, _ = rep.descent(rep.grad(x, cache, _embed_grad(alpha, probs, y)))
+        pg_rep = rep.descent(rep.grad(x, cache, _embed_grad(alpha, probs, y)))[0]
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
+            trace.outcome = "converged"
             break
 
         # --- head phase (objective includes the regularizer term) ---
         if pg_head > phase_floor:
             found = _backtrack(
                 head_objective, risk - lambda_div * reg,
-                _capped_step(alpha, grad_alpha, cap), cfg, s_head,
+                _capped_step(alpha, grad_alpha, cap), cfg,
+                _bb_step(alpha, grad_alpha, prev_head, s_head, cfg),
             )
             if found is None:
                 trace.stall("head")
                 break
+            prev_head = (alpha, grad_alpha)
             last_step, s_head, alpha, _, (risk, probs, reg) = found
 
         # --- representation phase at the fresh head ---
-        move_norm, rep_step = rep.descent(
+        move_norm, rep_dir, rep_step = rep.descent(
             rep.grad(x, cache, _embed_grad(alpha, probs, y))
         )
         if move_norm > phase_floor:
-            found = _backtrack(rep_objective, risk, rep_step, cfg, s_rep)
+            coords = rep.coords
+            found = _backtrack(
+                rep_objective, risk, rep_step, cfg,
+                _bb_step(coords, rep_dir, prev_rep, s_rep, cfg),
+            )
             if found is None:
                 trace.stall("representation")
                 break
+            prev_rep = (coords, rep_dir)
             last_step, s_rep, rep, risk, (z, cache, label_stat, probs) = found
+    else:
+        trace.outcome = "max_iters"
 
     return PretrainResult(rep, LinearHead(alpha, cap), trace)
 
@@ -378,6 +436,7 @@ def fit_head_on_embeddings(
     label_stat = _label_stat(z, targets)
     risk, probs = _head_risk(alpha, z, label_stat)
     s_cur = cfg.step_init
+    prev = None
     last_step = 0.0
 
     def objective(cand):
@@ -388,13 +447,20 @@ def fit_head_on_embeddings(
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
         trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
         if pg <= cfg.grad_tol:
+            trace.outcome = "converged"
             break
 
-        found = _backtrack(objective, risk, _capped_step(alpha, grad, cap), cfg, s_cur)
+        found = _backtrack(
+            objective, risk, _capped_step(alpha, grad, cap), cfg,
+            _bb_step(alpha, grad, prev, s_cur, cfg),
+        )
         if found is None:
             trace.stall("head fit")
             break
+        prev = (alpha, grad)
         last_step, s_cur, alpha, risk, probs = found
+    else:
+        trace.outcome = "max_iters"
     return alpha, trace
 
 

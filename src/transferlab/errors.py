@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the scalar type check, shared across the package."""
+
+import math
+import numbers
 
 
 class ContractViolation(ValueError):
@@ -27,3 +30,29 @@ class InfeasibleSamplingError(ValueError):
 
 class InfeasibleDiversityError(ValueError):
     """Requested head dimensions cannot yield a full-rank Gram spectrum."""
+
+
+def check_scalars(where: str, values: dict, defaults: dict) -> None:
+    """Require each scalar setting to have the type of its default.
+
+    Booleans must be booleans, integers integers, and floats finite real
+    numbers (an integer is accepted for a float); settings whose default
+    is not a scalar are checked where they are used.
+    """
+    for key, default in defaults.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if isinstance(default, bool):
+            kind, ok = "a boolean", isinstance(value, bool)
+        elif isinstance(default, int):
+            kind = "an integer"
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        elif isinstance(default, float):
+            kind = "a finite number"
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        else:
+            continue
+        if not ok:
+            raise ContractViolation(f"config {where}{key} must be {kind}, got {value!r}")

@@ -23,7 +23,12 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .errors import ContractViolation, InfeasibleDiversityError, InfeasibleSamplingError
+from .errors import (
+    ContractViolation,
+    InfeasibleDiversityError,
+    InfeasibleSamplingError,
+    check_scalars,
+)
 from .model_space import SubspaceRep, diversity_parameter, principal_angles
 from .rngutil import derive_rng
 from .synthetic import (
@@ -108,6 +113,13 @@ class SweepConfig:
     baseline: bool = True
 
     def __post_init__(self):
+        # the optimizer sections are checked by OptimConfig itself
+        defaults = default_config()
+        check_scalars("", vars(self), defaults)
+        for section in ("covariates", "truth", "diagnostics", "bound"):
+            check_scalars(f"{section}.", getattr(self, section), defaults[section])
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
         if self.trials < 1:
             raise ContractViolation("trials must be >= 1")
         for key in GRID_KEYS:
@@ -117,7 +129,8 @@ class SweepConfig:
             # the regularizer weight may be zero; everything else is positive
             floor = 0.0 if key == "lambda_div" else 1e-300
             for v in values:
-                if not isinstance(v, (int, float)) or v < floor:
+                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                        or not math.isfinite(v) or v < floor):
                     raise ContractViolation(f"grid value {v!r} for {key!r} invalid")
         if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
             raise ContractViolation("class counts must be at least 2")
@@ -126,8 +139,7 @@ class SweepConfig:
         r_max = max(self.grid["r"])
         if r_max > min(self.grid["d"]) or r_max > min(self.grid["k"]) - 1:
             raise ContractViolation("every grid cell needs r <= d and r <= k-1")
-        n_mc = self.diagnostics["risk_mc_samples"]
-        if not isinstance(n_mc, (int, float)) or n_mc < 1:
+        if self.diagnostics["risk_mc_samples"] < 1:
             raise ContractViolation("diagnostics.risk_mc_samples must be >= 1")
         # build the typed sections, the first cell's trial-0 truth and
         # covariate law (probing the sampler once) and its bound, so that
@@ -202,7 +214,12 @@ class SweepConfig:
 
 @dataclass
 class ExperimentRecord:
-    """One sweep cell x trial outcome; failures carry a reason."""
+    """One sweep cell x trial outcome; failures carry a reason.
+
+    Each ``*_outcome`` is the ``TrainTrace.outcome`` of that stage's fit
+    ("converged", "stalled" or "max_iters"); it is empty for a failed row
+    and for the baseline of a sweep without one.
+    """
 
     cell_index: int
     trial: int
@@ -220,6 +237,9 @@ class ExperimentRecord:
     bound_value: float = math.nan
     pretrain_iters: int = 0
     pretrain_stalled: bool = False
+    pretrain_outcome: str = ""
+    downstream_outcome: str = ""
+    baseline_outcome: str = ""
     reason: str = ""
     wall_time: float = math.nan   # never serialized: CSVs must be byte-stable
 
@@ -231,7 +251,8 @@ _CSV_FIELDS = (
     "excess_pretrain", "excess_pretrain_se",
     "nu_true", "nu_learned", "max_principal_angle",
     "baseline_excess", "baseline_excess_se", "bound_value",
-    "pretrain_iters", "pretrain_stalled", "reason",
+    "pretrain_iters", "pretrain_stalled",
+    "pretrain_outcome", "downstream_outcome", "baseline_outcome", "reason",
 )
 
 
@@ -299,14 +320,16 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         derive_rng(cfg.seed, "down_data", trial, truth_tok, m),
         stage="downstream",
     )
-    head_down, _ = fit_downstream_head(
+    head_down, down_trace = fit_downstream_head(
         result.rep, down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
     )
+    rec.downstream_outcome = down_trace.outcome
     base_head = None
     if cfg.baseline:
-        base_head, _ = train_baseline(
+        base_head, base_trace = train_baseline(
             down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
         )
+        rec.baseline_outcome = base_trace.outcome
 
     report = measure_excess_risks(
         result.rep, result.head, head_down, truth, spec,
@@ -327,6 +350,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_stalled = result.trace.stalled
+    rec.pretrain_outcome = result.trace.outcome
     rec.bound_value = cfg.risk_bound(cell, rec.nu_true, spec.norm_cap)
     rec.wall_time = time.perf_counter() - start
     return rec

@@ -10,8 +10,10 @@ bound, which certifies the true operator norm). Heads are linear maps
 
 Each representation family owns its training geometry: ``forward``
 (embeddings plus the cache ``grad`` needs), ``grad`` (parameter gradient
-from the gradient at the embeddings) and ``descent`` (stationarity norm
-and the constrained step map).
+from the gradient at the embeddings), ``descent`` (stationarity norm,
+secant gradient and the constrained step map) and ``coords`` (the
+parameters as one array, paired with the secant gradient for
+Barzilai-Borwein initial steps).
 
 Values are immutable after construction; all operations are pure.
 """
@@ -102,11 +104,19 @@ class SubspaceRep:
         """Mean-loss gradient w.r.t. B from the (n, r) per-sample gradient at z."""
         return x.T @ g_embed / x.shape[0]
 
+    @property
+    def coords(self) -> np.ndarray:
+        """The frame B, the point of a Barzilai-Borwein secant pair."""
+        return self.b
+
     def descent(self, grad: np.ndarray):
-        """Riemannian gradient norm and the QR-retracted step map.
+        """Riemannian gradient norm, secant gradient, and the QR-retracted step map.
 
         s -> (frame of B - s * riem, squared move); riem is ``grad``
         projected onto the tangent space of the orthonormal frames at B.
+        The secant gradient paired with ``coords`` is the ambient ``grad``,
+        not riem (Wen and Yin 2013): it took fewer line-search trials on
+        the benchmark workloads.
         """
         b = self.b
         btg = b.T @ grad
@@ -117,7 +127,7 @@ class SubspaceRep:
             diff = cand - b
             return SubspaceRep(cand), float((diff * diff).sum())
 
-        return float(np.linalg.norm(riem)), step
+        return float(np.linalg.norm(riem)), grad, step
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ class MlpRep:
     @classmethod
     def random(cls, d: int, widths: tuple[int, ...], caps: tuple[float, ...],
                rng: np.random.Generator) -> "MlpRep":
-        """Gaussian layers scaled by 1/sqrt(fan-in), rescaled into the caps.
+        """Gaussian layers scaled by 1/sqrt(fan-in), projected onto the caps.
 
         ``widths`` are the layer output widths, the embedding width last.
         """
@@ -193,11 +203,17 @@ class MlpRep:
                 g_a = g_pre @ ws[p]
         return grads
 
-    def descent(self, grad: list[np.ndarray]):
-        """Projected-gradient norm and the step-then-cap step map.
+    @property
+    def coords(self) -> np.ndarray:
+        """All layer weights flattened, the point of a Barzilai-Borwein secant pair."""
+        return np.concatenate([w.ravel() for w in self.weights])
 
-        s -> (layers W - s * grad rescaled into the caps, squared move);
-        the norm is the square root of the move at s = 1.
+    def descent(self, grad: list[np.ndarray]):
+        """Projected-gradient norm, secant gradient, and the step-then-cap map.
+
+        s -> (layers W - s * grad projected onto the caps, squared move);
+        the norm is the square root of the move at s = 1, and the secant
+        gradient is ``grad`` flattened like ``coords``.
         """
 
         def step(s):
@@ -207,7 +223,8 @@ class MlpRep:
             move = sum(((w - c) ** 2).sum() for w, c in zip(self.weights, cand))
             return MlpRep(tuple(cand), self.caps), float(move)
 
-        return float(np.sqrt(step(1.0)[1])), step
+        flat = np.concatenate([g.ravel() for g in grad])
+        return float(np.sqrt(step(1.0)[1])), flat, step
 
 
 Representation = SubspaceRep | MlpRep
@@ -263,23 +280,43 @@ def cap_columns(alpha: np.ndarray, cap: float) -> np.ndarray:
     return alpha * scale
 
 
+def _project_l1(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of each row of ``v`` onto the l1 ball of ``radius``.
+
+    Rows outside are soft-thresholded onto the sphere (Duchi et al. 2008).
+    """
+    a = np.abs(v)
+    over = a.sum(axis=1) > radius
+    if not over.any():
+        return v
+    u = -np.sort(-a[over], axis=1)
+    excess = np.cumsum(u, axis=1) - radius
+    # u_j > excess_j / j holds exactly for the entries that stay nonzero
+    keep = (u * np.arange(1, u.shape[1] + 1) > excess).sum(axis=1)
+    theta = excess[np.arange(keep.size), keep - 1] / keep
+    out = v.copy()
+    out[over] = np.sign(v[over]) * np.maximum(a[over] - theta[:, None], 0.0)
+    return out
+
+
 def cap_mlp_weights(
     weights: list[np.ndarray], caps: tuple[float, ...]
 ) -> list[np.ndarray]:
-    """Rescale layers back inside their norm caps after a gradient step.
+    """Euclidean projection of the layers onto their (convex) norm caps.
 
-    Hidden layers are rescaled row-wise against the row-sum cap; the
-    output layer is rescaled globally against its operator-norm bound.
+    Hidden-layer rows go onto the l1 ball of their row-sum cap; the output
+    layer's column norms go onto the l1 ball of its cap, each column
+    shrunk to its new norm. A projection, unlike a rescaling, makes every
+    nonzero move of ``MlpRep.descent`` at s = 1 admit a decreasing step.
     """
-    out = []
-    for p, w in enumerate(weights[:-1]):
-        rows = np.abs(w).sum(axis=1)
-        scale = np.minimum(1.0, caps[p] / np.maximum(rows, 1e-300))
-        out.append(w * scale[:, None])
+    out = [_project_l1(w, caps[p]) for p, w in enumerate(weights[:-1])]
     w_last = weights[-1]
-    bound = output_norm_bound(w_last)
-    if bound > caps[-1]:
-        w_last = w_last * (caps[-1] / bound)
+    norms = np.linalg.norm(w_last, axis=0)
+    if norms.sum() > caps[-1]:
+        shrunk = _project_l1(norms[None, :], caps[-1])[0]
+        w_last = w_last * np.divide(
+            shrunk, norms, out=np.zeros_like(norms), where=norms > 0
+        )
     out.append(w_last)
     return out
 

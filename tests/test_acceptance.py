@@ -42,6 +42,14 @@ def _median_by(records, key, value):
     return {k: float(np.median(v)) for k, v in sorted(groups.items())}
 
 
+def _stalls(records) -> int:
+    """Rows in which any stage's line search stalled."""
+    return sum(
+        "stalled" in (rec.pretrain_outcome, rec.downstream_outcome, rec.baseline_outcome)
+        for rec in records
+    )
+
+
 def _sweep(grid: dict, trials: int, seed: int = 20240901) -> list:
     return run_sweep(
         SweepConfig.from_dict({"seed": seed, "trials": trials, "grid": grid})
@@ -133,6 +141,7 @@ def test_criterion_6_n_scaling(n_sweep):
     assert fit.r_squared >= 0.8
     assert elapsed < 900.0
     assert all(rec.status == "ok" for rec in records)
+    assert _stalls(records) == 0
 
 
 def test_criterion_7_m_scaling():
@@ -148,6 +157,7 @@ def test_criterion_7_m_scaling():
             f"{elapsed:.0f}s")
     assert SLOPE_WINDOW[0] <= fit.slope <= SLOPE_WINDOW[1]
     assert elapsed < 900.0
+    assert _stalls(records) == 0
 
 
 def test_criterion_8_diversity_effect():
@@ -160,6 +170,7 @@ def test_criterion_8_diversity_effect():
     _report(8, "diversity effect", passed,
             f"median excess by condition number {dict(zip((1, 10, 100), [round(v, 5) for v in values]))}")
     assert passed
+    assert _stalls(records) == 0
 
 
 def test_criterion_9_pretraining_beats_baseline():
@@ -172,6 +183,7 @@ def test_criterion_9_pretraining_beats_baseline():
             f"(median pipeline {np.median([r.excess_transfer for r in ok]):.4f}, "
             f"median baseline {np.median([r.baseline_excess for r in ok]):.4f})")
     assert passed
+    assert _stalls(records) == 0
 
 
 def test_criterion_10_regularizer_mechanism():
@@ -182,7 +194,7 @@ def test_criterion_10_regularizer_mechanism():
         by_lambda.setdefault(rec.params["lambda_div"], []).append(rec.nu_learned)
     med0 = float(np.median(by_lambda[0.0]))
     med5 = float(np.median(by_lambda[0.5]))
-    stalls = sum(rec.pretrain_stalled for rec in ok)
+    stalls = _stalls(ok)
     passed = med5 > med0 and stalls == 0 and len(ok) == 20
     _report(10, "diversity regularizer mechanism", passed,
             f"median learned diversity: lambda=0 -> {med0:.3f}, "

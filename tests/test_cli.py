@@ -156,6 +156,22 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     {"covariates": {"cap_factor": 0.05}},
     # the largest column norm is at least 10 sqrt(3/29) > 1 for every seed
     {"truth": {"top_singular_value": 100}},
+    # optimizer settings under which the line search cannot work
+    {"optimizer": {"min_step": 0, "step_init": 0}},
+    {"optimizer": {"armijo_c": -1}},
+    {"optimizer": {"step_grow": 0.1}},
+    {"optimizer": {"max_iters": 0}},
+    {"head_optimizer": {"step_max": float("inf")}},
+    # scalars of the wrong type or range, which used to fail at run time
+    {"seed": "abc"},
+    {"seed": -5},
+    {"trials": "2"},
+    {"trials": 1.5},
+    {"covariates": {"scale": "1"}},
+    {"truth": {"down_head_cap": None}},
+    {"diagnostics": {"risk_mc_samples": 100.5}},
+    {"baseline": "no"},
+    {"optimizer": {"max_iters": "50"}},
 ])
 def test_sweep_rejects_config_that_fails_every_row(tmp_path, section, capsys):
     doc = {"trials": 1, "grid": {"n": [500]}, **section}

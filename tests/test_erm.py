@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from transferlab.errors import ContractViolation, SingularMatrixError
 from transferlab.linalg import orthonormalize
-from transferlab.model_space import LinearHead, MlpRep, SubspaceRep, diversity_parameter
+from transferlab.model_space import (
+    LinearHead,
+    MlpRep,
+    SubspaceRep,
+    cap_columns,
+    diversity_parameter,
+)
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows, softmax_prob
 from transferlab.synthetic import (
@@ -18,9 +24,12 @@ from transferlab.synthetic import (
     make_dataset,
     make_ground_truth,
 )
+from transferlab import erm
 from transferlab.erm import (
+    _bb_step,
     _head_risk,
     _label_stat,
+    TrainTrace,
     HypothesisConfig,
     OptimConfig,
     fit_downstream_head,
@@ -70,6 +79,23 @@ class TestLogdetRegularizer:
         alpha = np.zeros((3, 5))
         with pytest.raises(SingularMatrixError):
             logdet_regularizer(alpha, 0.0)
+
+
+class TestOptimConfig:
+    @pytest.mark.parametrize("bad", [
+        {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
+        {"min_step": 0.0, "step_init": 0.0}, {"min_step": -1.0},
+        {"step_grow": 0.1}, {"armijo_c": -1.0}, {"armijo_c": 0.0}, {"armijo_c": 1.0},
+        {"step_max": math.inf}, {"grad_tol": math.nan}, {"step_shrink": 1.0},
+        {"ridge_mu": -1e-9}, {"step_init": "1"},
+    ])
+    def test_invalid_settings_rejected(self, bad):
+        with pytest.raises(ContractViolation):
+            OptimConfig(**bad)
+
+    def test_boundary_settings_accepted(self):
+        cfg = OptimConfig(max_iters=1, step_grow=1, min_step=1.0, step_init=1, step_max=1.0)
+        assert cfg.step_grow == 1 and cfg.max_iters == 1
 
 
 class TestLossAndGrad:
@@ -247,17 +273,6 @@ class TestPretrain:
         b = result.rep.b
         assert np.linalg.norm(b.T @ b - np.eye(2)) <= 1e-8
 
-    def test_zero_iteration_budget(self):
-        rng = derive_rng(6, "pre")
-        truth = make_ground_truth(5, 2, 6, 2, 1.0, rng)
-        ds = make_dataset(truth, isotropic_covariates(5), 100, rng, "pretrain")
-        result = pretrain(
-            ds, HypothesisConfig(embed_dim=2), 0.0,
-            OptimConfig(max_iters=0), derive_rng(6, "init"),
-        )
-        assert len(result.trace) == 0
-        np.testing.assert_array_equal(result.head.alpha, np.zeros((2, 5)))
-
     def test_determinism(self):
         rng = derive_rng(7, "pre")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
@@ -302,8 +317,10 @@ class TestPretrain:
 
     @pytest.mark.parametrize("kind", ["subspace", "mlp"])
     def test_head_stall_returns_current_iterate(self, kind):
-        # an unsatisfiable sufficient-decrease constant exhausts the first
-        # head line search: the run must stop at its starting point
+        # the head objective is convex, so f(a - s g) >= f(a) - s |g|^2 and
+        # with curvature a sufficient-decrease constant near 1 fails the one
+        # allowed trial (min_step = step_init): the run must stop at its
+        # starting point
         rng = derive_rng(16, "stall")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 200, rng, "pretrain")
@@ -311,7 +328,7 @@ class TestPretrain:
             kind=kind, embed_dim=2, mlp_widths=(5,) if kind == "mlp" else (),
             mlp_caps=(4.0, 4.0) if kind == "mlp" else (),
         )
-        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=1e12)
+        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=0.999)
         result = pretrain(ds, hyp, 0.0, cfg, derive_rng(16, "init"))
         assert result.trace.stalled
         assert result.trace.stall_reason.startswith("head:")
@@ -330,6 +347,130 @@ class TestPretrain:
                 ds, HypothesisConfig(embed_dim=5), 0.5,
                 OptimConfig(max_iters=10), derive_rng(9, "init"),
             )
+
+
+class TestBarzilaiBorwein:
+    """The BB1 initial step and the fits that start every line search from it."""
+
+    CFG = OptimConfig(min_step=1e-10, step_max=1e4)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_curvature_on_quadratic(self, seed, curvature):
+        # f(x) = curvature/2 |x|^2 has gradient curvature * x, so every
+        # secant pair sees the one curvature
+        rng = np.random.default_rng(seed)
+        x0, x1 = rng.standard_normal((2, 3, 4))
+        step = _bb_step(x1, curvature * x1, (x0, curvature * x0), 0.5, self.CFG)
+        assert step == pytest.approx(1.0 / curvature, rel=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rayleigh_quotient_on_general_quadratic(self, seed):
+        # with gradient A x, the step is |S|^2 / <S, A S>
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T + 0.1 * np.eye(6)
+        x0, x1 = rng.standard_normal((2, 6))
+        s = x1 - x0
+        step = _bb_step(x1, a @ x1, (x0, a @ x0), 0.5, self.CFG)
+        expected = min(max((s @ s) / (s @ a @ s), 1e-10), 1e4)
+        assert step == pytest.approx(expected, rel=1e-10)
+
+    def test_clipped_to_step_bounds(self):
+        x0, x1 = np.zeros(3), np.ones(3)
+        assert _bb_step(x1, 1e-9 * x1, (x0, 0 * x0), 0.5, self.CFG) == 1e4
+        assert _bb_step(x1, 1e15 * x1, (x0, 0 * x0), 0.5, self.CFG) == 1e-10
+
+    def test_falls_back_without_positive_curvature(self):
+        x0, x1 = np.zeros(3), np.ones(3)
+        assert _bb_step(x1, x1, None, 0.25, self.CFG) == 0.25
+        # concave along S: <S, Y> < 0
+        assert _bb_step(x1, -x1, (x0, 0 * x0), 0.25, self.CFG) == 0.25
+        # no move: <S, Y> = 0
+        assert _bb_step(x1, x1, (x1, 2 * x1), 0.25, self.CFG) == 0.25
+
+    @staticmethod
+    def _reference_head_fit(z, targets, cap):
+        """Projected gradient descent with the fixed step 1/L.
+
+        L = lambda_max(z^T z / n) / 2 bounds the curvature, because the
+        softmax covariance diag(p) - p p^T has eigenvalues at most 1/2.
+        """
+        n = z.shape[0]
+        lip = 0.5 * np.linalg.eigvalsh(z.T @ z / n)[-1]
+        alpha = np.zeros((z.shape[1], targets.shape[1]))
+        for _ in range(200_000):
+            eta = z @ alpha
+            grad = z.T @ (softmax_full_rows(eta)[:, :-1] - targets) / n
+            new = cap_columns(alpha - grad / lip, cap)
+            if np.linalg.norm(new - alpha) * lip <= 1e-10:
+                break
+            alpha = new
+        return float(cross_entropy_rows(z @ alpha, targets).mean())
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(60, 200), st.integers(1, 4),
+        st.integers(1, 4), st.floats(0.1, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_head_fit_matches_fixed_step_reference(self, seed, n, r, k_minus_1, cap):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, r))
+        targets = mixed_targets(rng, n, k_minus_1)
+        # 1e-7 is the head fits' default tolerance; far below it the
+        # Armijo decrease drops under the rounding of the risk
+        cfg = OptimConfig(max_iters=5000, grad_tol=1e-7)
+        alpha, trace = fit_head_on_embeddings(z, targets, cap, cfg)
+        assert trace.outcome == "converged"
+        assert trace.grad_norm[-1] <= cfg.grad_tol
+        assert np.linalg.norm(alpha, axis=0).max() <= cap * (1 + 1e-12)
+        ref = self._reference_head_fit(z, targets, cap)
+        assert abs(trace.risk[-1] - ref) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["subspace", "mlp"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_pretrain_descends_and_logs_accepted_steps(self, kind, lam, monkeypatch):
+        # record, in order, each trace row and each step _backtrack accepts
+        events = []
+        backtrack, append = erm._backtrack, TrainTrace.append
+
+        def spy_backtrack(*args):
+            found = backtrack(*args)
+            if found is not None:
+                events.append(("step", found[0]))
+            return found
+
+        def spy_append(self, it, risk, reg, gnorm, step, nu):
+            events.append(("row", step))
+            append(self, it, risk, reg, gnorm, step, nu)
+
+        monkeypatch.setattr(erm, "_backtrack", spy_backtrack)
+        monkeypatch.setattr(TrainTrace, "append", spy_append)
+        rng = derive_rng(17, "bb-pre")
+        truth = make_ground_truth(8, 2, 10, 2, 2.0, rng)
+        ds = make_dataset(truth, isotropic_covariates(8), 600, rng, "pretrain")
+        hyp = HypothesisConfig(
+            kind=kind, embed_dim=2, mlp_widths=(6,) if kind == "mlp" else (),
+            mlp_caps=(4.0, 4.0) if kind == "mlp" else (),
+        )
+        result = pretrain(
+            ds, hyp, lam, OptimConfig(max_iters=300, grad_tol=1e-6),
+            derive_rng(17, "init"),
+        )
+        trace = result.trace
+        assert trace.outcome in ("converged", "max_iters")
+        objective = np.array(trace.risk) - lam * np.array(trace.regularizer)
+        assert np.all(np.diff(objective) <= 1e-12 * np.abs(objective[:-1]))
+        # each row's step is the last step accepted before it, 0 on row 0
+        last, logged = 0.0, []
+        for what, value in events:
+            if what == "row":
+                logged.append(last)
+            else:
+                last = value
+        assert trace.step == logged
+        assert len(trace) > 1 and all(s > 0 for s in trace.step[1:])
 
 
 class TestDownstreamFit:
@@ -382,13 +523,13 @@ class TestDownstreamFit:
         assert trace.risk[-1] <= math.log(2.0) + 1e-12
 
     def test_stall_is_reported_not_raised(self):
-        # an unsatisfiable sufficient-decrease constant exhausts the line
-        # search immediately; the fit must report a stall, not raise
+        # a sufficient-decrease constant near 1 fails the one allowed trial
+        # of the convex fit; the fit must report a stall, not raise
         rng = derive_rng(14, "down")
         z = rng.standard_normal((50, 2))
         y = np.zeros((50, 1))
         y[:25, 0] = 1.0
-        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=1e12)
+        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=0.999)
         alpha, trace = fit_head_on_embeddings(z, y, 1.0, cfg)
         assert trace.stalled
         assert "minimum step" in trace.stall_reason

@@ -93,6 +93,9 @@ class TestSweepConfig:
         {"optimizer": {"grad_tol": -1.0}},
         {"hypothesis": {"kind": "mlp", "mlp_widths": [4], "mlp_caps": [1.0]}},
         {"bound": "subspace"},
+        {"covariates": {"scale": "1"}},
+        {"bound": {"delta": None}},
+        {"optimizer": {"armijo_c": 1.0}},
     ])
     def test_bad_nested_section_rejected(self, doc):
         with pytest.raises(ContractViolation):
@@ -101,6 +104,15 @@ class TestSweepConfig:
     def test_optimizer_accepts_every_optim_field(self):
         cfg = SweepConfig.from_dict({"optimizer": {"armijo_c": 1e-3}})
         assert cfg.optim_config().armijo_c == 1e-3
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": "abc"}, {"seed": -5}, {"seed": 1.0}, {"trials": "2"},
+        {"trials": True}, {"baseline": 1},
+        {"grid": {"n": [True]}}, {"grid": {"d": [float("inf")]}},
+    ])
+    def test_mistyped_scalar_rejected(self, doc):
+        with pytest.raises(ContractViolation):
+            SweepConfig.from_dict(doc)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ContractViolation):
@@ -159,6 +171,33 @@ class TestRunSweep:
             assert a.status == b.status
             assert a.excess_transfer == b.excess_transfer  # 17 digits: exact
             assert a.pretrain_stalled == b.pretrain_stalled
+            assert (a.pretrain_outcome, a.downstream_outcome, a.baseline_outcome) == (
+                b.pretrain_outcome, b.downstream_outcome, b.baseline_outcome)
+
+    def test_stage_outcomes_recorded(self, micro_records):
+        for rec in micro_records:
+            assert rec.pretrain_outcome in ("converged", "max_iters")
+            assert rec.downstream_outcome == "converged"
+            assert rec.baseline_outcome == "converged"
+
+    def test_exhausted_budgets_and_skipped_baseline(self):
+        # one outer iteration cannot reach either tolerance; without a
+        # baseline that stage has no outcome
+        doc = dict(MICRO, trials=1, baseline=False,
+                   optimizer={"max_iters": 1}, head_optimizer={"max_iters": 1})
+        doc["grid"] = dict(MICRO["grid"], n=[300])
+        (rec,) = run_sweep(SweepConfig.from_dict(doc))
+        assert rec.status == "ok"
+        assert (rec.pretrain_outcome, rec.downstream_outcome, rec.baseline_outcome) == (
+            "max_iters", "max_iters", "")
+        assert rec.pretrain_iters == 1 and not rec.pretrain_stalled
+
+    def test_failed_row_has_no_outcomes(self):
+        doc = dict(MICRO, trials=1)
+        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
+        failed = [r for r in run_sweep(SweepConfig.from_dict(doc)) if r.status == "failed"]
+        assert [(r.pretrain_outcome, r.downstream_outcome, r.baseline_outcome)
+                for r in failed] == [("", "", "")]
 
     def test_m_only_cells_share_pretraining(self):
         doc = dict(MICRO, trials=1)

@@ -103,6 +103,25 @@ class TestMlpRep:
         assert output_norm_bound(capped[1]) <= caps[1] * (1 + 1e-12)
         MlpRep(tuple(capped), caps)  # must validate
 
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_cap_is_euclidean_projection(self, seed, hidden_cap, out_cap):
+        # p = P(v) onto a convex set C iff p is in C and, with r = v - p,
+        # <r, p> >= max_{w in C} <r, w>: the support function of the
+        # row-wise l1 balls is cap * max |r_i| per row, that of the
+        # column-norm-sum ball cap * max_j |r_j|
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([0.1, 1.0, 5.0])
+        v = [rng.standard_normal((4, 3)) * scale, rng.standard_normal((2, 4)) * scale]
+        hidden, out = cap_mlp_weights(v, (hidden_cap, out_cap))
+        MlpRep((hidden, out), (hidden_cap, out_cap))  # must validate
+        r = v[0] - hidden
+        assert np.all(hidden_cap * np.abs(r).max(axis=1)
+                      <= (r * hidden).sum(axis=1) + 1e-12 * (1 + scale**2))
+        r = v[1] - out
+        assert (out_cap * np.linalg.norm(r, axis=0).max()
+                <= (r * out).sum() + 1e-12 * (1 + scale**2))
+
 
 class TestLinearHead:
     def test_zero_head(self):
