@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import harness
-from .errors import ContractViolation
+from .errors import ContractViolation, require_keys
 from .diagnostics import (
     empirical_gaussian_complexity_linear,
     measure_excess_risks,
@@ -69,6 +70,13 @@ def _first_cell(cfg: harness.SweepConfig) -> dict:
     return harness.cells_of(cfg)[0]
 
 
+def _write_trace(path, trace) -> None:
+    columns = ["iter", "risk", "regularizer", "grad_norm", "step", "nu_tilde"]
+    series = (trace.iters, trace.risk, trace.regularizer,
+              trace.grad_norm, trace.step, trace.nu_tilde)
+    harness.write_csv(path, [dict(zip(columns, row)) for row in zip(*series)], columns)
+
+
 def _cmd_print_default_config(_args) -> int:
     print(json.dumps(harness.default_config(), indent=2))
     return 0
@@ -105,7 +113,7 @@ def _cmd_pretrain(args) -> int:
     )
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
-        result.trace.to_csv(args.trace_out)
+        _write_trace(args.trace_out, result.trace)
     print(
         f"{result.trace.outcome} after {len(result.trace)} iterations; "
         f"final risk {result.trace.risk[-1] if len(result.trace) else float('nan'):.6f}; "
@@ -117,6 +125,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_probe(args) -> int:
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
+    require_keys(bundle, ("rep",), f"model bundle {args.model}")
     ds = load_dataset(args.data)
     head, trace = fit_downstream_head(
         bundle["rep"], ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
@@ -124,14 +133,17 @@ def _cmd_probe(args) -> int:
     bundle["down_head"] = head
     save_bundle(args.out, bundle)
     if args.trace_out:
-        trace.to_csv(args.trace_out)
+        _write_trace(args.trace_out, trace)
     print(f"fit downstream head in {len(trace)} iterations; model -> {args.out}")
     return 0
 
 
 def _cmd_diagnose(args) -> int:
+    if args.mc_samples is not None and args.mc_samples < 1:
+        raise ContractViolation(f"--mc-samples must be at least 1, got {args.mc_samples}")
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
+    require_keys(bundle, ("rep",), f"model bundle {args.model}")
     truth, spec = load_truth(args.truth)
     rep = bundle["rep"]
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
@@ -220,8 +232,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import os
-
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     records = harness.run_sweep(cfg, out_csv=os.path.join(args.out, "records.csv"))

@@ -139,19 +139,6 @@ class TrainTrace:
     def __len__(self):
         return len(self.iters)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,risk,regularizer,grad_norm,step,nu_tilde\n")
-            for row in zip(
-                self.iters, self.risk, self.regularizer,
-                self.grad_norm, self.step, self.nu_tilde,
-            ):
-                fh.write(
-                    f"{row[0]},"
-                    + ",".join(format(v, ".17g") for v in row[1:])
-                    + "\n"
-                )
-
 
 @dataclass
 class PretrainResult:
@@ -413,7 +400,6 @@ def fit_head_on_embeddings(
     targets: np.ndarray,
     cap: float,
     cfg: OptimConfig,
-    alpha0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, TrainTrace]:
     """Projected gradient descent on the convex capped-head objective.
 
@@ -428,10 +414,7 @@ def fit_head_on_embeddings(
     n, r = z.shape
     if n < 1:
         raise ContractViolation("no samples to fit")
-    width = targets.shape[1]
-    alpha = (
-        np.zeros((r, width)) if alpha0 is None else cap_columns(np.array(alpha0), cap)
-    )
+    alpha = np.zeros((r, targets.shape[1]))
     trace = TrainTrace()
     label_stat = _label_stat(z, targets)
     risk, probs = _head_risk(alpha, z, label_stat)
@@ -469,13 +452,12 @@ def fit_downstream_head(
     dataset: LabeledDataset,
     cap: float,
     cfg: OptimConfig,
-    alpha0: np.ndarray | None = None,
 ) -> tuple[LinearHead, TrainTrace]:
     """Stage two: fit a capped head on the frozen representation."""
     if dataset.n < 1:
         raise ContractViolation("downstream dataset is empty")
     z = rep.apply(dataset.x)
-    alpha, trace = fit_head_on_embeddings(z, dataset.y, cap, cfg, alpha0)
+    alpha, trace = fit_head_on_embeddings(z, dataset.y, cap, cfg)
     return LinearHead(alpha, cap), trace
 
 

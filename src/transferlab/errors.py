@@ -1,4 +1,4 @@
-"""Exception types, and the scalar type check, shared across the package."""
+"""Exception types, and the input checks, shared across the package."""
 
 import math
 import numbers
@@ -56,3 +56,12 @@ def check_scalars(where: str, values: dict, defaults: dict) -> None:
             continue
         if not ok:
             raise ContractViolation(f"config {where}{key} must be {kind}, got {value!r}")
+
+
+def require_keys(doc, keys, what: str) -> None:
+    """Require ``doc`` to be a mapping that holds every one of ``keys``."""
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ContractViolation(f"{what} lacks {', '.join(map(repr, missing))}")

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 GRID_KEYS = ("n", "m", "k", "k_prime", "r", "d", "condition_number", "lambda_div")
+# the report's power-law slope window and least R^2 of a passing scaling fit
+_SLOPE_WINDOW = (-0.75, -0.25)
+_MIN_R2 = 0.8
 
 
 def default_config() -> dict:
@@ -179,9 +183,6 @@ class SweepConfig:
                 raise ContractViolation(f"unknown {nested} keys {sorted(unknown)}")
             merged[nested] = {**base[nested], **section}
         return cls(**merged)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def optim_config(self) -> OptimConfig:
         return OptimConfig(**self.optimizer)
@@ -520,8 +521,7 @@ def write_csv(path, rows, columns) -> None:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
 
-def write_report(records, out_dir, slope_window=(-0.75, -0.25), min_r2=0.8
-                 ) -> ReportSummary:
+def write_report(records, out_dir) -> ReportSummary:
     """Aggregate records into figure CSVs plus a text summary.
 
     Produces risk_vs_n.csv, risk_vs_m.csv, risk_vs_nu.csv,
@@ -529,8 +529,6 @@ def write_report(records, out_dir, slope_window=(-0.75, -0.25), min_r2=0.8
     ``out_dir``. Slopes are ordinary power-law fits of the per-cell
     medians and are reproducible from the emitted CSVs.
     """
-    import os
-
     if not records:
         raise ContractViolation("no records to report on")
     os.makedirs(out_dir, exist_ok=True)
@@ -580,10 +578,11 @@ def write_report(records, out_dir, slope_window=(-0.75, -0.25), min_r2=0.8
         if len(series) >= 3 and all(y > 0 for _, y in series):
             fit = fit_power_law(series)
             setattr(summary, f"slope_{key}", fit)
-            ok = slope_window[0] <= fit.slope <= slope_window[1] and fit.r_squared >= min_r2
+            low, high = _SLOPE_WINDOW
+            ok = low <= fit.slope <= high and fit.r_squared >= _MIN_R2
             lines.append(
                 f"slope_{key}: {fit.slope:.4f} (R2 {fit.r_squared:.4f}) "
-                f"window {slope_window} -> {'pass' if ok else 'FAIL'}"
+                f"window {_SLOPE_WINDOW} -> {'pass' if ok else 'FAIL'}"
             )
     conds = distinct("condition_number")
     if len(conds) >= 2:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_keys
 from .linalg import as_matrix, orthonormalize, singular_values, sym_spectral
 
 __all__ = [
@@ -363,15 +363,18 @@ def component_to_payload(obj) -> dict:
 
 
 def component_from_payload(payload: dict):
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "subspace":
+        require_keys(payload, ("entries",), "subspace payload")
         return SubspaceRep(np.array(payload["entries"], dtype=np.float64))
     if kind == "mlp":
+        require_keys(payload, ("layers", "caps"), "mlp payload")
         return MlpRep(
             tuple(np.array(w, dtype=np.float64) for w in payload["layers"]),
             tuple(payload["caps"]),
         )
     if kind == "linear_head":
+        require_keys(payload, ("entries", "column_cap"), "linear_head payload")
         return LinearHead(
             np.array(payload["entries"], dtype=np.float64), payload["column_cap"]
         )
@@ -388,4 +391,5 @@ def save_bundle(path, components: dict) -> None:
 def load_bundle(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    require_keys(doc, (), f"model bundle {path}")
     return {name: component_from_payload(payload) for name, payload in doc.items()}

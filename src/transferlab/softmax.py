@@ -7,14 +7,13 @@ softmax, KL divergence, directional derivatives of ``Phi`` along a line,
 and the curvature-envelope inequalities that make the loss behave
 quadratically near any point all live here.
 
-Everything is a pure function. Scalar operations accept 1-D arrays; the
-``*_rows`` variants operate on stacked rows and are the hot path for the
-training and Monte Carlo code.
+Everything is a pure function. The ``*_rows`` kernels operate on stacked
+rows and serve training, the Monte Carlo risk and the property suites;
+``hessian_log_partition`` and ``kl_quadratic_bounds`` take one 1-D
+``eta`` each, as the Hessian-spectrum and KL-sandwich suites use them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,12 @@ from .errors import ContractViolation
 from .linalg import sym_spectral
 
 __all__ = [
-    "log_partition",
     "log_partition_rows",
-    "softmax_prob",
     "softmax_full_rows",
-    "cross_entropy",
     "cross_entropy_rows",
-    "grad_log_partition",
     "hessian_log_partition",
-    "kl_divergence",
     "kl_rows",
-    "directional_derivatives",
     "directional_derivatives_rows",
-    "SelfConcordanceReport",
-    "check_self_concordance",
     "kl_quadratic_bounds",
 ]
 
@@ -47,17 +38,6 @@ def _as_eta(eta, name: str = "eta") -> np.ndarray:
     if not np.all(np.isfinite(e)):
         raise ContractViolation(f"{name} has non-finite entries")
     return e
-
-
-def _as_label(y, k_minus_1: int) -> np.ndarray:
-    lab = np.asarray(y, dtype=np.float64)
-    if lab.shape != (k_minus_1,):
-        raise ContractViolation(
-            f"label length {lab.shape} does not match eta length {k_minus_1}"
-        )
-    if not np.all((lab == 0.0) | (lab == 1.0)) or lab.sum() > 1.0:
-        raise ContractViolation("label must be one-hot (or all-zero for class K)")
-    return lab
 
 
 def log_partition_rows(eta_rows: np.ndarray) -> np.ndarray:
@@ -98,40 +78,10 @@ def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray
     return np.maximum(val, 0.0)
 
 
-def log_partition(eta) -> float:
-    """Phi(eta) = log(1 + sum_s exp(eta_s))."""
-    return float(log_partition_rows(_as_eta(eta)[None, :])[0])
-
-
-def softmax_prob(eta) -> np.ndarray:
-    """Probabilities of all K classes; entry K is the implicit class."""
-    return softmax_full_rows(_as_eta(eta)[None, :])[0]
-
-
-def cross_entropy(eta, y) -> float:
-    """Multinomial logistic loss -y.eta + Phi(eta)."""
-    e = _as_eta(eta)
-    lab = _as_label(y, e.size)
-    return float(cross_entropy_rows(e[None, :], lab[None, :])[0])
-
-
-def grad_log_partition(eta) -> np.ndarray:
-    """Gradient of Phi: the first K-1 softmax probabilities."""
-    return softmax_prob(eta)[:-1]
-
-
 def hessian_log_partition(eta) -> np.ndarray:
     """Hessian diag(sigma) - sigma sigma^T; PSD with top eigenvalue <= 1."""
-    sigma = grad_log_partition(eta)
+    sigma = softmax_full_rows(_as_eta(eta)[None, :])[0, :-1]
     return np.diag(sigma) - np.outer(sigma, sigma)
-
-
-def kl_divergence(eta_true, eta_model) -> float:
-    t = _as_eta(eta_true, "eta_true")
-    m = _as_eta(eta_model, "eta_model")
-    if t.shape != m.shape:
-        raise ContractViolation(f"length mismatch {t.size} vs {m.size}")
-    return float(kl_rows(t[None, :], m[None, :])[0])
 
 
 def directional_derivatives_rows(
@@ -165,35 +115,12 @@ def directional_derivatives_rows(
     return mean, np.maximum(g2, 0.0), g3
 
 
-def directional_derivatives(eta, v, t: float = 0.0) -> tuple[float, float, float]:
-    """(g'(t), g''(t), g'''(t)) for g(t) = Phi(eta + t v)."""
-    e = _as_eta(eta)
-    vv = _as_eta(v, "v")
-    if e.shape != vv.shape:
-        raise ContractViolation(f"length mismatch {e.size} vs {vv.size}")
-    if not np.any(vv):
-        raise ContractViolation("direction v must be nonzero")
-    g1, g2, g3 = directional_derivatives_rows(e[None, :], vv[None, :], float(t))
-    return float(g1[0]), float(g2[0]), float(g3[0])
-
-
 # the modified self-concordance constant of Phi, and the rounding slack
 # allowed when checking it numerically
 _RATIO_BOUND = 5.0
 _RATIO_SLACK = 1e-9
 # g'' below this is treated as an exact zero limit and the point skipped
 _CURVATURE_FLOOR = 1e-300
-
-
-@dataclass
-class SelfConcordanceReport:
-    """Outcome of a line-restricted curvature-ratio check."""
-
-    max_ratio: float
-    passed: bool
-    n_points: int
-    n_skipped: int
-    ratio_bound: float = _RATIO_BOUND
 
 
 def _max_curvature_ratio(eta_rows, v_rows, t) -> tuple[float, int, bool]:
@@ -210,23 +137,6 @@ def _max_curvature_ratio(eta_rows, v_rows, t) -> tuple[float, int, bool]:
     max_ratio = float(ratios.max()) if ratios.size else 0.0
     skipped = int(usable.size - usable.sum())
     return max_ratio, skipped, max_ratio <= _RATIO_BOUND + _RATIO_SLACK
-
-
-def check_self_concordance(eta, v, t_grid) -> SelfConcordanceReport:
-    """Verify |g'''(t)| <= 5 ||v|| g''(t) along the line eta + t v.
-
-    Grid points where g'' underflows to zero are skipped and counted; the
-    inequality degenerates to 0 <= 0 there.
-    """
-    e = _as_eta(eta)
-    vv = _as_eta(v, "v")
-    if not np.any(vv):
-        raise ContractViolation("direction v must be nonzero")
-    ts = np.asarray(t_grid, dtype=np.float64).ravel()
-    rows = np.repeat(e[None, :], ts.size, axis=0)
-    vs = np.repeat(vv[None, :], ts.size, axis=0)
-    max_ratio, skipped, passed = _max_curvature_ratio(rows, vs, ts)
-    return SelfConcordanceReport(max_ratio, passed, int(ts.size), skipped)
 
 
 def kl_quadratic_bounds(eta_true, eta_model) -> tuple[float, float, float]:
@@ -252,4 +162,4 @@ def kl_quadratic_bounds(eta_true, eta_model) -> tuple[float, float, float]:
     q0 = max(float(np.linalg.norm(t)), float(np.linalg.norm(m)))
     lower = c0 * np.exp(-10.0 * q0) * vsq
     upper = 0.5 * vsq
-    return float(lower), kl_divergence(t, m), float(upper)
+    return float(lower), float(kl_rows(t[None, :], m[None, :])[0]), float(upper)

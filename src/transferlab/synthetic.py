@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractViolation,
-    InfeasibleDiversityError,
-    InfeasibleSamplingError,
+    ContractViolation, InfeasibleDiversityError, InfeasibleSamplingError, require_keys,
 )
 from .linalg import as_matrix, orthonormalize, sym_spectral
-from .model_space import LinearHead, Representation, SubspaceRep
+from .model_space import (
+    LinearHead, Representation, SubspaceRep, component_from_payload, component_to_payload,
+)
 from .softmax import softmax_full_rows
 
 __all__ = [
@@ -303,8 +303,6 @@ def save_dataset(path, ds: LabeledDataset, spec_hash: str = "") -> None:
 
 def save_truth(path, truth: GroundTruth, spec: CovariateSpec) -> None:
     """Write the truth models plus the covariate law to one JSON file."""
-    from .model_space import component_to_payload
-
     doc = {
         "rep": component_to_payload(truth.rep),
         "pre_head": component_to_payload(truth.pre_head),
@@ -321,16 +319,16 @@ def save_truth(path, truth: GroundTruth, spec: CovariateSpec) -> None:
 
 
 def load_truth(path) -> tuple[GroundTruth, CovariateSpec]:
-    from .model_space import component_from_payload
-
     with open(path) as fh:
         doc = json.load(fh)
+    require_keys(doc, ("rep", "pre_head", "down_head", "covariates"), f"truth {path}")
     truth = GroundTruth(
         rep=component_from_payload(doc["rep"]),
         pre_head=component_from_payload(doc["pre_head"]),
         down_head=component_from_payload(doc["down_head"]),
     )
     cov = doc["covariates"]
+    require_keys(cov, ("sigma", "norm_cap", "sigma_min", "sigma_max"), "covariates")
     spec = CovariateSpec(
         sigma=np.array(cov["sigma"], dtype=np.float64),
         norm_cap=cov["norm_cap"],
@@ -341,23 +339,35 @@ def load_truth(path) -> tuple[GroundTruth, CovariateSpec]:
 
 
 def load_dataset(path) -> LabeledDataset:
+    """Read a ``save_dataset`` file; a malformed header or row is a ContractViolation."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ContractViolation("missing dataset header line")
-        fields = dict(part.split("=", 1) for part in header[2:].split())
-        k = int(fields["K"])
-        xs, ys = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            xs.append([float(v) for v in parts[:-1]])
-            lab = int(parts[-1])
-            if not 1 <= lab <= k:
-                raise ContractViolation(f"label {lab} outside 1..{k}")
-            onehot = np.zeros(k - 1)
-            if lab < k:
-                onehot[lab - 1] = 1.0
-            ys.append(onehot)
-    return LabeledDataset(
-        x=np.array(xs), y=np.array(ys), k=k, seed=fields.get("seed")
-    )
+        header = fh.readline().split()
+        if header[:1] != ["#"] or not all("=" in token for token in header[1:]):
+            raise ContractViolation(f"dataset header {header} is not '# key=value ...'")
+        fields = dict(token.split("=", 1) for token in header[1:])
+        require_keys(fields, ("d", "K", "n"), "dataset header")
+        if not all(fields[key].isdecimal() for key in ("d", "K", "n")):
+            raise ContractViolation(f"dataset header d, K and n must be counts: {header}")
+        d, k, n = int(fields["d"]), int(fields["K"]), int(fields["n"])
+        if d < 1 or k < 2:
+            raise ContractViolation("dataset header needs d >= 1 and K >= 2")
+        xs, labels = [], []
+        for row, line in enumerate(fh, start=2):
+            parts = line.split(",")
+            if len(parts) != d + 1:
+                raise ContractViolation(
+                    f"{path} line {row} has {len(parts)} fields, not d+1 = {d + 1}"
+                )
+            try:
+                xs.append([float(v) for v in parts[:-1]])
+                labels.append(int(parts[-1]))
+            except ValueError as exc:
+                raise ContractViolation(f"{path} line {row}: {exc}") from None
+    if len(labels) != n:
+        raise ContractViolation(f"{path} has {len(labels)} rows, header says n={n}")
+    lab = np.array(labels, dtype=np.int64)
+    bad = lab[(lab < 1) | (lab > k)]
+    if bad.size:
+        raise ContractViolation(f"label {bad[0]} outside 1..{k}")
+    y = np.eye(k)[lab - 1, :-1]  # one-hot rows; class K is the all-zero row
+    return LabeledDataset(x=np.array(xs).reshape(n, d), y=y, k=k, seed=fields.get("seed"))

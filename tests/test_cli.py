@@ -1,6 +1,8 @@
 """End-to-end command-line workflows and exit-code mapping."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -190,3 +192,121 @@ def test_sweep_rejects_nested_config_typo(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     assert "max_iter" in capsys.readouterr().err
     assert not (out / "records.csv").exists()
+
+
+def test_trace_out_schema(tmp_path, micro_config, capsys):
+    # one row per iteration, and both fits start from the zero head, whose
+    # risk is log K on the pre-training task and log K' downstream
+    pre, down = tmp_path / "pre.csv", tmp_path / "down.csv"
+    model, probed = tmp_path / "model.json", tmp_path / "probed.json"
+    pre_trace, down_trace = tmp_path / "pre-trace.csv", tmp_path / "down-trace.csv"
+    assert main(["gen", "--config", micro_config, "--out", str(pre)]) == 0
+    assert main([
+        "gen", "--config", micro_config, "--out", str(down), "--stage", "downstream",
+    ]) == 0
+    capsys.readouterr()
+    runs = [
+        (["pretrain", "--data", str(pre), "--out", str(model)], pre_trace, 5),
+        (["probe", "--model", str(model), "--data", str(down), "--out", str(probed)],
+         down_trace, 2),
+    ]
+    for argv, trace, k in runs:
+        assert main([*argv, "--config", micro_config, "--trace-out", str(trace)]) == 0
+        iterations = int(re.search(r"(\d+) iterations", capsys.readouterr().out)[1])
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iter,risk,regularizer,grad_norm,step,nu_tilde"
+        assert len(lines) == iterations + 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(iterations))
+        assert float(rows[0][1]) == pytest.approx(math.log(k), abs=1e-12)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("# garbage\n0.5,-1.25,1\n2,0,3\n", "key=value", id="header-token"),
+    pytest.param("# K=3 n=2\n0.5,-1.25,1\n2,0,3\n", "'d'", id="no-d"),
+    pytest.param("# d=2 n=2\n0.5,-1.25,1\n2,0,3\n", "'K'", id="no-K"),
+    pytest.param("# d=2 K=3\n0.5,-1.25,1\n2,0,3\n", "'n'", id="no-n"),
+    pytest.param("# d=two K=3 n=2\n0.5,-1.25,1\n2,0,3\n", "dataset header",
+                 id="header-value"),
+    pytest.param("# d=2 K=3 n=2\n0.5,1\n2,0,3\n", "line 2 has 2 fields",
+                 id="short-row"),
+    pytest.param("# d=2 K=3 n=2\n0.5,-1.25,1\n2,0,0,3\n", "line 3 has 4 fields",
+                 id="long-row"),
+    pytest.param("# d=2 K=3 n=2\n0.5,abc,1\n2,0,3\n", "line 2", id="text-value"),
+    pytest.param("# d=2 K=3 n=2\n0.5,-1.25,one\n2,0,3\n", "line 2", id="text-label"),
+    pytest.param("# d=2 K=3 n=3\n0.5,-1.25,1\n2,0,3\n", "header says n=3",
+                 id="too-few-rows"),
+    pytest.param("# d=2 K=3 n=1\n0.5,-1.25,1\n2,0,3\n", "header says n=1",
+                 id="too-many-rows"),
+    pytest.param("# d=2 K=3 n=2\n0.5,-1.25,1\n2,0,4\n", "outside 1..3",
+                 id="label-range"),
+])
+def test_malformed_dataset_exits_one(tmp_path, text, message, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    out = tmp_path / "model.json"
+    assert main(["pretrain", "--data", str(data), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _drop(doc, *path):
+    """``doc`` with the key at the end of ``path`` removed."""
+    *parents, key = path
+    inner = doc
+    for name in parents:
+        inner = inner[name]
+    del inner[key]
+    return doc
+
+
+@pytest.mark.parametrize("command, target, path, message", [
+    pytest.param("probe", "bundle", ("rep",), "'rep'", id="probe-no-rep"),
+    pytest.param("diagnose", "bundle", ("rep",), "'rep'", id="diagnose-no-rep"),
+    pytest.param("probe", "bundle", ("rep", "entries"), "'entries'",
+                 id="probe-rep-entries"),
+    pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), "'column_cap'",
+                 id="diagnose-head-cap"),
+    pytest.param("diagnose", "truth", ("covariates",), "'covariates'",
+                 id="truth-covariates"),
+    pytest.param("diagnose", "truth", ("down_head",), "'down_head'", id="truth-down-head"),
+    pytest.param("diagnose", "truth", ("covariates", "sigma"), "'sigma'",
+                 id="truth-sigma"),
+    pytest.param("diagnose", "truth", ("down_head", "entries"), "'entries'",
+                 id="truth-head-entries"),
+])
+def test_missing_model_key_exits_one(tmp_path, micro_config, command, target, path,
+                                     message, capsys):
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    truth_doc = json.loads(truth.read_text())
+    docs = {
+        "truth": truth_doc,
+        "bundle": {"rep": truth_doc["rep"], "pre_head": truth_doc["pre_head"]},
+    }
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(docs["bundle"]))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_drop(docs[target], *path)))
+    model = broken if target == "bundle" else bundle
+    out = tmp_path / "out"
+    argv = {
+        "probe": ["probe", "--model", str(model), "--data", str(data)],
+        "diagnose": ["diagnose", "--model", str(model),
+                     "--truth", str(broken if target == "truth" else truth)],
+    }[command]
+    assert main([*argv, "--out", str(out), "--config", micro_config]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_diagnose_rejects_mc_samples_below_one(tmp_path, samples, capsys):
+    # the files do not exist: the flag must be rejected before any is read
+    argv = ["diagnose", "--model", str(tmp_path / "m.json"),
+            "--truth", str(tmp_path / "t.json"), "--out", str(tmp_path / "d.csv"),
+            "--config", str(tmp_path / "c.json"), "--mc-samples", samples]
+    assert main(argv) == 1
+    assert "--mc-samples" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Sweep mechanics: determinism, crash isolation, fits, and reports."""
 
+import dataclasses
 import json
 import math
 
@@ -77,7 +78,7 @@ class TestSweepConfig:
     def test_default_roundtrip(self):
         doc = default_config()
         cfg = SweepConfig.from_dict(doc)
-        assert cfg.to_dict() == doc
+        assert dataclasses.asdict(cfg) == doc
         json.loads(json.dumps(doc))  # must be a plain JSON document
 
     def test_unknown_key_rejected(self):

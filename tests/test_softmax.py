@@ -16,23 +16,28 @@ from hypothesis import strategies as st
 from transferlab.errors import ContractViolation
 from transferlab.linalg import sym_spectral
 from transferlab.softmax import (
-    check_self_concordance,
-    cross_entropy,
-    directional_derivatives,
-    grad_log_partition,
+    _max_curvature_ratio,
+    cross_entropy_rows,
+    directional_derivatives_rows,
     hessian_log_partition,
-    kl_divergence,
     kl_quadratic_bounds,
-    log_partition,
-    softmax_prob,
+    kl_rows,
+    log_partition_rows,
+    softmax_full_rows,
 )
 
 
 def kl_by_probability_sum(eta_true, eta_model):
     """Direct oracle: sum over all K classes of p log(p/q)."""
-    p = softmax_prob(np.asarray(eta_true, dtype=float))
-    q = softmax_prob(np.asarray(eta_model, dtype=float))
+    p = softmax_full_rows([eta_true])[0]
+    q = softmax_full_rows([eta_model])[0]
     return float(np.sum(p * np.log(p / q)))
+
+
+def line_rows(eta, v, ts):
+    """The rows (eta, v, t) of the points eta + t v for t in ``ts``."""
+    ts = np.asarray(ts, dtype=np.float64)
+    return np.tile(eta, (ts.size, 1)), np.tile(v, (ts.size, 1)), ts
 
 
 def fd_second(g, t, h=2e-2):
@@ -57,55 +62,59 @@ def fd_third(g, t, h=2e-2):
 
 class TestLogPartition:
     def test_binary_at_zero(self):
-        assert log_partition([0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert log_partition_rows([[0.0]])[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_three_way_at_zero(self):
-        assert log_partition([0.0, 0.0]) == pytest.approx(math.log(3.0), abs=1e-15)
+        got = log_partition_rows([[0.0, 0.0]])[0]
+        assert got == pytest.approx(math.log(3.0), abs=1e-15)
 
     def test_huge_logit_no_overflow(self):
         # oracle: 50-digit evaluation of log(1 + e^1000)
         with mpmath.workdps(50):
             exact = float(mpmath.log(1 + mpmath.e**1000))
-        assert log_partition([1000.0]) == pytest.approx(exact, rel=1e-15)
-        assert np.isfinite(log_partition([1000.0, -1000.0, 500.0]))
+        assert log_partition_rows([[1000.0]])[0] == pytest.approx(exact, rel=1e-15)
+        assert np.isfinite(log_partition_rows([[1000.0, -1000.0, 500.0]])[0])
 
     def test_lower_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             eta = rng.standard_normal(int(rng.integers(1, 8))) * 5
-            assert log_partition(eta) >= max(0.0, eta.max()) - 1e-12
+            assert log_partition_rows([eta])[0] >= max(0.0, eta.max()) - 1e-12
 
 
 class TestSoftmaxProb:
     def test_binary_symmetric(self):
-        np.testing.assert_allclose(softmax_prob([0.0]), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(softmax_full_rows([[0.0]]), [[0.5, 0.5]], atol=1e-15)
 
     def test_three_way_uniform(self):
-        np.testing.assert_allclose(softmax_prob([0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(
+            softmax_full_rows([[0.0, 0.0]]), [[1 / 3] * 3], atol=1e-15
+        )
 
     def test_forced_algebra(self):
         np.testing.assert_allclose(
-            softmax_prob([math.log(2.0)]), [2 / 3, 1 / 3], atol=1e-15
+            softmax_full_rows([[math.log(2.0)]]), [[2 / 3, 1 / 3]], atol=1e-15
         )
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, eta):
-        p = softmax_prob(np.array(eta))
+        p = softmax_full_rows([eta])[0]
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p > 0)
 
 
 class TestCrossEntropy:
     def test_uniform_cases(self):
-        assert cross_entropy([0.0, 0.0], [1, 0]) == pytest.approx(math.log(3.0))
-        assert cross_entropy([0.0, 0.0], [0, 0]) == pytest.approx(math.log(3.0))
+        got = cross_entropy_rows([[0.0, 0.0], [0.0, 0.0]], [[1, 0], [0, 0]])
+        np.testing.assert_allclose(got, [math.log(3.0)] * 2)
 
     def test_direct_evaluation_oracle(self):
         # oracle: -2 + log(1 + e^2 + e^-1)
         expected = -2.0 + math.log(1.0 + math.e**2 + math.e**-1)
         assert expected == pytest.approx(0.16984601955628564, abs=1e-15)
-        assert cross_entropy([2.0, -1.0], [1, 0]) == pytest.approx(expected, abs=1e-14)
+        got = cross_entropy_rows([[2.0, -1.0]], [[1, 0]])[0]
+        assert got == pytest.approx(expected, abs=1e-14)
 
     def test_equals_negative_log_prob(self):
         rng = np.random.default_rng(1)
@@ -116,13 +125,9 @@ class TestCrossEntropy:
             y = np.zeros(k - 1)
             if cls < k - 1:
                 y[cls] = 1.0
-            assert cross_entropy(eta, y) == pytest.approx(
-                -math.log(softmax_prob(eta)[cls]), abs=1e-12
+            assert cross_entropy_rows([eta], [y])[0] == pytest.approx(
+                -math.log(softmax_full_rows([eta])[0, cls]), abs=1e-12
             )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractViolation):
-            cross_entropy([0.0, 0.0], [1, 0, 0])
 
     def test_gradient_lipschitz_bound(self):
         # gradient in eta is sigma - y; its norm stays below sqrt(K-1)
@@ -134,14 +139,14 @@ class TestCrossEntropy:
             cls = int(rng.integers(0, k))
             if cls < k - 1:
                 y[cls] = 1.0
-            grad = softmax_prob(eta)[:-1] - y
+            grad = softmax_full_rows([eta])[0, :-1] - y
             assert np.linalg.norm(grad) <= math.sqrt(k - 1) + 1e-10
 
 
 class TestGradHessian:
     def test_small_cases(self):
-        np.testing.assert_allclose(grad_log_partition([0.0, 0.0]), [1 / 3, 1 / 3])
-        np.testing.assert_allclose(grad_log_partition([0.0]), [0.5])
+        np.testing.assert_allclose(softmax_full_rows([[0.0, 0.0]])[:, :-1], [[1 / 3] * 2])
+        np.testing.assert_allclose(softmax_full_rows([[0.0]])[:, :-1], [[0.5]])
         np.testing.assert_allclose(hessian_log_partition([0.0]), [[0.25]])
         np.testing.assert_allclose(
             hessian_log_partition([0.0, 0.0]),
@@ -152,26 +157,22 @@ class TestGradHessian:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         eta = rng.standard_normal(4) * 2  # K = 5
-        grad = grad_log_partition(eta)
+        grad = softmax_full_rows([eta])[0, :-1]
         h = 1e-6
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            fd = (log_partition(eta + e) - log_partition(eta - e)) / (2 * h)
-            assert grad[i] == pytest.approx(fd, abs=1e-6)
+        steps = h * np.eye(4)
+        fd = (log_partition_rows(eta + steps) - log_partition_rows(eta - steps)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_hessian_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         eta = rng.standard_normal(5)  # K = 6
         hess = hessian_log_partition(eta)
         h = 1e-5
-        for j in range(5):
-            e = np.zeros(5)
-            e[j] = h
-            fd_col = (grad_log_partition(eta + e) - grad_log_partition(eta - e)) / (
-                2 * h
-            )
-            np.testing.assert_allclose(hess[:, j], fd_col, atol=1e-5)
+        steps = h * np.eye(5)
+        up = softmax_full_rows(eta + steps)[:, :-1]
+        down = softmax_full_rows(eta - steps)[:, :-1]
+        # row j of the difference is column j of the Hessian
+        np.testing.assert_allclose(hess.T, (up - down) / (2 * h), atol=1e-5)
 
     def test_hessian_psd_top_eigenvalue(self):
         rng = np.random.default_rng(5)
@@ -186,17 +187,17 @@ class TestGradHessian:
 class TestKl:
     def test_zero_iff_equal(self):
         eta = np.array([0.3, -1.2, 0.7])
-        assert kl_divergence(eta, eta) == 0.0
-        assert kl_divergence([1.0, 0.0], [0.0, 1.0]) > 0
+        assert kl_rows([eta], [eta])[0] == 0.0
+        assert kl_rows([[1.0, 0.0]], [[0.0, 1.0]])[0] > 0
 
     def test_binary_oracle(self):
-        got = kl_divergence([0.0], [math.log(3.0)])
+        got = kl_rows([[0.0]], [[math.log(3.0)]])[0]
         oracle = kl_by_probability_sum([0.0], [math.log(3.0)])
         assert oracle == pytest.approx(0.1438410362258904, abs=1e-12)
         assert got == pytest.approx(oracle, abs=1e-10)
 
     def test_swap_case_matches_oracle(self):
-        got = kl_divergence([1.0, 0.0], [0.0, 1.0])
+        got = kl_rows([[1.0, 0.0]], [[0.0, 1.0]])[0]
         assert got == pytest.approx(
             kl_by_probability_sum([1.0, 0.0], [0.0, 1.0]), abs=1e-10
         )
@@ -207,10 +208,9 @@ class TestKl:
             k = int(rng.integers(2, 9))
             a = rng.standard_normal(k - 1) * 2
             b = rng.standard_normal(k - 1) * 2
-            assert kl_divergence(a, b) == pytest.approx(
-                kl_by_probability_sum(a, b), abs=1e-10
-            )
-            assert kl_divergence(a, b) >= 0.0
+            kl = kl_rows([a], [b])[0]
+            assert kl == pytest.approx(kl_by_probability_sum(a, b), abs=1e-10)
+            assert kl >= 0.0
 
     @given(
         st.integers(1, 6).flatmap(
@@ -222,17 +222,16 @@ class TestKl:
     )
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_generally(self, pair):
-        a, b = np.array(pair[0]), np.array(pair[1])
-        assert kl_divergence(a, b) >= 0.0
+        assert kl_rows([pair[0]], [pair[1]])[0] >= 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            kl_divergence([0.0], [0.0, 1.0])
+            kl_rows([[0.0]], [[0.0, 1.0]])
 
 
 class TestDirectionalDerivatives:
     def test_binary_symmetric_point(self):
-        g1, g2, g3 = directional_derivatives([0.0], [1.0])
+        (g1,), (g2,), (g3,) = directional_derivatives_rows([[0.0]], [[1.0]])
         assert g1 == pytest.approx(0.5, abs=1e-15)
         assert g2 == pytest.approx(0.25, abs=1e-15)
         assert g3 == pytest.approx(0.0, abs=1e-15)
@@ -241,7 +240,7 @@ class TestDirectionalDerivatives:
         def g(t):
             return math.log(1.0 + math.exp(1.0 + t))
 
-        g1, g2, g3 = directional_derivatives([1.0], [1.0])
+        _, (g2,), (g3,) = directional_derivatives_rows([[1.0]], [[1.0]])
         assert g2 == pytest.approx(fd_second(g, 0.0), abs=1e-5)
         assert g3 == pytest.approx(fd_third(g, 0.0), abs=1e-5)
 
@@ -252,41 +251,39 @@ class TestDirectionalDerivatives:
             v = rng.standard_normal(7)
 
             def g(t):
-                return log_partition(eta + t * v)
+                return log_partition_rows([eta + t * v])[0]
 
-            g1, g2, g3 = directional_derivatives(eta, v)
+            (g1,), (g2,), (g3,) = directional_derivatives_rows([eta], [v])
             assert g2 >= 0.0
             h = 1e-6
             assert g1 == pytest.approx((g(h) - g(-h)) / (2 * h), abs=1e-6)
             assert g2 == pytest.approx(fd_second(g, 0.0), abs=1e-5)
             assert g3 == pytest.approx(fd_third(g, 0.0), abs=1e-5)
 
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ContractViolation):
-            directional_derivatives([1.0, 2.0], [0.0, 0.0])
-
 
 class TestSelfConcordance:
     def test_scalar_logistic_ratio_below_one(self):
-        report = check_self_concordance([0.0], [1.0], np.linspace(-2, 2, 41))
-        assert report.passed
-        assert report.max_ratio <= 1.0
-        assert report.n_skipped == 0
+        ratio, skipped, passed = _max_curvature_ratio(
+            *line_rows([0.0], [1.0], np.linspace(-2, 2, 41))
+        )
+        assert passed
+        assert ratio <= 1.0
+        assert skipped == 0
 
     def test_direction_scaling_invariance(self):
         grid = np.linspace(-1.5, 1.5, 21)
         rng = np.random.default_rng(8)
         eta = rng.standard_normal(4)
         v = rng.standard_normal(4)
-        r1 = check_self_concordance(eta, v, grid)
-        r10 = check_self_concordance(eta, 10.0 * v, grid / 10.0)
-        assert r1.passed == r10.passed
-        assert r1.max_ratio == pytest.approx(r10.max_ratio, rel=1e-9)
+        r1, _, passed1 = _max_curvature_ratio(*line_rows(eta, v, grid))
+        r10, _, passed10 = _max_curvature_ratio(*line_rows(eta, 10.0 * v, grid / 10.0))
+        assert passed1 == passed10
+        assert r1 == pytest.approx(r10, rel=1e-9)
 
     def test_underflowed_curvature_skipped(self):
-        report = check_self_concordance([0.0], [1.0], [2000.0])
-        assert report.n_skipped == 1
-        assert report.passed
+        _, skipped, passed = _max_curvature_ratio(*line_rows([0.0], [1.0], [2000.0]))
+        assert skipped == 1
+        assert passed
 
     def test_random_sweep_small(self):
         rng = np.random.default_rng(9)
@@ -294,8 +291,10 @@ class TestSelfConcordance:
             k = int(rng.integers(2, 12))
             eta = rng.standard_normal(k - 1) * 3
             v = rng.standard_normal(k - 1) * 3
-            report = check_self_concordance(eta, v, rng.uniform(-2, 2, 5))
-            assert report.passed, report
+            ratio, _, passed = _max_curvature_ratio(
+                *line_rows(eta, v, rng.uniform(-2, 2, 5))
+            )
+            assert passed, (eta, v, ratio)
 
 
 class TestKlQuadraticBounds:
