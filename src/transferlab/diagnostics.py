@@ -180,13 +180,18 @@ def measure_excess_risks(
     x = sample_covariates(spec, n_mc, rng)
     z_true = truth.rep.apply(x)
     z_hat = rep_hat.apply(x)
-    eta_down = z_true @ truth.down_head.alpha
-    down = _kl_stats(eta_down, z_hat @ down_head_hat.alpha)
+
+    def logits(head, z):
+        # a C-ordered (K-1, n_mc) block, handed to kl_rows as its row view
+        return (head.alpha.T @ z.T).T
+
+    eta_down = logits(truth.down_head, z_true)
+    down = _kl_stats(eta_down, logits(down_head_hat, z_hat))
     pre = base = (math.nan, math.nan)
     if pre_head_hat is not None:
-        pre = _kl_stats(z_true @ truth.pre_head.alpha, z_hat @ pre_head_hat.alpha)
+        pre = _kl_stats(logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
     if baseline_head is not None:
-        base = _kl_stats(eta_down, x @ baseline_head.alpha)
+        base = _kl_stats(eta_down, logits(baseline_head, x))
     return RiskReport(down[0], pre[0], n_mc, down[1], pre[1], base[0], base[1])
 
 

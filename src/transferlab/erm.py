@@ -32,6 +32,7 @@ from .model_space import (
     cap_columns,
     diversity_parameter,
 )
+from .softmax import _log_partition_cols
 from .synthetic import LabeledDataset
 
 __all__ = [
@@ -56,7 +57,7 @@ class OptimConfig:
     Barzilai-Borwein step clipped to [``min_step``, ``step_max``], with the
     fallback ``min(previous step * step_grow, step_max)`` when no positive
     curvature was measured. Each search shrinks the step by ``step_shrink``
-    until the Armijo test with ``armijo_c`` holds, stalling below ``min_step``.
+    until the Armijo test with ``armijo_c`` holds or ``_backtrack`` stalls.
     """
 
     max_iters: int = 5000
@@ -105,9 +106,9 @@ class TrainTrace:
     """Per-iteration optimizer log plus how the run ended.
 
     ``outcome`` is "converged" (the projected-gradient norm reached
-    ``grad_tol``), "stalled" (a line search fell below ``min_step``) or
-    "max_iters" (the iteration budget ran out first); it is empty until
-    the run ends.
+    ``grad_tol``), "stalled" (a line search ended without a step, for the
+    ``stall_reason`` ``_backtrack`` gives) or "max_iters" (the iteration
+    budget ran out first); it is empty until the run ends.
     """
 
     iters: list = field(default_factory=list)
@@ -131,10 +132,10 @@ class TrainTrace:
     def stalled(self) -> bool:
         return self.outcome == "stalled"
 
-    def stall(self, phase: str) -> None:
-        """Record that ``phase``'s line search reached the minimum step."""
+    def stall(self, phase: str, reason: str) -> None:
+        """Record that ``phase``'s line search ended for ``reason`` without a step."""
         self.outcome = "stalled"
-        self.stall_reason = f"{phase}: line search hit minimum step without decrease"
+        self.stall_reason = f"{phase}: {reason}"
 
     def __len__(self):
         return len(self.iters)
@@ -164,22 +165,15 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
 
 def _head_risk(alpha: np.ndarray, z: np.ndarray, label_stat: np.ndarray
                ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of the logits z alpha, and their softmax, in one exp pass.
+    """Mean cross-entropy of the logits z alpha, and their (K-1, n) class-major softmax.
 
     ``label_stat`` is z^T T / n for the targets T, so the label term
     mean_i t_i . eta_i equals <alpha, label_stat> and needs no pass over
-    the samples. The logits are formed class-major, shape (K-1, n), so
-    every per-sample reduction runs across whole rows; the returned
-    probabilities of the first K-1 classes keep that layout.
+    the samples. The C-ordered logit block becomes the softmax in place.
     """
-    probs = alpha.T @ z.T
-    shift = probs.max(axis=0)
-    np.maximum(shift, 0.0, out=shift)
-    probs -= shift
-    np.exp(probs, out=probs)
-    denom = probs.sum(axis=0)
-    denom += np.exp(-shift)
-    risk = float(np.mean(shift + np.log(denom)) - np.vdot(alpha, label_stat))
+    logits = alpha.T @ z.T
+    phi, probs, _, denom = _log_partition_cols(logits, out=logits)
+    risk = float(np.mean(phi) - np.vdot(alpha, label_stat))
     probs /= denom
     return risk, probs
 
@@ -253,17 +247,18 @@ def _bb_step(point, grad, prev, fallback: float, cfg: OptimConfig) -> float:
 
 
 def _backtrack(objective, current_value, direction_step, cfg, step0):
-    """Shrink the step until sufficient decrease; None on a stall.
+    """Shrink the step until sufficient decrease; a reason string on a stall.
 
     ``direction_step(s)`` maps a step size to (candidate, squared move)
     and may raise ``DegenerateInput`` for overlong steps, which shrinks
     the step like a failed trial. ``objective(candidate)`` returns
-    (value, payload). A step is accepted when
-    value <= current - armijo_c / s * move^2. Returns
-    ``(step, grown step, candidate, value, payload)``, or None once the
-    step falls below ``min_step``. The grown step
-    ``min(step * step_grow, step_max)`` is the fallback initial step of
-    the block's next search; ``_bb_step`` normally replaces it.
+    (value, payload). A step is accepted when value <= current -
+    armijo_c / s * move^2, and ``(step, grown step, candidate, value,
+    payload)`` returned; the grown step ``min(step * step_grow, step_max)``
+    is the fallback initial step of the block's next search. The search
+    stalls below ``min_step``, or on a passing trial whose first-order
+    decrease move^2 / s and measured decrease are both within one ulp of
+    the current value: that is a tie, and shorter steps promise less.
     """
     s = step0
     while s >= cfg.min_step:
@@ -274,9 +269,12 @@ def _backtrack(objective, current_value, direction_step, cfg, step0):
             continue
         value, payload = objective(cand)
         if np.isfinite(value) and value <= current_value - cfg.armijo_c / s * move_sq:
+            ulp = np.spacing(abs(current_value))
+            if move_sq / s < ulp and current_value - value <= ulp:
+                return "line search decrease fell below the rounding of the objective"
             return s, min(s * cfg.step_grow, cfg.step_max), cand, value, payload
         s *= cfg.step_shrink
-    return None
+    return "line search hit minimum step without decrease"
 
 
 def pretrain(
@@ -368,8 +366,8 @@ def pretrain(
                 _capped_step(alpha, grad_alpha, cap), cfg,
                 _bb_step(alpha, grad_alpha, prev_head, s_head, cfg),
             )
-            if found is None:
-                trace.stall("head")
+            if isinstance(found, str):
+                trace.stall("head", found)
                 break
             prev_head = (alpha, grad_alpha)
             last_step, s_head, alpha, _, (risk, probs, reg) = found
@@ -384,8 +382,8 @@ def pretrain(
                 rep_objective, risk, rep_step, cfg,
                 _bb_step(coords, rep_dir, prev_rep, s_rep, cfg),
             )
-            if found is None:
-                trace.stall("representation")
+            if isinstance(found, str):
+                trace.stall("representation", found)
                 break
             prev_rep = (coords, rep_dir)
             last_step, s_rep, rep, risk, (z, cache, label_stat, probs) = found
@@ -437,8 +435,8 @@ def fit_head_on_embeddings(
             objective, risk, _capped_step(alpha, grad, cap), cfg,
             _bb_step(alpha, grad, prev, s_cur, cfg),
         )
-        if found is None:
-            trace.stall("head fit")
+        if isinstance(found, str):
+            trace.stall("head fit", found)
             break
         prev = (alpha, grad)
         last_step, s_cur, alpha, risk, probs = found

@@ -65,3 +65,25 @@ def require_keys(doc, keys, what: str) -> None:
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ContractViolation(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _json_shape(value, what: str) -> tuple:
+    if isinstance(value, list):
+        shapes = {_json_shape(item, what) for item in value}
+        if len(shapes) > 1:
+            raise ContractViolation(f"{what} is a ragged array")
+        return (len(value), *(shapes.pop() if shapes else ()))
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return ()
+    raise ContractViolation(f"{what} must hold only numbers, got {value!r}")
+
+
+def require_numbers(value, ndim: int, what: str):
+    """Require a JSON number (``ndim`` 0) or a regular ``ndim``-deep nested list of them.
+
+    Booleans and strings are not numbers. Returns ``value`` unchanged.
+    """
+    shape = _json_shape(value, what)
+    if len(shape) != ndim:
+        raise ContractViolation(f"{what} must be {ndim}-D, got shape {shape}")
+    return value

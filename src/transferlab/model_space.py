@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_keys
+from .errors import ContractViolation, require_keys, require_numbers
 from .linalg import as_matrix, orthonormalize, singular_values, sym_spectral
 
 __all__ = [
@@ -362,21 +362,29 @@ def component_to_payload(obj) -> dict:
     raise ContractViolation(f"cannot serialize {type(obj).__name__}")
 
 
+def _matrix(value, what: str) -> np.ndarray:
+    return np.array(require_numbers(value, 2, what), dtype=np.float64)
+
+
 def component_from_payload(payload: dict):
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind == "subspace":
         require_keys(payload, ("entries",), "subspace payload")
-        return SubspaceRep(np.array(payload["entries"], dtype=np.float64))
+        return SubspaceRep(_matrix(payload["entries"], "subspace entries"))
     if kind == "mlp":
         require_keys(payload, ("layers", "caps"), "mlp payload")
+        layers = payload["layers"]
+        if not isinstance(layers, list):
+            raise ContractViolation("mlp layers must be a list of matrices")
         return MlpRep(
-            tuple(np.array(w, dtype=np.float64) for w in payload["layers"]),
-            tuple(payload["caps"]),
+            tuple(_matrix(w, f"mlp layer {p}") for p, w in enumerate(layers)),
+            tuple(require_numbers(payload["caps"], 1, "mlp caps")),
         )
     if kind == "linear_head":
         require_keys(payload, ("entries", "column_cap"), "linear_head payload")
         return LinearHead(
-            np.array(payload["entries"], dtype=np.float64), payload["column_cap"]
+            _matrix(payload["entries"], "linear_head entries"),
+            require_numbers(payload["column_cap"], 0, "linear_head column_cap"),
         )
     raise ContractViolation(f"unknown model kind {kind!r}")
 

@@ -7,10 +7,13 @@ softmax, KL divergence, directional derivatives of ``Phi`` along a line,
 and the curvature-envelope inequalities that make the loss behave
 quadratically near any point all live here.
 
-Everything is a pure function. The ``*_rows`` kernels operate on stacked
-rows and serve training, the Monte Carlo risk and the property suites;
-``hessian_log_partition`` and ``kl_quadratic_bounds`` take one 1-D
-``eta`` each, as the Hessian-spectrum and KL-sandwich suites use them.
+One kernel, ``_log_partition_cols``, evaluates Phi in one exp pass. It
+takes a class-major (K-1, N) block, one column per sample, and also
+returns the max-shifted exponentials and denominators of the softmax.
+The training loss passes it a C-ordered block; the ``*_rows`` functions
+pass their (N, K-1) rows transposed, so ``kl_rows(b.T, ...)`` reads a
+class-major block ``b`` without a copy. ``hessian_log_partition`` and
+``kl_quadratic_bounds`` take one 1-D ``eta`` each. All are pure functions.
 """
 
 from __future__ import annotations
@@ -40,27 +43,48 @@ def _as_eta(eta, name: str = "eta") -> np.ndarray:
     return e
 
 
+def _rows(eta_rows) -> np.ndarray:
+    return np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
+
+
+def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None):
+    """Phi of each column of a (K-1, N) logit block, and the softmax parts.
+
+    With shift = max(0, column max), returns ``(phi, expo, tail, denom)``:
+    expo = exp(logits - shift), tail = exp(-shift) for class K, and
+    denom = expo.sum(axis=0) + tail, so phi = shift + log(denom) and the
+    softmax is expo / denom. ``expo`` goes to ``out`` when given (it may
+    be ``logits``); otherwise ``logits`` is left untouched.
+    """
+    shift = logits.max(axis=0)
+    np.maximum(shift, 0.0, out=shift)
+    expo = np.subtract(logits, shift, out=out)
+    np.exp(expo, out=expo)
+    tail = np.exp(-shift)
+    denom = expo.sum(axis=0)
+    denom += tail
+    return shift + np.log(denom), expo, tail, denom
+
+
 def log_partition_rows(eta_rows: np.ndarray) -> np.ndarray:
     """Row-wise log(1 + sum_s exp(eta_s)), max-shifted against overflow."""
-    e = np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
-    shift = np.maximum(e.max(axis=1), 0.0)
-    acc = np.exp(-shift) + np.exp(e - shift[:, None]).sum(axis=1)
-    return shift + np.log(acc)
+    return _log_partition_cols(_rows(eta_rows).T)[0]
 
 
 def softmax_full_rows(eta_rows: np.ndarray) -> np.ndarray:
     """Row-wise probabilities over all K classes (implicit class last)."""
-    e = np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
-    shift = np.maximum(e.max(axis=1), 0.0)
-    num = np.concatenate([np.exp(e - shift[:, None]), np.exp(-shift)[:, None]], axis=1)
-    return num / num.sum(axis=1, keepdims=True)
+    e = _rows(eta_rows)
+    _, expo, tail, denom = _log_partition_cols(e.T)
+    probs = np.empty((e.shape[0], e.shape[1] + 1))
+    np.divide(expo, denom, out=probs.T[:-1])
+    np.divide(tail, denom, out=probs.T[-1])
+    return probs
 
 
 def cross_entropy_rows(eta_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
     """Row-wise -y.eta + Phi(eta); ``y_rows`` may be one-hot or soft targets."""
-    e = np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y_rows, dtype=np.float64))
-    return log_partition_rows(e) - (e * y).sum(axis=1)
+    e = _rows(eta_rows)
+    return log_partition_rows(e) - (e * _rows(y_rows)).sum(axis=1)
 
 
 def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray:
@@ -69,13 +93,16 @@ def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray
     KL[P(.|t), P(.|m)] = Phi(m) - Phi(t) - grad Phi(t).(m - t); tiny
     negative rounding residues are clamped to zero.
     """
-    t = np.atleast_2d(np.asarray(eta_true_rows, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(eta_model_rows, dtype=np.float64))
+    t, m = _rows(eta_true_rows), _rows(eta_model_rows)
     if t.shape != m.shape:
         raise ContractViolation(f"shape mismatch {t.shape} vs {m.shape}")
-    sigma_t = softmax_full_rows(t)[:, :-1]
-    val = log_partition_rows(m) - log_partition_rows(t) - (sigma_t * (m - t)).sum(axis=1)
-    return np.maximum(val, 0.0)
+    phi_t, expo_t, _, denom_t = _log_partition_cols(t.T)
+    kl, gap, _, _ = _log_partition_cols(m.T)
+    # the model's exponentials are spent; their buffer takes (m - t) exp(t - shift)
+    np.subtract(m.T, t.T, out=gap)
+    gap *= expo_t
+    kl -= phi_t + gap.sum(axis=0) / denom_t
+    return np.maximum(kl, 0.0, out=kl)
 
 
 def hessian_log_partition(eta) -> np.ndarray:
@@ -100,8 +127,7 @@ def directional_derivatives_rows(
     The centered forms keep the huge exponentials of the raw polynomial
     expansion out of the arithmetic.
     """
-    e = np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v_rows, dtype=np.float64))
+    e, v = _rows(eta_rows), _rows(v_rows)
     if e.shape != v.shape:
         raise ContractViolation(f"shape mismatch {e.shape} vs {v.shape}")
     tt = np.asarray(t, dtype=np.float64)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ContractViolation, InfeasibleDiversityError, InfeasibleSamplingError, require_keys,
+    require_numbers,
 )
 from .linalg import as_matrix, orthonormalize, sym_spectral
 from .model_space import (
@@ -233,7 +234,10 @@ def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> 
     while got < n:
         batch = max(n - got, _PROBE_BATCH)
         cand = rng.standard_normal((batch, spec.dim)) @ factor.T
-        keep = cand[np.linalg.norm(cand, axis=1) <= spec.norm_cap]
+        inside = np.linalg.norm(cand, axis=1) <= spec.norm_cap
+        if got == 0 and inside.all():
+            return cand[:n]  # the batch covers n and the cap rejects none of it
+        keep = cand[inside]
         if probe_drawn < _PROBE_BATCH:
             probe_drawn += batch
             probe_kept += keep.shape[0]
@@ -330,10 +334,9 @@ def load_truth(path) -> tuple[GroundTruth, CovariateSpec]:
     cov = doc["covariates"]
     require_keys(cov, ("sigma", "norm_cap", "sigma_min", "sigma_max"), "covariates")
     spec = CovariateSpec(
-        sigma=np.array(cov["sigma"], dtype=np.float64),
-        norm_cap=cov["norm_cap"],
-        sigma_min=cov["sigma_min"],
-        sigma_max=cov["sigma_max"],
+        sigma=np.array(require_numbers(cov["sigma"], 2, "covariates sigma"), dtype=np.float64),
+        **{key: require_numbers(cov[key], 0, f"covariates {key}")
+           for key in ("norm_cap", "sigma_min", "sigma_max")},
     )
     return truth, spec
 

@@ -39,6 +39,14 @@ __all__ = [
 ]
 
 
+# draw ranges that no caller varies: the line parameter t of the
+# self-concordance suite, the eta norms of the Hessian suite and the class
+# counts the KL-sandwich suite alternates between
+_SC_T_RANGE = 3.0
+_HESSIAN_NORM_BOUND = 5.0
+_KL_CLASS_COUNTS = (2, 10)
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -51,7 +59,6 @@ def self_concordance_suite(
     total: int = 10_000,
     class_counts=(2, 5, 50),
     norm_bound: float = 5.0,
-    t_range: float = 3.0,
     seed: int = 0,
 ) -> SuiteResult:
     """|g'''| <= 5 ||v|| g'' at randomized (eta, v, t) for each class count."""
@@ -66,7 +73,7 @@ def self_concordance_suite(
         eta *= (norm_bound * rng.random(per) / np.linalg.norm(eta, axis=1))[:, None]
         v = rng.standard_normal((per, dim))
         v *= (norm_bound * rng.random(per) / np.linalg.norm(v, axis=1))[:, None]
-        t = rng.uniform(-t_range, t_range, per)
+        t = rng.uniform(-_SC_T_RANGE, _SC_T_RANGE, per)
         ratio, _, ok = _max_curvature_ratio(eta, v, t)
         worst = max(worst, ratio)
         passed &= ok
@@ -78,7 +85,7 @@ def self_concordance_suite(
 
 
 def hessian_spectrum_suite(
-    total: int = 1000, max_classes: int = 100, norm_bound: float = 5.0, seed: int = 0
+    total: int = 1000, max_classes: int = 100, seed: int = 0
 ) -> SuiteResult:
     """Hessian of the log-partition is PSD with top eigenvalue <= 1."""
     rng = derive_rng(seed, "hessian-spectrum")
@@ -87,7 +94,7 @@ def hessian_spectrum_suite(
     for _ in range(total):
         k = int(rng.integers(2, max_classes + 1))
         eta = rng.standard_normal(k - 1)
-        scale = norm_bound * rng.random()
+        scale = _HESSIAN_NORM_BOUND * rng.random()
         eta *= scale / max(np.linalg.norm(eta), 1e-12)
         lam, _ = sym_spectral(hessian_log_partition(eta))
         worst_top = max(worst_top, float(lam[0]))
@@ -100,14 +107,14 @@ def hessian_spectrum_suite(
 
 
 def kl_sandwich_suite(
-    total: int = 1000, norm_bound: float = 3.0, class_counts=(2, 10), seed: int = 0
+    total: int = 1000, norm_bound: float = 3.0, seed: int = 0
 ) -> SuiteResult:
     """lower <= KL <= upper with zero violations."""
     rng = derive_rng(seed, "kl-sandwich")
     violations = 0
     worst_gap = np.inf
     for i in range(total):
-        k = class_counts[i % len(class_counts)]
+        k = _KL_CLASS_COUNTS[i % len(_KL_CLASS_COUNTS)]
         eta_t = rng.standard_normal(k - 1)
         eta_t *= norm_bound * rng.random() / max(np.linalg.norm(eta_t), 1e-12)
         eta_m = rng.standard_normal(k - 1)

@@ -250,14 +250,47 @@ def test_malformed_dataset_exits_one(tmp_path, text, message, capsys):
     assert not out.exists()
 
 
-def _drop(doc, *path):
-    """``doc`` with the key at the end of ``path`` removed."""
+_DROP = object()
+
+
+def _edit(doc, path, value=_DROP):
+    """``doc`` with the key at the end of ``path`` set to ``value``, or removed."""
     *parents, key = path
     inner = doc
     for name in parents:
         inner = inner[name]
-    del inner[key]
+    if value is _DROP:
+        del inner[key]
+    else:
+        inner[key] = value
     return doc
+
+
+def _run_on_broken_file(tmp_path, micro_config, command, target, path, value=_DROP):
+    """Exit code of ``command`` when the bundle or truth file has one key edited."""
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    truth_doc = json.loads(truth.read_text())
+    docs = {
+        "truth": truth_doc,
+        "bundle": {"rep": truth_doc["rep"], "pre_head": truth_doc["pre_head"]},
+    }
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(docs["bundle"]))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_edit(docs[target], path, value)))
+    model = broken if target == "bundle" else bundle
+    out = tmp_path / "out"
+    argv = {
+        "probe": ["probe", "--model", str(model), "--data", str(data)],
+        "diagnose": ["diagnose", "--model", str(model),
+                     "--truth", str(broken if target == "truth" else truth)],
+    }[command]
+    code = main([*argv, "--out", str(out), "--config", micro_config])
+    assert not out.exists()
+    return code
 
 
 @pytest.mark.parametrize("command, target, path, message", [
@@ -277,29 +310,48 @@ def _drop(doc, *path):
 ])
 def test_missing_model_key_exits_one(tmp_path, micro_config, command, target, path,
                                      message, capsys):
-    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
-    assert main([
-        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
-    ]) == 0
-    truth_doc = json.loads(truth.read_text())
-    docs = {
-        "truth": truth_doc,
-        "bundle": {"rep": truth_doc["rep"], "pre_head": truth_doc["pre_head"]},
-    }
-    bundle = tmp_path / "bundle.json"
-    bundle.write_text(json.dumps(docs["bundle"]))
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(_drop(docs[target], *path)))
-    model = broken if target == "bundle" else bundle
-    out = tmp_path / "out"
-    argv = {
-        "probe": ["probe", "--model", str(model), "--data", str(data)],
-        "diagnose": ["diagnose", "--model", str(model),
-                     "--truth", str(broken if target == "truth" else truth)],
-    }[command]
-    assert main([*argv, "--out", str(out), "--config", micro_config]) == 1
+    assert _run_on_broken_file(tmp_path, micro_config, command, target, path) == 1
     assert message in capsys.readouterr().err
-    assert not out.exists()
+
+
+_MLP_REP = {"kind": "mlp", "layers": [[[0.5] * 5, [0.0] * 5], [[0.5, 0.0], [0.0, 0.5]]],
+            "caps": [3.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, target, path, value, message", [
+    pytest.param("probe", "bundle", ("rep", "entries"), "abc", "subspace entries",
+                 id="rep-entries-string"),
+    pytest.param("probe", "bundle", ("rep", "entries"), [[1.0, "x"]], "subspace entries",
+                 id="rep-entries-string-leaf"),
+    pytest.param("probe", "bundle", ("rep", "entries"), [[1.0, 0.0], [0.0]], "ragged",
+                 id="rep-entries-ragged"),
+    pytest.param("probe", "bundle", ("rep", "entries"), [1.0, 0.0], "2-D",
+                 id="rep-entries-1d"),
+    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "layers": "abc"},
+                 "mlp layers", id="mlp-layers-string"),
+    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "layers": [[["x"]]]},
+                 "mlp layer 0", id="mlp-layer-string-leaf"),
+    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "caps": "ab"}, "mlp caps",
+                 id="mlp-caps-string"),
+    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "caps": [True, 1.0]},
+                 "mlp caps", id="mlp-caps-bool"),
+    pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), "1", "column_cap",
+                 id="head-cap-string"),
+    pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), [1.0], "column_cap",
+                 id="head-cap-list"),
+    pytest.param("diagnose", "truth", ("covariates", "sigma"), "abc", "sigma",
+                 id="truth-sigma-string"),
+    pytest.param("diagnose", "truth", ("covariates", "norm_cap"), "5", "norm_cap",
+                 id="truth-norm-cap-string"),
+    pytest.param("diagnose", "truth", ("covariates", "sigma_min"), None, "sigma_min",
+                 id="truth-sigma-min-null"),
+    pytest.param("diagnose", "truth", ("down_head", "entries"), "abc",
+                 "linear_head entries", id="truth-head-entries-string"),
+])
+def test_non_numeric_model_value_exits_one(tmp_path, micro_config, command, target, path,
+                                           value, message, capsys):
+    assert _run_on_broken_file(tmp_path, micro_config, command, target, path, value) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

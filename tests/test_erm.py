@@ -190,6 +190,42 @@ class TestHeadRiskKernel:
             probs.T, softmax_full_rows(eta)[:, :-1], rtol=1e-12, atol=1e-300
         )
 
+    @staticmethod
+    def _reference_head_risk(alpha, z, label_stat):
+        """The kernel as written before it moved into softmax, line for line."""
+        probs = alpha.T @ z.T
+        shift = probs.max(axis=0)
+        np.maximum(shift, 0.0, out=shift)
+        probs -= shift
+        np.exp(probs, out=probs)
+        denom = probs.sum(axis=0)
+        denom += np.exp(-shift)
+        risk = float(np.mean(shift + np.log(denom)) - np.vdot(alpha, label_stat))
+        probs /= denom
+        return risk, probs
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.integers(1, 6),
+        st.integers(1, 40),
+        st.floats(0.0, 700.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_reference_formula(self, seed, n, r, k_minus_1, scale):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, r))
+        alpha = rng.uniform(-scale, scale, (r, k_minus_1))
+        stat = _label_stat(z, mixed_targets(rng, n, k_minus_1))
+        before = alpha.copy(), z.copy()
+        risk, probs = _head_risk(alpha, z, stat)
+        ref_risk, ref_probs = self._reference_head_risk(alpha, z, stat)
+        assert risk == ref_risk or (math.isnan(risk) and math.isnan(ref_risk))
+        np.testing.assert_array_equal(probs, ref_probs)
+        assert probs.flags.c_contiguous
+        np.testing.assert_array_equal(alpha, before[0])
+        np.testing.assert_array_equal(z, before[1])
+
     @pytest.mark.parametrize("kind", ["subspace", "mlp"])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
     @settings(max_examples=50, deadline=None)
@@ -437,7 +473,7 @@ class TestBarzilaiBorwein:
 
         def spy_backtrack(*args):
             found = backtrack(*args)
-            if found is not None:
+            if isinstance(found, tuple):
                 events.append(("step", found[0]))
             return found
 
@@ -523,6 +559,24 @@ class TestDownstreamFit:
         alpha, trace = fit_head_on_embeddings(z, y, 1.0, cfg)
         assert trace.stalled
         assert "minimum step" in trace.stall_reason
+
+    def test_rounding_tie_ends_the_fit(self):
+        # at grad_tol = 1e-9 the decrease a step promises falls under the
+        # rounding of the risk before the tolerance is met; a search that
+        # accepts those ties (zero moves, at the end) runs all 5000 iterations
+        rng = np.random.default_rng(1316)
+        z = rng.standard_normal((60, 3))
+        targets = mixed_targets(rng, 60, 2)
+        alpha, trace = fit_head_on_embeddings(z, targets, 2.0, OptimConfig(grad_tol=1e-9))
+        assert trace.outcome == "stalled"
+        assert "rounding" in trace.stall_reason
+        assert len(trace) < 100
+        assert trace.grad_norm[-1] < 1e-8
+        ref = TestBarzilaiBorwein._reference_head_fit(z, targets, 2.0)
+        assert abs(trace.risk[-1] - ref) <= 1e-14
+        # the head fits' default tolerance is met on the same problem
+        _, default = fit_head_on_embeddings(z, targets, 2.0, OptimConfig(grad_tol=1e-7))
+        assert default.outcome == "converged"
 
 
 class TestBaseline:

@@ -229,6 +229,99 @@ class TestKl:
             kl_rows([[0.0]], [[0.0, 1.0]])
 
 
+def ref_log_partition_rows(e):
+    """The row-wise log-partition as written before the class-major kernel."""
+    shift = np.maximum(e.max(axis=1), 0.0)
+    return shift + np.log(np.exp(-shift) + np.exp(e - shift[:, None]).sum(axis=1))
+
+
+def ref_softmax_full_rows(e):
+    shift = np.maximum(e.max(axis=1), 0.0)
+    num = np.concatenate([np.exp(e - shift[:, None]), np.exp(-shift)[:, None]], axis=1)
+    return num / num.sum(axis=1, keepdims=True)
+
+
+def ref_kl_rows(t, m):
+    sigma_t = ref_softmax_full_rows(t)[:, :-1]
+    val = ref_log_partition_rows(m) - ref_log_partition_rows(t)
+    return np.maximum(val - (sigma_t * (m - t)).sum(axis=1), 0.0)
+
+
+def kl_oracle(t_row, m_row):
+    """KL as the Bregman remainder of Phi at 60 digits, and the size of its terms."""
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(v)) for v in t_row]
+        m = [mpmath.mpf(float(v)) for v in m_row]
+        phi_t = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in t))
+        phi_m = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in m))
+        inner = mpmath.fsum(mpmath.exp(a - phi_t) * (b - a) for a, b in zip(t, m))
+        kl = phi_m - phi_t - inner
+        return float(kl), float(abs(phi_m) + abs(phi_t) + abs(inner))
+
+
+def layouts(block):
+    """The same (N, K-1) rows as a C-ordered array and as a class-major view."""
+    return {"c-rows": np.ascontiguousarray(block), "class-major": np.ascontiguousarray(block.T).T}
+
+
+class TestClassMajorKernels:
+    """kl_rows and its wrappers against an mpmath oracle and the row formulas they replace."""
+
+    CASES = {
+        "general": lambda rng: (rng.normal(0, 3, (40, 6)), rng.normal(0, 3, (40, 6))),
+        "binary": lambda rng: (rng.normal(0, 3, (40, 1)), rng.normal(0, 3, (40, 1))),
+        "one-row": lambda rng: (rng.normal(0, 3, (1, 9)), rng.normal(0, 3, (1, 9))),
+        "near-700": lambda rng: (
+            rng.choice([-700.0, 700.0], (30, 5)) + rng.normal(0, 2, (30, 5)),
+            rng.choice([-700.0, 700.0], (30, 5)) + rng.normal(0, 2, (30, 5)),
+        ),
+        "close-pair": lambda rng: (lambda t: (t, t + rng.normal(0, 1e-3, t.shape)))(
+            rng.normal(0, 2, (40, 29))
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("layout", ["c-rows", "class-major"])
+    def test_kl_matches_oracle_and_row_formula(self, case, layout):
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        t, m = (layouts(a)[layout] for a in self.CASES[case](rng))
+        before = t.copy(), m.copy()
+        got = kl_rows(t, m)
+        # the inputs are read, never written
+        np.testing.assert_array_equal(t, before[0])
+        np.testing.assert_array_equal(m, before[1])
+        ref = ref_kl_rows(np.array(before[0]), np.array(before[1]))
+        for i in range(t.shape[0]):
+            exact, scale = kl_oracle(t[i], m[i])
+            # rounding of terms of size ``scale`` bounds any float evaluation
+            tol = 64 * np.finfo(float).eps * max(scale, 1.0)
+            assert abs(got[i] - max(exact, 0.0)) <= tol
+            assert abs(got[i] - ref[i]) <= tol
+        assert np.all(got >= 0.0)
+
+    @pytest.mark.parametrize("layout", ["c-rows", "class-major"])
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 29])
+    def test_wrappers_match_row_formulas(self, layout, width):
+        rng = np.random.default_rng(width)
+        block = rng.normal(0, 5, (50, width))
+        block[0] = 700.0
+        block[1] = -700.0
+        e = layouts(block)[layout]
+        before = e.copy()
+        phi, ref = log_partition_rows(e), ref_log_partition_rows(before)
+        if layout == "c-rows":
+            # the sum over the K-1 exponentials runs in the row formula's order
+            np.testing.assert_array_equal(phi, ref)
+        else:
+            # a class-major block sums row after row, which may move the last bit
+            np.testing.assert_allclose(phi, ref, rtol=4 * np.finfo(float).eps)
+        probs = softmax_full_rows(e)
+        assert probs.flags.c_contiguous and probs.shape == (50, width + 1)
+        np.testing.assert_allclose(probs, ref_softmax_full_rows(before),
+                                   rtol=4 * np.finfo(float).eps, atol=1e-300)
+        np.testing.assert_array_equal(e, before)
+
+
 class TestDirectionalDerivatives:
     def test_binary_symmetric_point(self):
         (g1,), (g2,), (g3,) = directional_derivatives_rows([[0.0]], [[1.0]])

@@ -70,7 +70,48 @@ class TestMakeGroundTruth:
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
 
+def reference_sample_covariates(spec, n, rng):
+    """The sampler as written before its first-batch shortcut, line for line."""
+    lam, vec = sym_spectral(spec.sigma)
+    factor = vec * np.sqrt(np.maximum(lam, 0.0))
+    out = np.empty((n, spec.dim))
+    got = 0
+    while got < n:
+        batch = max(n - got, 1000)
+        cand = rng.standard_normal((batch, spec.dim)) @ factor.T
+        keep = cand[np.linalg.norm(cand, axis=1) <= spec.norm_cap]
+        take = min(keep.shape[0], n - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
 class TestSampleCovariates:
+    @pytest.mark.parametrize("cap_factor, n", [
+        pytest.param(3.0, 5000, id="keeps-every-row"),
+        pytest.param(1.0, 5000, id="cap-rejects-rows"),
+        pytest.param(3.0, 7, id="n-below-batch"),
+        pytest.param(1.0, 999, id="n-below-batch-rejects"),
+        pytest.param(3.0, 1000, id="n-equals-batch"),
+    ])
+    def test_bitwise_equal_to_reference_loop(self, cap_factor, n):
+        spec = isotropic_covariates(5, cap_factor=cap_factor)
+        rng_a, rng_b = derive_rng(3, "cov"), derive_rng(3, "cov")
+        x = sample_covariates(spec, n, rng_a)
+        ref = reference_sample_covariates(spec, n, rng_b)
+        assert x.shape == (n, 5) and x.flags.c_contiguous
+        np.testing.assert_array_equal(x, ref)
+        # the stream continues where the reference leaves it, so labels drawn
+        # next from the same generator are unchanged too
+        np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
+        # each case takes the path its name says: the first batch of max(n, 1000)
+        # rows lies inside the cap exactly when no row is rejected
+        lam, vec = sym_spectral(spec.sigma)
+        first = derive_rng(3, "cov").standard_normal((max(n, 1000), 5)) @ (
+            vec * np.sqrt(lam)).T
+        inside = np.linalg.norm(first, axis=1) <= spec.norm_cap
+        assert inside.all() == (cap_factor == 3.0)
+
     def test_mean_near_zero(self):
         spec = isotropic_covariates(2)
         x = sample_covariates(spec, 100_000, derive_rng(5, "cov"))
