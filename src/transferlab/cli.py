@@ -20,6 +20,7 @@ import numpy as np
 from . import harness
 from .errors import ContractViolation, require_keys
 from .diagnostics import (
+    _check_schur_samples,
     empirical_gaussian_complexity_linear,
     measure_excess_risks,
     representation_difference,
@@ -147,6 +148,7 @@ def _cmd_diagnose(args) -> int:
     truth, spec = load_truth(args.truth)
     rep = bundle["rep"]
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
+    _check_schur_samples(n_mc, truth.rep.embed_dim)
     rng_tok = ("cli-diagnose", args.model, args.truth, n_mc)
     rows = []
 

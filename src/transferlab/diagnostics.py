@@ -222,6 +222,12 @@ def representation_difference(
     return _kl_stats(eta_true, z_hat @ alpha)
 
 
+def _check_schur_samples(n_mc: int, r: int) -> None:
+    """Raise unless n_mc covers the 10 r draws the block moments of rank r need."""
+    if n_mc < 10 * r:
+        raise ContractViolation(f"need n_mc >= 10 r = {10 * r} for block moments")
+
+
 def schur_complement_bound(
     rep_hat: Representation,
     truth_rep: Representation,
@@ -237,9 +243,7 @@ def schur_complement_bound(
     Schur complement L = F_hh - F_hhat pinv(F_hathat) F_hath is formed;
     the bound is (k'-1) c0^2/2 sigma_1(L).
     """
-    r = truth_rep.embed_dim
-    if n_mc < 10 * r:
-        raise ContractViolation(f"need n_mc >= 10 r = {10 * r} for block moments")
+    _check_schur_samples(n_mc, truth_rep.embed_dim)
     x = sample_covariates(spec, n_mc, rng)
     h = truth_rep.apply(x)
     h_hat = rep_hat.apply(x)

@@ -164,18 +164,20 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
 
 
 def _head_risk(alpha: np.ndarray, z: np.ndarray, label_stat: np.ndarray
-               ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of the logits z alpha, and their (K-1, n) class-major softmax.
+               ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Mean cross-entropy of the logits z alpha, and their unnormalized softmax.
 
     ``label_stat`` is z^T T / n for the targets T, so the label term
     mean_i t_i . eta_i equals <alpha, label_stat> and needs no pass over
-    the samples. The C-ordered logit block becomes the softmax in place.
+    the samples. The C-ordered logit block becomes the (K-1, n)
+    class-major exponentials ``expo`` in place; with the (n,) denominators
+    ``denom`` the softmax is expo / denom, a division the gradients apply
+    to an n-vector instead of the block.
     """
     logits = alpha.T @ z.T
-    phi, probs, _, denom = _log_partition_cols(logits, out=logits)
+    phi, expo, _, denom = _log_partition_cols(logits, out=logits)
     risk = float(np.mean(phi) - np.vdot(alpha, label_stat))
-    probs /= denom
-    return risk, probs
+    return risk, (expo, denom)
 
 
 def _label_stat(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -183,14 +185,26 @@ def _label_stat(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return z.T @ targets / z.shape[0]
 
 
-def _head_grad(z: np.ndarray, probs: np.ndarray, label_stat: np.ndarray) -> np.ndarray:
-    """Mean-loss gradient w.r.t. the head: (P z)^T / n - z^T T / n."""
-    return (probs @ z).T / z.shape[0] - label_stat
+def _head_grad(z: np.ndarray, soft: tuple[np.ndarray, np.ndarray], label_stat: np.ndarray
+               ) -> np.ndarray:
+    """Mean-loss gradient w.r.t. the head: (P z)^T / n - z^T T / n.
+
+    ``soft`` is the ``(expo, denom)`` pair of ``_head_risk``; P z is formed
+    as expo (z / denom).
+    """
+    expo, denom = soft
+    return (expo @ (z / denom[:, None])).T / z.shape[0] - label_stat
 
 
-def _embed_grad(alpha: np.ndarray, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample loss gradient at the embeddings, (alpha P)^T - T alpha^T."""
-    return (alpha @ probs).T - y @ alpha.T
+def _embed_grad(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray], y: np.ndarray
+                ) -> np.ndarray:
+    """Per-sample loss gradient at the embeddings, (alpha P)^T - T alpha^T.
+
+    ``soft`` is the ``(expo, denom)`` pair of ``_head_risk``; alpha P is
+    formed as (alpha expo) / denom.
+    """
+    expo, denom = soft
+    return ((alpha @ expo) / denom).T - y @ alpha.T
 
 
 def loss_and_grad(rep: Representation, head: LinearHead, x, y):
@@ -207,9 +221,9 @@ def loss_and_grad(rep: Representation, head: LinearHead, x, y):
         raise ContractViolation("label width does not match head logits")
     z, cache = rep.forward(x)
     label_stat = _label_stat(z, y)
-    risk, probs = _head_risk(head.alpha, z, label_stat)
-    grad_alpha = _head_grad(z, probs, label_stat)
-    grad_rep = rep.grad(x, cache, _embed_grad(head.alpha, probs, y))
+    risk, soft = _head_risk(head.alpha, z, label_stat)
+    grad_alpha = _head_grad(z, soft, label_stat)
+    grad_rep = rep.grad(x, cache, _embed_grad(head.alpha, soft, y))
     return risk, grad_alpha, grad_rep
 
 
@@ -325,19 +339,19 @@ def pretrain(
 
     # both objectives read the current iterate of the other block
     def head_objective(cand):
-        risk_c, probs_c = _head_risk(cand, z, label_stat)
+        risk_c, soft_c = _head_risk(cand, z, label_stat)
         reg_c = reg_value(cand)
-        return risk_c - lambda_div * reg_c, (risk_c, probs_c, reg_c)
+        return risk_c - lambda_div * reg_c, (risk_c, soft_c, reg_c)
 
     def rep_objective(cand):
         z_c, cache_c = cand.forward(x)
         stat_c = _label_stat(z_c, y)
-        risk_c, probs_c = _head_risk(alpha, z_c, stat_c)
-        return risk_c, (z_c, cache_c, stat_c, probs_c)
+        risk_c, soft_c = _head_risk(alpha, z_c, stat_c)
+        return risk_c, (z_c, cache_c, stat_c, soft_c)
 
     z, cache = rep.forward(x)
     label_stat = _label_stat(z, y)
-    risk, probs = _head_risk(alpha, z, label_stat)
+    risk, soft = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
     s_head = s_rep = cfg.step_init
     prev_head = prev_rep = None
@@ -347,12 +361,12 @@ def pretrain(
     phase_floor = 0.5 * cfg.grad_tol
 
     for it in range(cfg.max_iters):
-        grad_alpha = _head_grad(z, probs, label_stat)
+        grad_alpha = _head_grad(z, soft, label_stat)
         if lambda_div > 0.0:
             _, reg_grad = logdet_regularizer(alpha, mu)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep = rep.descent(rep.grad(x, cache, _embed_grad(alpha, probs, y)))[0]
+        pg_rep = rep.descent(rep.grad(x, cache, _embed_grad(alpha, soft, y)))[0]
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
@@ -370,11 +384,11 @@ def pretrain(
                 trace.stall("head", found)
                 break
             prev_head = (alpha, grad_alpha)
-            last_step, s_head, alpha, _, (risk, probs, reg) = found
+            last_step, s_head, alpha, _, (risk, soft, reg) = found
 
         # --- representation phase at the fresh head ---
         move_norm, rep_dir, rep_step = rep.descent(
-            rep.grad(x, cache, _embed_grad(alpha, probs, y))
+            rep.grad(x, cache, _embed_grad(alpha, soft, y))
         )
         if move_norm > phase_floor:
             coords = rep.coords
@@ -386,7 +400,7 @@ def pretrain(
                 trace.stall("representation", found)
                 break
             prev_rep = (coords, rep_dir)
-            last_step, s_rep, rep, risk, (z, cache, label_stat, probs) = found
+            last_step, s_rep, rep, risk, (z, cache, label_stat, soft) = found
     else:
         trace.outcome = "max_iters"
 
@@ -415,7 +429,7 @@ def fit_head_on_embeddings(
     alpha = np.zeros((r, targets.shape[1]))
     trace = TrainTrace()
     label_stat = _label_stat(z, targets)
-    risk, probs = _head_risk(alpha, z, label_stat)
+    risk, soft = _head_risk(alpha, z, label_stat)
     s_cur = cfg.step_init
     prev = None
     last_step = 0.0
@@ -424,7 +438,7 @@ def fit_head_on_embeddings(
         return _head_risk(cand, z, label_stat)
 
     for it in range(cfg.max_iters):
-        grad = _head_grad(z, probs, label_stat)
+        grad = _head_grad(z, soft, label_stat)
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
         trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
         if pg <= cfg.grad_tol:
@@ -439,7 +453,7 @@ def fit_head_on_embeddings(
             trace.stall("head fit", found)
             break
         prev = (alpha, grad)
-        last_step, s_cur, alpha, risk, probs = found
+        last_step, s_cur, alpha, risk, soft = found
     else:
         trace.outcome = "max_iters"
     return alpha, trace

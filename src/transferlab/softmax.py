@@ -8,12 +8,21 @@ and the curvature-envelope inequalities that make the loss behave
 quadratically near any point all live here.
 
 One kernel, ``_log_partition_cols``, evaluates Phi in one exp pass. It
-takes a class-major (K-1, N) block, one column per sample, and also
-returns the max-shifted exponentials and denominators of the softmax.
-The training loss passes it a C-ordered block; the ``*_rows`` functions
-pass their (N, K-1) rows transposed, so ``kl_rows(b.T, ...)`` reads a
-class-major block ``b`` without a copy. ``hessian_log_partition`` and
-``kl_quadratic_bounds`` take one 1-D ``eta`` each. All are pure functions.
+takes a class-major (K-1, N) block, one column per sample, and returns
+Phi with the softmax in unnormalized form ``(expo, tail, denom)``: the
+probabilities are expo / denom and tail / denom, and the caller decides
+whether to divide at all (the training loss never does). A block whose
+largest logit is at most ``_SHIFT_FREE_MAX`` is exponentiated as it is:
+after the column max, one exp pass and one column sum, with no subtract;
+any other block, and every block holding a NaN, is max-shifted per
+column against overflow. Columns with
+no positive logit get the same bits either way. The training loss
+passes it a C-ordered block; the ``*_rows`` functions pass their
+(N, K-1) rows transposed, so ``kl_rows(b.T, ...)`` reads a class-major
+block ``b`` without a copy. ``kl_rows`` takes its rows ``_KL_CHUNK`` at
+a time through two buffers allocated once per call, each chunk choosing
+its branch alone. ``hessian_log_partition`` and ``kl_quadratic_bounds``
+take one 1-D ``eta`` each. All are pure functions.
 """
 
 from __future__ import annotations
@@ -47,16 +56,32 @@ def _rows(eta_rows) -> np.ndarray:
     return np.atleast_2d(np.asarray(eta_rows, dtype=np.float64))
 
 
+# Largest logit of a block exponentiated without a shift: exp(300) is
+# about 2e130, so a column sum stays finite for any realistic K and the
+# gradients can scale the unnormalized exponentials by 1/denom afterwards.
+_SHIFT_FREE_MAX = 300.0
+# Columns per kl_rows chunk: two (K-1) x chunk buffers stay resident
+# between chunks and calls instead of being faulted in per call.
+_KL_CHUNK = 2048
+
+
 def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None):
     """Phi of each column of a (K-1, N) logit block, and the softmax parts.
 
-    With shift = max(0, column max), returns ``(phi, expo, tail, denom)``:
-    expo = exp(logits - shift), tail = exp(-shift) for class K, and
-    denom = expo.sum(axis=0) + tail, so phi = shift + log(denom) and the
-    softmax is expo / denom. ``expo`` goes to ``out`` when given (it may
-    be ``logits``); otherwise ``logits`` is left untouched.
+    Returns ``(phi, expo, tail, denom)`` with expo = exp(logits - shift),
+    tail = exp(-shift) for class K and denom = expo.sum(axis=0) + tail, so
+    phi = shift + log(denom) and the softmax is expo / denom. When no logit
+    of the block exceeds ``_SHIFT_FREE_MAX`` the shift is 0 and tail is 1.0
+    (no subtract pass); otherwise, and in every block with a NaN, it is
+    max(0, column max). ``expo`` goes to ``out`` when given (it may be
+    ``logits``); otherwise ``logits`` is left untouched.
     """
     shift = logits.max(axis=0)
+    if shift.max(initial=-np.inf) <= _SHIFT_FREE_MAX:
+        expo = np.exp(logits, out=out)
+        denom = expo.sum(axis=0)
+        denom += 1.0
+        return np.log(denom), expo, 1.0, denom
     np.maximum(shift, 0.0, out=shift)
     expo = np.subtract(logits, shift, out=out)
     np.exp(expo, out=expo)
@@ -91,17 +116,31 @@ def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray
     """Row-wise KL between conditionals, as the Bregman remainder of Phi.
 
     KL[P(.|t), P(.|m)] = Phi(m) - Phi(t) - grad Phi(t).(m - t); tiny
-    negative rounding residues are clamped to zero.
+    negative rounding residues are clamped to zero. The rows are taken
+    ``_KL_CHUNK`` at a time through two buffers allocated once per call,
+    and each chunk picks its kernel branch on its own.
     """
     t, m = _rows(eta_true_rows), _rows(eta_model_rows)
     if t.shape != m.shape:
         raise ContractViolation(f"shape mismatch {t.shape} vs {m.shape}")
-    phi_t, expo_t, _, denom_t = _log_partition_cols(t.T)
-    kl, gap, _, _ = _log_partition_cols(m.T)
-    # the model's exponentials are spent; their buffer takes (m - t) exp(t - shift)
-    np.subtract(m.T, t.T, out=gap)
-    gap *= expo_t
-    kl -= phi_t + gap.sum(axis=0) / denom_t
+    n, width = t.shape
+    kl = np.empty(n)
+    size = width * min(n, _KL_CHUNK)
+    buf_t, buf_m = np.empty(size), np.empty(size)
+    for lo in range(0, n, _KL_CHUNK):
+        ct, cm = t[lo:lo + _KL_CHUNK].T, m[lo:lo + _KL_CHUNK].T
+        cols = ct.shape[1]
+        phi_t, expo_t, _, denom_t = _log_partition_cols(
+            ct, out=buf_t[: width * cols].reshape(width, cols))
+        phi_m, gap, _, _ = _log_partition_cols(
+            cm, out=buf_m[: width * cols].reshape(width, cols))
+        # the model's exponentials are spent; their buffer takes (m - t) exp(t - shift)
+        np.subtract(cm, ct, out=gap)
+        gap *= expo_t
+        inner = gap.sum(axis=0)
+        inner /= denom_t
+        inner += phi_t
+        np.subtract(phi_m, inner, out=kl[lo:lo + cols])
     return np.maximum(kl, 0.0, out=kl)
 
 

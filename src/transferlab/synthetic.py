@@ -298,11 +298,10 @@ def covariate_spec_hash(spec: CovariateSpec) -> str:
 def save_dataset(path, ds: LabeledDataset, spec_hash: str = "") -> None:
     """CSV with a header line and rows x_1,...,x_d,label_index (1-based)."""
     labels = np.where(ds.y.sum(axis=1) > 0, ds.y.argmax(axis=1) + 1, ds.k)
+    line = ",".join(["%.17g"] * ds.dim) + ",%d\n"
     with open(path, "w") as fh:
         fh.write(f"# d={ds.dim} K={ds.k} n={ds.n} seed={ds.seed} spec={spec_hash}\n")
-        for row, lab in zip(ds.x, labels):
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write(f",{int(lab)}\n")
+        fh.writelines(line % (*row, lab) for row, lab in zip(ds.x.tolist(), labels.tolist()))
 
 
 def save_truth(path, truth: GroundTruth, spec: CovariateSpec) -> None:

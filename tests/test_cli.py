@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from transferlab import cli
 from transferlab.cli import main
 from transferlab.harness import default_config
 from transferlab.model_space import MlpRep, load_bundle
@@ -362,3 +363,26 @@ def test_diagnose_rejects_mc_samples_below_one(tmp_path, samples, capsys):
             "--config", str(tmp_path / "c.json"), "--mc-samples", samples]
     assert main(argv) == 1
     assert "--mc-samples" in capsys.readouterr().err
+
+
+def test_diagnose_rejects_too_few_mc_samples_before_any_work(tmp_path, micro_config,
+                                                             monkeypatch, capsys):
+    # r = 2 needs n_mc >= 20 for the Schur block moments
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    doc = json.loads(truth.read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({k: doc[k] for k in ("rep", "pre_head", "down_head")}))
+    called = []
+    for name in ("measure_excess_risks", "representation_difference"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
+    out = tmp_path / "diag.csv"
+    assert main([
+        "diagnose", "--model", str(model), "--truth", str(truth), "--out", str(out),
+        "--config", micro_config, "--mc-samples", "19",
+    ]) == 1
+    assert "n_mc >= 10 r = 20" in capsys.readouterr().err
+    assert called == []
+    assert not out.exists()

@@ -17,7 +17,7 @@ from transferlab.model_space import (
     diversity_parameter,
 )
 from transferlab.rngutil import derive_rng
-from transferlab.softmax import cross_entropy_rows, softmax_full_rows
+from transferlab.softmax import _SHIFT_FREE_MAX, cross_entropy_rows, softmax_full_rows
 from transferlab.synthetic import (
     LabeledDataset,
     isotropic_covariates,
@@ -27,6 +27,8 @@ from transferlab.synthetic import (
 from transferlab import erm
 from transferlab.erm import (
     _bb_step,
+    _embed_grad,
+    _head_grad,
     _head_risk,
     _label_stat,
     TrainTrace,
@@ -181,18 +183,39 @@ class TestHeadRiskKernel:
         t = mixed_targets(rng, n, k_minus_1)
         # an identity head makes the class-major logits exactly eta^T
         alpha = np.eye(k_minus_1)
-        risk, probs = _head_risk(alpha, eta, _label_stat(eta, t))
+        risk, (expo, denom) = _head_risk(alpha, eta, _label_stat(eta, t))
         ref = float(cross_entropy_rows(eta, t).mean())
         # the risk is a difference of terms as large as max |eta|
         assert abs(risk - ref) <= 1e-12 * max(abs(ref), scale, 1.0)
-        assert probs.shape == (k_minus_1, n)
+        assert expo.shape == (k_minus_1, n) and denom.shape == (n,)
         np.testing.assert_allclose(
-            probs.T, softmax_full_rows(eta)[:, :-1], rtol=1e-12, atol=1e-300
+            (expo / denom).T, softmax_full_rows(eta)[:, :-1], rtol=1e-12, atol=1e-300
         )
 
     @staticmethod
     def _reference_head_risk(alpha, z, label_stat):
-        """The kernel as written before it moved into softmax, line for line."""
+        """The kernel's two branches as _head_risk takes them, line for line."""
+        expo = alpha.T @ z.T
+        shift = expo.max(axis=0)
+        if shift.max(initial=-np.inf) <= _SHIFT_FREE_MAX:
+            np.exp(expo, out=expo)
+            denom = expo.sum(axis=0)
+            denom += 1.0
+            return float(np.mean(np.log(denom)) - np.vdot(alpha, label_stat)), expo, denom
+        np.maximum(shift, 0.0, out=shift)
+        expo -= shift
+        np.exp(expo, out=expo)
+        denom = expo.sum(axis=0)
+        denom += np.exp(-shift)
+        risk = float(np.mean(shift + np.log(denom)) - np.vdot(alpha, label_stat))
+        return risk, expo, denom
+
+    @staticmethod
+    def _parent_head_risk(alpha, z, label_stat):
+        """The always-shifted, normalized kernel the shift-free branch replaced.
+
+        Also returns the size of the two terms whose difference is the risk.
+        """
         probs = alpha.T @ z.T
         shift = probs.max(axis=0)
         np.maximum(shift, 0.0, out=shift)
@@ -200,9 +223,10 @@ class TestHeadRiskKernel:
         np.exp(probs, out=probs)
         denom = probs.sum(axis=0)
         denom += np.exp(-shift)
-        risk = float(np.mean(shift + np.log(denom)) - np.vdot(alpha, label_stat))
+        phi = shift + np.log(denom)
+        label = np.vdot(alpha, label_stat)
         probs /= denom
-        return risk, probs
+        return float(np.mean(phi) - label), probs, float(np.mean(np.abs(phi)) + abs(label))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -218,13 +242,49 @@ class TestHeadRiskKernel:
         alpha = rng.uniform(-scale, scale, (r, k_minus_1))
         stat = _label_stat(z, mixed_targets(rng, n, k_minus_1))
         before = alpha.copy(), z.copy()
-        risk, probs = _head_risk(alpha, z, stat)
-        ref_risk, ref_probs = self._reference_head_risk(alpha, z, stat)
+        risk, (expo, denom) = _head_risk(alpha, z, stat)
+        ref_risk, ref_expo, ref_denom = self._reference_head_risk(alpha, z, stat)
         assert risk == ref_risk or (math.isnan(risk) and math.isnan(ref_risk))
-        np.testing.assert_array_equal(probs, ref_probs)
-        assert probs.flags.c_contiguous
+        np.testing.assert_array_equal(expo, ref_expo)
+        np.testing.assert_array_equal(denom, ref_denom)
+        assert expo.flags.c_contiguous
         np.testing.assert_array_equal(alpha, before[0])
         np.testing.assert_array_equal(z, before[1])
+        # against the parent formula: a few ulps, where the parent's own
+        # rounding of logit - shift is relative to the logits' size
+        old_risk, old_probs, terms = self._parent_head_risk(alpha, z, stat)
+        eps = np.finfo(float).eps
+        assert abs(risk - old_risk) <= 8 * eps * terms
+        size = 1.0 + float(np.abs(alpha.T @ z.T).max())
+        np.testing.assert_allclose(expo / denom, old_probs, rtol=8 * eps * size, atol=1e-300)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 200),
+        st.integers(1, 6),
+        st.integers(1, 30),
+        st.floats(0.0, 700.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gradients_match_normalized_formula(self, seed, n, r, k_minus_1, scale):
+        # the gradients scale by 1/denom after the product; the parent
+        # divided the block first and multiplied the probabilities
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, r))
+        alpha = rng.uniform(-scale, scale, (r, k_minus_1))
+        y = mixed_targets(rng, n, k_minus_1)
+        stat = _label_stat(z, y)
+        _, soft = _head_risk(alpha, z, stat)
+        _, probs, _ = self._parent_head_risk(alpha, z, stat)
+        tol = 1e-13
+        pz, ref_head = (probs @ z).T / n, (probs @ z).T / n - stat
+        head = _head_grad(z, soft, stat)
+        assert np.linalg.norm(head - ref_head) <= tol * (
+            np.linalg.norm(pz) + np.linalg.norm(stat))
+        ap, ya = (alpha @ probs).T, y @ alpha.T
+        embed = _embed_grad(alpha, soft, y)
+        assert np.linalg.norm(embed - (ap - ya)) <= tol * (
+            np.linalg.norm(ap) + np.linalg.norm(ya))
 
     @pytest.mark.parametrize("kind", ["subspace", "mlp"])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))

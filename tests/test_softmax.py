@@ -13,9 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferlab import softmax
 from transferlab.errors import ContractViolation
 from transferlab.linalg import sym_spectral
 from transferlab.softmax import (
+    _KL_CHUNK,
+    _SHIFT_FREE_MAX,
+    _log_partition_cols,
     _max_curvature_ratio,
     cross_entropy_rows,
     directional_derivatives_rows,
@@ -320,6 +324,152 @@ class TestClassMajorKernels:
         np.testing.assert_allclose(probs, ref_softmax_full_rows(before),
                                    rtol=4 * np.finfo(float).eps, atol=1e-300)
         np.testing.assert_array_equal(e, before)
+
+
+def parent_log_partition_cols(logits):
+    """The always-shifted column kernel the shift-free branch replaced, line for line."""
+    shift = logits.max(axis=0)
+    np.maximum(shift, 0.0, out=shift)
+    expo = np.subtract(logits, shift)
+    np.exp(expo, out=expo)
+    tail = np.exp(-shift)
+    denom = expo.sum(axis=0)
+    denom += tail
+    return shift + np.log(denom), expo, tail, denom
+
+
+def assert_kernel_outputs_equal(got, ref):
+    """Bitwise equality of (phi, expo, tail, denom); a scalar tail is broadcast."""
+    phi, expo, tail, denom = got
+    np.testing.assert_array_equal(phi, ref[0])
+    np.testing.assert_array_equal(expo, ref[1])
+    np.testing.assert_array_equal(np.broadcast_to(tail, denom.shape), ref[2])
+    np.testing.assert_array_equal(denom, ref[3])
+
+
+def column_oracle(col):
+    """Phi of one logit column and its K softmax probabilities, at 60 digits."""
+    with mpmath.workdps(60):
+        e = [mpmath.mpf(float(v)) for v in col]
+        phi = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in e))
+        probs = [mpmath.exp(v - phi) for v in e] + [mpmath.exp(-phi)]
+        return float(phi), np.array([float(p) for p in probs])
+
+
+class TestShiftFreeBranch:
+    """_log_partition_cols on both sides of _SHIFT_FREE_MAX, against mpmath and the parent kernel."""
+
+    BELOW = float(np.nextafter(_SHIFT_FREE_MAX, -np.inf))
+    ABOVE = float(np.nextafter(_SHIFT_FREE_MAX, np.inf))
+
+    @pytest.mark.parametrize("top", [BELOW, _SHIFT_FREE_MAX, ABOVE], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("width", [1, 6])
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_matches_oracle_on_both_sides(self, top, width, n):
+        rng = np.random.default_rng(width * 100 + n)
+        block = np.minimum(rng.normal(0, 80, (width, n)), top)
+        block[rng.integers(width), rng.integers(n)] = top
+        before = block.copy()
+        got = _log_partition_cols(block)
+        np.testing.assert_array_equal(block, before)
+        phi, expo, tail, denom = got
+        if top <= _SHIFT_FREE_MAX:
+            np.testing.assert_array_equal(expo, np.exp(block))
+            assert tail == 1.0
+        else:
+            assert_kernel_outputs_equal(got, parent_log_partition_cols(block))
+        probs = np.vstack([expo, np.broadcast_to(tail, denom.shape)]) / denom
+        eps = np.finfo(float).eps
+        for j in range(n):
+            exact_phi, exact_probs = column_oracle(block[:, j])
+            assert abs(phi[j] - exact_phi) <= 4 * eps * max(abs(exact_phi), 1.0)
+            # the shifted branch rounds logit - shift before its exp
+            np.testing.assert_allclose(probs[:, j], exact_probs, atol=1e-300,
+                                       rtol=8 * eps * (1.0 + np.abs(block[:, j]).max()))
+
+    @pytest.mark.parametrize("width", [1, 6])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_nonpositive_columns_keep_their_bits(self, width, n):
+        # columns with max <= 0 had shift 0 in the parent kernel too
+        rng = np.random.default_rng(width + n)
+        block = -np.abs(rng.normal(0, 30, (width, n)))
+        if n:
+            block[0, 0] = 0.0
+            block[:, -1] = -np.inf
+        assert_kernel_outputs_equal(_log_partition_cols(block), parent_log_partition_cols(block))
+        if n > 1:
+            # next to columns with a positive max below the bound
+            mixed = block.copy()
+            mixed[:, 1::2] = rng.uniform(0.0, _SHIFT_FREE_MAX, (width, mixed[:, 1::2].shape[1]))
+            got = _log_partition_cols(mixed)
+            ref = parent_log_partition_cols(mixed)
+            keep = mixed.max(axis=0) <= 0.0
+            for part, ref_part in zip(got, ref):
+                np.testing.assert_array_equal(np.broadcast_to(part, ref_part.shape)[..., keep],
+                                              ref_part[..., keep])
+
+    @pytest.mark.parametrize("top", [1.0, 700.0])
+    def test_nan_takes_the_parent_path(self, top):
+        block = np.array([[np.nan, 1.0, -2.0], [0.5, top, -1.0]])
+        assert_kernel_outputs_equal(_log_partition_cols(block), parent_log_partition_cols(block))
+
+
+class TestChunkedKl:
+    """kl_rows in _KL_CHUNK-column chunks against one-chunk evaluations."""
+
+    N = 2 * _KL_CHUNK + 1
+
+    def crossing_rows(self, crossing):
+        lo = crossing * _KL_CHUNK
+        return min(lo + 7, self.N - 1), min(lo + 9, self.N - 1)
+
+    def pair(self, rng, crossing):
+        t = rng.normal(0, 3, (self.N, 5))
+        m = t + rng.normal(0, 0.5, t.shape)
+        if crossing is not None:
+            # one chunk holds logits above the bound, in both arguments
+            row_t, row_m = self.crossing_rows(crossing)
+            t[row_t, 2] = _SHIFT_FREE_MAX + 100.0
+            m[row_m, 0] = _SHIFT_FREE_MAX + 50.0
+        return t, m
+
+    @pytest.mark.parametrize("crossing", [None, 0, 1, 2], ids=["none", "first", "middle", "last"])
+    @pytest.mark.parametrize("layout", ["c-rows", "class-major"])
+    def test_rows_equal_one_chunk_evaluations(self, crossing, layout, monkeypatch):
+        rng = np.random.default_rng(11 if crossing is None else crossing)
+        t, m = (layouts(a)[layout] for a in self.pair(rng, crossing))
+        before = t.copy(), m.copy()
+        got = kl_rows(t, m)
+        np.testing.assert_array_equal(t, before[0])
+        np.testing.assert_array_equal(m, before[1])
+        assert got.shape == (self.N,)
+        # each chunk as a call of its own takes the same branch and bits
+        for lo in range(0, self.N, _KL_CHUNK):
+            hi = lo + _KL_CHUNK
+            np.testing.assert_array_equal(got[lo:hi], kl_rows(t[lo:hi], m[lo:hi]))
+        # the whole block as one chunk
+        monkeypatch.setattr(softmax, "_KL_CHUNK", self.N)
+        whole = kl_rows(t, m)
+        if crossing is None:
+            np.testing.assert_array_equal(got, whole)
+        else:
+            # the crossing chunk is shifted in both; the others move at the last bits
+            lo = crossing * _KL_CHUNK
+            np.testing.assert_array_equal(got[lo:lo + _KL_CHUNK], whole[lo:lo + _KL_CHUNK])
+        ref = ref_kl_rows(np.array(before[0]), np.array(before[1]))
+        rows = {0, _KL_CHUNK - 1, _KL_CHUNK, 2 * _KL_CHUNK - 1, 2 * _KL_CHUNK, self.N - 1,
+                *rng.integers(0, self.N, 20).tolist()}
+        if crossing is not None:
+            rows |= set(self.crossing_rows(crossing))
+        for i in sorted(rows):
+            exact, scale = kl_oracle(t[i], m[i])
+            tol = 64 * np.finfo(float).eps * max(scale, 1.0)
+            assert abs(got[i] - max(exact, 0.0)) <= tol
+            assert abs(whole[i] - max(exact, 0.0)) <= tol
+            assert abs(got[i] - ref[i]) <= tol
+
+    def test_empty_rows(self):
+        assert kl_rows(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
 
 
 class TestDirectionalDerivatives:

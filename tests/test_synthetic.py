@@ -18,6 +18,7 @@ from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows
 from transferlab.synthetic import (
     CovariateSpec,
+    LabeledDataset,
     isotropic_covariates,
     load_dataset,
     load_truth,
@@ -234,6 +235,35 @@ class TestDatasetIo:
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.k == ds.k
         assert back.seed == "s16"
+
+    @staticmethod
+    def _parent_rows(ds):
+        """The data lines as the per-value loop before one format string wrote them."""
+        labels = np.where(ds.y.sum(axis=1) > 0, ds.y.argmax(axis=1) + 1, ds.k)
+        lines = []
+        for row, lab in zip(ds.x, labels):
+            lines.append(",".join(format(v, ".17g") for v in row) + f",{int(lab)}\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_bytes_equal_per_value_loop(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        special = [-0.0, 0.0, 3.0, -17.0, 1e300, -1e-300, 1e-300, 2.0**-1074, 0.1, 1 / 3]
+        x = np.concatenate([
+            np.resize(special, (len(special), d)),
+            rng.integers(-1000, 1000, (30, d)).astype(float),
+            rng.normal(0, 1, (30, d)),
+        ])
+        y = np.zeros((x.shape[0], 3))
+        labels = rng.integers(0, 4, x.shape[0])
+        y[labels < 3, labels[labels < 3]] = 1.0
+        ds = LabeledDataset(x, y, 4, seed="s")
+        path = tmp_path / "d.csv"
+        save_dataset(path, ds)
+        header, body = path.read_text().split("\n", 1)
+        assert header == "# d=%d K=4 n=70 seed=s spec=" % d
+        assert body == self._parent_rows(ds)
+        assert body.startswith("-0,") and "e+300," in body and "e-300," in body
 
     def test_label_indices_one_based(self, tmp_path):
         rng = derive_rng(17, "io")
