@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_keys, require_numbers
 from .linalg import pinv_psd, singular_values
 from .model_space import LinearHead, Representation
 from .softmax import kl_rows, softmax_full_rows
@@ -42,7 +42,6 @@ __all__ = [
     "chain_rule_check",
     "BoundParams",
     "evaluate_risk_bound",
-    "DEFAULT_PROFILE",
 ]
 
 
@@ -281,9 +280,10 @@ def chain_rule_check(
 ) -> ChainRuleReport:
     """Numerically verify the composite-complexity decomposition.
 
-    For finite candidate sets both sides are computable: the left side is
-    the Monte Carlo Gaussian complexity of the composed class; the right
-    side is 8 sqrt(k-1) D / n^2 + 512 log(n) (L(F) G_n(H) + Gbar_n(F))
+    The candidates are d x r representation matrices (H) and r x (k-1)
+    head matrices (F). Both sides are computable for finite sets: the left
+    side is the Monte Carlo Gaussian complexity of the composed class; the
+    right side is 8 sqrt(k-1) D / n^2 + 512 log(n) (L(F) G_n(H) + Gbar_n(F))
     with L(F) the largest head spectral norm and D the largest composed
     output norm. Passes when lhs <= rhs + 3 combined standard errors.
     """
@@ -293,17 +293,8 @@ def chain_rule_check(
         raise ContractViolation("candidate sets must stay small (<= 100)")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-
-    def embed(h):
-        if hasattr(h, "apply"):
-            return h.apply(x)
-        return x @ np.asarray(h, dtype=np.float64)
-
-    h_outputs = [embed(h) for h in h_candidates]
-    alphas = [
-        f.alpha if isinstance(f, LinearHead) else np.asarray(f, dtype=np.float64)
-        for f in f_candidates
-    ]
+    h_outputs = [x @ np.asarray(h, dtype=np.float64) for h in h_candidates]
+    alphas = [np.asarray(f, dtype=np.float64) for f in f_candidates]
     k_minus_1 = alphas[0].shape[1]
 
     composite = [z @ a for z in h_outputs for a in alphas]
@@ -340,7 +331,7 @@ def chain_rule_check(
 
 # --- closed-form risk-rate evaluators ---------------------------------------
 
-DEFAULT_PROFILE: dict[str, float] = {
+_DEFAULT_PROFILE: dict[str, float] = {
     "rep_complexity": 1.0,
     "head_complexity": 1.0,
     "tail": 1.0,
@@ -389,10 +380,14 @@ def evaluate_risk_bound(
     truth. ``nu_tilde = 0``
     returns infinity.
     """
-    unknown = set(profile or {}) - set(DEFAULT_PROFILE)
+    profile = profile or {}
+    require_keys(profile, (), "bound profile")
+    unknown = set(profile) - set(_DEFAULT_PROFILE)
     if unknown:
         raise ContractViolation(f"unknown bound profile keys {sorted(unknown)}")
-    prof = {**DEFAULT_PROFILE, **(profile or {})}
+    for key, value in profile.items():
+        require_numbers(value, 0, f"bound profile {key}")
+    prof = {**_DEFAULT_PROFILE, **profile}
     p = params
     if p.nu_tilde == 0.0:
         return math.inf

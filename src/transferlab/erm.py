@@ -1,13 +1,13 @@
-"""Two-stage empirical risk minimization.
+"""Two-stage empirical risk minimization through one descent loop.
 
-Stage one jointly fits (representation, head) on the pre-training task
-by alternating projected/retracted gradient descent with backtracking
-line search, optionally adding the spectral diversity regularizer
-``-lambda * ln det(alpha alpha^T + mu I)`` to the objective. Stage two
-freezes the representation and fits a column-capped head on the
-downstream task, a convex problem solved by projected gradient descent.
-A no-pretraining baseline fits a full-dimensional linear predictor with
-the same machinery.
+``_descend`` is the only optimizer: projected/retracted gradient descent
+with backtracking line search from the zero head, optionally adding the
+spectral diversity regularizer ``-lambda * ln det(alpha alpha^T + mu I)``
+to the objective. Stage one (``pretrain``) runs it on (representation,
+head), alternating a head phase and a representation phase. Stage two
+is the same loop with the representation frozen: the head phase alone on
+the embeddings, a convex problem. A no-pretraining baseline fits a
+full-dimensional linear predictor the same way on the raw covariates.
 
 Every line search starts from a Barzilai-Borwein step of its own block
 (``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
@@ -99,6 +99,9 @@ class HypothesisConfig:
             raise ContractViolation(f"unknown hypothesis kind {self.kind!r}")
         if self.kind == "mlp" and len(self.mlp_caps) != len(self.mlp_widths) + 1:
             raise ContractViolation("mlp needs one cap per layer (hidden + output)")
+        if not (all(type(w) is int and w > 0 for w in self.mlp_widths)
+                and all(0 < c < np.inf for c in self.mlp_caps)):
+            raise ContractViolation("mlp widths must be positive integers, caps finite and > 0")
 
 
 @dataclass
@@ -291,51 +294,28 @@ def _backtrack(objective, current_value, direction_step, cfg, step0):
     return "line search hit minimum step without decrease"
 
 
-def pretrain(
-    dataset: LabeledDataset,
-    hypothesis: HypothesisConfig,
-    lambda_div: float,
-    cfg: OptimConfig,
-    rng: np.random.Generator,
-) -> PretrainResult:
-    """Stage-one ERM: alternating head / representation descent.
+def _descend(x, y, cap, lambda_div, cfg, rep=None):
+    """Projected descent from the zero head; returns ``(rep, alpha, trace)``.
 
-    The minimized objective is mean cross-entropy minus
-    ``lambda_div * ln det(alpha alpha^T + mu I)``. The head is projected
-    onto its column-norm ball after every step; the representation is
-    retracted onto the orthonormal frames (subspace) or projected onto its
-    norm caps (MLP). The trace records risk, regularizer value, combined
-    projected-gradient norm, accepted step, and the running least Gram
-    eigenvalue of the head. The representation's Barzilai-Borwein secant
-    pair is its family's ``coords`` and ``descent`` gradient. Line-search
-    failure stalls the run and returns the current iterate with the stall
-    recorded.
+    The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
+    alpha^T + mu I)``. Each iteration runs a head phase (regularizer
+    included, columns projected onto the cap) and then, when ``rep`` is
+    given, a representation phase at the fresh head through the family's
+    ``descent``; the representation's Barzilai-Borwein secant pair is its
+    ``coords`` and ``descent`` gradient. Without ``rep`` the rows of ``x``
+    are the embeddings and the representation stays frozen, which is the
+    head fit of stage two. The trace records risk, regularizer value,
+    combined projected-gradient norm, accepted step, and the running
+    least Gram eigenvalue of the head. Line-search failure stalls the run
+    and returns the current iterate with the stall recorded.
     """
-    if dataset.n < 1:
-        raise ContractViolation("dataset is empty")
-    x, y = dataset.x, dataset.y
-    d = x.shape[1]
-    k_minus_1 = y.shape[1]
-    r = hypothesis.embed_dim
-    if lambda_div < 0:
-        raise ContractViolation("lambda must be nonnegative")
-    if lambda_div > 0 and r > k_minus_1:
-        raise ContractViolation(
-            f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
-        )
-    cap = hypothesis.head_cap
     mu = cfg.ridge_mu
-    if hypothesis.kind == "subspace":
-        rep = SubspaceRep.random(d, r, rng)
-    else:
-        rep = MlpRep.random(d, (*hypothesis.mlp_widths, r), hypothesis.mlp_caps, rng)
-    alpha = np.zeros((r, k_minus_1))
     trace = TrainTrace()
 
     def reg_value(a):
         if lambda_div == 0.0:
             return 0.0
-        return logdet_psd(a @ a.T + mu * np.eye(r))
+        return logdet_psd(a @ a.T + mu * np.eye(a.shape[0]))
 
     # both objectives read the current iterate of the other block
     def head_objective(cand):
@@ -349,15 +329,16 @@ def pretrain(
         risk_c, soft_c = _head_risk(alpha, z_c, stat_c)
         return risk_c, (z_c, cache_c, stat_c, soft_c)
 
-    z, cache = rep.forward(x)
+    z, cache = (x, None) if rep is None else rep.forward(x)
+    alpha = np.zeros((z.shape[1], y.shape[1]))
     label_stat = _label_stat(z, y)
     risk, soft = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
     s_head = s_rep = cfg.step_init
     prev_head = prev_rep = None
     last_step = 0.0
-    # a phase with projected gradient this far under tol cannot make
-    # progress distinguishable from rounding; skip it instead of stalling
+    # a phase with projected gradient this far under tol cannot beat the
+    # rounding: skip it, not stall (a NaN one runs the head phase and stalls)
     phase_floor = 0.5 * cfg.grad_tol
 
     for it in range(cfg.max_iters):
@@ -366,7 +347,9 @@ def pretrain(
             _, reg_grad = logdet_regularizer(alpha, mu)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep = rep.descent(rep.grad(x, cache, _embed_grad(alpha, soft, y)))[0]
+        pg_rep = 0.0 if rep is None else rep.descent(
+            rep.grad(x, cache, _embed_grad(alpha, soft, y))
+        )[0]
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
@@ -374,7 +357,7 @@ def pretrain(
             break
 
         # --- head phase (objective includes the regularizer term) ---
-        if pg_head > phase_floor:
+        if not pg_head <= phase_floor:
             found = _backtrack(
                 head_objective, risk - lambda_div * reg,
                 _capped_step(alpha, grad_alpha, cap), cfg,
@@ -385,6 +368,8 @@ def pretrain(
                 break
             prev_head = (alpha, grad_alpha)
             last_step, s_head, alpha, _, (risk, soft, reg) = found
+        if rep is None:
+            continue
 
         # --- representation phase at the fresh head ---
         move_norm, rep_dir, rep_step = rep.descent(
@@ -403,8 +388,41 @@ def pretrain(
             last_step, s_rep, rep, risk, (z, cache, label_stat, soft) = found
     else:
         trace.outcome = "max_iters"
+    return rep, alpha, trace
 
-    return PretrainResult(rep, LinearHead(alpha, cap), trace)
+
+def pretrain(
+    dataset: LabeledDataset,
+    hypothesis: HypothesisConfig,
+    lambda_div: float,
+    cfg: OptimConfig,
+    rng: np.random.Generator,
+) -> PretrainResult:
+    """Stage-one ERM: alternating head / representation descent (``_descend``).
+
+    The head is projected onto its column-norm ball after every step; the
+    representation is retracted onto the orthonormal frames (subspace) or
+    projected onto its norm caps (MLP), starting from a random draw.
+    """
+    if dataset.n < 1:
+        raise ContractViolation("dataset is empty")
+    k_minus_1 = dataset.y.shape[1]
+    r = hypothesis.embed_dim
+    if lambda_div < 0:
+        raise ContractViolation("lambda must be nonnegative")
+    if lambda_div > 0 and r > k_minus_1:
+        raise ContractViolation(
+            f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
+        )
+    d = dataset.x.shape[1]
+    if hypothesis.kind == "subspace":
+        rep = SubspaceRep.random(d, r, rng)
+    else:
+        rep = MlpRep.random(d, (*hypothesis.mlp_widths, r), hypothesis.mlp_caps, rng)
+    rep, alpha, trace = _descend(
+        dataset.x, dataset.y, hypothesis.head_cap, lambda_div, cfg, rep
+    )
+    return PretrainResult(rep, LinearHead(alpha, hypothesis.head_cap), trace)
 
 
 def fit_head_on_embeddings(
@@ -417,45 +435,16 @@ def fit_head_on_embeddings(
 
     ``targets`` may be one-hot rows or soft class probabilities; the
     objective mean(Phi(eta) - targets . eta) reduces to the empirical
-    cross-entropy in the one-hot case.
+    cross-entropy in the one-hot case. This is ``_descend`` with the
+    representation frozen and no regularizer.
     """
     z = np.asarray(z, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if z.ndim != 2 or targets.ndim != 2 or z.shape[0] != targets.shape[0]:
         raise ContractViolation("embeddings and targets must be matching blocks")
-    n, r = z.shape
-    if n < 1:
+    if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")
-    alpha = np.zeros((r, targets.shape[1]))
-    trace = TrainTrace()
-    label_stat = _label_stat(z, targets)
-    risk, soft = _head_risk(alpha, z, label_stat)
-    s_cur = cfg.step_init
-    prev = None
-    last_step = 0.0
-
-    def objective(cand):
-        return _head_risk(cand, z, label_stat)
-
-    for it in range(cfg.max_iters):
-        grad = _head_grad(z, soft, label_stat)
-        pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
-        trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
-        if pg <= cfg.grad_tol:
-            trace.outcome = "converged"
-            break
-
-        found = _backtrack(
-            objective, risk, _capped_step(alpha, grad, cap), cfg,
-            _bb_step(alpha, grad, prev, s_cur, cfg),
-        )
-        if isinstance(found, str):
-            trace.stall("head fit", found)
-            break
-        prev = (alpha, grad)
-        last_step, s_cur, alpha, risk, soft = found
-    else:
-        trace.outcome = "max_iters"
+    _, alpha, trace = _descend(z, targets, cap, 0.0, cfg)
     return alpha, trace
 
 
@@ -466,8 +455,6 @@ def fit_downstream_head(
     cfg: OptimConfig,
 ) -> tuple[LinearHead, TrainTrace]:
     """Stage two: fit a capped head on the frozen representation."""
-    if dataset.n < 1:
-        raise ContractViolation("downstream dataset is empty")
     z = rep.apply(dataset.x)
     alpha, trace = fit_head_on_embeddings(z, dataset.y, cap, cfg)
     return LinearHead(alpha, cap), trace
@@ -477,7 +464,5 @@ def train_baseline(
     dataset: LabeledDataset, cap: float, cfg: OptimConfig
 ) -> tuple[LinearHead, TrainTrace]:
     """No-pretraining comparator: capped linear predictor on raw covariates."""
-    if dataset.n < 1:
-        raise ContractViolation("baseline dataset is empty")
     alpha, trace = fit_head_on_embeddings(dataset.x, dataset.y, cap, cfg)
     return LinearHead(alpha, cap), trace

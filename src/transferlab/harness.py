@@ -29,6 +29,8 @@ from .errors import (
     InfeasibleDiversityError,
     InfeasibleSamplingError,
     check_scalars,
+    require_keys,
+    require_numbers,
 )
 from .model_space import SubspaceRep, diversity_parameter, principal_angles
 from .rngutil import derive_rng
@@ -128,8 +130,8 @@ class SweepConfig:
             raise ContractViolation("trials must be >= 1")
         for key in GRID_KEYS:
             values = self.grid.get(key)
-            if not values:
-                raise ContractViolation(f"grid is missing values for {key!r}")
+            if not isinstance(values, list) or not values:
+                raise ContractViolation(f"grid needs a nonempty list of values for {key!r}")
             # the regularizer weight may be zero; everything else is positive
             floor = 0.0 if key == "lambda_div" else 1e-300
             for v in values:
@@ -161,6 +163,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
+        require_keys(doc, (), "config")
         base = default_config()
         unknown = set(doc) - set(base)
         if unknown:
@@ -191,12 +194,13 @@ class SweepConfig:
         return OptimConfig(**self.head_optimizer)
 
     def hypothesis_config(self, embed_dim: int, head_cap: float) -> HypothesisConfig:
+        hyp = self.hypothesis
         return HypothesisConfig(
-            kind=self.hypothesis["kind"],
+            kind=hyp["kind"],
             embed_dim=embed_dim,
             head_cap=head_cap,
-            mlp_widths=tuple(self.hypothesis["mlp_widths"]),
-            mlp_caps=tuple(self.hypothesis["mlp_caps"]),
+            mlp_widths=tuple(require_numbers(hyp["mlp_widths"], 1, "hypothesis.mlp_widths")),
+            mlp_caps=tuple(require_numbers(hyp["mlp_caps"], 1, "hypothesis.mlp_caps")),
         )
 
     def risk_bound(self, cell: dict, nu_tilde: float, norm_cap: float) -> float:
@@ -425,13 +429,16 @@ def load_records_csv(path) -> list[ExperimentRecord]:
         if tuple(header) != _CSV_FIELDS:
             raise ContractViolation(f"unexpected records header in {path}")
         records = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(_CSV_FIELDS):
                 raise ContractViolation(f"malformed records row in {path}: {line!r}")
             row = dict(zip(_CSV_FIELDS, parts))
-            params = {key: float(row.pop(key)) for key in GRID_KEYS}
-            values = {name: _PARSERS[kinds[name]](text) for name, text in row.items()}
+            try:
+                params = {key: float(row.pop(key)) for key in GRID_KEYS}
+                values = {name: _PARSERS[kinds[name]](text) for name, text in row.items()}
+            except ValueError as exc:
+                raise ContractViolation(f"{path} line {lineno}: {exc}") from None
             records.append(ExperimentRecord(params=params, **values))
     return records
 

@@ -23,6 +23,8 @@ __all__ = [
 
 _SYM_RTOL = 1e-10
 _RANK_RTOL = 1e-12
+# relative eigenvalue floor below which pinv_psd treats a direction as null
+_PINV_TOL = 1e-10
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -90,10 +92,10 @@ def orthonormalize(m) -> np.ndarray:
     return q * signs
 
 
-def pinv_psd(m, tol: float = 1e-10) -> np.ndarray:
+def pinv_psd(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
-    Eigenvalues below ``tol * lambda_max`` are treated as zero.
+    Eigenvalues below ``_PINV_TOL * lambda_max`` are treated as zero.
     """
     a = _check_symmetric(as_matrix(m, "pinv_psd input"), "pinv_psd input")
     lam, vec = np.linalg.eigh(a)
@@ -103,7 +105,7 @@ def pinv_psd(m, tol: float = 1e-10) -> np.ndarray:
             f"matrix is not PSD: lambda_min = {lam[0]:.3e}, lambda_max = {lmax:.3e}"
         )
     inv = np.zeros_like(lam)
-    keep = lam > tol * max(lmax, 0.0)
+    keep = lam > _PINV_TOL * max(lmax, 0.0)
     inv[keep] = 1.0 / lam[keep]
     return (vec * inv) @ vec.T
 

@@ -34,10 +34,7 @@ __all__ = [
     "LinearHead",
     "diversity_parameter",
     "cap_columns",
-    "cap_mlp_weights",
     "principal_angles",
-    "row_sum_norm",
-    "output_norm_bound",
     "component_to_payload",
     "component_from_payload",
     "save_bundle",
@@ -54,12 +51,12 @@ def _as_input(x, dim: int) -> np.ndarray:
     return x
 
 
-def row_sum_norm(w: np.ndarray) -> float:
+def _row_sum_norm(w: np.ndarray) -> float:
     """Max absolute row sum, the (1, inf) norm used for hidden layers."""
     return float(np.abs(w).sum(axis=1).max())
 
 
-def output_norm_bound(w: np.ndarray) -> float:
+def _output_norm_bound(w: np.ndarray) -> float:
     """Column-norm sum: certified upper bound on the inf-to-2 operator norm."""
     return float(np.linalg.norm(w, axis=0).sum())
 
@@ -147,9 +144,9 @@ class MlpRep:
         for p in range(len(ws) - 1):
             if ws[p + 1].shape[1] != ws[p].shape[0]:
                 raise ContractViolation(f"layer {p + 1} input does not match layer {p}")
-            if row_sum_norm(ws[p]) > caps[p] * (1 + 1e-10):
+            if _row_sum_norm(ws[p]) > caps[p] * (1 + 1e-10):
                 raise ContractViolation(f"hidden layer {p} exceeds its row-sum cap")
-        if output_norm_bound(ws[-1]) > caps[-1] * (1 + 1e-10):
+        if _output_norm_bound(ws[-1]) > caps[-1] * (1 + 1e-10):
             raise ContractViolation("output layer exceeds its operator-norm cap")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "caps", caps)
@@ -174,7 +171,7 @@ class MlpRep:
             rng.standard_normal((w_out, w_in)) / np.sqrt(w_in)
             for w_out, w_in in zip(widths, fan_in)
         ]
-        return cls(tuple(cap_mlp_weights(weights, caps)), caps)
+        return cls(tuple(_cap_mlp_weights(weights, caps)), caps)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Embeddings plus the layer inputs (x, then each tanh layer) ``grad`` needs."""
@@ -217,7 +214,7 @@ class MlpRep:
         """
 
         def step(s):
-            cand = cap_mlp_weights(
+            cand = _cap_mlp_weights(
                 [w - s * g for w, g in zip(self.weights, grad)], self.caps
             )
             move = sum(((w - c) ** 2).sum() for w, c in zip(self.weights, cand))
@@ -299,7 +296,7 @@ def _project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def cap_mlp_weights(
+def _cap_mlp_weights(
     weights: list[np.ndarray], caps: tuple[float, ...]
 ) -> list[np.ndarray]:
     """Euclidean projection of the layers onto their (convex) norm caps.

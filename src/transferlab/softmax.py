@@ -33,12 +33,10 @@ from .errors import ContractViolation
 from .linalg import sym_spectral
 
 __all__ = [
-    "log_partition_rows",
     "softmax_full_rows",
     "cross_entropy_rows",
     "hessian_log_partition",
     "kl_rows",
-    "directional_derivatives_rows",
     "kl_quadratic_bounds",
 ]
 
@@ -91,7 +89,7 @@ def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None):
     return shift + np.log(denom), expo, tail, denom
 
 
-def log_partition_rows(eta_rows: np.ndarray) -> np.ndarray:
+def _log_partition_rows(eta_rows: np.ndarray) -> np.ndarray:
     """Row-wise log(1 + sum_s exp(eta_s)), max-shifted against overflow."""
     return _log_partition_cols(_rows(eta_rows).T)[0]
 
@@ -109,7 +107,7 @@ def softmax_full_rows(eta_rows: np.ndarray) -> np.ndarray:
 def cross_entropy_rows(eta_rows: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
     """Row-wise -y.eta + Phi(eta); ``y_rows`` may be one-hot or soft targets."""
     e = _rows(eta_rows)
-    return log_partition_rows(e) - (e * _rows(y_rows)).sum(axis=1)
+    return _log_partition_rows(e) - (e * _rows(y_rows)).sum(axis=1)
 
 
 def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray:
@@ -150,7 +148,7 @@ def hessian_log_partition(eta) -> np.ndarray:
     return np.diag(sigma) - np.outer(sigma, sigma)
 
 
-def directional_derivatives_rows(
+def _directional_derivatives_rows(
     eta_rows: np.ndarray, v_rows: np.ndarray, t: np.ndarray | float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First three derivatives of g(t) = Phi(eta + t v), row-wise.
@@ -195,7 +193,7 @@ def _max_curvature_ratio(eta_rows, v_rows, t) -> tuple[float, int, bool]:
     skipped because g'' underflows to zero, where the inequality
     degenerates to 0 <= 0, and whether the ratio is within the bound.
     """
-    _, g2, g3 = directional_derivatives_rows(eta_rows, v_rows, t)
+    _, g2, g3 = _directional_derivatives_rows(eta_rows, v_rows, t)
     usable = g2 > _CURVATURE_FLOOR
     vnorm = np.linalg.norm(v_rows, axis=1)
     ratios = np.abs(g3[usable]) / (vnorm[usable] * g2[usable])

@@ -37,7 +37,6 @@ __all__ = [
     "isotropic_covariates",
     "make_ground_truth",
     "sample_covariates",
-    "sample_labels",
     "make_dataset",
     "save_dataset",
     "load_dataset",
@@ -253,7 +252,7 @@ def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> 
     return out
 
 
-def sample_labels(
+def _sample_labels(
     rep: Representation,
     head: LinearHead,
     x: np.ndarray,
@@ -283,7 +282,7 @@ def make_dataset(
     """Sample a dataset for one stage of the pipeline from the truth."""
     head = truth.pre_head if stage == "pretrain" else truth.down_head
     x = sample_covariates(spec, n, rng)
-    y = sample_labels(truth.rep, head, x, rng)
+    y = _sample_labels(truth.rep, head, x, rng)
     return LabeledDataset(x=x, y=y, k=head.n_logits + 1, seed=seed_label)
 
 

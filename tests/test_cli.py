@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from transferlab import cli
+from transferlab import cli, harness
 from transferlab.cli import main
 from transferlab.harness import default_config
 from transferlab.model_space import MlpRep, load_bundle
@@ -175,6 +175,17 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     {"diagnostics": {"risk_mc_samples": 100.5}},
     {"baseline": "no"},
     {"optimizer": {"max_iters": "50"}},
+    # MLP sections whose every row failed, and values that crashed the sweep
+    {"hypothesis": {"kind": "mlp", "mlp_widths": ["a"], "mlp_caps": [1, 1]}},
+    {"hypothesis": {"kind": "mlp", "mlp_widths": [2.5], "mlp_caps": [1, 1]}},
+    {"hypothesis": {"kind": "mlp", "mlp_widths": [0], "mlp_caps": [1, 1]}},
+    {"hypothesis": {"kind": "mlp", "mlp_widths": [2], "mlp_caps": [-1, 1]}},
+    {"hypothesis": {"kind": "mlp", "mlp_widths": [2], "mlp_caps": ["a", 1]}},
+    {"hypothesis": {"mlp_widths": 5}},
+    {"grid": {"n": 500}},
+    {"bound": {"profile": 5}},
+    {"bound": {"profile": {"tail": "x"}}},
+    {"bound": {"profile": {"tail": None}}},
 ])
 def test_sweep_rejects_config_that_fails_every_row(tmp_path, section, capsys):
     doc = {"trials": 1, "grid": {"n": [500]}, **section}
@@ -184,6 +195,39 @@ def test_sweep_rejects_config_that_fails_every_row(tmp_path, section, capsys):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [[], 3])
+def test_sweep_rejects_config_that_is_not_an_object(tmp_path, doc, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
+@pytest.mark.parametrize("field, text", [("n", "abc"), ("pretrain_iters", "1.5")])
+def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
+    rows = [
+        harness.ExperimentRecord(
+            cell_index=0, trial=trial, status="ok",
+            params={key: 1.0 for key in harness.GRID_KEYS},
+        )
+        for trial in range(2)
+    ]
+    lines = [",".join(harness._CSV_FIELDS) + "\n", *map(harness._record_row, rows)]
+    parts = lines[2].split(",")
+    parts[harness._CSV_FIELDS.index(field)] = text
+    lines[2] = ",".join(parts)
+    indir = tmp_path / "sweep"
+    indir.mkdir()
+    (indir / "records.csv").write_text("".join(lines))
+    out = tmp_path / "report"
+    assert main(["report", "--in", str(indir), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "records.csv line 3" in err and text in err
+    assert not (out / "summary.txt").exists()
 
 
 def test_sweep_rejects_nested_config_typo(tmp_path, capsys):

@@ -15,7 +15,7 @@ from transferlab.synthetic import (
     isotropic_covariates,
     make_ground_truth,
     sample_covariates,
-    sample_labels,
+    _sample_labels,
 )
 from transferlab.erm import OptimConfig
 from transferlab.diagnostics import (
@@ -130,7 +130,7 @@ def _perturbed_rep(truth, scale, rng):
 def naive_excess_risk(rep_hat, head_hat, truth, spec, n_mc, rng):
     """Sampled-label oracle: mean downstream loss gap on fresh labeled data."""
     x = sample_covariates(spec, n_mc, rng)
-    y = sample_labels(truth.rep, truth.down_head, x, rng)
+    y = _sample_labels(truth.rep, truth.down_head, x, rng)
     gaps = cross_entropy_rows(rep_hat.apply(x) @ head_hat.alpha, y) - cross_entropy_rows(
         truth.rep.apply(x) @ truth.down_head.alpha, y
     )

@@ -620,6 +620,14 @@ class TestDownstreamFit:
         assert trace.stalled
         assert "minimum step" in trace.stall_reason
 
+    def test_empty_dataset_rejected(self):
+        rep = SubspaceRep(orthonormalize(derive_rng(15, "down").standard_normal((3, 2))))
+        with pytest.raises(ContractViolation):
+            fit_downstream_head(
+                rep, LabeledDataset(x=np.zeros((0, 3)), y=np.zeros((0, 1)), k=2),
+                1.0, OptimConfig(),
+            )
+
     def test_rounding_tie_ends_the_fit(self):
         # at grad_tol = 1e-9 the decrease a step promises falls under the
         # rounding of the risk before the tolerance is met; a search that
@@ -637,6 +645,87 @@ class TestDownstreamFit:
         # the head fits' default tolerance is met on the same problem
         _, default = fit_head_on_embeddings(z, targets, 2.0, OptimConfig(grad_tol=1e-7))
         assert default.outcome == "converged"
+
+
+def _parent_head_fit(z, targets, cap, cfg):
+    """The head-fit loop as ``fit_head_on_embeddings`` ran it before it merged
+    into ``erm._descend``: its own copy of the stage-one loop without a
+    representation phase, labelling stalls "head fit"."""
+    alpha = np.zeros((z.shape[1], targets.shape[1]))
+    trace = TrainTrace()
+    label_stat = _label_stat(z, targets)
+    risk, soft = _head_risk(alpha, z, label_stat)
+    s_cur = cfg.step_init
+    prev = None
+    last_step = 0.0
+
+    def objective(cand):
+        return _head_risk(cand, z, label_stat)
+
+    for it in range(cfg.max_iters):
+        grad = _head_grad(z, soft, label_stat)
+        pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
+        trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
+        if pg <= cfg.grad_tol:
+            trace.outcome = "converged"
+            break
+        found = erm._backtrack(
+            objective, risk, erm._capped_step(alpha, grad, cap), cfg,
+            _bb_step(alpha, grad, prev, s_cur, cfg),
+        )
+        if isinstance(found, str):
+            trace.stall("head fit", found)
+            break
+        prev = (alpha, grad)
+        last_step, s_cur, alpha, risk, soft = found
+    else:
+        trace.outcome = "max_iters"
+    return alpha, trace
+
+
+def _one_hot_targets(rng, n, k_minus_1):
+    return np.eye(k_minus_1 + 1)[rng.integers(0, k_minus_1 + 1, n), :-1]
+
+
+class TestHeadFitIsTheDescentLoop:
+    """A head fit is the stage-one loop with the representation frozen, bit for bit."""
+
+    @pytest.mark.parametrize("seed, n, r, targets, cap, cfg, outcome", [
+        pytest.param(3, 120, 3, _one_hot_targets, 1.0, OptimConfig(grad_tol=1e-7),
+                     "converged", id="one-hot"),
+        pytest.param(4, 90, 2, mixed_targets, 1.5, OptimConfig(grad_tol=1e-7),
+                     "converged", id="soft"),
+        pytest.param(5, 100, 3, mixed_targets, 0.05, OptimConfig(grad_tol=1e-7),
+                     "converged", id="saturating-cap"),
+        pytest.param(6, 100, 3, mixed_targets, 1.0, OptimConfig(max_iters=3),
+                     "max_iters", id="max-iters"),
+        # the repro of test_rounding_tie_ends_the_fit
+        pytest.param(1316, 60, 3, mixed_targets, 2.0, OptimConfig(grad_tol=1e-9),
+                     "stalled", id="rounding-tie"),
+        # a NaN embedding stalls the first line search; it must not idle
+        # through max_iters with every phase skipped
+        pytest.param(7, 50, 3, mixed_targets, 1.0, OptimConfig(max_iters=300),
+                     "stalled", id="nan-embedding"),
+    ])
+    def test_matches_the_separate_loop(self, seed, n, r, targets, cap, cfg, outcome, request):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, r))
+        if request.node.callspec.id == "nan-embedding":
+            z[4, 1] = np.nan
+        t = targets(rng, n, 2)
+        alpha, trace = fit_head_on_embeddings(z, t, cap, cfg)
+        ref_alpha, ref = _parent_head_fit(z, t, cap, cfg)
+        assert trace.outcome == ref.outcome == outcome
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        for series in ("iters", "risk", "regularizer", "grad_norm", "step", "nu_tilde"):
+            got, want = np.array(getattr(trace, series)), np.array(getattr(ref, series))
+            assert got.tobytes() == want.tobytes(), series
+        if outcome == "stalled":
+            assert trace.stall_reason.startswith("head: ")
+            assert ref.stall_reason.startswith("head fit: ")
+            assert trace.stall_reason.split(": ", 1)[1] == ref.stall_reason.split(": ", 1)[1]
+        else:
+            assert trace.stall_reason == ref.stall_reason == ""
 
 
 class TestBaseline:

@@ -15,11 +15,11 @@ from transferlab.model_space import (
     MlpRep,
     SubspaceRep,
     cap_columns,
-    cap_mlp_weights,
+    _cap_mlp_weights,
     load_bundle,
-    output_norm_bound,
+    _output_norm_bound,
     principal_angles,
-    row_sum_norm,
+    _row_sum_norm,
     save_bundle,
 )
 
@@ -83,7 +83,7 @@ class TestMlpRep:
         rng = np.random.default_rng(3)
         w1 = rng.standard_normal((5, 4))
         w2 = rng.standard_normal((3, 5))
-        caps = (row_sum_norm(w1), output_norm_bound(w2))
+        caps = (_row_sum_norm(w1), _output_norm_bound(w2))
         rep = MlpRep((w1, w2), caps)
         for _ in range(50):
             x = rng.standard_normal(4) * 100  # tanh saturates, inputs unbounded
@@ -92,15 +92,15 @@ class TestMlpRep:
     def test_cap_violation_rejected(self):
         w = np.ones((2, 3))
         with pytest.raises(ContractViolation):
-            MlpRep((w, np.ones((1, 2))), (row_sum_norm(w) * 0.5, 10.0))
+            MlpRep((w, np.ones((1, 2))), (_row_sum_norm(w) * 0.5, 10.0))
 
     def test_cap_rescaling(self):
         rng = np.random.default_rng(4)
         weights = [rng.standard_normal((4, 3)) * 10, rng.standard_normal((2, 4)) * 10]
         caps = (1.5, 2.0)
-        capped = cap_mlp_weights(weights, caps)
-        assert row_sum_norm(capped[0]) <= caps[0] * (1 + 1e-12)
-        assert output_norm_bound(capped[1]) <= caps[1] * (1 + 1e-12)
+        capped = _cap_mlp_weights(weights, caps)
+        assert _row_sum_norm(capped[0]) <= caps[0] * (1 + 1e-12)
+        assert _output_norm_bound(capped[1]) <= caps[1] * (1 + 1e-12)
         MlpRep(tuple(capped), caps)  # must validate
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
@@ -113,7 +113,7 @@ class TestMlpRep:
         rng = np.random.default_rng(seed)
         scale = rng.choice([0.1, 1.0, 5.0])
         v = [rng.standard_normal((4, 3)) * scale, rng.standard_normal((2, 4)) * scale]
-        hidden, out = cap_mlp_weights(v, (hidden_cap, out_cap))
+        hidden, out = _cap_mlp_weights(v, (hidden_cap, out_cap))
         MlpRep((hidden, out), (hidden_cap, out_cap))  # must validate
         r = v[0] - hidden
         assert np.all(hidden_cap * np.abs(r).max(axis=1)

@@ -22,11 +22,11 @@ from transferlab.softmax import (
     _log_partition_cols,
     _max_curvature_ratio,
     cross_entropy_rows,
-    directional_derivatives_rows,
+    _directional_derivatives_rows,
     hessian_log_partition,
     kl_quadratic_bounds,
     kl_rows,
-    log_partition_rows,
+    _log_partition_rows,
     softmax_full_rows,
 )
 
@@ -66,24 +66,24 @@ def fd_third(g, t, h=2e-2):
 
 class TestLogPartition:
     def test_binary_at_zero(self):
-        assert log_partition_rows([[0.0]])[0] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _log_partition_rows([[0.0]])[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_three_way_at_zero(self):
-        got = log_partition_rows([[0.0, 0.0]])[0]
+        got = _log_partition_rows([[0.0, 0.0]])[0]
         assert got == pytest.approx(math.log(3.0), abs=1e-15)
 
     def test_huge_logit_no_overflow(self):
         # oracle: 50-digit evaluation of log(1 + e^1000)
         with mpmath.workdps(50):
             exact = float(mpmath.log(1 + mpmath.e**1000))
-        assert log_partition_rows([[1000.0]])[0] == pytest.approx(exact, rel=1e-15)
-        assert np.isfinite(log_partition_rows([[1000.0, -1000.0, 500.0]])[0])
+        assert _log_partition_rows([[1000.0]])[0] == pytest.approx(exact, rel=1e-15)
+        assert np.isfinite(_log_partition_rows([[1000.0, -1000.0, 500.0]])[0])
 
     def test_lower_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             eta = rng.standard_normal(int(rng.integers(1, 8))) * 5
-            assert log_partition_rows([eta])[0] >= max(0.0, eta.max()) - 1e-12
+            assert _log_partition_rows([eta])[0] >= max(0.0, eta.max()) - 1e-12
 
 
 class TestSoftmaxProb:
@@ -164,7 +164,7 @@ class TestGradHessian:
         grad = softmax_full_rows([eta])[0, :-1]
         h = 1e-6
         steps = h * np.eye(4)
-        fd = (log_partition_rows(eta + steps) - log_partition_rows(eta - steps)) / (2 * h)
+        fd = (_log_partition_rows(eta + steps) - _log_partition_rows(eta - steps)) / (2 * h)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
     def test_hessian_matches_finite_differences(self):
@@ -312,7 +312,7 @@ class TestClassMajorKernels:
         block[1] = -700.0
         e = layouts(block)[layout]
         before = e.copy()
-        phi, ref = log_partition_rows(e), ref_log_partition_rows(before)
+        phi, ref = _log_partition_rows(e), ref_log_partition_rows(before)
         if layout == "c-rows":
             # the sum over the K-1 exponentials runs in the row formula's order
             np.testing.assert_array_equal(phi, ref)
@@ -474,7 +474,7 @@ class TestChunkedKl:
 
 class TestDirectionalDerivatives:
     def test_binary_symmetric_point(self):
-        (g1,), (g2,), (g3,) = directional_derivatives_rows([[0.0]], [[1.0]])
+        (g1,), (g2,), (g3,) = _directional_derivatives_rows([[0.0]], [[1.0]])
         assert g1 == pytest.approx(0.5, abs=1e-15)
         assert g2 == pytest.approx(0.25, abs=1e-15)
         assert g3 == pytest.approx(0.0, abs=1e-15)
@@ -483,7 +483,7 @@ class TestDirectionalDerivatives:
         def g(t):
             return math.log(1.0 + math.exp(1.0 + t))
 
-        _, (g2,), (g3,) = directional_derivatives_rows([[1.0]], [[1.0]])
+        _, (g2,), (g3,) = _directional_derivatives_rows([[1.0]], [[1.0]])
         assert g2 == pytest.approx(fd_second(g, 0.0), abs=1e-5)
         assert g3 == pytest.approx(fd_third(g, 0.0), abs=1e-5)
 
@@ -494,9 +494,9 @@ class TestDirectionalDerivatives:
             v = rng.standard_normal(7)
 
             def g(t):
-                return log_partition_rows([eta + t * v])[0]
+                return _log_partition_rows([eta + t * v])[0]
 
-            (g1,), (g2,), (g3,) = directional_derivatives_rows([eta], [v])
+            (g1,), (g2,), (g3,) = _directional_derivatives_rows([eta], [v])
             assert g2 >= 0.0
             h = 1e-6
             assert g1 == pytest.approx((g(h) - g(-h)) / (2 * h), abs=1e-6)

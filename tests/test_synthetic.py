@@ -25,7 +25,7 @@ from transferlab.synthetic import (
     make_dataset,
     make_ground_truth,
     sample_covariates,
-    sample_labels,
+    _sample_labels,
     save_dataset,
     save_truth,
     covariate_spec_hash,
@@ -175,7 +175,7 @@ class TestSampleLabels:
         truth = make_ground_truth(6, 2, k, 2, 1.0, rng)
         x = sample_covariates(isotropic_covariates(6), n, rng)
         zero_head = LinearHead(np.zeros((2, k - 1)), 1.0)
-        y = sample_labels(truth.rep, zero_head, x, rng)
+        y = _sample_labels(truth.rep, zero_head, x, rng)
         counts = np.concatenate([y.sum(axis=0), [n - y.sum()]])
         freqs = counts / n
         assert np.abs(freqs - 1.0 / k).max() <= 3.0 * math.sqrt(1.0 / (k * n))
@@ -193,7 +193,7 @@ class TestSampleLabels:
         alpha[:, 1] = 10.0  # eta_1 = 30 on all-ones inputs
         head = LinearHead(alpha, 100.0)
         x = np.ones((n, 3))
-        y = sample_labels(rep, head, x, rng)
+        y = _sample_labels(rep, head, x, rng)
         assert y[:, 1].mean() >= 1.0 - 1e-9
 
     def test_determinism(self):
@@ -202,8 +202,8 @@ class TestSampleLabels:
         truth = make_ground_truth(5, 2, 6, 2, 1.0, derive_rng(13, "t"))
         x = sample_covariates(isotropic_covariates(5), 200, derive_rng(14, "c"))
         np.testing.assert_array_equal(
-            sample_labels(truth.rep, truth.pre_head, x, rng_a),
-            sample_labels(truth.rep, truth.pre_head, x, rng_b),
+            _sample_labels(truth.rep, truth.pre_head, x, rng_a),
+            _sample_labels(truth.rep, truth.pre_head, x, rng_b),
         )
 
     def test_truth_loss_matches_conditional_entropy(self):
@@ -213,7 +213,7 @@ class TestSampleLabels:
         spec = isotropic_covariates(8)
         n = 100_000
         x = sample_covariates(spec, n, rng)
-        y = sample_labels(truth.rep, truth.pre_head, x, rng)
+        y = _sample_labels(truth.rep, truth.pre_head, x, rng)
         eta = (x @ truth.rep.b) @ truth.pre_head.alpha
         losses = cross_entropy_rows(eta, y)
         probs = softmax_full_rows(eta)
