@@ -3,11 +3,12 @@
 ``_descend`` is the only optimizer: projected/retracted gradient descent
 with backtracking line search from the zero head, optionally adding the
 spectral diversity regularizer ``-lambda * ln det(alpha alpha^T + mu I)``
-to the objective. Stage one (``pretrain``) runs it on (representation,
-head), alternating a head phase and a representation phase. Stage two
-is the same loop with the representation frozen: the head phase alone on
-the embeddings, a convex problem. A no-pretraining baseline fits a
-full-dimensional linear predictor the same way on the raw covariates.
+(mu = ``_RIDGE_MU``) to the objective. Stage one (``pretrain``) runs it
+on (representation, head), alternating a head phase and a representation
+phase. Stage two is the same loop with the representation frozen: the
+head phase alone on the embeddings, a convex problem. A no-pretraining
+baseline fits a full-dimensional linear predictor the same way on the raw
+covariates.
 
 Every line search starts from a Barzilai-Borwein step of its own block
 (``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput, check_scalars
-from .linalg import logdet_psd
+from .linalg import as_matrix, logdet_psd
 from .model_space import (
     LinearHead,
     MlpRep,
@@ -49,39 +50,32 @@ __all__ = [
 ]
 
 
+# The line-search policy (``_bb_step``, ``_backtrack``; every block's first
+# search starts at _STEP_INIT) and the regularizer's ridge mu. Read at call
+# time, so tests may patch them.
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_ARMIJO_C = 1e-4
+_STEP_GROW = 2.0
+# step ceiling: projected steps saturate once columns pin to the cap,
+# and an unbounded initial step would eventually overflow the trial point
+_STEP_MAX = 1e6
+_MIN_STEP = 1e-14
+_RIDGE_MU = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimConfig:
-    """Settings of the projected / retracted gradient descent.
-
-    A block's first line search starts at ``step_init``, later ones at the
-    Barzilai-Borwein step clipped to [``min_step``, ``step_max``], with the
-    fallback ``min(previous step * step_grow, step_max)`` when no positive
-    curvature was measured. Each search shrinks the step by ``step_shrink``
-    until the Armijo test with ``armijo_c`` holds or ``_backtrack`` stalls.
-    """
+    """Budget of one descent run: at most ``max_iters`` iterations, converged
+    once the projected-gradient norm is at most ``grad_tol``."""
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    step_grow: float = 2.0
-    # step ceiling: projected steps saturate once columns pin to the cap,
-    # and an unbounded initial step would eventually overflow the trial point
-    step_max: float = 1e6
-    min_step: float = 1e-14
-    ridge_mu: float = 1e-8
 
     def __post_init__(self):
         check_scalars("optimizer.", vars(self), {f.name: f.default for f in fields(self)})
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.ridge_mu < 0:
-            raise ContractViolation("need max_iters >= 1, grad_tol > 0 and ridge_mu >= 0")
-        if not (0 < self.step_shrink < 1 and 0 < self.armijo_c < 1 and self.step_grow >= 1):
-            raise ContractViolation(
-                "need 0 < step_shrink < 1, 0 < armijo_c < 1 and step_grow >= 1"
-            )
-        if not (0 < self.min_step <= self.step_init <= self.step_max):
-            raise ContractViolation("need 0 < min_step <= step_init <= step_max")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise ContractViolation("need max_iters >= 1 and grad_tol > 0")
 
 
 @dataclass(frozen=True)
@@ -245,12 +239,12 @@ def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
     return step
 
 
-def _bb_step(point, grad, prev, fallback: float, cfg: OptimConfig) -> float:
+def _bb_step(point, grad, prev, fallback: float) -> float:
     """Barzilai-Borwein (BB1) initial step of one block's line search.
 
     With S = point - previous point and Y = grad - previous gradient, the
     step <S,S>/<S,Y> is the inverse of the curvature seen along S
-    (Barzilai and Borwein 1988), clipped to [min_step, step_max]. Without
+    (Barzilai and Borwein 1988), clipped to [_MIN_STEP, _STEP_MAX]. Without
     a previous ``(point, grad)`` pair, or when <S,Y> <= 0, it is
     ``fallback``: the grown step ``_backtrack`` returned last time.
     """
@@ -260,37 +254,37 @@ def _bb_step(point, grad, prev, fallback: float, cfg: OptimConfig) -> float:
     sy = float(np.vdot(s, grad - prev[1]))
     if not sy > 0.0:
         return fallback
-    return min(max(float(np.vdot(s, s)) / sy, cfg.min_step), cfg.step_max)
+    return min(max(float(np.vdot(s, s)) / sy, _MIN_STEP), _STEP_MAX)
 
 
-def _backtrack(objective, current_value, direction_step, cfg, step0):
+def _backtrack(objective, current_value, direction_step, step0):
     """Shrink the step until sufficient decrease; a reason string on a stall.
 
     ``direction_step(s)`` maps a step size to (candidate, squared move)
     and may raise ``DegenerateInput`` for overlong steps, which shrinks
     the step like a failed trial. ``objective(candidate)`` returns
     (value, payload). A step is accepted when value <= current -
-    armijo_c / s * move^2, and ``(step, grown step, candidate, value,
-    payload)`` returned; the grown step ``min(step * step_grow, step_max)``
+    _ARMIJO_C / s * move^2, and ``(step, grown step, candidate, value,
+    payload)`` returned; the grown step ``min(step * _STEP_GROW, _STEP_MAX)``
     is the fallback initial step of the block's next search. The search
-    stalls below ``min_step``, or on a passing trial whose first-order
+    stalls below ``_MIN_STEP``, or on a passing trial whose first-order
     decrease move^2 / s and measured decrease are both within one ulp of
     the current value: that is a tie, and shorter steps promise less.
     """
     s = step0
-    while s >= cfg.min_step:
+    while s >= _MIN_STEP:
         try:
             cand, move_sq = direction_step(s)
         except DegenerateInput:
-            s *= cfg.step_shrink
+            s *= _STEP_SHRINK
             continue
         value, payload = objective(cand)
-        if np.isfinite(value) and value <= current_value - cfg.armijo_c / s * move_sq:
+        if np.isfinite(value) and value <= current_value - _ARMIJO_C / s * move_sq:
             ulp = np.spacing(abs(current_value))
             if move_sq / s < ulp and current_value - value <= ulp:
                 return "line search decrease fell below the rounding of the objective"
-            return s, min(s * cfg.step_grow, cfg.step_max), cand, value, payload
-        s *= cfg.step_shrink
+            return s, min(s * _STEP_GROW, _STEP_MAX), cand, value, payload
+        s *= _STEP_SHRINK
     return "line search hit minimum step without decrease"
 
 
@@ -298,7 +292,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     """Projected descent from the zero head; returns ``(rep, alpha, trace)``.
 
     The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
-    alpha^T + mu I)``. Each iteration runs a head phase (regularizer
+    alpha^T + _RIDGE_MU I)``. Each iteration runs a head phase (regularizer
     included, columns projected onto the cap) and then, when ``rep`` is
     given, a representation phase at the fresh head through the family's
     ``descent``; the representation's Barzilai-Borwein secant pair is its
@@ -309,7 +303,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     least Gram eigenvalue of the head. Line-search failure stalls the run
     and returns the current iterate with the stall recorded.
     """
-    mu = cfg.ridge_mu
+    mu = _RIDGE_MU
     trace = TrainTrace()
 
     def reg_value(a):
@@ -334,7 +328,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     label_stat = _label_stat(z, y)
     risk, soft = _head_risk(alpha, z, label_stat)
     reg = reg_value(alpha)
-    s_head = s_rep = cfg.step_init
+    s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
     last_step = 0.0
     # a phase with projected gradient this far under tol cannot beat the
@@ -360,8 +354,8 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         if not pg_head <= phase_floor:
             found = _backtrack(
                 head_objective, risk - lambda_div * reg,
-                _capped_step(alpha, grad_alpha, cap), cfg,
-                _bb_step(alpha, grad_alpha, prev_head, s_head, cfg),
+                _capped_step(alpha, grad_alpha, cap),
+                _bb_step(alpha, grad_alpha, prev_head, s_head),
             )
             if isinstance(found, str):
                 trace.stall("head", found)
@@ -378,8 +372,8 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         if move_norm > phase_floor:
             coords = rep.coords
             found = _backtrack(
-                rep_objective, risk, rep_step, cfg,
-                _bb_step(coords, rep_dir, prev_rep, s_rep, cfg),
+                rep_objective, risk, rep_step,
+                _bb_step(coords, rep_dir, prev_rep, s_rep),
             )
             if isinstance(found, str):
                 trace.stall("representation", found)
@@ -435,12 +429,12 @@ def fit_head_on_embeddings(
 
     ``targets`` may be one-hot rows or soft class probabilities; the
     objective mean(Phi(eta) - targets . eta) reduces to the empirical
-    cross-entropy in the one-hot case. This is ``_descend`` with the
-    representation frozen and no regularizer.
+    cross-entropy in the one-hot case. Both blocks must be finite. This is
+    ``_descend`` with the representation frozen and no regularizer.
     """
-    z = np.asarray(z, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if z.ndim != 2 or targets.ndim != 2 or z.shape[0] != targets.shape[0]:
+    z = as_matrix(z, "embeddings")
+    targets = as_matrix(targets, "targets")
+    if z.shape[0] != targets.shape[0]:
         raise ContractViolation("embeddings and targets must be matching blocks")
     if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")

@@ -89,15 +89,10 @@ def default_config() -> dict:
             "down_head_fill": 0.7,
         },
         "hypothesis": {"kind": "subspace", "mlp_widths": [], "mlp_caps": []},
-        "optimizer": {
-            "max_iters": 2000,
-            "grad_tol": 1e-5,
-            "step_init": 1.0,
-            "ridge_mu": 1e-8,
-        },
+        "optimizer": {"max_iters": 2000, "grad_tol": 1e-5},
         "head_optimizer": {"max_iters": 4000, "grad_tol": 1e-7},
         "diagnostics": {"risk_mc_samples": 20000},
-        "bound": {"setting": "subspace", "delta": 0.05, "profile": {}},
+        "bound": {"delta": 0.05, "profile": {}},
         "baseline": True,
     }
 
@@ -169,7 +164,6 @@ class SweepConfig:
         if unknown:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
-        optim_keys = {f.name for f in fields(OptimConfig)}
         for nested in (
             "grid", "covariates", "truth", "hypothesis", "optimizer",
             "head_optimizer", "diagnostics", "bound",
@@ -177,11 +171,7 @@ class SweepConfig:
             section = doc.get(nested) or {}
             if not isinstance(section, dict):
                 raise ContractViolation(f"config section {nested!r} must be an object")
-            allowed = (
-                optim_keys if nested in ("optimizer", "head_optimizer")
-                else set(base[nested])
-            )
-            unknown = set(section) - allowed
+            unknown = set(section) - set(base[nested])
             if unknown:
                 raise ContractViolation(f"unknown {nested} keys {sorted(unknown)}")
             merged[nested] = {**base[nested], **section}
@@ -204,9 +194,9 @@ class SweepConfig:
         )
 
     def risk_bound(self, cell: dict, nu_tilde: float, norm_cap: float) -> float:
-        """The configured closed-form rate at one cell."""
+        """The closed-form rate of the hypothesis kind at one cell."""
         return evaluate_risk_bound(
-            self.bound["setting"],
+            self.hypothesis["kind"],
             BoundParams(
                 n=int(cell["n"]), m=int(cell["m"]), k=int(cell["k"]),
                 k_prime=int(cell["k_prime"]), r=int(cell["r"]), d=int(cell["d"]),
@@ -249,16 +239,16 @@ class ExperimentRecord:
     wall_time: float = math.nan   # never serialized: CSVs must be byte-stable
 
 
-_CSV_FIELDS = (
-    "cell_index", "trial", "status",
-    *GRID_KEYS,
-    "excess_transfer", "excess_transfer_se",
-    "excess_pretrain", "excess_pretrain_se",
-    "nu_true", "nu_learned", "max_principal_angle",
-    "baseline_excess", "baseline_excess_se", "bound_value",
-    "pretrain_iters", "pretrain_stalled",
-    "pretrain_outcome", "downstream_outcome", "baseline_outcome", "reason",
+# the records.csv columns: the record's fields with params spread into the
+# grid keys; wall time is left out so that the file is byte-stable
+_CSV_FIELDS = tuple(
+    column
+    for f in fields(ExperimentRecord) if f.name != "wall_time"
+    for column in (GRID_KEYS if f.name == "params" else (f.name,))
 )
+# the values a stage's outcome column may hold: a TrainTrace.outcome, or
+# empty for a failed row and a skipped baseline
+_OUTCOMES = ("", "converged", "stalled", "max_iters")
 
 
 def cells_of(cfg: SweepConfig) -> list[dict]:
@@ -375,7 +365,7 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
     sink = open(out_csv, "w") if out_csv is not None else None
     try:
         if sink is not None:
-            sink.write(",".join(_CSV_FIELDS) + "\n")
+            sink.write(_csv_line(_CSV_FIELDS))
         for idx, cell in enumerate(cells):
             for trial in range(cfg.trials):
                 start = time.perf_counter()
@@ -408,18 +398,24 @@ def _fmt(value) -> str:
     return str(value).replace(",", ";").replace("\n", " ")
 
 
+def _csv_line(values) -> str:
+    return ",".join(map(_fmt, values)) + "\n"
+
+
 def _record_row(rec: ExperimentRecord) -> str:
-    row = []
-    for name in _CSV_FIELDS:
-        if name in GRID_KEYS:
-            row.append(_fmt(rec.params[name]))
-        else:
-            row.append(_fmt(getattr(rec, name)))
-    return ",".join(row) + "\n"
+    return _csv_line(
+        rec.params[name] if name in GRID_KEYS else getattr(rec, name) for name in _CSV_FIELDS
+    )
 
 
 # parsers of the CSV text, by the field's annotation in ExperimentRecord
 _PARSERS = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
+# the columns that hold one of a closed set of values
+_CHOICES = {
+    "status": ("ok", "failed"),
+    **{f.name: ("0", "1") for f in fields(ExperimentRecord) if f.type == "bool"},
+    **{name: _OUTCOMES for name in _CSV_FIELDS if name.endswith("_outcome")},
+}
 
 
 def load_records_csv(path) -> list[ExperimentRecord]:
@@ -436,6 +432,9 @@ def load_records_csv(path) -> list[ExperimentRecord]:
             row = dict(zip(_CSV_FIELDS, parts))
             try:
                 params = {key: float(row.pop(key)) for key in GRID_KEYS}
+                for name, allowed in _CHOICES.items():
+                    if row[name] not in allowed:
+                        raise ValueError(f"{name} must be one of {allowed}, got {row[name]!r}")
                 values = {name: _PARSERS[kinds[name]](text) for name, text in row.items()}
             except ValueError as exc:
                 raise ContractViolation(f"{path} line {lineno}: {exc}") from None
@@ -523,9 +522,9 @@ def _cell_rows(groups):
 def write_csv(path, rows, columns) -> None:
     """Write dict rows as CSV; floats keep all 17 significant digits."""
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(_csv_line(columns))
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+            fh.write(_csv_line(row[c] for c in columns))
 
 
 def write_report(records, out_dir) -> ReportSummary:

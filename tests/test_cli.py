@@ -159,7 +159,7 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     {"covariates": {"cap_factor": 0.05}},
     # the largest column norm is at least 10 sqrt(3/29) > 1 for every seed
     {"truth": {"top_singular_value": 100}},
-    # optimizer settings under which the line search cannot work
+    # line-search settings, now erm constants: rejected as unknown keys
     {"optimizer": {"min_step": 0, "step_init": 0}},
     {"optimizer": {"armijo_c": -1}},
     {"optimizer": {"step_grow": 0.1}},
@@ -207,7 +207,12 @@ def test_sweep_rejects_config_that_is_not_an_object(tmp_path, doc, capsys):
     assert not (out / "records.csv").exists()
 
 
-@pytest.mark.parametrize("field, text", [("n", "abc"), ("pretrain_iters", "1.5")])
+@pytest.mark.parametrize("field, text", [
+    ("n", "abc"), ("pretrain_iters", "1.5"),
+    ("pretrain_stalled", "yes"), ("pretrain_stalled", "True"),
+    ("pretrain_outcome", "bogus"), ("baseline_outcome", "Converged"),
+    ("status", "okay"),
+])
 def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
     rows = [
         harness.ExperimentRecord(
@@ -228,6 +233,27 @@ def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
     err = capsys.readouterr().err
     assert "records.csv line 3" in err and text in err
     assert not (out / "summary.txt").exists()
+
+
+# the line-search policy, the ridge and the rate setting left the config:
+# a saved config that still names one is rejected like any unknown key
+@pytest.mark.parametrize("section, key, value", [
+    *((section, key, value)
+      for section in ("optimizer", "head_optimizer")
+      for key, value in (
+          ("step_init", 1.0), ("step_shrink", 0.5), ("armijo_c", 1e-4), ("step_grow", 2.0),
+          ("step_max", 1e6), ("min_step", 1e-14), ("ridge_mu", 1e-8),
+      )),
+    ("bound", "setting", "subspace"),
+])
+def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"trials": 1, "grid": {"n": [500]}, section: {key: value}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown {section} keys" in err and repr(key) in err
+    assert not (out / "records.csv").exists()
 
 
 def test_sweep_rejects_nested_config_typo(tmp_path, capsys):

@@ -58,6 +58,15 @@ def fd_grad(fun, point, h=1e-6):
     return grad
 
 
+@pytest.fixture()
+def one_strict_trial(monkeypatch):
+    """Line searches of one trial (_MIN_STEP = _STEP_INIT) whose sufficient-
+    decrease constant is near 1."""
+    monkeypatch.setattr(erm, "_ARMIJO_C", 0.999)
+    monkeypatch.setattr(erm, "_STEP_INIT", 1.0)
+    monkeypatch.setattr(erm, "_MIN_STEP", 1.0)
+
+
 class TestLogdetRegularizer:
     def test_identity_gram(self):
         alpha = np.hstack([np.eye(3), np.zeros((3, 4))])
@@ -86,18 +95,17 @@ class TestLogdetRegularizer:
 class TestOptimConfig:
     @pytest.mark.parametrize("bad", [
         {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
-        {"min_step": 0.0, "step_init": 0.0}, {"min_step": -1.0},
-        {"step_grow": 0.1}, {"armijo_c": -1.0}, {"armijo_c": 0.0}, {"armijo_c": 1.0},
-        {"step_max": math.inf}, {"grad_tol": math.nan}, {"step_shrink": 1.0},
-        {"ridge_mu": -1e-9}, {"step_init": "1"},
+        {"max_iters": -1}, {"max_iters": 1.0}, {"max_iters": "5"}, {"max_iters": None},
+        {"grad_tol": 0.0}, {"grad_tol": -1e-9}, {"grad_tol": math.nan},
+        {"grad_tol": math.inf}, {"grad_tol": "1e-6"}, {"grad_tol": True}, {"grad_tol": None},
     ])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(ContractViolation):
             OptimConfig(**bad)
 
     def test_boundary_settings_accepted(self):
-        cfg = OptimConfig(max_iters=1, step_grow=1, min_step=1.0, step_init=1, step_max=1.0)
-        assert cfg.step_grow == 1 and cfg.max_iters == 1
+        cfg = OptimConfig(max_iters=1, grad_tol=5e-324)
+        assert cfg.max_iters == 1 and cfg.grad_tol > 0
 
 
 class TestLossAndGrad:
@@ -412,10 +420,10 @@ class TestPretrain:
         assert not result.trace.stalled
 
     @pytest.mark.parametrize("kind", ["subspace", "mlp"])
-    def test_head_stall_returns_current_iterate(self, kind):
+    def test_head_stall_returns_current_iterate(self, kind, one_strict_trial):
         # the head objective is convex, so f(a - s g) >= f(a) - s |g|^2 and
         # with curvature a sufficient-decrease constant near 1 fails the one
-        # allowed trial (min_step = step_init): the run must stop at its
+        # allowed trial (_MIN_STEP = _STEP_INIT): the run must stop at its
         # starting point
         rng = derive_rng(16, "stall")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
@@ -424,8 +432,7 @@ class TestPretrain:
             kind=kind, embed_dim=2, mlp_widths=(5,) if kind == "mlp" else (),
             mlp_caps=(4.0, 4.0) if kind == "mlp" else (),
         )
-        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=0.999)
-        result = pretrain(ds, hyp, 0.0, cfg, derive_rng(16, "init"))
+        result = pretrain(ds, hyp, 0.0, OptimConfig(max_iters=10), derive_rng(16, "init"))
         assert result.trace.stalled
         assert result.trace.stall_reason.startswith("head:")
         assert len(result.trace) == 1
@@ -448,8 +455,6 @@ class TestPretrain:
 class TestBarzilaiBorwein:
     """The BB1 initial step and the fits that start every line search from it."""
 
-    CFG = OptimConfig(min_step=1e-10, step_max=1e4)
-
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_inverse_curvature_on_quadratic(self, seed, curvature):
@@ -457,7 +462,7 @@ class TestBarzilaiBorwein:
         # secant pair sees the one curvature
         rng = np.random.default_rng(seed)
         x0, x1 = rng.standard_normal((2, 3, 4))
-        step = _bb_step(x1, curvature * x1, (x0, curvature * x0), 0.5, self.CFG)
+        step = _bb_step(x1, curvature * x1, (x0, curvature * x0), 0.5)
         assert step == pytest.approx(1.0 / curvature, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -469,22 +474,22 @@ class TestBarzilaiBorwein:
         a = m @ m.T + 0.1 * np.eye(6)
         x0, x1 = rng.standard_normal((2, 6))
         s = x1 - x0
-        step = _bb_step(x1, a @ x1, (x0, a @ x0), 0.5, self.CFG)
-        expected = min(max((s @ s) / (s @ a @ s), 1e-10), 1e4)
+        step = _bb_step(x1, a @ x1, (x0, a @ x0), 0.5)
+        expected = min(max((s @ s) / (s @ a @ s), erm._MIN_STEP), erm._STEP_MAX)
         assert step == pytest.approx(expected, rel=1e-10)
 
     def test_clipped_to_step_bounds(self):
         x0, x1 = np.zeros(3), np.ones(3)
-        assert _bb_step(x1, 1e-9 * x1, (x0, 0 * x0), 0.5, self.CFG) == 1e4
-        assert _bb_step(x1, 1e15 * x1, (x0, 0 * x0), 0.5, self.CFG) == 1e-10
+        assert _bb_step(x1, 1e-9 * x1, (x0, 0 * x0), 0.5) == erm._STEP_MAX
+        assert _bb_step(x1, 1e15 * x1, (x0, 0 * x0), 0.5) == erm._MIN_STEP
 
     def test_falls_back_without_positive_curvature(self):
         x0, x1 = np.zeros(3), np.ones(3)
-        assert _bb_step(x1, x1, None, 0.25, self.CFG) == 0.25
+        assert _bb_step(x1, x1, None, 0.25) == 0.25
         # concave along S: <S, Y> < 0
-        assert _bb_step(x1, -x1, (x0, 0 * x0), 0.25, self.CFG) == 0.25
+        assert _bb_step(x1, -x1, (x0, 0 * x0), 0.25) == 0.25
         # no move: <S, Y> = 0
-        assert _bb_step(x1, x1, (x1, 2 * x1), 0.25, self.CFG) == 0.25
+        assert _bb_step(x1, x1, (x1, 2 * x1), 0.25) == 0.25
 
     @staticmethod
     def _reference_head_fit(z, targets, cap):
@@ -608,15 +613,14 @@ class TestDownstreamFit:
         head, trace = fit_downstream_head(truth.rep, ds, 1.0, OptimConfig(max_iters=200))
         assert trace.risk[-1] <= math.log(2.0) + 1e-12
 
-    def test_stall_is_reported_not_raised(self):
+    def test_stall_is_reported_not_raised(self, one_strict_trial):
         # a sufficient-decrease constant near 1 fails the one allowed trial
         # of the convex fit; the fit must report a stall, not raise
         rng = derive_rng(14, "down")
         z = rng.standard_normal((50, 2))
         y = np.zeros((50, 1))
         y[:25, 0] = 1.0
-        cfg = OptimConfig(max_iters=10, step_init=1.0, min_step=1.0, armijo_c=0.999)
-        alpha, trace = fit_head_on_embeddings(z, y, 1.0, cfg)
+        alpha, trace = fit_head_on_embeddings(z, y, 1.0, OptimConfig(max_iters=10))
         assert trace.stalled
         assert "minimum step" in trace.stall_reason
 
@@ -655,7 +659,7 @@ def _parent_head_fit(z, targets, cap, cfg):
     trace = TrainTrace()
     label_stat = _label_stat(z, targets)
     risk, soft = _head_risk(alpha, z, label_stat)
-    s_cur = cfg.step_init
+    s_cur = erm._STEP_INIT
     prev = None
     last_step = 0.0
 
@@ -670,8 +674,8 @@ def _parent_head_fit(z, targets, cap, cfg):
             trace.outcome = "converged"
             break
         found = erm._backtrack(
-            objective, risk, erm._capped_step(alpha, grad, cap), cfg,
-            _bb_step(alpha, grad, prev, s_cur, cfg),
+            objective, risk, erm._capped_step(alpha, grad, cap),
+            _bb_step(alpha, grad, prev, s_cur),
         )
         if isinstance(found, str):
             trace.stall("head fit", found)
@@ -702,18 +706,21 @@ class TestHeadFitIsTheDescentLoop:
         # the repro of test_rounding_tie_ends_the_fit
         pytest.param(1316, 60, 3, mixed_targets, 2.0, OptimConfig(grad_tol=1e-9),
                      "stalled", id="rounding-tie"),
-        # a NaN embedding stalls the first line search; it must not idle
-        # through max_iters with every phase skipped
+        # fit_head_on_embeddings rejects a NaN embedding, so this case runs
+        # the loop itself: the NaN gradient stalls the first line search,
+        # where it must not idle through max_iters with every phase skipped
         pytest.param(7, 50, 3, mixed_targets, 1.0, OptimConfig(max_iters=300),
                      "stalled", id="nan-embedding"),
     ])
     def test_matches_the_separate_loop(self, seed, n, r, targets, cap, cfg, outcome, request):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, r))
+        t = targets(rng, n, 2)
         if request.node.callspec.id == "nan-embedding":
             z[4, 1] = np.nan
-        t = targets(rng, n, 2)
-        alpha, trace = fit_head_on_embeddings(z, t, cap, cfg)
+            _, alpha, trace = erm._descend(z, t, cap, 0.0, cfg)
+        else:
+            alpha, trace = fit_head_on_embeddings(z, t, cap, cfg)
         ref_alpha, ref = _parent_head_fit(z, t, cap, cfg)
         assert trace.outcome == ref.outcome == outcome
         assert alpha.tobytes() == ref_alpha.tobytes()
@@ -726,6 +733,16 @@ class TestHeadFitIsTheDescentLoop:
             assert trace.stall_reason.split(": ", 1)[1] == ref.stall_reason.split(": ", 1)[1]
         else:
             assert trace.stall_reason == ref.stall_reason == ""
+
+    @pytest.mark.parametrize("block", ["embeddings", "targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, block, bad):
+        rng = np.random.default_rng(7)
+        blocks = {"embeddings": rng.standard_normal((50, 3)),
+                  "targets": mixed_targets(rng, 50, 2)}
+        blocks[block][4, 1] = bad
+        with pytest.raises(ContractViolation, match=block):
+            fit_head_on_embeddings(blocks["embeddings"], blocks["targets"], 1.0, OptimConfig())
 
 
 class TestBaseline:

@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from transferlab.diagnostics import BoundParams, evaluate_risk_bound
+from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
 from transferlab.harness import (
     ExperimentRecord,
     SweepConfig,
+    cell_truth,
     cells_of,
     default_config,
     fit_power_law,
@@ -103,8 +106,12 @@ class TestSweepConfig:
             SweepConfig.from_dict(doc)
 
     def test_optimizer_accepts_every_optim_field(self):
-        cfg = SweepConfig.from_dict({"optimizer": {"armijo_c": 1e-3}})
-        assert cfg.optim_config().armijo_c == 1e-3
+        cfg = SweepConfig.from_dict({
+            "optimizer": {"max_iters": 7, "grad_tol": 1e-3},
+            "head_optimizer": {"max_iters": 9, "grad_tol": 1e-8},
+        })
+        assert cfg.optim_config() == OptimConfig(max_iters=7, grad_tol=1e-3)
+        assert cfg.head_optim_config() == OptimConfig(max_iters=9, grad_tol=1e-8)
 
     @pytest.mark.parametrize("doc", [
         {"seed": "abc"}, {"seed": -5}, {"seed": 1.0}, {"trials": "2"},
@@ -192,6 +199,22 @@ class TestRunSweep:
         assert (rec.pretrain_outcome, rec.downstream_outcome, rec.baseline_outcome) == (
             "max_iters", "max_iters", "")
         assert rec.pretrain_iters == 1 and not rec.pretrain_stalled
+
+    def test_bound_follows_hypothesis_kind(self):
+        # an MLP sweep gets the network rate without naming a bound setting
+        caps = (4.0, 4.0)
+        doc = dict(MICRO, trials=1, baseline=False,
+                   hypothesis={"kind": "mlp", "mlp_widths": [4], "mlp_caps": list(caps)},
+                   optimizer={"max_iters": 20})
+        doc["grid"] = dict(MICRO["grid"], n=[300])
+        cfg = SweepConfig.from_dict(doc)
+        (rec,) = run_sweep(cfg)
+        assert rec.status == "ok"
+        spec, _, _ = cell_truth(cfg, cells_of(cfg)[0], 0)
+        params = BoundParams(n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true,
+                             norm_cap=spec.norm_cap, mlp_caps=caps)
+        assert rec.bound_value == evaluate_risk_bound("mlp", params)
+        assert rec.bound_value != evaluate_risk_bound("subspace", params)
 
     def test_failed_row_has_no_outcomes(self):
         doc = dict(MICRO, trials=1)
