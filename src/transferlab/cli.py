@@ -161,9 +161,10 @@ def _cmd_diagnose(args) -> int:
     if isinstance(rep, SubspaceRep) and isinstance(truth.rep, SubspaceRep):
         add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
     if "down_head" in bundle:
+        # the draw is not bound to a name: it is freed before the next stage draws
         report = measure_excess_risks(
-            rep, bundle.get("pre_head"), bundle["down_head"], truth, spec, n_mc,
-            derive_rng(cfg.seed, *rng_tok, "risk"),
+            rep, bundle.get("pre_head"), bundle["down_head"], truth,
+            sample_covariates(spec, n_mc, derive_rng(cfg.seed, *rng_tok, "risk")), n_mc,
         )
         add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
         if "pre_head" in bundle:

@@ -12,7 +12,8 @@ Schur complement of the joint embedding covariance is computed instead,
 and reported as such.
 
 All Monte Carlo diagnostics return standard errors, and every stochastic
-routine takes an explicit generator.
+routine takes an explicit generator; the excess risks take the covariate
+draw itself, so that callers can score several fits on one draw.
 """
 
 from __future__ import annotations
@@ -161,22 +162,24 @@ def measure_excess_risks(
     pre_head_hat: LinearHead | None,
     down_head_hat: LinearHead,
     truth: GroundTruth,
-    spec: CovariateSpec,
+    x: np.ndarray,
     n_mc: int,
-    rng: np.random.Generator,
     baseline_head: LinearHead | None = None,
 ) -> RiskReport:
-    """Excess risks of a fitted pipeline, all from one covariate draw.
+    """Excess risks of a fitted pipeline on one covariate draw ``x``.
 
-    Each risk is the Monte Carlo mean over fresh covariates of the KL
-    divergence between the true and fitted conditionals, which is the
-    expected loss gap under the generating model and is pointwise
-    nonnegative. The downstream (transfer) risk is always measured; the
+    Each risk is the Monte Carlo mean over the ``n_mc`` rows of ``x``
+    (draws from the covariate law) of the KL divergence between the true
+    and fitted conditionals, which is the expected loss gap under the
+    generating model and is pointwise nonnegative. The caller owns the
+    draw, so fits scored on the same ``x`` are compared on common random
+    numbers. The downstream (transfer) risk is always measured; the
     pre-training risk only when ``pre_head_hat`` is given. A
     ``baseline_head`` acts on the raw covariates and is scored against
     the downstream truth on the same draw.
     """
-    x = sample_covariates(spec, n_mc, rng)
+    if x.ndim != 2 or x.shape[0] != n_mc:
+        raise ContractViolation(f"covariate draw of shape {x.shape} needs n_mc = {n_mc} rows")
     z_true = truth.rep.apply(x)
     z_hat = rep_hat.apply(x)
 

@@ -6,8 +6,10 @@ evaluation) over a parameter grid with several trials per cell. Random
 streams are derived per (trial, stage, stage parameters), so cells that
 differ only in, say, the downstream sample count share their truth and
 pre-training work, and paired comparisons across the regularizer weight
-see identical data. Stage-one results are memoized on that key within a
-run.
+see identical data. The sweep runs trial by trial; within a trial,
+stage-one results and their pre-training risks are memoized, and every
+cell with the same covariate law is scored on one Monte Carlo draw
+(common random numbers).
 
 Failures inside a cell are recorded as failed rows and never abort the
 sweep. Records are written in deterministic order; wall time is kept on
@@ -292,10 +294,9 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     lam = float(cell["lambda_div"])
     spec, truth, truth_tok = cell_truth(cfg, cell, trial)
 
-    pre_key = (trial, truth_tok, n, lam)
-    if pre_key in cache:
-        result = cache[pre_key]
-    else:
+    # the stage-one fit and, once scored, its pre-training (risk, se)
+    pre_key = ("pretrain", truth_tok, n, lam)
+    if pre_key not in cache:
         pre_ds = make_dataset(
             truth, spec, n,
             derive_rng(cfg.seed, "pretrain_data", trial, truth_tok, n),
@@ -308,7 +309,8 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
             pre_ds, hyp, lam, cfg.optim_config(),
             derive_rng(cfg.seed, "init", trial, truth_tok, n),
         )
-        cache[pre_key] = result
+        cache[pre_key] = (result, None)
+    result, pre_risk = cache[pre_key]
 
     down_ds = make_dataset(
         truth, spec, m,
@@ -326,16 +328,23 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         )
         rec.baseline_outcome = base_trace.outcome
 
+    # one draw per covariate law: a cell's risks do not depend on which
+    # other cells share its trial
+    n_mc = int(cfg.diagnostics["risk_mc_samples"])
+    law = (cell["d"], cfg.covariates["scale"], cfg.covariates["cap_factor"])
+    if ("risk_mc", law) not in cache:
+        cache["risk_mc", law] = sample_covariates(
+            spec, n_mc, derive_rng(cfg.seed, "risk_mc", trial, *law))
     report = measure_excess_risks(
-        result.rep, result.head, head_down, truth, spec,
-        int(cfg.diagnostics["risk_mc_samples"]),
-        derive_rng(cfg.seed, "risk_mc", trial, truth_tok, n, m, lam),
-        baseline_head=base_head,
+        result.rep, result.head if pre_risk is None else None, head_down, truth,
+        cache["risk_mc", law], n_mc, baseline_head=base_head,
     )
+    if pre_risk is None:
+        pre_risk = (report.excess_pretrain_risk, report.pretrain_std_error)
+        cache[pre_key] = (result, pre_risk)
     rec.excess_transfer = report.excess_transfer_risk
     rec.excess_transfer_se = report.std_error
-    rec.excess_pretrain = report.excess_pretrain_risk
-    rec.excess_pretrain_se = report.pretrain_std_error
+    rec.excess_pretrain, rec.excess_pretrain_se = pre_risk
     rec.baseline_excess = report.baseline_excess_risk
     rec.baseline_excess_se = report.baseline_std_error
 
@@ -352,22 +361,26 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
 
 
 def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
-    """Run every (cell, trial), isolate failures, and stream records.
+    """Run every (trial, cell), isolate failures, and stream records.
 
-    Deterministic for a fixed config: streams are derived, jobs run in
-    the (cell, trial) output order, and stage-one results are memoized by
-    their defining parameters so cells sharing them compute once. Rows
-    are appended to ``out_csv`` as they finish.
+    Deterministic for a fixed config: streams are derived, and rows run
+    and come out in (trial, cell_index) order. A cache that lives for one
+    trial memoizes the stage-one fits and their pre-training risks, so
+    cells sharing a fit compute it and score it once, and holds one Monte
+    Carlo covariate draw per covariate law, drawn from the (trial, law)
+    stream, that every cell of the trial is scored on. Memory therefore
+    stays bounded by one trial. Rows are appended to ``out_csv`` as they
+    finish.
     """
     cells = cells_of(cfg)
     records: list[ExperimentRecord] = []
-    cache: dict = {}
     sink = open(out_csv, "w") if out_csv is not None else None
     try:
         if sink is not None:
             sink.write(_csv_line(_CSV_FIELDS))
-        for idx, cell in enumerate(cells):
-            for trial in range(cfg.trials):
+        for trial in range(cfg.trials):
+            cache: dict = {}
+            for idx, cell in enumerate(cells):
                 start = time.perf_counter()
                 try:
                     rec = _run_cell(cfg, cell, idx, trial, cache)

@@ -15,6 +15,7 @@ experimental control knob.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -352,23 +353,58 @@ def load_dataset(path) -> LabeledDataset:
         d, k, n = int(fields["d"]), int(fields["K"]), int(fields["n"])
         if d < 1 or k < 2:
             raise ContractViolation("dataset header needs d >= 1 and K >= 2")
-        xs, labels = [], []
-        for row, line in enumerate(fh, start=2):
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise ContractViolation(
-                    f"{path} line {row} has {len(parts)} fields, not d+1 = {d + 1}"
-                )
-            try:
-                xs.append([float(v) for v in parts[:-1]])
-                labels.append(int(parts[-1]))
-            except ValueError as exc:
-                raise ContractViolation(f"{path} line {row}: {exc}") from None
-    if len(labels) != n:
-        raise ContractViolation(f"{path} has {len(labels)} rows, header says n={n}")
-    lab = np.array(labels, dtype=np.int64)
-    bad = lab[(lab < 1) | (lab > k)]
+        x, lab = _parse_rows(path, fh, d)
+    if len(lab) != n:
+        raise ContractViolation(f"{path} has {len(lab)} rows, header says n={n}")
+    bad = np.flatnonzero((lab < 1) | (lab > k))
     if bad.size:
-        raise ContractViolation(f"label {bad[0]} outside 1..{k}")
+        raise ContractViolation(
+            f"{path} line {bad[0] + 2}: label {lab[bad[0]]} outside 1..{k}"
+        )
     y = np.eye(k)[lab - 1, :-1]  # one-hot rows; class K is the all-zero row
-    return LabeledDataset(x=np.array(xs).reshape(n, d), y=y, k=k, seed=fields.get("seed"))
+    return LabeledDataset(x=x, y=y, k=k, seed=fields.get("seed"))
+
+
+def _parse_rows(path, fh, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates and 1-based labels of the data lines of an open dataset file.
+
+    One numpy pass reads a well-formed body; numpy's float parser rounds
+    like ``float()``. When numpy rejects a line, skips a blank one or
+    finds none (on which it warns), the lines are read again one by one,
+    accepting what ``float()`` and ``int()`` accept and naming the file
+    and line of the first bad row.
+    """
+    start, count = fh.tell(), 0
+
+    def counted():
+        nonlocal count
+        for line in fh:
+            count += 1
+            yield line
+
+    lines = counted()
+    first = next(lines, None)
+    if first is not None:
+        try:
+            table = np.loadtxt(
+                itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=1,
+                dtype=[("x", np.float64, (d,)), ("label", np.int64)],
+            )
+            if len(table) == count:
+                return np.ascontiguousarray(table["x"]), table["label"]
+        except ValueError:
+            pass
+        fh.seek(start)
+    xs, labels = [], []
+    for row, line in enumerate(fh, start=2):
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise ContractViolation(
+                f"{path} line {row} has {len(parts)} fields, not d+1 = {d + 1}"
+            )
+        try:
+            xs.append([float(v) for v in parts[:-1]])
+            labels.append(int(parts[-1]))
+        except ValueError as exc:
+            raise ContractViolation(f"{path} line {row}: {exc}") from None
+    return np.array(xs, dtype=np.float64).reshape(len(xs), d), np.array(labels, dtype=np.int64)

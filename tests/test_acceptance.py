@@ -8,6 +8,7 @@ to see the per-criterion lines as they complete.
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +28,21 @@ from transferlab.verification import (
     self_concordance_suite,
 )
 
+GATE_SEED = 20240901
 SLOPE_WINDOW = (-0.75, -0.25)
+MIN_R2 = 0.8
+MIN_WINS = 18
+
+# the sweeps behind criteria 6-11 as (grid, trials); criteria 6 and 11
+# share one. tests/gate_seeds.py reruns them at other seeds.
+GATE_SWEEPS = {
+    # d=20, r=3, k=30, k'=2, m=200, cond=1
+    "n": ({"n": [500, 1000, 2000, 4000, 8000], "m": [200]}, 10),
+    "m": ({"n": [8000], "m": [50, 100, 200, 400, 800]}, 10),
+    "condition_number": ({"n": [4000], "condition_number": [1.0, 10.0, 100.0]}, 10),
+    "baseline": ({"n": [8000], "m": [100], "d": [50]}, 20),
+    "lambda_div": ({"n": [2000], "lambda_div": [0.0, 0.5]}, 10),
+}
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -50,17 +65,111 @@ def _stalls(records) -> int:
     )
 
 
-def _sweep(grid: dict, trials: int, seed: int = 20240901) -> list:
+def gate_sweep(name: str, seed: int = GATE_SEED) -> list:
+    grid, trials = GATE_SWEEPS[name]
     return run_sweep(
         SweepConfig.from_dict({"seed": seed, "trials": trials, "grid": grid})
     )
 
 
+@dataclass
+class Verdict:
+    """A statistical criterion on one sweep's records.
+
+    ``passed`` is what the criterion's test asserts, apart from its time
+    budget. ``margins`` maps each checked quantity to its signed distance
+    from the threshold, positive on the passing side (a strict inequality
+    fails at 0).
+    """
+
+    passed: bool
+    margins: dict
+    detail: str
+
+
+def _slope_verdict(records, key, min_r2=None) -> Verdict:
+    med = _median_by(records, key, "excess_transfer")
+    fit = fit_power_law(sorted(med.items()))
+    low, high = SLOPE_WINDOW
+    stalls = _stalls(records)
+    passed = low <= fit.slope <= high and stalls == 0
+    margins = {"slope": min(fit.slope - low, high - fit.slope), "stalls": -stalls}
+    detail = f"slope {fit.slope:.3f} in {SLOPE_WINDOW}, "
+    if min_r2 is not None:
+        passed = passed and fit.r_squared >= min_r2
+        margins["r2"] = fit.r_squared - min_r2
+        detail += f"R2 {fit.r_squared:.3f}, "
+    detail += f"medians {[(int(k), round(v, 5)) for k, v in med.items()]}"
+    return Verdict(passed, margins, detail)
+
+
+def criterion_6(records) -> Verdict:
+    verdict = _slope_verdict(records, "n", MIN_R2)
+    verdict.passed = verdict.passed and all(rec.status == "ok" for rec in records)
+    return verdict
+
+
+def criterion_7(records) -> Verdict:
+    return _slope_verdict(records, "m")
+
+
+def criterion_8(records) -> Verdict:
+    med = _median_by(records, "condition_number", "excess_transfer")
+    values = [med[c] for c in (1.0, 10.0, 100.0)]
+    stalls = _stalls(records)
+    return Verdict(
+        values[0] <= values[1] <= values[2] and stalls == 0,
+        {"cond10-cond1": values[1] - values[0], "cond100-cond10": values[2] - values[1],
+         "stalls": -stalls},
+        f"median excess by condition number "
+        f"{dict(zip((1, 10, 100), [round(v, 5) for v in values]))}",
+    )
+
+
+def criterion_9(records) -> Verdict:
+    ok = [rec for rec in records if rec.status == "ok"]
+    wins = sum(rec.excess_transfer < rec.baseline_excess for rec in ok)
+    stalls = _stalls(records)
+    return Verdict(
+        len(ok) == 20 and wins >= MIN_WINS and stalls == 0,
+        {"wins": wins - MIN_WINS, "ok_rows": len(ok) - 20, "stalls": -stalls},
+        f"pipeline wins {wins}/{len(ok)} seeds "
+        f"(median pipeline {np.median([r.excess_transfer for r in ok]):.4f}, "
+        f"median baseline {np.median([r.baseline_excess for r in ok]):.4f})",
+    )
+
+
+def criterion_10(records) -> Verdict:
+    ok = [rec for rec in records if rec.status == "ok"]
+    by_lambda = {}
+    for rec in ok:
+        by_lambda.setdefault(rec.params["lambda_div"], []).append(rec.nu_learned)
+    med0 = float(np.median(by_lambda[0.0]))
+    med5 = float(np.median(by_lambda[0.5]))
+    stalls = _stalls(ok)
+    return Verdict(
+        med5 > med0 and stalls == 0,
+        {"nu(0.5)-nu(0)": med5 - med0, "stalls": -stalls},
+        f"median learned diversity: lambda=0 -> {med0:.3f}, "
+        f"lambda=0.5 -> {med5:.3f}; stalls {stalls}",
+    )
+
+
+def criterion_11(records) -> Verdict:
+    med = _median_by(records, "n", "max_principal_angle")
+    angles = [med[n] for n in (500, 2000, 8000)]
+    return Verdict(
+        angles[0] > angles[1] > angles[2],
+        {"angle500-angle2000": angles[0] - angles[1], "angle2000-angle8000": angles[1] - angles[2]},
+        f"median largest principal angle by n: "
+        f"{dict(zip((500, 2000, 8000), [round(a, 4) for a in angles]))}",
+    )
+
+
 @pytest.fixture(scope="module")
 def n_sweep():
-    # criterion 6/11 grid: d=20, r=3, k=30, k'=2, m=200, cond=1
     t0 = time.perf_counter()
-    records = _sweep({"n": [500, 1000, 2000, 4000, 8000], "m": [200]}, trials=10)
+    records = gate_sweep("n")
     return records, time.perf_counter() - t0
 
 
@@ -129,89 +238,48 @@ def test_criterion_5_complexity_oracles():
 
 def test_criterion_6_n_scaling(n_sweep):
     records, elapsed = n_sweep
-    med = _median_by(records, "n", "excess_transfer")
-    fit = fit_power_law(sorted(med.items()))
-    in_window = SLOPE_WINDOW[0] <= fit.slope <= SLOPE_WINDOW[1]
-    passed = in_window and fit.r_squared >= 0.8 and elapsed < 900.0
-    _report(6, "excess risk scaling in n", passed,
-            f"slope {fit.slope:.3f} in {SLOPE_WINDOW}, R2 {fit.r_squared:.3f}, "
-            f"medians {[(int(k), round(v, 5)) for k, v in med.items()]}; "
-            f"sweep {elapsed:.0f}s")
-    assert in_window
-    assert fit.r_squared >= 0.8
+    verdict = criterion_6(records)
+    _report(6, "excess risk scaling in n", verdict.passed and elapsed < 900.0,
+            f"{verdict.detail}; sweep {elapsed:.0f}s")
+    assert verdict.passed
     assert elapsed < 900.0
-    assert all(rec.status == "ok" for rec in records)
-    assert _stalls(records) == 0
 
 
 def test_criterion_7_m_scaling():
     t0 = time.perf_counter()
-    records = _sweep({"n": [8000], "m": [50, 100, 200, 400, 800]}, trials=10)
-    med = _median_by(records, "m", "excess_transfer")
-    fit = fit_power_law(sorted(med.items()))
+    verdict = criterion_7(gate_sweep("m"))
     elapsed = time.perf_counter() - t0
-    passed = SLOPE_WINDOW[0] <= fit.slope <= SLOPE_WINDOW[1] and elapsed < 900.0
-    _report(7, "excess risk scaling in m", passed,
-            f"slope {fit.slope:.3f} in {SLOPE_WINDOW}, "
-            f"medians {[(int(k), round(v, 5)) for k, v in med.items()]}; "
-            f"{elapsed:.0f}s")
-    assert SLOPE_WINDOW[0] <= fit.slope <= SLOPE_WINDOW[1]
+    _report(7, "excess risk scaling in m", verdict.passed and elapsed < 900.0,
+            f"{verdict.detail}; {elapsed:.0f}s")
+    assert verdict.passed
     assert elapsed < 900.0
-    assert _stalls(records) == 0
 
 
 def test_criterion_8_diversity_effect():
-    records = _sweep(
-        {"n": [4000], "condition_number": [1.0, 10.0, 100.0]}, trials=10
-    )
-    med = _median_by(records, "condition_number", "excess_transfer")
-    values = [med[c] for c in (1.0, 10.0, 100.0)]
-    passed = values[0] <= values[1] <= values[2]
-    _report(8, "diversity effect", passed,
-            f"median excess by condition number {dict(zip((1, 10, 100), [round(v, 5) for v in values]))}")
-    assert passed
-    assert _stalls(records) == 0
+    verdict = criterion_8(gate_sweep("condition_number"))
+    _report(8, "diversity effect", verdict.passed, verdict.detail)
+    assert verdict.passed
 
 
 def test_criterion_9_pretraining_beats_baseline():
-    records = _sweep({"n": [8000], "m": [100], "d": [50]}, trials=20)
-    ok = [rec for rec in records if rec.status == "ok"]
-    wins = sum(rec.excess_transfer < rec.baseline_excess for rec in ok)
-    passed = len(ok) == 20 and wins >= 18
-    _report(9, "pre-training beats no-pre-training", passed,
-            f"pipeline wins {wins}/{len(ok)} seeds "
-            f"(median pipeline {np.median([r.excess_transfer for r in ok]):.4f}, "
-            f"median baseline {np.median([r.baseline_excess for r in ok]):.4f})")
-    assert passed
-    assert _stalls(records) == 0
+    verdict = criterion_9(gate_sweep("baseline"))
+    _report(9, "pre-training beats no-pre-training", verdict.passed, verdict.detail)
+    assert verdict.passed
 
 
 def test_criterion_10_regularizer_mechanism():
-    records = _sweep({"n": [2000], "lambda_div": [0.0, 0.5]}, trials=10)
-    ok = [rec for rec in records if rec.status == "ok"]
-    by_lambda = {}
-    for rec in ok:
-        by_lambda.setdefault(rec.params["lambda_div"], []).append(rec.nu_learned)
-    med0 = float(np.median(by_lambda[0.0]))
-    med5 = float(np.median(by_lambda[0.5]))
-    stalls = _stalls(ok)
-    passed = med5 > med0 and stalls == 0 and len(ok) == 20
-    _report(10, "diversity regularizer mechanism", passed,
-            f"median learned diversity: lambda=0 -> {med0:.3f}, "
-            f"lambda=0.5 -> {med5:.3f}; stalls {stalls}")
-    assert med5 > med0
-    assert stalls == 0
+    records = gate_sweep("lambda_div")
+    verdict = criterion_10(records)
+    ok_rows = sum(rec.status == "ok" for rec in records)
+    _report(10, "diversity regularizer mechanism", verdict.passed and ok_rows == 20,
+            verdict.detail)
+    assert verdict.passed
 
 
 def test_criterion_11_subspace_recovery(n_sweep):
-    records, _ = n_sweep
-    med = _median_by(records, "n", "max_principal_angle")
-    angles = [med[n] for n in (500, 2000, 8000)]
-    passed = angles[0] > angles[1] > angles[2]
-    _report(11, "subspace recovery", passed,
-            f"median largest principal angle by n: "
-            f"{dict(zip((500, 2000, 8000), [round(a, 4) for a in angles]))}")
-    assert passed
+    verdict = criterion_11(n_sweep[0])
+    _report(11, "subspace recovery", verdict.passed, verdict.detail)
+    assert verdict.passed
 
 
 def test_criterion_12_sweep_determinism(tmp_path):

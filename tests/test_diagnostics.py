@@ -143,7 +143,7 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         report = measure_excess_risks(
-            truth.rep, None, truth.down_head, truth, spec, 2000, rng
+            truth.rep, None, truth.down_head, truth, sample_covariates(spec, 2000, rng), 2000
         )
         assert report.excess_transfer_risk == 0.0
         assert report.std_error == 0.0
@@ -154,9 +154,8 @@ class TestTransferRisk:
         zero = LinearHead(np.zeros((2, 1)), 1.0)
         truth = GroundTruth(rep=base.rep, pre_head=base.pre_head, down_head=zero)
         other_rep = _perturbed_rep(base, 0.5, rng)
-        report = measure_excess_risks(
-            other_rep, None, zero, truth, isotropic_covariates(6), 1000, rng
-        )
+        x = sample_covariates(isotropic_covariates(6), 1000, rng)
+        report = measure_excess_risks(other_rep, None, zero, truth, x, 1000)
         assert report.excess_transfer_risk == 0.0
 
     def test_agrees_with_naive_sampled_estimator(self):
@@ -166,7 +165,8 @@ class TestTransferRisk:
         rep_hat = _perturbed_rep(truth, 0.3, rng)
         head_hat = LinearHead(truth.down_head.alpha * 0.8, truth.down_head.column_cap)
         kl_report = measure_excess_risks(
-            rep_hat, None, head_hat, truth, spec, 50_000, derive_rng(15, "a")
+            rep_hat, None, head_hat, truth,
+            sample_covariates(spec, 50_000, derive_rng(15, "a")), 50_000,
         )
         naive, naive_se = naive_excess_risk(
             rep_hat, head_hat, truth, spec, 200_000, derive_rng(15, "b")
@@ -179,13 +179,14 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 9, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         report = measure_excess_risks(
-            truth.rep, truth.pre_head, truth.down_head, truth, spec, 500, rng
+            truth.rep, truth.pre_head, truth.down_head, truth,
+            sample_covariates(spec, 500, rng), 500,
         )
         assert report.excess_pretrain_risk == 0.0
         assert report.pretrain_std_error == 0.0
         # without a pre-training head only the downstream stage is measured
         report = measure_excess_risks(
-            truth.rep, None, truth.down_head, truth, spec, 500, rng
+            truth.rep, None, truth.down_head, truth, sample_covariates(spec, 500, rng), 500
         )
         assert math.isnan(report.excess_pretrain_risk)
         assert math.isnan(report.baseline_excess_risk)
@@ -198,12 +199,13 @@ class TestTransferRisk:
         spec = isotropic_covariates(6)
         base_head = LinearHead(rng.standard_normal((6, 2)) * 0.1, 1.0)
         report = measure_excess_risks(
-            truth.rep, truth.pre_head, truth.down_head, truth, spec, 3000,
-            derive_rng(36, "mc"), baseline_head=base_head,
+            truth.rep, truth.pre_head, truth.down_head, truth,
+            sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
+            baseline_head=base_head,
         )
         identity = measure_excess_risks(
-            SubspaceRep(np.eye(6)), None, base_head, truth, spec, 3000,
-            derive_rng(36, "mc"),
+            SubspaceRep(np.eye(6)), None, base_head, truth,
+            sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
         )
         assert report.baseline_excess_risk > 0.0
         assert report.baseline_excess_risk == identity.excess_transfer_risk
@@ -215,11 +217,21 @@ class TestTransferRisk:
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.2, rng)
         report = measure_excess_risks(
-            rep_hat, truth.pre_head, truth.down_head, truth, spec, 4000, rng
+            rep_hat, truth.pre_head, truth.down_head, truth,
+            sample_covariates(spec, 4000, rng), 4000,
         )
         assert report.excess_transfer_risk >= 0.0
         assert report.excess_pretrain_risk >= 0.0
         assert report.mc_samples == 4000
+
+
+    @pytest.mark.parametrize("rows", [1999, 2001])
+    def test_draw_must_have_n_mc_rows(self, rows):
+        rng = derive_rng(18, "risk")
+        truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
+        x = sample_covariates(isotropic_covariates(6), rows, rng)
+        with pytest.raises(ContractViolation, match="n_mc = 2000"):
+            measure_excess_risks(truth.rep, None, truth.down_head, truth, x, 2000)
 
 
 class TestRepresentationDifference:

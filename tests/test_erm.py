@@ -23,6 +23,7 @@ from transferlab.synthetic import (
     isotropic_covariates,
     make_dataset,
     make_ground_truth,
+    sample_covariates,
 )
 from transferlab import erm
 from transferlab.erm import (
@@ -762,8 +763,9 @@ class TestBaseline:
             pipe_head, _ = fit_downstream_head(truth.rep, ds, 1.0, cfg)
             base_head, _ = train_baseline(ds, 1.0, cfg)
             report = measure_excess_risks(
-                truth.rep, None, pipe_head, truth, spec, 20_000,
-                derive_rng(seed, "base-mc"), baseline_head=base_head,
+                truth.rep, None, pipe_head, truth,
+                sample_covariates(spec, 20_000, derive_rng(seed, "base-mc")), 20_000,
+                baseline_head=base_head,
             )
             wins += report.excess_transfer_risk < report.baseline_excess_risk
         assert wins >= 4

@@ -232,6 +232,39 @@ class TestRunSweep:
         assert records[0].nu_learned == records[1].nu_learned
         assert records[0].max_principal_angle == records[1].max_principal_angle
         assert records[0].excess_transfer != records[1].excess_transfer
+        # one stage-one fit scored on one draw: the same pre-training risk
+        assert records[0].excess_pretrain == records[1].excess_pretrain
+        assert records[0].excess_pretrain_se == records[1].excess_pretrain_se
+
+    def test_rows_in_trial_then_cell_order(self, micro_records):
+        assert [(rec.trial, rec.cell_index) for rec in micro_records] == [
+            (trial, idx) for trial in range(2) for idx in range(3)]
+
+    def test_row_does_not_depend_on_the_rest_of_the_grid(self, tmp_path):
+        # every cell shares its trial's draw and stage-one memo with the
+        # other cells; alone it must produce the same row, byte for byte
+        doc = dict(MICRO, trials=2)
+        doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], lambda_div=[0.0, 0.3])
+        full = tmp_path / "full.csv"
+        cells = cells_of(SweepConfig.from_dict(doc))
+        run_sweep(SweepConfig.from_dict(doc), out_csv=full)
+        rows = full.read_text().splitlines()[1:]
+        assert len(rows) == 2 * len(cells)
+        for idx, cell in enumerate(cells):
+            alone = tmp_path / f"alone{idx}.csv"
+            one = dict(doc, grid={key: [value] for key, value in cell.items()})
+            run_sweep(SweepConfig.from_dict(one), out_csv=alone)
+            # the same row apart from the cell index, which is 0 alone
+            expect = [row.split(",", 1)[1] for row in rows if row.split(",", 1)[0] == str(idx)]
+            got = [row.split(",", 1)[1] for row in alone.read_text().splitlines()[1:]]
+            assert got == expect
+
+    def test_trials_do_not_share_fits_or_draws(self, micro_records):
+        for idx in range(3):
+            first, second = (rec for rec in micro_records if rec.cell_index == idx)
+            assert first.nu_learned != second.nu_learned
+            assert first.excess_pretrain != second.excess_pretrain
+            assert first.excess_transfer != second.excess_transfer
 
 
 class TestWriteReport:

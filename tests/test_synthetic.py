@@ -1,6 +1,7 @@
 """Ground-truth construction and data-generation statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,72 @@ class TestDatasetIo:
         assert header == "# d=%d K=4 n=70 seed=s spec=" % d
         assert body == self._parent_rows(ds)
         assert body.startswith("-0,") and "e+300," in body and "e-300," in body
+
+    @staticmethod
+    def _per_value_rows(path):
+        """The data rows as the per-value loop before the vectorized parse read them."""
+        with open(path) as fh:
+            d = int(dict(t.split("=", 1) for t in fh.readline().split()[1:])["d"])
+            xs, labels = [], []
+            for line in fh:
+                parts = line.split(",")
+                xs.append([float(v) for v in parts[:-1]])
+                labels.append(int(parts[-1]))
+        return np.array(xs).reshape(len(xs), d), np.array(labels, dtype=np.int64)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_parse_bitwise_equal_per_value_loop(self, tmp_path, d):
+        rng = np.random.default_rng(10 + d)
+        special = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1, 1 / 3]
+        x = np.concatenate([np.resize(special, (len(special), d)),
+                            rng.normal(0, 1, (40, d)) * 10.0 ** rng.integers(-20, 20, (40, d))])
+        labels = rng.integers(1, 5, x.shape[0])
+        path = tmp_path / "d.csv"
+        save_dataset(path, LabeledDataset(x, np.eye(4)[labels - 1, :-1], 4))
+        # plus a row of hand-written spellings that float() and int() accept
+        extra = ["-0.000", " 1E-320", "+7", "4.9406564584124654e-324", "-1e+308"][:d]
+        path.write_text(path.read_text().replace(" n=50 ", " n=51 ", 1)
+                        + ",".join(extra) + ", +2\n")
+        back = load_dataset(path)
+        ref_x, ref_labels = self._per_value_rows(path)
+        assert back.x.dtype == np.float64 and back.x.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(back.x.view(np.int64), ref_x.view(np.int64))
+        np.testing.assert_array_equal(back.y, np.eye(4)[ref_labels - 1, :-1])
+        flat = back.x.ravel()
+        assert np.signbit(flat[flat == 0.0]).any() and (flat == 5e-324).any()
+
+    @pytest.mark.parametrize("body, x, labels", [
+        pytest.param("1_0,2\n3,1\n", [[10.0], [3.0]], [2, 1], id="underscore"),
+        pytest.param("0.5,1\n-2,2", [[0.5], [-2.0]], [1, 2], id="no-final-newline"),
+    ])
+    def test_per_line_parse_reads_what_the_vectorized_parse_rejects(self, tmp_path, body,
+                                                                     x, labels):
+        path = tmp_path / "d.csv"
+        path.write_text("# d=1 K=3 n=2\n" + body)
+        back = load_dataset(path)
+        np.testing.assert_array_equal(back.x, x)
+        np.testing.assert_array_equal(back.y, np.eye(3)[np.array(labels) - 1, :-1])
+
+    def test_empty_body_loads_without_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# d=3 K=2 n=0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_dataset(path)
+        assert back.x.shape == (0, 3) and back.y.shape == (0, 1)
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("0.5,1\n\n2,3\n", "line 3 has 1 fields", id="blank-line"),
+        pytest.param("0.5,1.0\n2,3\n", "line 2: invalid literal for int()", id="float-label"),
+        pytest.param("0.5,1\n# note\n", "line 3 has 1 fields", id="comment-line"),
+        pytest.param("0.5,1\n2,0\n", "line 3: label 0 outside 1..3", id="label-range"),
+    ])
+    def test_malformed_body_names_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("# d=1 K=3 n=2\n" + body)
+        with pytest.raises(ContractViolation, match=f"{path.name} {message}"):
+            load_dataset(path)
 
     def test_label_indices_one_based(self, tmp_path):
         rng = derive_rng(17, "io")
