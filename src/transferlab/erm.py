@@ -10,6 +10,13 @@ head phase alone on the embeddings, a convex problem. A no-pretraining
 baseline fits a full-dimensional linear predictor the same way on the raw
 covariates.
 
+The loop works on class-major blocks: x as one (d, n) copy per fit,
+embeddings (r, n), logits (K-1, n). The targets enter once per fit, as
+the family's ``label_terms``: for a subspace S = x^T T / n, so a frame's
+label statistic is B^T S and its gradient's label part S alpha^T. The
+head's largest column norm times the largest embedding norm bounds every
+logit, which lets ``_log_partition_cols`` skip its max pass, bits unchanged.
+
 Every line search starts from a Barzilai-Borwein step of its own block
 (``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
 full batch and deterministic given the RNG used for initialization; the
@@ -145,6 +152,10 @@ class PretrainResult:
     trace: TrainTrace
 
 
+def _ridged_gram(alpha: np.ndarray, mu: float) -> np.ndarray:
+    return alpha @ alpha.T + mu * np.eye(alpha.shape[0])
+
+
 def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     """Value and gradient of ln det(alpha alpha^T + mu I).
 
@@ -154,35 +165,41 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
     a = np.asarray(alpha, dtype=np.float64)
     if mu < 0:
         raise ContractViolation("ridge must be nonnegative")
-    gram = a @ a.T + mu * np.eye(a.shape[0])
-    value = logdet_psd(gram)
-    grad = 2.0 * np.linalg.solve(gram, a)
-    return value, grad
+    gram = _ridged_gram(a, mu)
+    return logdet_psd(gram), 2.0 * np.linalg.solve(gram, a)
 
 
-def _head_risk(alpha: np.ndarray, z: np.ndarray, label_stat: np.ndarray
+def _embed(rep: Representation, xt: np.ndarray, terms):
+    """``rep``'s (zt, cache, label_stat, largest embedding norm) on a (d, n) block."""
+    zt, cache = rep.forward(xt)
+    return zt, cache, rep.label_stat(zt, terms), _norm_max(zt)
+
+
+def _norm_max(zt: np.ndarray) -> float:
+    """Largest column norm of a block (NaN if it holds a NaN)."""
+    return float(np.sqrt(np.einsum("ij,ij->j", zt, zt).max(initial=0.0)))
+
+
+def _head_risk(alpha: np.ndarray, zt: np.ndarray, label_stat: np.ndarray, zmax: float
                ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Mean cross-entropy of the logits z alpha, and their unnormalized softmax.
+    """Mean cross-entropy of the logits alpha^T z, and their unnormalized softmax.
 
-    ``label_stat`` is z^T T / n for the targets T, so the label term
-    mean_i t_i . eta_i equals <alpha, label_stat> and needs no pass over
-    the samples. The C-ordered logit block becomes the (K-1, n)
-    class-major exponentials ``expo`` in place; with the (n,) denominators
-    ``denom`` the softmax is expo / denom, a division the gradients apply
-    to an n-vector instead of the block.
+    ``zt`` holds the (r, n) embeddings and ``label_stat`` is z^T T / n for
+    the targets T, so the label term mean_i t_i . eta_i is <alpha,
+    label_stat>. The C-ordered logit block becomes the (K-1, n) ``expo`` in
+    place; with the (n,) ``denom`` the softmax is expo / denom, a division
+    the gradients apply to an n-vector. No logit exceeds alpha's largest
+    column norm times ``zmax`` (Cauchy-Schwarz): padded for rounding, the
+    kernel's certificate, and NaN or inf when an operand is.
     """
-    logits = alpha.T @ z.T
-    phi, expo, _, denom = _log_partition_cols(logits, out=logits)
+    logits = alpha.T @ zt
+    bound = _norm_max(alpha) * zmax * (1.0 + 1e-9)
+    phi, expo, _, denom = _log_partition_cols(logits, out=logits, bound=bound)
     risk = float(np.mean(phi) - np.vdot(alpha, label_stat))
     return risk, (expo, denom)
 
 
-def _label_stat(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The (r, K-1) label statistic z^T T / n of one embedding."""
-    return z.T @ targets / z.shape[0]
-
-
-def _head_grad(z: np.ndarray, soft: tuple[np.ndarray, np.ndarray], label_stat: np.ndarray
+def _head_grad(zt: np.ndarray, soft: tuple[np.ndarray, np.ndarray], label_stat: np.ndarray
                ) -> np.ndarray:
     """Mean-loss gradient w.r.t. the head: (P z)^T / n - z^T T / n.
 
@@ -190,18 +207,13 @@ def _head_grad(z: np.ndarray, soft: tuple[np.ndarray, np.ndarray], label_stat: n
     as expo (z / denom).
     """
     expo, denom = soft
-    return (expo @ (z / denom[:, None])).T / z.shape[0] - label_stat
+    return (expo @ (zt / denom).T).T / zt.shape[1] - label_stat
 
 
-def _embed_grad(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray], y: np.ndarray
-                ) -> np.ndarray:
-    """Per-sample loss gradient at the embeddings, (alpha P)^T - T alpha^T.
-
-    ``soft`` is the ``(expo, denom)`` pair of ``_head_risk``; alpha P is
-    formed as (alpha expo) / denom.
-    """
+def _embed_softmax(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """alpha P = (alpha expo) / denom, the softmax part of the (r, n) gradient at z."""
     expo, denom = soft
-    return ((alpha @ expo) / denom).T - y @ alpha.T
+    return (alpha @ expo) / denom
 
 
 def loss_and_grad(rep: Representation, head: LinearHead, x, y):
@@ -216,11 +228,12 @@ def loss_and_grad(rep: Representation, head: LinearHead, x, y):
         raise ContractViolation("x and y must be matching 2-D sample blocks")
     if y.shape[1] != head.n_logits:
         raise ContractViolation("label width does not match head logits")
-    z, cache = rep.forward(x)
-    label_stat = _label_stat(z, y)
-    risk, soft = _head_risk(head.alpha, z, label_stat)
-    grad_alpha = _head_grad(z, soft, label_stat)
-    grad_rep = rep.grad(x, cache, _embed_grad(head.alpha, soft, y))
+    xt = np.ascontiguousarray(x.T)
+    terms = rep.label_terms(xt, y)
+    zt, cache, label_stat, zmax = _embed(rep, xt, terms)
+    risk, soft = _head_risk(head.alpha, zt, label_stat, zmax)
+    grad_alpha = _head_grad(zt, soft, label_stat)
+    grad_rep = rep.grad(xt, cache, _embed_softmax(head.alpha, soft), head.alpha, terms)
     return risk, grad_alpha, grad_rep
 
 
@@ -297,8 +310,9 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     given, a representation phase at the fresh head through the family's
     ``descent``; the representation's Barzilai-Borwein secant pair is its
     ``coords`` and ``descent`` gradient. Without ``rep`` the rows of ``x``
-    are the embeddings and the representation stays frozen, which is the
-    head fit of stage two. The trace records risk, regularizer value,
+    are the embeddings, read as (r, n) through a transposed view, and the
+    representation stays frozen: the head fit of stage two. The trace
+    records risk, regularizer value,
     combined projected-gradient norm, accepted step, and the running
     least Gram eigenvalue of the head. Line-search failure stalls the run
     and returns the current iterate with the stall recorded.
@@ -309,24 +323,31 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     def reg_value(a):
         if lambda_div == 0.0:
             return 0.0
-        return logdet_psd(a @ a.T + mu * np.eye(a.shape[0]))
+        return logdet_psd(_ridged_gram(a, mu))
 
     # both objectives read the current iterate of the other block
     def head_objective(cand):
-        risk_c, soft_c = _head_risk(cand, z, label_stat)
+        risk_c, soft_c = _head_risk(cand, zt, label_stat, zmax)
         reg_c = reg_value(cand)
         return risk_c - lambda_div * reg_c, (risk_c, soft_c, reg_c)
 
     def rep_objective(cand):
-        z_c, cache_c = cand.forward(x)
-        stat_c = _label_stat(z_c, y)
-        risk_c, soft_c = _head_risk(alpha, z_c, stat_c)
-        return risk_c, (z_c, cache_c, stat_c, soft_c)
+        zt_c, _, stat_c, zmax_c = emb_c = _embed(cand, xt, terms)
+        risk_c, soft_c = _head_risk(alpha, zt_c, stat_c, zmax_c)
+        return risk_c, (emb_c, soft_c)
 
-    z, cache = (x, None) if rep is None else rep.forward(x)
-    alpha = np.zeros((z.shape[1], y.shape[1]))
-    label_stat = _label_stat(z, y)
-    risk, soft = _head_risk(alpha, z, label_stat)
+    def rep_grad():
+        return rep.grad(xt, cache, _embed_softmax(alpha, soft), alpha, terms)
+
+    if rep is None:  # the rows of x are the embeddings: read a transposed view
+        zt, cache = x.T, None
+        label_stat, zmax = zt @ y / x.shape[0], _norm_max(zt)
+    else:  # one (d, n) copy of the samples and the label terms per fit
+        xt = np.ascontiguousarray(x.T)
+        terms = rep.label_terms(xt, y)
+        zt, cache, label_stat, zmax = _embed(rep, xt, terms)
+    alpha = np.zeros((zt.shape[0], y.shape[1]))
+    risk, soft = _head_risk(alpha, zt, label_stat, zmax)
     reg = reg_value(alpha)
     s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
@@ -336,14 +357,13 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     phase_floor = 0.5 * cfg.grad_tol
 
     for it in range(cfg.max_iters):
-        grad_alpha = _head_grad(z, soft, label_stat)
+        grad_alpha = _head_grad(zt, soft, label_stat)
         if lambda_div > 0.0:
-            _, reg_grad = logdet_regularizer(alpha, mu)
+            # the gradient of ln det alone: its value is ``reg``, held already
+            reg_grad = 2.0 * np.linalg.solve(_ridged_gram(alpha, mu), alpha)
             grad_alpha = grad_alpha - lambda_div * reg_grad
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep = 0.0 if rep is None else rep.descent(
-            rep.grad(x, cache, _embed_grad(alpha, soft, y))
-        )[0]
+        pg_rep = 0.0 if rep is None else rep.descent(rep_grad())[0]
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
@@ -366,9 +386,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
             continue
 
         # --- representation phase at the fresh head ---
-        move_norm, rep_dir, rep_step = rep.descent(
-            rep.grad(x, cache, _embed_grad(alpha, soft, y))
-        )
+        move_norm, rep_dir, rep_step = rep.descent(rep_grad())
         if move_norm > phase_floor:
             coords = rep.coords
             found = _backtrack(
@@ -379,7 +397,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
                 trace.stall("representation", found)
                 break
             prev_rep = (coords, rep_dir)
-            last_step, s_rep, rep, risk, (z, cache, label_stat, soft) = found
+            last_step, s_rep, rep, risk, ((zt, cache, label_stat, zmax), soft) = found
     else:
         trace.outcome = "max_iters"
     return rep, alpha, trace

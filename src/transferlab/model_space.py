@@ -8,12 +8,13 @@ infinity-to-2 operator norm (enforced through the column-norm-sum upper
 bound, which certifies the true operator norm). Heads are linear maps
 ``z -> alpha^T z`` with per-column Euclidean norm caps.
 
-Each representation family owns its training geometry: ``forward``
-(embeddings plus the cache ``grad`` needs), ``grad`` (parameter gradient
-from the gradient at the embeddings), ``descent`` (stationarity norm,
-secant gradient and the constrained step map) and ``coords`` (the
-parameters as one array, paired with the secant gradient for
-Barzilai-Borwein initial steps).
+Each representation family owns its training geometry on class-major
+(one column per sample) blocks: ``forward`` ((r, n) embeddings plus the
+cache ``grad`` needs), ``label_terms`` (the targets' part, formed once per
+fit), ``label_stat`` (z^T T / n), ``grad`` (parameter gradient),
+``descent`` (stationarity norm, secant gradient and the constrained step
+map) and ``coords`` (the parameters as one array, paired with the secant
+gradient for Barzilai-Borwein initial steps).
 
 Values are immutable after construction; all operations are pure.
 """
@@ -44,10 +45,10 @@ __all__ = [
 _ORTHO_TOL = 1e-8
 
 
-def _as_input(x, dim: int) -> np.ndarray:
+def _as_input(x, dim: int, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ContractViolation(f"input dim {x.shape[-1]} != representation dim {dim}")
+    if x.shape[axis] != dim:
+        raise ContractViolation(f"input dim {x.shape[axis]} != representation dim {dim}")
     return x
 
 
@@ -77,6 +78,13 @@ class SubspaceRep:
             raise ContractViolation(f"columns not orthonormal: defect {defect:.3e}")
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def _trusted(cls, b: np.ndarray) -> "SubspaceRep":
+        """Wrap a frame ``orthonormalize`` just made, skipping the re-validation."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "b", b)
+        return rep
+
     @property
     def input_dim(self) -> int:
         return self.b.shape[0]
@@ -90,16 +98,27 @@ class SubspaceRep:
         """Uniformly random orthonormal d x r frame."""
         return cls(orthonormalize(rng.standard_normal((d, r))))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, None]:
-        """Embeddings B^T x; a subspace keeps no cache for ``grad``."""
-        return _as_input(x, self.input_dim) @ self.b, None
+    def forward(self, xt: np.ndarray) -> tuple[np.ndarray, None]:
+        """Embeddings B^T x of a (d, n) block; a subspace keeps no cache for ``grad``."""
+        return self.b.T @ _as_input(xt, self.input_dim, 0), None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        return _as_input(x, self.input_dim) @ self.b
 
-    def grad(self, x: np.ndarray, cache, g_embed: np.ndarray) -> np.ndarray:
-        """Mean-loss gradient w.r.t. B from the (n, r) per-sample gradient at z."""
-        return x.T @ g_embed / x.shape[0]
+    @staticmethod
+    def label_terms(xt: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """S = x^T T / n, (d, K-1): every frame's label terms on this data."""
+        return xt @ targets / xt.shape[1]
+
+    def label_stat(self, zt: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """z^T T / n = B^T S, with no pass over the samples."""
+        return self.b.T @ s
+
+    def grad(self, xt: np.ndarray, cache, a: np.ndarray, alpha: np.ndarray,
+             s: np.ndarray) -> np.ndarray:
+        """Mean-loss gradient w.r.t. B, x (a - alpha T^T)^T / n = x a^T / n - S alpha^T,
+        from the (r, n) softmax part ``a`` = alpha P of the gradient at z."""
+        return xt @ a.T / xt.shape[1] - s @ alpha.T
 
     @property
     def coords(self) -> np.ndarray:
@@ -122,7 +141,7 @@ class SubspaceRep:
         def step(s):
             cand = orthonormalize(b - s * riem)
             diff = cand - b
-            return SubspaceRep(cand), float((diff * diff).sum())
+            return SubspaceRep._trusted(cand), float((diff * diff).sum())
 
         return float(np.linalg.norm(riem)), grad, step
 
@@ -173,31 +192,47 @@ class MlpRep:
         ]
         return cls(tuple(_cap_mlp_weights(weights, caps)), caps)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Embeddings plus the layer inputs (x, then each tanh layer) ``grad`` needs."""
-        a = _as_input(x, self.input_dim)
-        acts = [a]
+    def forward(self, xt: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(r, n) embeddings plus the (width, n) layer inputs ``grad`` needs."""
+        acts = [_as_input(xt, self.input_dim, 0)]
         for w in self.weights[:-1]:
-            a = np.tanh(a @ w.T)
-            acts.append(a)
-        return a @ self.weights[-1].T, acts
+            acts.append(np.tanh(w @ acts[-1]))
+        return self.weights[-1] @ acts[-1], acts
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        a = _as_input(x, self.input_dim)
+        for w in self.weights[:-1]:
+            a = np.tanh(a @ w.T)
+        return a @ self.weights[-1].T
 
-    def grad(self, x: np.ndarray, acts: list[np.ndarray], g_embed: np.ndarray
-             ) -> list[np.ndarray]:
-        """Per-layer mean-loss gradients by backpropagating the (n, r) gradient at z."""
-        ws = self.weights
-        n = x.shape[0]
+    @staticmethod
+    def label_terms(xt: np.ndarray, targets: np.ndarray):
+        """The targets, and each one-hot row's column of [alpha, 0] (None if soft)."""
+        cols = np.where(targets.any(axis=1), targets.argmax(axis=1), targets.shape[1])
+        hot = np.array_equal(np.eye(targets.shape[1] + 1)[cols, :-1], targets)
+        return targets, cols if hot else None
+
+    def label_stat(self, zt: np.ndarray, terms) -> np.ndarray:
+        """z^T T / n, one pass over the embeddings: T does not pass through tanh."""
+        return zt @ terms[0] / zt.shape[1]
+
+    def grad(self, xt: np.ndarray, acts: list[np.ndarray], a: np.ndarray,
+             alpha: np.ndarray, terms) -> list[np.ndarray]:
+        """Per-layer mean-loss gradients by backpropagating a - alpha T^T, the
+        (r, n) gradient at z, from its softmax part ``a`` = alpha P."""
+        ws, n = self.weights, xt.shape[1]
+        # for one-hot targets alpha T^T is a gather of [alpha, 0] by label
+        targets, cols = terms
+        g_z = a - (alpha @ targets.T if cols is None else
+                   np.take(np.column_stack([alpha, np.zeros(len(alpha))]), cols, axis=1))
         grads = [None] * len(ws)
-        grads[-1] = g_embed.T @ acts[-1] / n
-        g_a = g_embed @ ws[-1]
+        grads[-1] = g_z @ acts[-1].T / n
+        g_a = ws[-1].T @ g_z
         for p in range(len(ws) - 2, -1, -1):
             g_pre = g_a * (1.0 - acts[p + 1] ** 2)
-            grads[p] = g_pre.T @ acts[p] / n
+            grads[p] = g_pre @ acts[p].T / n
             if p > 0:
-                g_a = g_pre @ ws[p]
+                g_a = ws[p].T @ g_pre
         return grads
 
     @property

@@ -129,7 +129,8 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
 
 
 def test_pretrain_honours_mlp_config(tmp_path, micro_config):
-    doc = json.loads(open(micro_config).read())
+    with open(micro_config) as fh:
+        doc = json.load(fh)
     doc["hypothesis"] = {"kind": "mlp", "mlp_widths": [4], "mlp_caps": [4.0, 4.0]}
     doc["optimizer"].update(max_iters=20)
     config = tmp_path / "mlp.json"

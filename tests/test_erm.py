@@ -17,7 +17,12 @@ from transferlab.model_space import (
     diversity_parameter,
 )
 from transferlab.rngutil import derive_rng
-from transferlab.softmax import _SHIFT_FREE_MAX, cross_entropy_rows, softmax_full_rows
+from transferlab.softmax import (
+    _SHIFT_FREE_MAX,
+    _log_partition_cols,
+    cross_entropy_rows,
+    softmax_full_rows,
+)
 from transferlab.synthetic import (
     LabeledDataset,
     isotropic_covariates,
@@ -28,10 +33,10 @@ from transferlab.synthetic import (
 from transferlab import erm
 from transferlab.erm import (
     _bb_step,
-    _embed_grad,
+    _embed_softmax,
     _head_grad,
     _head_risk,
-    _label_stat,
+    _norm_max,
     TrainTrace,
     HypothesisConfig,
     OptimConfig,
@@ -42,6 +47,25 @@ from transferlab.erm import (
     pretrain,
     train_baseline,
 )
+
+
+def _parent_label_stat(z, targets):
+    """The (r, K-1) label statistic z^T T / n as the parent formed it per trial."""
+    return z.T @ targets / z.shape[0]
+
+
+def _parent_head_risk(alpha, z, label_stat):
+    """The parent's row-major loss kernel: logits from (n, r) embeddings, no bound."""
+    logits = alpha.T @ z.T
+    phi, expo, _, denom = _log_partition_cols(logits, out=logits)
+    risk = float(np.mean(phi) - np.vdot(alpha, label_stat))
+    return risk, (expo, denom)
+
+
+def _parent_head_grad(z, soft, label_stat):
+    """The parent's head gradient (P z)^T / n - z^T T / n from (n, r) embeddings."""
+    expo, denom = soft
+    return (expo @ (z / denom[:, None])).T / z.shape[0] - label_stat
 
 
 def fd_grad(fun, point, h=1e-6):
@@ -192,7 +216,8 @@ class TestHeadRiskKernel:
         t = mixed_targets(rng, n, k_minus_1)
         # an identity head makes the class-major logits exactly eta^T
         alpha = np.eye(k_minus_1)
-        risk, (expo, denom) = _head_risk(alpha, eta, _label_stat(eta, t))
+        risk, (expo, denom) = _head_risk(
+            alpha, eta.T, _parent_label_stat(eta, t), _norm_max(eta.T))
         ref = float(cross_entropy_rows(eta, t).mean())
         # the risk is a difference of terms as large as max |eta|
         assert abs(risk - ref) <= 1e-12 * max(abs(ref), scale, 1.0)
@@ -249,9 +274,10 @@ class TestHeadRiskKernel:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, r))
         alpha = rng.uniform(-scale, scale, (r, k_minus_1))
-        stat = _label_stat(z, mixed_targets(rng, n, k_minus_1))
+        stat = _parent_label_stat(z, mixed_targets(rng, n, k_minus_1))
         before = alpha.copy(), z.copy()
-        risk, (expo, denom) = _head_risk(alpha, z, stat)
+        # the certificate may skip the max pass, never change a bit
+        risk, (expo, denom) = _head_risk(alpha, z.T, stat, _norm_max(z.T))
         ref_risk, ref_expo, ref_denom = self._reference_head_risk(alpha, z, stat)
         assert risk == ref_risk or (math.isnan(risk) and math.isnan(ref_risk))
         np.testing.assert_array_equal(expo, ref_expo)
@@ -282,16 +308,18 @@ class TestHeadRiskKernel:
         z = rng.standard_normal((n, r))
         alpha = rng.uniform(-scale, scale, (r, k_minus_1))
         y = mixed_targets(rng, n, k_minus_1)
-        stat = _label_stat(z, y)
-        _, soft = _head_risk(alpha, z, stat)
+        stat = _parent_label_stat(z, y)
+        _, soft = _head_risk(alpha, z.T, stat, _norm_max(z.T))
         _, probs, _ = self._parent_head_risk(alpha, z, stat)
         tol = 1e-13
         pz, ref_head = (probs @ z).T / n, (probs @ z).T / n - stat
-        head = _head_grad(z, soft, stat)
+        head = _head_grad(z.T, soft, stat)
         assert np.linalg.norm(head - ref_head) <= tol * (
             np.linalg.norm(pz) + np.linalg.norm(stat))
         ap, ya = (alpha @ probs).T, y @ alpha.T
-        embed = _embed_grad(alpha, soft, y)
+        # the per-sample gradient at the embeddings: its softmax part from
+        # the kernel, its label part T alpha^T
+        embed = _embed_softmax(alpha, soft).T - y @ alpha.T
         assert np.linalg.norm(embed - (ap - ya)) <= tol * (
             np.linalg.norm(ap) + np.linalg.norm(ya))
 
@@ -345,6 +373,174 @@ class TestHeadRiskKernel:
             numeric = fd_grad(risk_of, w)
             assert np.linalg.norm(g - numeric) <= 1e-6 * max(
                 np.linalg.norm(numeric), 1.0), f"layer {layer}"
+
+
+def _fast_path(rep, alpha, x, y):
+    """Label statistic, embeddings and representation gradient through the
+    class-major path the descent loop takes."""
+    xt = np.ascontiguousarray(x.T)
+    terms = rep.label_terms(xt, y)
+    zt, cache, stat, zmax = erm._embed(rep, xt, terms)
+    _, soft = _head_risk(alpha, zt, stat, zmax)
+    return stat, zt, rep.grad(xt, cache, _embed_softmax(alpha, soft), alpha, terms)
+
+
+def _parent_mlp_grad(weights, x, g_embed):
+    """The parent's row-major backpropagation of the (n, r) gradient at z."""
+    n = x.shape[0]
+    acts = [x]
+    for w in weights[:-1]:
+        acts.append(np.tanh(acts[-1] @ w.T))
+    grads = [None] * len(weights)
+    grads[-1] = g_embed.T @ acts[-1] / n
+    g_a = g_embed @ weights[-1]
+    for p in range(len(weights) - 2, -1, -1):
+        g_pre = g_a * (1.0 - acts[p + 1] ** 2)
+        grads[p] = g_pre.T @ acts[p] / n
+        if p > 0:
+            g_a = g_pre @ weights[p]
+    return grads
+
+
+class TestClassMajorFastPath:
+    """Label terms formed once per fit against the per-sample row-major formulas."""
+
+    EDGES = [(1, 1, 1), (1, 3, 4), (6, 1, 1), (5, 1, 3), (4, 3, 1)]
+
+    @staticmethod
+    def _problem(seed, n, r, k_minus_1, targets=None):
+        rng = np.random.default_rng(seed)
+        d = r + 2
+        x = rng.standard_normal((n, d))
+        y = (targets or mixed_targets)(rng, n, k_minus_1)
+        alpha = rng.standard_normal((r, k_minus_1)) * 1.5
+        return rng, x, y, alpha
+
+    def _check_subspace(self, seed, n, r, k_minus_1):
+        rng, x, y, alpha = self._problem(seed, n, r, k_minus_1)
+        rep = SubspaceRep(orthonormalize(rng.standard_normal((x.shape[1], r))))
+        stat, zt, grad = _fast_path(rep, alpha, x, y)
+        z = x @ rep.b
+        probs = softmax_full_rows(z @ alpha)[:, :-1]
+        ref_stat = z.T @ y / n
+        soft_part, label_part = x.T @ (probs @ alpha.T) / n, x.T @ (y @ alpha.T) / n
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(zt, z.T, rtol=64 * eps, atol=64 * eps * np.abs(z).max())
+        # B^T (x^T T) against (x B)^T T: the sums differ in order only
+        scale = np.linalg.norm(np.abs(x).T @ np.abs(y)) / n
+        assert np.linalg.norm(stat - ref_stat) <= 1e-13 * scale + 1e-300
+        assert np.linalg.norm(grad - (soft_part - label_part)) <= 1e-13 * (
+            np.linalg.norm(soft_part) + np.linalg.norm(label_part) + 1e-300)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_subspace_matches_per_sample_formulas(self, seed, n, r, k_minus_1):
+        self._check_subspace(seed, n, r, k_minus_1)
+
+    @pytest.mark.parametrize("n, r, k_minus_1", EDGES)
+    def test_subspace_edge_shapes(self, n, r, k_minus_1):
+        for seed in range(5):
+            self._check_subspace(seed, n, r, k_minus_1)
+
+    def _check_mlp(self, seed, n, r, k_minus_1, targets=None):
+        rng, x, y, alpha = self._problem(seed, n, r, k_minus_1, targets)
+        weights = (rng.standard_normal((4, x.shape[1])) * 0.5,
+                   rng.standard_normal((3, 4)) * 0.5, rng.standard_normal((r, 3)) * 0.5)
+        rep = MlpRep(weights, (100.0, 100.0, 100.0))
+        stat, zt, grads = _fast_path(rep, alpha, x, y)
+        z = rep.apply(x)
+        probs = softmax_full_rows(z @ alpha)[:, :-1]
+        ref = _parent_mlp_grad(rep.weights, x, probs @ alpha.T - y @ alpha.T)
+        np.testing.assert_allclose(zt, z.T, rtol=1e-13, atol=1e-13 * np.abs(z).max())
+        np.testing.assert_allclose(stat, z.T @ y / n, rtol=1e-12, atol=1e-13)
+        for g, want in zip(grads, ref):
+            assert np.linalg.norm(g - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4), st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_mlp_matches_per_sample_formulas(self, seed, n, r, k_minus_1):
+        self._check_mlp(seed, n, r, k_minus_1)
+        self._check_mlp(seed, n, r, k_minus_1, _one_hot_targets)
+
+    @pytest.mark.parametrize("n, r, k_minus_1", EDGES)
+    def test_mlp_edge_shapes(self, n, r, k_minus_1):
+        for seed in range(5):
+            self._check_mlp(seed, n, r, k_minus_1)
+            self._check_mlp(seed, n, r, k_minus_1, _one_hot_targets)
+
+    @pytest.mark.parametrize("n, k_minus_1", [(1, 1), (7, 1), (200, 2), (500, 29)])
+    def test_mlp_label_gather_is_bitwise_the_matmul(self, n, k_minus_1):
+        # one-hot rows, class K rows among them, gather their column of
+        # [alpha, 0]; the gradient must not move a bit against alpha T^T
+        rng, x, y, alpha = self._problem(n, n, 3, k_minus_1, _one_hot_targets)
+        y[0] = 0.0
+        rep = MlpRep.random(x.shape[1], (5, 3), (4.0, 4.0), rng)
+        xt = np.ascontiguousarray(x.T)
+        targets, cols = rep.label_terms(xt, y)
+        assert targets is y and cols is not None and cols[0] == k_minus_1
+        zt, acts = rep.forward(xt)
+        _, soft = _head_risk(alpha, zt, rep.label_stat(zt, (y, cols)), _norm_max(zt))
+        a = _embed_softmax(alpha, soft)
+        gathered = rep.grad(xt, acts, a, alpha, (y, cols))
+        multiplied = rep.grad(xt, acts, a, alpha, (y, None))
+        for g, want in zip(gathered, multiplied):
+            assert g.tobytes() == want.tobytes()
+
+    def test_mlp_soft_targets_take_the_matmul(self):
+        rng = np.random.default_rng(3)
+        y = mixed_targets(rng, 30, 3)
+        y[1] = [0.25, 0.25, 0.0]
+        assert MlpRep.label_terms(None, y)[1] is None
+        assert MlpRep.label_terms(None, np.eye(4)[[0, 3, 1], :-1])[1].tolist() == [0, 3, 1]
+
+
+class TestShiftFreeCertificate:
+    """_head_risk's logit bound skips the max pass only where it would pick the shift-free branch."""
+
+    @staticmethod
+    def _outputs_equal(got, ref_expo, ref_denom):
+        np.testing.assert_array_equal(got[1][0], ref_expo)
+        np.testing.assert_array_equal(got[1][1], ref_denom)
+
+    @pytest.mark.parametrize("n, r, k_minus_1", [(1, 1, 1), (30, 3, 29), (200, 2, 4)])
+    def test_bound_above_300_matches_the_parent_kernel(self, n, r, k_minus_1):
+        from test_softmax import parent_log_partition_cols
+
+        rng = np.random.default_rng(n + r)
+        z = rng.standard_normal((n, r))
+        z[0] *= 400.0 / np.linalg.norm(z[0])
+        u = z[0] / 400.0
+        # capped columns orthogonal to z_0, and the first one along it:
+        # cap * max |z_i| = 400, and the first logit is 400 > _SHIFT_FREE_MAX
+        alpha = cap_columns(rng.standard_normal((r, k_minus_1)), 1.0)
+        alpha -= np.outer(u, u @ alpha)
+        alpha[:, 0] = u
+        logits = alpha.T @ z.T
+        assert logits.max() > _SHIFT_FREE_MAX
+        stat = _parent_label_stat(z, mixed_targets(rng, n, k_minus_1))
+        got = _head_risk(alpha, z.T, stat, _norm_max(z.T))
+        _, expo, _, denom = parent_log_partition_cols(logits)
+        self._outputs_equal(got, expo, denom)
+        # a bound above 300 over logits that stay below it: the max pass
+        # runs and picks the shift-free branch
+        alpha[:, 0] = -u
+        logits = alpha.T @ z.T
+        assert logits.max() <= _SHIFT_FREE_MAX < _norm_max(z.T)
+        got = _head_risk(alpha, z.T, stat, _norm_max(z.T))
+        self._outputs_equal(got, np.exp(logits), np.exp(logits).sum(axis=0) + 1.0)
+
+    @pytest.mark.parametrize("where, bad", [
+        ("z", np.nan), ("z", np.inf), ("alpha", np.nan), ("alpha", np.inf)])
+    def test_non_finite_operand_takes_the_max_pass(self, where, bad):
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((20, 3))
+        alpha = cap_columns(rng.standard_normal((3, 4)), 1.0)
+        (z if where == "z" else alpha)[1, 2] = bad
+        stat = _parent_label_stat(np.nan_to_num(z), mixed_targets(rng, 20, 4))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _head_risk(alpha, z.T, stat, _norm_max(z.T))
+            want = TestHeadRiskKernel._reference_head_risk(alpha, z, stat)
+        self._outputs_equal(got, want[1], want[2])
 
 
 class TestPretrain:
@@ -658,17 +854,17 @@ def _parent_head_fit(z, targets, cap, cfg):
     representation phase, labelling stalls "head fit"."""
     alpha = np.zeros((z.shape[1], targets.shape[1]))
     trace = TrainTrace()
-    label_stat = _label_stat(z, targets)
-    risk, soft = _head_risk(alpha, z, label_stat)
+    label_stat = _parent_label_stat(z, targets)
+    risk, soft = _parent_head_risk(alpha, z, label_stat)
     s_cur = erm._STEP_INIT
     prev = None
     last_step = 0.0
 
     def objective(cand):
-        return _head_risk(cand, z, label_stat)
+        return _parent_head_risk(cand, z, label_stat)
 
     for it in range(cfg.max_iters):
-        grad = _head_grad(z, soft, label_stat)
+        grad = _parent_head_grad(z, soft, label_stat)
         pg = float(np.linalg.norm(alpha - cap_columns(alpha - grad, cap)))
         trace.append(it, risk, 0.0, pg, last_step, diversity_parameter(alpha))
         if pg <= cfg.grad_tol:

@@ -15,6 +15,8 @@ from transferlab.model_space import (
     MlpRep,
     SubspaceRep,
     cap_columns,
+    component_from_payload,
+    component_to_payload,
     _cap_mlp_weights,
     load_bundle,
     _output_norm_bound,
@@ -71,6 +73,31 @@ class TestSubspaceRep:
         rep = SubspaceRep(np.eye(4)[:, :2])
         with pytest.raises(ContractViolation):
             rep.apply(np.ones(5))
+        with pytest.raises(ContractViolation):
+            rep.forward(np.ones((5, 3)))
+
+    def test_descent_candidates_skip_revalidation(self, monkeypatch):
+        # the step wraps the frame orthonormalize just made; every other
+        # entry (construction, random, payload load) still validates
+        rng = np.random.default_rng(2)
+        rep = SubspaceRep.random(6, 2, rng)
+        grad = rng.standard_normal((6, 2))
+        _, _, step = rep.descent(grad)
+        checks = []
+        validate = SubspaceRep.__post_init__
+        monkeypatch.setattr(SubspaceRep, "__post_init__",
+                            lambda self: checks.append(1) or validate(self))
+        cand, move = step(0.3)
+        assert checks == []
+        assert isinstance(cand, SubspaceRep)
+        np.testing.assert_array_equal(cand.b, SubspaceRep(cand.b).b)
+        assert np.linalg.norm(cand.b.T @ cand.b - np.eye(2)) <= 1e-12
+        assert move == pytest.approx(float(((cand.b - rep.b) ** 2).sum()))
+        SubspaceRep.random(6, 2, rng)
+        component_from_payload(component_to_payload(rep))
+        assert len(checks) == 3
+        with pytest.raises(ContractViolation):
+            component_from_payload({"kind": "subspace", "entries": [[1.0, 1.0], [0.0, 1.0]]})
 
 
 class TestMlpRep:
