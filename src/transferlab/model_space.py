@@ -200,31 +200,23 @@ class MlpRep:
         return self.weights[-1] @ acts[-1], acts
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        a = _as_input(x, self.input_dim)
-        for w in self.weights[:-1]:
-            a = np.tanh(a @ w.T)
-        return a @ self.weights[-1].T
+        return self.forward(np.asarray(x).T)[0].T
 
     @staticmethod
-    def label_terms(xt: np.ndarray, targets: np.ndarray):
-        """The targets, and each one-hot row's column of [alpha, 0] (None if soft)."""
-        cols = np.where(targets.any(axis=1), targets.argmax(axis=1), targets.shape[1])
-        hot = np.array_equal(np.eye(targets.shape[1] + 1)[cols, :-1], targets)
-        return targets, cols if hot else None
+    def label_terms(xt: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The targets themselves: they do not pass through tanh."""
+        return targets
 
-    def label_stat(self, zt: np.ndarray, terms) -> np.ndarray:
-        """z^T T / n, one pass over the embeddings: T does not pass through tanh."""
-        return zt @ terms[0] / zt.shape[1]
+    def label_stat(self, zt: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """z^T T / n, one pass over the embeddings."""
+        return zt @ targets / zt.shape[1]
 
     def grad(self, xt: np.ndarray, acts: list[np.ndarray], a: np.ndarray,
-             alpha: np.ndarray, terms) -> list[np.ndarray]:
+             alpha: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
         """Per-layer mean-loss gradients by backpropagating a - alpha T^T, the
         (r, n) gradient at z, from its softmax part ``a`` = alpha P."""
         ws, n = self.weights, xt.shape[1]
-        # for one-hot targets alpha T^T is a gather of [alpha, 0] by label
-        targets, cols = terms
-        g_z = a - (alpha @ targets.T if cols is None else
-                   np.take(np.column_stack([alpha, np.zeros(len(alpha))]), cols, axis=1))
+        g_z = a - alpha @ targets.T
         grads = [None] * len(ws)
         grads[-1] = g_z @ acts[-1].T / n
         g_a = ws[-1].T @ g_z

@@ -15,10 +15,9 @@ whether to divide at all (the training loss never does). A block whose
 largest logit is at most ``_SHIFT_FREE_MAX`` is exponentiated as it is:
 after the column max, one exp pass and one column sum, with no subtract;
 any other block, and every block holding a NaN, is max-shifted per
-column against overflow; a caller that bounds every logit (the training
-loss) skips the max pass too, bits unchanged. Columns with no positive
-logit get the same bits either way. The training loss passes it a
-C-ordered block; the ``*_rows`` functions pass their
+column against overflow. Columns with
+no positive logit get the same bits either way. The training loss
+passes it a C-ordered block; the ``*_rows`` functions pass their
 (N, K-1) rows transposed, so ``kl_rows(b.T, ...)`` reads a class-major
 block ``b`` without a copy. ``kl_rows`` takes its rows ``_KL_CHUNK`` at
 a time through two buffers allocated once per call, each chunk choosing
@@ -64,8 +63,7 @@ _SHIFT_FREE_MAX = 300.0
 _KL_CHUNK = 2048
 
 
-def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None,
-                        bound: float = np.nan):
+def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None):
     """Phi of each column of a (K-1, N) logit block, and the softmax parts.
 
     Returns ``(phi, expo, tail, denom)`` with expo = exp(logits - shift),
@@ -73,14 +71,11 @@ def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None,
     phi = shift + log(denom) and the softmax is expo / denom. When no logit
     of the block exceeds ``_SHIFT_FREE_MAX`` the shift is 0 and tail is 1.0
     (no subtract pass); otherwise, and in every block with a NaN, it is
-    max(0, column max). ``bound`` certifies the first case without the max
-    pass: the caller's proof that no logit exceeds it, rounding included.
-    A bound above ``_SHIFT_FREE_MAX``, or NaN (the default), certifies
-    nothing and the block's own max decides. ``expo`` goes to ``out`` when
-    given (it may be ``logits``); otherwise ``logits`` is left untouched.
+    max(0, column max). ``expo`` goes to ``out`` when given (it may be
+    ``logits``); otherwise ``logits`` is left untouched.
     """
-    shift = None if bound <= _SHIFT_FREE_MAX else logits.max(axis=0)
-    if shift is None or shift.max(initial=-np.inf) <= _SHIFT_FREE_MAX:
+    shift = logits.max(axis=0)
+    if shift.max(initial=-np.inf) <= _SHIFT_FREE_MAX:
         expo = np.exp(logits, out=out)
         denom = expo.sum(axis=0)
         denom += 1.0

@@ -413,30 +413,6 @@ class TestShiftFreeBranch:
         block = np.array([[np.nan, 1.0, -2.0], [0.5, top, -1.0]])
         assert_kernel_outputs_equal(_log_partition_cols(block), parent_log_partition_cols(block))
 
-    @pytest.mark.parametrize("top", [-5.0, 1.0, BELOW, _SHIFT_FREE_MAX, ABOVE, 700.0])
-    @pytest.mark.parametrize("bound", ["exact", "above", np.nan, np.inf])
-    def test_bound_changes_no_bit(self, top, bound):
-        # a true bound at most _SHIFT_FREE_MAX skips the max pass, any other
-        # leaves the decision to it; either way the outputs keep their bits
-        rng = np.random.default_rng(5)
-        block = np.minimum(rng.normal(0, 80, (6, 30)), top)
-        block[2, 7] = top
-        b = {"exact": top, "above": max(top, _SHIFT_FREE_MAX) + 1.0}.get(bound, bound)
-        out = np.empty_like(block)
-        got = _log_partition_cols(block, out=out, bound=b)
-        assert got[1] is out
-        assert_kernel_outputs_equal(got, _log_partition_cols(block))
-        if top > _SHIFT_FREE_MAX:
-            assert_kernel_outputs_equal(got, parent_log_partition_cols(block))
-
-    def test_certified_block_is_not_scanned(self):
-        # the kernel trusts a certifying bound: given a false one it takes
-        # the shift-free branch without looking at the block's max
-        block = np.array([[400.0, 1.0], [0.5, -2.0]])
-        phi, expo, tail, denom = _log_partition_cols(block, bound=_SHIFT_FREE_MAX)
-        np.testing.assert_array_equal(expo, np.exp(block))
-        assert tail == 1.0
-
 
 class TestChunkedKl:
     """kl_rows in _KL_CHUNK-column chunks against one-chunk evaluations."""
