@@ -35,7 +35,7 @@ from .model_space import (
     principal_angles,
     save_bundle,
 )
-from .rngutil import derive_rng
+from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     covariate_spec_hash,
     load_dataset,
@@ -58,6 +58,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than ``low``, or a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its message on a non-integer
+    return parse
 
 
 def _load_config(path) -> harness.SweepConfig:
@@ -140,8 +152,6 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if args.mc_samples is not None and args.mc_samples < 1:
-        raise ContractViolation(f"--mc-samples must be at least 1, got {args.mc_samples}")
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
@@ -150,6 +160,8 @@ def _cmd_diagnose(args) -> int:
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
     _check_schur_samples(n_mc, truth.rep.embed_dim)
     rng_tok = ("cli-diagnose", args.model, args.truth, n_mc)
+    # every Monte Carlo row is scored on this one draw (common random numbers)
+    x = sample_covariates(spec, n_mc, derive_rng(cfg.seed, *rng_tok, "risk"))
     rows = []
 
     def add(metric, value, se=float("nan")):
@@ -161,35 +173,26 @@ def _cmd_diagnose(args) -> int:
     if isinstance(rep, SubspaceRep) and isinstance(truth.rep, SubspaceRep):
         add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
     if "down_head" in bundle:
-        # the draw is not bound to a name: it is freed before the next stage draws
         report = measure_excess_risks(
-            rep, bundle.get("pre_head"), bundle["down_head"], truth,
-            sample_covariates(spec, n_mc, derive_rng(cfg.seed, *rng_tok, "risk")), n_mc,
+            rep, bundle.get("pre_head"), bundle["down_head"], truth, x, n_mc,
         )
         add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
         if "pre_head" in bundle:
             add("excess_pretrain_risk", report.excess_pretrain_risk,
                 report.pretrain_std_error)
-    add(
-        "pretrain_rep_difference",
-        *representation_difference(
-            rep, truth, spec, n_mc, cfg.head_optim_config(),
-            derive_rng(cfg.seed, *rng_tok, "repdiff"),
-        ),
-    )
+    add("pretrain_rep_difference",
+        *representation_difference(rep, truth, x, cfg.head_optim_config()))
     _, schur = schur_complement_bound(
-        rep, truth.rep, spec, n_mc, truth.down_head.column_cap, truth.k_prime,
-        derive_rng(cfg.seed, *rng_tok, "schur"),
+        rep, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
     )
     add("schur_worst_case_bound", schur)
 
-    # head-class complexity at the fitted embeddings, plus its analytic
-    # worst case over admissible embeddings
-    comp_rng = derive_rng(cfg.seed, *rng_tok, "complexity")
-    x_comp = sample_covariates(spec, max(10, n_mc // 10), comp_rng)
-    z_comp = rep.apply(x_comp)
+    # head-class complexity at the fitted embeddings of the draw's leading
+    # rows, plus its analytic worst case over admissible embeddings
+    z_comp = rep.apply(x[: max(10, n_mc // 10)])
     emp = empirical_gaussian_complexity_linear(
-        z_comp, truth.down_head.column_cap, truth.k_prime, 400, comp_rng
+        z_comp, truth.down_head.column_cap, truth.k_prime, 400,
+        derive_rng(cfg.seed, *rng_tok, "complexity"),
     )
     add("empirical_head_complexity", emp.value, emp.std_error)
     worst = worst_case_complexity_linear(
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument(
-        "--embed-dim", type=int, default=None,
+        "--embed-dim", type=_int_at_least(1), default=None,
         help="embedding width r (default: r of the config's first grid cell)",
     )
     p.add_argument("--trace-out", default=None)
@@ -289,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--summary", default=None)
-    p.add_argument("--mc-samples", type=int, default=None)
+    p.add_argument("--mc-samples", type=_int_at_least(1), default=None)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("verify", help="run the randomized property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--quick", action="store_true", help="smaller suite sizes")
     p.set_defaults(func=_cmd_verify)
 
@@ -312,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@one_blas_thread()
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -11,9 +11,10 @@ searched by brute force; its closed-form bound through the generalized
 Schur complement of the joint embedding covariance is computed instead,
 and reported as such.
 
-All Monte Carlo diagnostics return standard errors, and every stochastic
-routine takes an explicit generator; the excess risks take the covariate
-draw itself, so that callers can score several fits on one draw.
+All Monte Carlo diagnostics return standard errors. The routines that
+average over the covariate law take the draw itself, so that callers can
+score several fits and quantities on one draw; the others take an
+explicit generator.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import ContractViolation, require_keys, require_numbers
 from .linalg import pinv_psd, singular_values
 from .model_space import LinearHead, Representation
 from .softmax import kl_rows, softmax_full_rows
-from .synthetic import CovariateSpec, GroundTruth, sample_covariates
+from .synthetic import GroundTruth
 from .erm import OptimConfig, fit_head_on_embeddings
 
 __all__ = [
@@ -200,23 +201,20 @@ def measure_excess_risks(
 def representation_difference(
     rep_hat: Representation,
     truth: GroundTruth,
-    spec: CovariateSpec,
-    n_mc: int,
+    x: np.ndarray,
     fit_cfg: OptimConfig,
-    rng: np.random.Generator,
     stage: str = "pretrain",
 ) -> tuple[float, float]:
     """Best-head expected loss gap of a candidate representation.
 
     The inner infimum over the stage's capped heads is a convex fit
-    against the exact conditional class probabilities of the truth on an
-    n_mc-sample surrogate of the covariate expectation; the value is the
-    mean KL achieved by that best head. Returns ``(value, std_error)``.
+    against the exact conditional class probabilities of the truth on the
+    covariate draw ``x``; the value is the mean KL achieved by that best
+    head. Returns ``(value, std_error)``.
     """
     if stage not in ("pretrain", "downstream"):
         raise ContractViolation(f"unknown stage {stage!r}")
     truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
-    x = sample_covariates(spec, n_mc, rng)
     eta_true = truth.rep.apply(x) @ truth_head.alpha
     soft = softmax_full_rows(eta_true)[:, :-1]
     z_hat = rep_hat.apply(x)
@@ -233,20 +231,18 @@ def _check_schur_samples(n_mc: int, r: int) -> None:
 def schur_complement_bound(
     rep_hat: Representation,
     truth_rep: Representation,
-    spec: CovariateSpec,
-    n_mc: int,
+    x: np.ndarray,
     down_cap: float,
     k_prime: int,
-    rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Closed-form bound on the worst-case representation difference.
 
-    From Monte Carlo block moments of (h(x), h_hat(x)) the generalized
-    Schur complement L = F_hh - F_hhat pinv(F_hathat) F_hath is formed;
-    the bound is (k'-1) c0^2/2 sigma_1(L).
+    From the block moments of (h(x), h_hat(x)) over the draw ``x`` the
+    generalized Schur complement L = F_hh - F_hhat pinv(F_hathat) F_hath
+    is formed; the bound is (k'-1) c0^2/2 sigma_1(L).
     """
+    n_mc = x.shape[0]
     _check_schur_samples(n_mc, truth_rep.embed_dim)
-    x = sample_covariates(spec, n_mc, rng)
     h = truth_rep.apply(x)
     h_hat = rep_hat.apply(x)
     f_hh = h.T @ h / n_mc

@@ -13,15 +13,7 @@ class DegenerateInput(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """A positive-definite factorization failed.
-
-    Carries the index of the first nonpositive pivot so callers can tell
-    which direction collapsed.
-    """
-
-    def __init__(self, message: str, pivot_index: int):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    """A positive-definite factorization failed."""
 
 
 class InfeasibleSamplingError(ValueError):

@@ -35,7 +35,7 @@ from .errors import (
     require_numbers,
 )
 from .model_space import SubspaceRep, diversity_parameter, principal_angles
-from .rngutil import derive_rng
+from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     CovariateSpec,
     GroundTruth,
@@ -233,12 +233,16 @@ class ExperimentRecord:
     baseline_excess_se: float = math.nan
     bound_value: float = math.nan
     pretrain_iters: int = 0
-    pretrain_stalled: bool = False
     pretrain_outcome: str = ""
     downstream_outcome: str = ""
     baseline_outcome: str = ""
     reason: str = ""
     wall_time: float = math.nan   # never serialized: CSVs must be byte-stable
+
+    @property
+    def pretrain_stalled(self) -> bool:
+        """Whether stage one's line search stalled; derived, not a column."""
+        return self.pretrain_outcome == "stalled"
 
 
 # the records.csv columns: the record's fields with params spread into the
@@ -353,13 +357,13 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     if isinstance(result.rep, SubspaceRep):
         rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
-    rec.pretrain_stalled = result.trace.stalled
     rec.pretrain_outcome = result.trace.outcome
     rec.bound_value = cfg.risk_bound(cell, rec.nu_true, spec.norm_cap)
     rec.wall_time = time.perf_counter() - start
     return rec
 
 
+@one_blas_thread()
 def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
     """Run every (trial, cell), isolate failures, and stream records.
 
@@ -370,7 +374,8 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
     Carlo covariate draw per covariate law, drawn from the (trial, law)
     stream, that every cell of the trial is scored on. Memory therefore
     stays bounded by one trial. Rows are appended to ``out_csv`` as they
-    finish.
+    finish. BLAS runs at one thread, so the rows do not depend on the
+    caller's thread count.
     """
     cells = cells_of(cfg)
     records: list[ExperimentRecord] = []
@@ -402,8 +407,6 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -422,11 +425,10 @@ def _record_row(rec: ExperimentRecord) -> str:
 
 
 # parsers of the CSV text, by the field's annotation in ExperimentRecord
-_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda text: text == "1"}
+_PARSERS = {"int": int, "float": float, "str": str}
 # the columns that hold one of a closed set of values
 _CHOICES = {
     "status": ("ok", "failed"),
-    **{f.name: ("0", "1") for f in fields(ExperimentRecord) if f.type == "bool"},
     **{name: _OUTCOMES for name in _CSV_FIELDS if name.endswith("_outcome")},
 }
 

@@ -110,27 +110,18 @@ def pinv_psd(m) -> np.ndarray:
     return (vec * inv) @ vec.T
 
 
-def _cholesky_diag(a: np.ndarray) -> np.ndarray | None:
-    """Diagonal of the Cholesky factor; None if a pivot is nonpositive or non-finite."""
-    try:
-        diag = np.diagonal(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError:
-        return None
-    return diag if np.all(np.isfinite(diag)) else None
-
-
 def logdet_psd(m) -> float:
     """log det of a symmetric positive-definite matrix.
 
-    Computed as twice the log-sum of Cholesky pivots; a nonpositive pivot
-    raises ``SingularMatrixError`` carrying the pivot index.
+    Computed as twice the log-sum of Cholesky pivots; a matrix that does
+    not factor, or factors with a non-finite pivot, raises
+    ``SingularMatrixError``.
     """
     a = _check_symmetric(as_matrix(m, "logdet_psd input"), "logdet_psd input")
-    diag = _cholesky_diag(a)
-    if diag is None:
-        # the failing pivot is the first leading block that does not factor
-        j = next(
-            j for j in range(a.shape[0]) if _cholesky_diag(a[: j + 1, : j + 1]) is None
-        )
-        raise SingularMatrixError(f"nonpositive pivot at index {j}", pivot_index=j)
+    try:
+        diag = np.diagonal(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is not positive definite") from None
+    if not np.all(np.isfinite(diag)):
+        raise SingularMatrixError("Cholesky factor has a non-finite pivot")
     return 2.0 * float(np.log(diag).sum())

@@ -346,10 +346,14 @@ def _cap_mlp_weights(
 
 
 def principal_angles(rep1: SubspaceRep, rep2: SubspaceRep) -> np.ndarray:
-    """Principal angles between the two column spans, ascending, radians."""
-    if rep1.b.shape != rep2.b.shape:
+    """Principal angles between the two column spans, ascending, radians.
+
+    There are min(r1, r2) of them: the frames may differ in width but must
+    share the input dimension d.
+    """
+    if rep1.input_dim != rep2.input_dim:
         raise ContractViolation(
-            f"shape mismatch {rep1.b.shape} vs {rep2.b.shape}"
+            f"input dimension mismatch {rep1.b.shape} vs {rep2.b.shape}"
         )
     # singular values are descending, so the arccos comes out ascending
     cosines = np.clip(singular_values(rep1.b.T @ rep2.b), 0.0, 1.0)

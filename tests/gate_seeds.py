@@ -5,7 +5,7 @@ the acceptance file's own sweeps, trial counts and verdicts, at each
 seed given, and prints every criterion's statistics and its margins to
 the thresholds, then the pass count per criterion over the seeds. The
 gate itself stays at seed 20240901. Five seeds take about four minutes
-on two cores, BLAS at one thread:
+on two cores:
 
     PYTHONPATH=src python tests/gate_seeds.py 20240901 1 2 3 4
 """

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from transferlab import cli, harness
+import transferlab
+from transferlab import cli, harness, rngutil
 from transferlab.cli import main
 from transferlab.harness import default_config
 from transferlab.model_space import MlpRep, load_bundle
@@ -92,6 +97,103 @@ def test_gen_pretrain_probe_diagnose_flow(tmp_path, micro_config, capsys):
         "empirical_head_complexity", "worst_case_head_complexity",
     } <= metrics
     assert (tmp_path / "diag.csv.txt").exists()
+
+
+def test_diagnose_frame_wider_than_the_truth(tmp_path, micro_config):
+    # the truth has r = 2; principal angles need only the same input dimension
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    down, model = tmp_path / "down.csv", tmp_path / "model.json"
+    probed, diag = tmp_path / "probed.json", tmp_path / "diag.csv"
+    for argv in (
+        ["gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth)],
+        ["gen", "--config", micro_config, "--out", str(down), "--stage", "downstream"],
+        ["pretrain", "--config", micro_config, "--data", str(data), "--out", str(model),
+         "--embed-dim", "4"],
+        ["probe", "--config", micro_config, "--model", str(model), "--data", str(down),
+         "--out", str(probed)],
+        ["diagnose", "--config", micro_config, "--model", str(probed),
+         "--truth", str(truth), "--out", str(diag)],
+    ):
+        assert main(argv) == 0, argv[0]
+    assert load_bundle(model)["rep"].embed_dim == 4
+    metrics = {line.split(",")[0] for line in diag.read_text().splitlines()[1:]}
+    assert "max_principal_angle" in metrics
+
+
+def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):
+    # every Monte Carlo row of diagnose is scored on one covariate draw
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    doc = json.loads(truth.read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({k: doc[k] for k in ("rep", "pre_head", "down_head")}))
+    draws = []
+    sample = cli.sample_covariates
+    monkeypatch.setattr(
+        cli, "sample_covariates", lambda *a, **k: draws.append(a[1]) or sample(*a, **k))
+    assert main([
+        "diagnose", "--config", micro_config, "--model", str(model),
+        "--truth", str(truth), "--out", str(tmp_path / "diag.csv"),
+    ]) == 0
+    assert draws == [1500]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pretrain", "--embed-dim", "0"], "--embed-dim"),
+    (["pretrain", "--embed-dim", "-1"], "--embed-dim"),
+    (["verify", "--seed", "-1"], "--seed"),
+])
+def test_bad_integer_flag_exits_one(tmp_path, argv, flag, monkeypatch, capsys):
+    # the data file does not exist and no suite may run: the flag is
+    # rejected before either
+    ran = []
+    monkeypatch.setattr(cli, "run_all_suites", lambda **kw: ran.append(kw) or [])
+    if argv[0] == "pretrain":
+        argv = [*argv, "--data", str(tmp_path / "missing.csv"),
+                "--out", str(tmp_path / "model.json")]
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert ran == []
+
+
+def test_sweep_records_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits its sums by thread count; at n = 2000 the stage-one
+    # iterates of this grid differ between 1 and 2 threads unless the
+    # sweep pins one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 20240901, "trials": 1, "grid": {"n": [2000], "lambda_div": [0.0, 0.5]},
+    }))
+    src = str(Path(transferlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    records = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"sweep-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "transferlab.cli", "sweep",
+             "--config", str(config), "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            check=True, capture_output=True, timeout=600,
+        )
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]
+
+
+def test_blas_pin_restores_the_callers_count(monkeypatch):
+    counts = [3]
+    monkeypatch.setattr(rngutil, "_openblas_threads", lambda: (lambda: counts[-1], counts.append))
+    with rngutil.one_blas_thread():
+        assert counts[-1] == 1
+    with pytest.raises(RuntimeError), rngutil.one_blas_thread():
+        raise RuntimeError
+    assert counts == [3, 1, 3, 1, 3]
+    # without an OpenBLAS setter the block just runs
+    monkeypatch.setattr(rngutil, "_openblas_threads", lambda: ())
+    with rngutil.one_blas_thread():
+        counts.append(0)
+    assert counts[-1] == 0
 
 
 def test_gen_deterministic(tmp_path, micro_config):
@@ -210,7 +312,6 @@ def test_sweep_rejects_config_that_is_not_an_object(tmp_path, doc, capsys):
 
 @pytest.mark.parametrize("field, text", [
     ("n", "abc"), ("pretrain_iters", "1.5"),
-    ("pretrain_stalled", "yes"), ("pretrain_stalled", "True"),
     ("pretrain_outcome", "bogus"), ("baseline_outcome", "Converged"),
     ("status", "okay"),
 ])

@@ -239,7 +239,8 @@ class TestRepresentationDifference:
         rng = derive_rng(18, "rd")
         truth = make_ground_truth(7, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(7)
-        value, _ = representation_difference(truth.rep, truth, spec, 4000, FIT_CFG, rng)
+        x = sample_covariates(spec, 4000, rng)
+        value, _ = representation_difference(truth.rep, truth, x, FIT_CFG)
         assert 0.0 <= value <= 5e-5  # the truth head is feasible for the fit
 
     def test_orthogonal_complement_rep_is_poor(self):
@@ -252,7 +253,7 @@ class TestRepresentationDifference:
         )
         ortho = SubspaceRep(full[:, 2:4])
         value, se = representation_difference(
-            ortho, truth, spec, 6000, FIT_CFG, rng
+            ortho, truth, sample_covariates(spec, 6000, rng), FIT_CFG
         )
         assert value > 10.0 * se
         assert value > 0.01
@@ -263,10 +264,10 @@ class TestRepresentationDifference:
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.4, rng)
         v1, se1 = representation_difference(
-            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "a")
+            rep_hat, truth, sample_covariates(spec, 8000, derive_rng(21, "a")), FIT_CFG
         )
         v2, se2 = representation_difference(
-            rep_hat, truth, spec, 8000, FIT_CFG, derive_rng(21, "b")
+            rep_hat, truth, sample_covariates(spec, 8000, derive_rng(21, "b")), FIT_CFG
         )
         assert abs(v1 - v2) <= 3.0 * math.hypot(se1, se2)
 
@@ -277,7 +278,7 @@ class TestSchurComplementBound:
         truth = make_ground_truth(8, 3, 10, 2, 1.0, rng)
         spec = isotropic_covariates(8)
         lam_sc, bound = schur_complement_bound(
-            truth.rep, truth.rep, spec, 100_000, 1.0, 2, rng
+            truth.rep, truth.rep, sample_covariates(spec, 100_000, rng), 1.0, 2
         )
         assert np.linalg.norm(lam_sc) <= 1e-6
         assert bound <= 1e-6
@@ -289,7 +290,9 @@ class TestSchurComplementBound:
         full = orthonormalize(np.hstack([truth.rep.b, rng.standard_normal((8, 6))]))
         ortho = SubspaceRep(full[:, 2:4])
         n_mc = 60_000
-        lam_sc, _ = schur_complement_bound(ortho, truth.rep, spec, n_mc, 1.0, 2, rng)
+        lam_sc, _ = schur_complement_bound(
+            ortho, truth.rep, sample_covariates(spec, n_mc, rng), 1.0, 2
+        )
         # isotropic truncated law: E[h h^T] = c I with c slightly below 1
         off = lam_sc - np.diag(np.diag(lam_sc))
         assert np.abs(off).max() < 0.02
@@ -302,7 +305,9 @@ class TestSchurComplementBound:
         truth = make_ground_truth(6, 2, 7, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.5, rng)
-        lam_sc, bound = schur_complement_bound(rep_hat, truth.rep, spec, 5000, 1.0, 2, rng)
+        lam_sc, bound = schur_complement_bound(
+            rep_hat, truth.rep, sample_covariates(spec, 5000, rng), 1.0, 2
+        )
         from transferlab.linalg import sym_spectral
 
         lam, _ = sym_spectral(lam_sc)
@@ -315,23 +320,22 @@ class TestSchurComplementBound:
         spec = isotropic_covariates(8)
         for scale in (0.2, 0.6):
             rep_hat = _perturbed_rep(truth, scale, rng)
+            # the bound and the difference it bounds, on one draw
+            x = sample_covariates(spec, 40_000, derive_rng(26, scale))
             _, bound = schur_complement_bound(
-                rep_hat, truth.rep, spec, 40_000, truth.down_head.column_cap,
-                truth.k_prime, derive_rng(26, scale),
+                rep_hat, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
             )
             measured, se = representation_difference(
-                rep_hat, truth, spec, 40_000, FIT_CFG, derive_rng(27, scale),
-                stage="downstream",
+                rep_hat, truth, x, FIT_CFG, stage="downstream",
             )
             assert measured <= bound + 3.0 * se
 
     def test_needs_enough_samples(self):
         rng = derive_rng(28, "sc")
         truth = make_ground_truth(6, 3, 8, 2, 1.0, rng)
-        with pytest.raises(ContractViolation):
-            schur_complement_bound(
-                truth.rep, truth.rep, isotropic_covariates(6), 10, 1.0, 2, rng
-            )
+        x = sample_covariates(isotropic_covariates(6), 29, rng)
+        with pytest.raises(ContractViolation, match="n_mc >= 10 r = 30"):
+            schur_complement_bound(truth.rep, truth.rep, x, 1.0, 2)
 
 
 class TestDiversityRatio:
@@ -347,15 +351,12 @@ class TestDiversityRatio:
         for seed in range(3):
             rep_hat = _perturbed_rep(truth, 0.4, derive_rng(seed, "p"))
             # closed-form downstream bound times the diversity, over the
-            # measured pre-training difference, both from one stream
-            ratio_rng = derive_rng(seed, "r")
+            # measured pre-training difference, both on one draw
+            x = sample_covariates(spec, 20_000, derive_rng(seed, "r"))
             _, bound = schur_complement_bound(
-                rep_hat, truth.rep, spec, 20_000, truth.down_head.column_cap,
-                truth.k_prime, ratio_rng,
+                rep_hat, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
             )
-            d_fp, _ = representation_difference(
-                rep_hat, truth, spec, 20_000, FIT_CFG, ratio_rng
-            )
+            d_fp, _ = representation_difference(rep_hat, truth, x, FIT_CFG)
             assert d_fp > 0
             assert bound * diversity_parameter(truth.pre_head) / d_fp <= self.PROFILE_CONSTANT
 

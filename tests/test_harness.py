@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from transferlab.diagnostics import BoundParams, evaluate_risk_bound
+from transferlab import harness
 from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
 from transferlab.harness import (
@@ -181,6 +182,15 @@ class TestRunSweep:
             assert a.pretrain_stalled == b.pretrain_stalled
             assert (a.pretrain_outcome, a.downstream_outcome, a.baseline_outcome) == (
                 b.pretrain_outcome, b.downstream_outcome, b.baseline_outcome)
+
+    @pytest.mark.parametrize("status, outcome", [
+        ("ok", "converged"), ("ok", "stalled"), ("ok", "max_iters"), ("failed", ""),
+    ])
+    def test_stall_flag_is_the_outcome_not_a_column(self, status, outcome):
+        rec = ExperimentRecord(cell_index=0, trial=0, status=status, params={},
+                               pretrain_outcome=outcome)
+        assert rec.pretrain_stalled == (outcome == "stalled")
+        assert "pretrain_stalled" not in harness._CSV_FIELDS
 
     def test_stage_outcomes_recorded(self, micro_records):
         for rec in micro_records:

@@ -255,6 +255,21 @@ class TestPrincipalAngles:
         e2 = SubspaceRep(np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(principal_angles(e1, e2), [math.pi / 2], atol=1e-12)
 
+    def test_wider_frame_containing_the_other(self):
+        # a 4-frame that contains a 3-frame: min(3, 4) angles, all zero up
+        # to the arccos of a rounded 1
+        rng = np.random.default_rng(11)
+        b4 = orthonormalize(rng.standard_normal((7, 4)))
+        b3 = b4[:, :3] @ orthonormalize(rng.standard_normal((3, 3)))
+        for pair in ((b4, b3), (b3, b4)):
+            angles = principal_angles(*map(SubspaceRep, pair))
+            assert angles.shape == (3,)
+            assert np.all(angles <= 1e-7)
+
+    def test_input_dimension_mismatch(self):
+        with pytest.raises(ContractViolation, match="input dimension"):
+            principal_angles(SubspaceRep(np.eye(3)[:, :2]), SubspaceRep(np.eye(4)[:, :2]))
+
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(10)
         b1 = orthonormalize(rng.standard_normal((6, 2)))
