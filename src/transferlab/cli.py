@@ -27,14 +27,8 @@ from .diagnostics import (
     schur_complement_bound,
     worst_case_complexity_linear,
 )
-from .erm import fit_downstream_head, pretrain
-from .model_space import (
-    SubspaceRep,
-    diversity_parameter,
-    load_bundle,
-    principal_angles,
-    save_bundle,
-)
+from .erm import HypothesisConfig, fit_downstream_head, pretrain
+from .model_space import diversity_parameter, load_bundle, principal_angles, save_bundle
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     covariate_spec_hash,
@@ -119,9 +113,9 @@ def _cmd_pretrain(args) -> int:
     embed_dim = (
         int(_first_cell(cfg)["r"]) if args.embed_dim is None else args.embed_dim
     )
-    hyp = cfg.hypothesis_config(embed_dim, cfg.truth["pre_head_cap"])
     result = pretrain(
-        ds, hyp, args.lambda_div, cfg.optim_config(),
+        ds, HypothesisConfig(embed_dim, cfg.truth["pre_head_cap"]), args.lambda_div,
+        cfg.optim_config(),
         derive_rng(cfg.seed, "cli-pretrain", args.data, args.lambda_div),
     )
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
@@ -170,8 +164,7 @@ def _cmd_diagnose(args) -> int:
     add("nu_true", diversity_parameter(truth.pre_head))
     if "pre_head" in bundle:
         add("nu_learned", diversity_parameter(bundle["pre_head"]))
-    if isinstance(rep, SubspaceRep) and isinstance(truth.rep, SubspaceRep):
-        add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
+    add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
     if "down_head" in bundle:
         report = measure_excess_risks(
             rep, bundle.get("pre_head"), bundle["down_head"], truth, x, n_mc,

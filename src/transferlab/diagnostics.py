@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, require_keys, require_numbers
 from .linalg import pinv_psd, singular_values
-from .model_space import LinearHead, Representation
+from .model_space import LinearHead, SubspaceRep
 from .softmax import kl_rows, softmax_full_rows
 from .synthetic import GroundTruth
 from .erm import OptimConfig, fit_head_on_embeddings
@@ -159,7 +159,7 @@ def _kl_stats(eta_true, eta_fit) -> tuple[float, float]:
 
 
 def measure_excess_risks(
-    rep_hat: Representation,
+    rep_hat: SubspaceRep,
     pre_head_hat: LinearHead | None,
     down_head_hat: LinearHead,
     truth: GroundTruth,
@@ -199,7 +199,7 @@ def measure_excess_risks(
 
 
 def representation_difference(
-    rep_hat: Representation,
+    rep_hat: SubspaceRep,
     truth: GroundTruth,
     x: np.ndarray,
     fit_cfg: OptimConfig,
@@ -229,8 +229,8 @@ def _check_schur_samples(n_mc: int, r: int) -> None:
 
 
 def schur_complement_bound(
-    rep_hat: Representation,
-    truth_rep: Representation,
+    rep_hat: SubspaceRep,
+    truth_rep: SubspaceRep,
     x: np.ndarray,
     down_cap: float,
     k_prime: int,
@@ -332,7 +332,6 @@ def chain_rule_check(
 
 _DEFAULT_PROFILE: dict[str, float] = {
     "rep_complexity": 1.0,
-    "head_complexity": 1.0,
     "tail": 1.0,
     "pretrain_concentration": 1.0,
     "downstream_complexity": 1.0,
@@ -342,11 +341,7 @@ _DEFAULT_PROFILE: dict[str, float] = {
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs of the closed-form risk-rate evaluators.
-
-    ``mlp_caps`` and ``depth`` only matter for the network setting;
-    ``norm_cap`` is the covariate norm bound D.
-    """
+    """Inputs of the closed-form risk rate."""
 
     n: int
     m: int
@@ -355,9 +350,7 @@ class BoundParams:
     r: int
     d: int
     nu_tilde: float
-    norm_cap: float = 1.0
     delta: float = 0.05
-    mlp_caps: tuple[float, ...] = ()
 
     def __post_init__(self):
         for name in ("n", "m", "k", "k_prime", "r", "d"):
@@ -369,15 +362,13 @@ class BoundParams:
             raise ContractViolation("nu_tilde must be nonnegative")
 
 
-def evaluate_risk_bound(
-    setting: str, params: BoundParams, profile: dict[str, float] | None = None
-) -> float:
-    """Evaluate the closed-form excess-risk rate for one setting.
+def evaluate_risk_bound(params: BoundParams, profile: dict[str, float] | None = None
+                        ) -> float:
+    """Evaluate the closed-form excess-risk rate of the subspace class.
 
     Hidden universal constants are supplied by ``profile`` (all ones by
     default; unknown keys are rejected) and are configuration, not ground
-    truth. ``nu_tilde = 0``
-    returns infinity.
+    truth. ``nu_tilde = 0`` returns infinity.
     """
     profile = profile or {}
     require_keys(profile, (), "bound profile")
@@ -392,40 +383,17 @@ def evaluate_risk_bound(
         return math.inf
     log_inv_delta = math.log(1.0 / p.delta)
 
-    if setting == "subspace":
-        pre = (
-            prof["rep_complexity"]
-            * math.sqrt(p.k)
-            * math.log(p.n)
-            * (math.sqrt(p.k * p.d * p.r**2 / p.n) + p.k * math.sqrt(p.r / p.n))
-            + prof["tail"] * p.k / p.n**2
-            + prof["pretrain_concentration"] * math.sqrt(log_inv_delta / p.n)
-        )
-        down = prof["downstream_complexity"] * p.k_prime**1.5 * math.sqrt(
-            p.r / p.m
-        ) + prof["downstream_concentration"] * p.k_prime * math.sqrt(
-            log_inv_delta / p.m
-        )
-        return pre / p.nu_tilde + down
-
-    if setting == "mlp":
-        if not p.mlp_caps:
-            raise ContractViolation("network setting needs per-layer norm caps")
-        m_last = p.mlp_caps[-1]
-        depth = len(p.mlp_caps)
-        hidden_product = math.prod(p.mlp_caps[:-1]) if depth > 1 else 1.0
-        pre = (
-            prof["rep_complexity"]
-            * p.k
-            * p.r
-            * m_last**3
-            * p.norm_cap
-            * math.sqrt(depth)
-            * hidden_product
-            / math.sqrt(p.n)
-            + prof["head_complexity"] * p.k**1.5 * m_last**3 / math.sqrt(p.n)
-        )
-        down = prof["downstream_complexity"] * p.k_prime**1.5 * m_last**3 / math.sqrt(p.m)
-        return pre / p.nu_tilde + down
-
-    raise ContractViolation(f"unknown setting {setting!r}")
+    pre = (
+        prof["rep_complexity"]
+        * math.sqrt(p.k)
+        * math.log(p.n)
+        * (math.sqrt(p.k * p.d * p.r**2 / p.n) + p.k * math.sqrt(p.r / p.n))
+        + prof["tail"] * p.k / p.n**2
+        + prof["pretrain_concentration"] * math.sqrt(log_inv_delta / p.n)
+    )
+    down = prof["downstream_complexity"] * p.k_prime**1.5 * math.sqrt(
+        p.r / p.m
+    ) + prof["downstream_concentration"] * p.k_prime * math.sqrt(
+        log_inv_delta / p.m
+    )
+    return pre / p.nu_tilde + down

@@ -12,8 +12,8 @@ covariates.
 
 The loop works on class-major blocks: x as one (d, n) copy per fit,
 embeddings (r, n), logits (K-1, n). The targets enter once per fit, as
-the family's ``label_terms``: for a subspace S = x^T T / n, so a frame's
-label statistic is B^T S and its gradient's label part S alpha^T.
+the label terms S = x^T T / n, so a frame's label statistic is B^T S and
+its gradient's label part S alpha^T.
 
 Every line search starts from a Barzilai-Borwein step of its own block
 (``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
@@ -30,14 +30,7 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateInput, check_scalars
 from .linalg import as_matrix, logdet_psd
-from .model_space import (
-    LinearHead,
-    MlpRep,
-    Representation,
-    SubspaceRep,
-    cap_columns,
-    diversity_parameter,
-)
+from .model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
 from .softmax import _log_partition_cols
 from .synthetic import LabeledDataset
 
@@ -85,22 +78,11 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class HypothesisConfig:
-    """Model class searched in stage one."""
+    """Model class searched in stage one: r-dimensional subspaces with
+    column-capped heads."""
 
-    kind: str = "subspace"
     embed_dim: int = 3
     head_cap: float = 1.0
-    mlp_widths: tuple[int, ...] = ()
-    mlp_caps: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("subspace", "mlp"):
-            raise ContractViolation(f"unknown hypothesis kind {self.kind!r}")
-        if self.kind == "mlp" and len(self.mlp_caps) != len(self.mlp_widths) + 1:
-            raise ContractViolation("mlp needs one cap per layer (hidden + output)")
-        if not (all(type(w) is int and w > 0 for w in self.mlp_widths)
-                and all(0 < c < np.inf for c in self.mlp_caps)):
-            raise ContractViolation("mlp widths must be positive integers, caps finite and > 0")
 
 
 @dataclass
@@ -145,7 +127,7 @@ class TrainTrace:
 
 @dataclass
 class PretrainResult:
-    rep: Representation
+    rep: SubspaceRep
     head: LinearHead
     trace: TrainTrace
 
@@ -167,10 +149,9 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
     return logdet_psd(gram), 2.0 * np.linalg.solve(gram, a)
 
 
-def _embed(rep: Representation, xt: np.ndarray, terms):
-    """``rep``'s (zt, cache, label_stat) on a (d, n) block."""
-    zt, cache = rep.forward(xt)
-    return zt, cache, rep.label_stat(zt, terms)
+def _embed(rep: SubspaceRep, xt: np.ndarray, terms):
+    """``rep``'s (zt, label_stat) on a (d, n) block with label terms ``terms``."""
+    return rep.forward(xt), rep.label_stat(terms)
 
 
 def _head_risk(alpha: np.ndarray, zt: np.ndarray, label_stat: np.ndarray
@@ -206,11 +187,10 @@ def _embed_softmax(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray]) -> np
     return (alpha @ expo) / denom
 
 
-def loss_and_grad(rep: Representation, head: LinearHead, x, y):
+def loss_and_grad(rep: SubspaceRep, head: LinearHead, x, y):
     """Empirical risk with gradients for both the head and the representation.
 
-    Returns ``(risk, grad_alpha, grad_rep)``; ``grad_rep`` is a d x r
-    array for a subspace representation and a per-layer list for an MLP.
+    Returns ``(risk, grad_alpha, grad_rep)``; ``grad_rep`` is d x r.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -220,10 +200,10 @@ def loss_and_grad(rep: Representation, head: LinearHead, x, y):
         raise ContractViolation("label width does not match head logits")
     xt = np.ascontiguousarray(x.T)
     terms = rep.label_terms(xt, y)
-    zt, cache, label_stat = _embed(rep, xt, terms)
+    zt, label_stat = _embed(rep, xt, terms)
     risk, soft = _head_risk(head.alpha, zt, label_stat)
     grad_alpha = _head_grad(zt, soft, label_stat)
-    grad_rep = rep.grad(xt, cache, _embed_softmax(head.alpha, soft), head.alpha, terms)
+    grad_rep = rep.grad(xt, _embed_softmax(head.alpha, soft), head.alpha, terms)
     return risk, grad_alpha, grad_rep
 
 
@@ -297,9 +277,9 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
     alpha^T + _RIDGE_MU I)``. Each iteration runs a head phase (regularizer
     included, columns projected onto the cap) and then, when ``rep`` is
-    given, a representation phase at the fresh head through the family's
+    given, a representation phase at the fresh head through its
     ``descent``; the representation's Barzilai-Borwein secant pair is its
-    ``coords`` and ``descent`` gradient. Without ``rep`` the rows of ``x``
+    frame B and ``descent`` gradient. Without ``rep`` the rows of ``x``
     are the embeddings, read as (r, n) through a transposed view, and the
     representation stays frozen: the head fit of stage two. The trace
     records risk, regularizer value,
@@ -322,19 +302,19 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         return risk_c - lambda_div * reg_c, (risk_c, soft_c, reg_c)
 
     def rep_objective(cand):
-        zt_c, _, stat_c = emb_c = _embed(cand, xt, terms)
+        zt_c, stat_c = emb_c = _embed(cand, xt, terms)
         risk_c, soft_c = _head_risk(alpha, zt_c, stat_c)
         return risk_c, (emb_c, soft_c)
 
     def rep_grad():
-        return rep.grad(xt, cache, _embed_softmax(alpha, soft), alpha, terms)
+        return rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms)
 
     if rep is None:  # the rows of x are the embeddings: read a transposed view
-        zt, cache, label_stat = x.T, None, x.T @ y / x.shape[0]
+        zt, label_stat = x.T, x.T @ y / x.shape[0]
     else:  # one (d, n) copy of the samples and the label terms per fit
         xt = np.ascontiguousarray(x.T)
         terms = rep.label_terms(xt, y)
-        zt, cache, label_stat = _embed(rep, xt, terms)
+        zt, label_stat = _embed(rep, xt, terms)
     alpha = np.zeros((zt.shape[0], y.shape[1]))
     risk, soft = _head_risk(alpha, zt, label_stat)
     reg = reg_value(alpha)
@@ -377,16 +357,15 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         # --- representation phase at the fresh head ---
         move_norm, rep_dir, rep_step = rep.descent(rep_grad())
         if move_norm > phase_floor:
-            coords = rep.coords
             found = _backtrack(
                 rep_objective, risk, rep_step,
-                _bb_step(coords, rep_dir, prev_rep, s_rep),
+                _bb_step(rep.b, rep_dir, prev_rep, s_rep),
             )
             if isinstance(found, str):
                 trace.stall("representation", found)
                 break
-            prev_rep = (coords, rep_dir)
-            last_step, s_rep, rep, risk, ((zt, cache, label_stat), soft) = found
+            prev_rep = (rep.b, rep_dir)
+            last_step, s_rep, rep, risk, ((zt, label_stat), soft) = found
     else:
         trace.outcome = "max_iters"
     return rep, alpha, trace
@@ -402,8 +381,8 @@ def pretrain(
     """Stage-one ERM: alternating head / representation descent (``_descend``).
 
     The head is projected onto its column-norm ball after every step; the
-    representation is retracted onto the orthonormal frames (subspace) or
-    projected onto its norm caps (MLP), starting from a random draw.
+    representation is retracted onto the orthonormal frames, starting from
+    a random frame.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
@@ -415,11 +394,7 @@ def pretrain(
         raise ContractViolation(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
         )
-    d = dataset.x.shape[1]
-    if hypothesis.kind == "subspace":
-        rep = SubspaceRep.random(d, r, rng)
-    else:
-        rep = MlpRep.random(d, (*hypothesis.mlp_widths, r), hypothesis.mlp_caps, rng)
+    rep = SubspaceRep.random(dataset.x.shape[1], r, rng)
     rep, alpha, trace = _descend(
         dataset.x, dataset.y, hypothesis.head_cap, lambda_div, cfg, rep
     )
@@ -450,7 +425,7 @@ def fit_head_on_embeddings(
 
 
 def fit_downstream_head(
-    rep: Representation,
+    rep: SubspaceRep,
     dataset: LabeledDataset,
     cap: float,
     cfg: OptimConfig,

@@ -32,9 +32,8 @@ from .errors import (
     InfeasibleSamplingError,
     check_scalars,
     require_keys,
-    require_numbers,
 )
-from .model_space import SubspaceRep, diversity_parameter, principal_angles
+from .model_space import diversity_parameter, principal_angles
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     CovariateSpec,
@@ -90,7 +89,6 @@ def default_config() -> dict:
             "down_head_cap": 1.0,
             "down_head_fill": 0.7,
         },
-        "hypothesis": {"kind": "subspace", "mlp_widths": [], "mlp_caps": []},
         "optimizer": {"max_iters": 2000, "grad_tol": 1e-5},
         "head_optimizer": {"max_iters": 4000, "grad_tol": 1e-7},
         "diagnostics": {"risk_mc_samples": 20000},
@@ -108,7 +106,6 @@ class SweepConfig:
     grid: dict
     covariates: dict
     truth: dict
-    hypothesis: dict
     optimizer: dict
     head_optimizer: dict
     diagnostics: dict
@@ -149,14 +146,13 @@ class SweepConfig:
         # bad values fail before any work
         self.optim_config()
         self.head_optim_config()
-        self.hypothesis_config(self.grid["r"][0], self.truth["pre_head_cap"])
         first = {key: self.grid[key][0] for key in GRID_KEYS}
         try:
             spec, truth, _ = cell_truth(self, first, 0)
             sample_covariates(spec, 1, derive_rng(self.seed, "covariate_probe"))
         except (InfeasibleDiversityError, InfeasibleSamplingError) as exc:
             raise ContractViolation(f"first grid cell: {exc}") from exc
-        self.risk_bound(first, diversity_parameter(truth.pre_head), spec.norm_cap)
+        self.risk_bound(first, diversity_parameter(truth.pre_head))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -167,8 +163,8 @@ class SweepConfig:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
         for nested in (
-            "grid", "covariates", "truth", "hypothesis", "optimizer",
-            "head_optimizer", "diagnostics", "bound",
+            "grid", "covariates", "truth", "optimizer", "head_optimizer",
+            "diagnostics", "bound",
         ):
             section = doc.get(nested) or {}
             if not isinstance(section, dict):
@@ -185,25 +181,13 @@ class SweepConfig:
     def head_optim_config(self) -> OptimConfig:
         return OptimConfig(**self.head_optimizer)
 
-    def hypothesis_config(self, embed_dim: int, head_cap: float) -> HypothesisConfig:
-        hyp = self.hypothesis
-        return HypothesisConfig(
-            kind=hyp["kind"],
-            embed_dim=embed_dim,
-            head_cap=head_cap,
-            mlp_widths=tuple(require_numbers(hyp["mlp_widths"], 1, "hypothesis.mlp_widths")),
-            mlp_caps=tuple(require_numbers(hyp["mlp_caps"], 1, "hypothesis.mlp_caps")),
-        )
-
-    def risk_bound(self, cell: dict, nu_tilde: float, norm_cap: float) -> float:
-        """The closed-form rate of the hypothesis kind at one cell."""
+    def risk_bound(self, cell: dict, nu_tilde: float) -> float:
+        """The closed-form subspace rate at one cell."""
         return evaluate_risk_bound(
-            self.hypothesis["kind"],
             BoundParams(
                 n=int(cell["n"]), m=int(cell["m"]), k=int(cell["k"]),
                 k_prime=int(cell["k_prime"]), r=int(cell["r"]), d=int(cell["d"]),
-                nu_tilde=nu_tilde, norm_cap=norm_cap, delta=self.bound["delta"],
-                mlp_caps=tuple(self.hypothesis["mlp_caps"]),
+                nu_tilde=nu_tilde, delta=self.bound["delta"],
             ),
             self.bound.get("profile"),
         )
@@ -306,11 +290,10 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
             derive_rng(cfg.seed, "pretrain_data", trial, truth_tok, n),
             stage="pretrain",
         )
-        hyp = cfg.hypothesis_config(r, cfg.truth["pre_head_cap"])
         # the init stream ignores lambda so regularizer ablations are
         # paired: identical data and identical starting frame
         result = pretrain(
-            pre_ds, hyp, lam, cfg.optim_config(),
+            pre_ds, HypothesisConfig(r, cfg.truth["pre_head_cap"]), lam, cfg.optim_config(),
             derive_rng(cfg.seed, "init", trial, truth_tok, n),
         )
         cache[pre_key] = (result, None)
@@ -354,11 +337,10 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
 
     rec.nu_true = diversity_parameter(truth.pre_head)
     rec.nu_learned = diversity_parameter(result.head)
-    if isinstance(result.rep, SubspaceRep):
-        rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
+    rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_outcome = result.trace.outcome
-    rec.bound_value = cfg.risk_bound(cell, rec.nu_true, spec.norm_cap)
+    rec.bound_value = cfg.risk_bound(cell, rec.nu_true)
     rec.wall_time = time.perf_counter() - start
     return rec
 

@@ -26,9 +26,7 @@ from .errors import (
     require_numbers,
 )
 from .linalg import as_matrix, orthonormalize, sym_spectral
-from .model_space import (
-    LinearHead, Representation, SubspaceRep, component_from_payload, component_to_payload,
-)
+from .model_space import LinearHead, SubspaceRep, component_from_payload, component_to_payload
 from .softmax import softmax_full_rows
 
 __all__ = [
@@ -98,7 +96,7 @@ def isotropic_covariates(d: int, scale: float = 1.0, cap_factor: float = 3.0) ->
 class GroundTruth:
     """Shared true representation plus the two stage heads."""
 
-    rep: Representation
+    rep: SubspaceRep
     pre_head: LinearHead
     down_head: LinearHead
 
@@ -254,7 +252,7 @@ def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> 
 
 
 def _sample_labels(
-    rep: Representation,
+    rep: SubspaceRep,
     head: LinearHead,
     x: np.ndarray,
     rng: np.random.Generator,

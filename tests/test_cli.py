@@ -14,7 +14,7 @@ import transferlab
 from transferlab import cli, harness, rngutil
 from transferlab.cli import main
 from transferlab.harness import default_config
-from transferlab.model_space import MlpRep, load_bundle
+from transferlab.model_space import load_bundle
 from transferlab.synthetic import load_dataset
 
 
@@ -230,24 +230,6 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     assert (rep / "risk_vs_n.csv").exists()
 
 
-def test_pretrain_honours_mlp_config(tmp_path, micro_config):
-    with open(micro_config) as fh:
-        doc = json.load(fh)
-    doc["hypothesis"] = {"kind": "mlp", "mlp_widths": [4], "mlp_caps": [4.0, 4.0]}
-    doc["optimizer"].update(max_iters=20)
-    config = tmp_path / "mlp.json"
-    config.write_text(json.dumps(doc))
-    data, model = tmp_path / "pre.csv", tmp_path / "model.json"
-    assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
-    assert main([
-        "pretrain", "--data", str(data), "--out", str(model), "--config", str(config),
-    ]) == 0
-    rep = load_bundle(model)["rep"]
-    assert isinstance(rep, MlpRep)
-    # the embedding width defaults to r of the config's first cell
-    assert rep.weights[-1].shape[0] == doc["grid"]["r"][0]
-
-
 @pytest.mark.parametrize("section", [
     {"bound": {"setting": "mlpp"}},
     {"bound": {"setting": "mlp"}},
@@ -278,7 +260,7 @@ def test_pretrain_honours_mlp_config(tmp_path, micro_config):
     {"diagnostics": {"risk_mc_samples": 100.5}},
     {"baseline": "no"},
     {"optimizer": {"max_iters": "50"}},
-    # MLP sections whose every row failed, and values that crashed the sweep
+    # the hypothesis section, which went with the MLP family: an unknown key
     {"hypothesis": {"kind": "mlp", "mlp_widths": ["a"], "mlp_caps": [1, 1]}},
     {"hypothesis": {"kind": "mlp", "mlp_widths": [2.5], "mlp_caps": [1, 1]}},
     {"hypothesis": {"kind": "mlp", "mlp_widths": [0], "mlp_caps": [1, 1]}},
@@ -356,6 +338,17 @@ def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys)
     err = capsys.readouterr().err
     assert f"unknown {section} keys" in err and repr(key) in err
     assert not (out / "records.csv").exists()
+
+
+def test_config_naming_the_hypothesis_section_exits_one(tmp_path, capsys):
+    # the section chose between the subspace and the removed MLP family
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"hypothesis": {"kind": "subspace"}}))
+    for argv in (["sweep", "--out", str(tmp_path / "sweep")],
+                 ["gen", "--out", str(tmp_path / "pre.csv")]):
+        assert main([*argv, "--config", str(config)]) == 1
+        assert "unknown config keys ['hypothesis']" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists() and not (tmp_path / "pre.csv").exists()
 
 
 def test_sweep_rejects_nested_config_typo(tmp_path, capsys):
@@ -487,6 +480,7 @@ def test_missing_model_key_exits_one(tmp_path, micro_config, command, target, pa
     assert message in capsys.readouterr().err
 
 
+# the payload of the tanh-MLP representation family, which no longer exists
 _MLP_REP = {"kind": "mlp", "layers": [[[0.5] * 5, [0.0] * 5], [[0.5, 0.0], [0.0, 0.5]]],
             "caps": [3.0, 1.0]}
 
@@ -500,14 +494,10 @@ _MLP_REP = {"kind": "mlp", "layers": [[[0.5] * 5, [0.0] * 5], [[0.5, 0.0], [0.0,
                  id="rep-entries-ragged"),
     pytest.param("probe", "bundle", ("rep", "entries"), [1.0, 0.0], "2-D",
                  id="rep-entries-1d"),
-    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "layers": "abc"},
-                 "mlp layers", id="mlp-layers-string"),
-    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "layers": [[["x"]]]},
-                 "mlp layer 0", id="mlp-layer-string-leaf"),
-    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "caps": "ab"}, "mlp caps",
-                 id="mlp-caps-string"),
-    pytest.param("probe", "bundle", ("rep",), {**_MLP_REP, "caps": [True, 1.0]},
-                 "mlp caps", id="mlp-caps-bool"),
+    pytest.param("probe", "bundle", ("rep",), _MLP_REP, "unknown model kind 'mlp'",
+                 id="mlp-kind"),
+    pytest.param("diagnose", "truth", ("rep",), _MLP_REP, "unknown model kind 'mlp'",
+                 id="truth-mlp-kind"),
     pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), "1", "column_cap",
                  id="head-cap-string"),
     pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), [1.0], "column_cap",

@@ -405,9 +405,9 @@ DESK = dict(n=8000, m=200, k=30, k_prime=2, r=3, d=20, nu_tilde=1.0, delta=0.05)
 class TestRiskBoundEvaluator:
     def test_nu_scaling_exact(self):
         profile = {"downstream_complexity": 0.0, "downstream_concentration": 0.0}
-        one = evaluate_risk_bound("subspace", BoundParams(**DESK), profile)
+        one = evaluate_risk_bound(BoundParams(**DESK), profile)
         two = evaluate_risk_bound(
-            "subspace", BoundParams(**{**DESK, "nu_tilde": 2.0}), profile
+            BoundParams(**{**DESK, "nu_tilde": 2.0}), profile
         )
         assert two == pytest.approx(one / 2.0, rel=1e-12)
 
@@ -416,9 +416,9 @@ class TestRiskBoundEvaluator:
             "rep_complexity", "pretrain_concentration",
             "downstream_complexity", "downstream_concentration",
         )}
-        v1 = evaluate_risk_bound("subspace", BoundParams(**DESK), profile)
+        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
         v2 = evaluate_risk_bound(
-            "subspace", BoundParams(**{**DESK, "n": 2 * DESK["n"]}), profile
+            BoundParams(**{**DESK, "n": 2 * DESK["n"]}), profile
         )
         assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
 
@@ -427,9 +427,9 @@ class TestRiskBoundEvaluator:
             "rep_complexity", "tail",
             "downstream_complexity", "downstream_concentration",
         )}
-        v1 = evaluate_risk_bound("subspace", BoundParams(**DESK), profile)
+        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
         v4 = evaluate_risk_bound(
-            "subspace", BoundParams(**{**DESK, "n": 4 * DESK["n"]}), profile
+            BoundParams(**{**DESK, "n": 4 * DESK["n"]}), profile
         )
         assert v4 == pytest.approx(v1 / 2.0, rel=1e-12)
 
@@ -438,21 +438,21 @@ class TestRiskBoundEvaluator:
             "rep_complexity", "tail", "pretrain_concentration",
             "downstream_concentration",
         )}
-        v1 = evaluate_risk_bound("subspace", BoundParams(**DESK), profile)
+        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
         v4 = evaluate_risk_bound(
-            "subspace", BoundParams(**{**DESK, "m": 4 * DESK["m"]}), profile
+            BoundParams(**{**DESK, "m": 4 * DESK["m"]}), profile
         )
         assert v4 == pytest.approx(v1 / 2.0, rel=1e-12)
 
     def test_monotonicities(self):
-        base = evaluate_risk_bound("subspace", BoundParams(**DESK))
+        base = evaluate_risk_bound(BoundParams(**DESK))
         assert base > 0 and math.isfinite(base)
         for key, factor, direction in (
             ("n", 2, -1), ("m", 2, -1), ("nu_tilde", 2, -1),
             ("k", 2, +1), ("d", 2, +1), ("r", 2, +1),
         ):
             moved = evaluate_risk_bound(
-                "subspace", BoundParams(**{**DESK, key: DESK[key] * factor})
+                BoundParams(**{**DESK, key: DESK[key] * factor})
             )
             if direction < 0:
                 assert moved < base, key
@@ -461,23 +461,5 @@ class TestRiskBoundEvaluator:
 
     def test_zero_diversity_is_infinite(self):
         assert math.isinf(
-            evaluate_risk_bound("subspace", BoundParams(**{**DESK, "nu_tilde": 0.0}))
+            evaluate_risk_bound(BoundParams(**{**DESK, "nu_tilde": 0.0}))
         )
-
-    def test_mlp_setting(self):
-        params = BoundParams(**{**DESK, "mlp_caps": (2.0, 3.0), "norm_cap": 5.0})
-        value = evaluate_risk_bound("mlp", params)
-        assert value > 0 and math.isfinite(value)
-        bigger = evaluate_risk_bound(
-            "mlp",
-            BoundParams(**{**DESK, "mlp_caps": (2.0, 4.0), "norm_cap": 5.0}),
-        )
-        assert bigger > value  # last-layer cap enters cubically
-
-    def test_mlp_needs_caps(self):
-        with pytest.raises(ContractViolation):
-            evaluate_risk_bound("mlp", BoundParams(**DESK))
-
-    def test_invalid_setting(self):
-        with pytest.raises(ContractViolation):
-            evaluate_risk_bound("transformer", BoundParams(**DESK))

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from transferlab.errors import ContractViolation, SingularMatrixError
 from transferlab.linalg import orthonormalize
-from transferlab.model_space import (
-    LinearHead,
-    MlpRep,
-    SubspaceRep,
-    cap_columns,
-    diversity_parameter,
-)
+from transferlab.model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import (
     _SHIFT_FREE_MAX,
@@ -321,40 +315,20 @@ class TestHeadRiskKernel:
         assert np.linalg.norm(embed - (ap - ya)) <= tol * (
             np.linalg.norm(ap) + np.linalg.norm(ya))
 
-    @pytest.mark.parametrize("kind", ["subspace", "mlp"])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
     @settings(max_examples=50, deadline=None)
-    def test_loss_and_grad_matches_reference(self, kind, seed, n):
+    def test_loss_and_grad_matches_reference(self, seed, n):
         # risk and head gradient against the row-wise softmax reference;
-        # the representation gradient against central differences of a
-        # forward map written out here, every parameter of every layer
+        # the frame gradient against central differences of x B
         rng = np.random.default_rng(seed)
         d, r, k_minus_1 = 5, 2, 4
-        if kind == "subspace":
-            rep = SubspaceRep(orthonormalize(rng.standard_normal((d, r))))
-            params = [rep.b]
-
-            def embed(ws):
-                return x @ ws[0]
-        else:
-            widths = (6, 4, r)
-            fan_in = (d, 6, 4)
-            params = [rng.standard_normal(shape) / np.sqrt(shape[1])
-                      for shape in zip(widths, fan_in)]
-            rep = MlpRep(tuple(params), (100.0, 100.0, 100.0))
-
-            def embed(ws):
-                a = x
-                for w in ws[:-1]:
-                    a = np.tanh(a @ w.T)
-                return a @ ws[-1].T
+        rep = SubspaceRep(orthonormalize(rng.standard_normal((d, r))))
         head = LinearHead(rng.standard_normal((r, k_minus_1)) * 2.0, 100.0)
         x = rng.standard_normal((n, d))
         y = mixed_targets(rng, n, k_minus_1)
         risk, g_alpha, g_rep = loss_and_grad(rep, head, x, y)
-        g_rep = [g_rep] if kind == "subspace" else g_rep
 
-        z = embed(params)
+        z = x @ rep.b
         eta = z @ head.alpha
         ref_risk = float(cross_entropy_rows(eta, y).mean())
         ref_alpha = z.T @ (softmax_full_rows(eta)[:, :-1] - y) / n
@@ -362,15 +336,11 @@ class TestHeadRiskKernel:
         assert np.linalg.norm(g_alpha - ref_alpha) <= 1e-12 * max(
             np.linalg.norm(ref_alpha), 1.0)
 
-        assert len(g_rep) == len(params)
-        for layer, (g, w) in enumerate(zip(g_rep, params)):
-            def risk_of(w_new):
-                ws = [*params[:layer], w_new, *params[layer + 1:]]
-                return float(cross_entropy_rows(embed(ws) @ head.alpha, y).mean())
+        def risk_of(b):
+            return float(cross_entropy_rows((x @ b) @ head.alpha, y).mean())
 
-            numeric = fd_grad(risk_of, w)
-            assert np.linalg.norm(g - numeric) <= 1e-6 * max(
-                np.linalg.norm(numeric), 1.0), f"layer {layer}"
+        numeric = fd_grad(risk_of, rep.b)
+        assert np.linalg.norm(g_rep - numeric) <= 1e-6 * max(np.linalg.norm(numeric), 1.0)
 
 
 def _fast_path(rep, alpha, x, y):
@@ -378,32 +348,9 @@ def _fast_path(rep, alpha, x, y):
     class-major path the descent loop takes."""
     xt = np.ascontiguousarray(x.T)
     terms = rep.label_terms(xt, y)
-    zt, cache, stat = erm._embed(rep, xt, terms)
+    zt, stat = erm._embed(rep, xt, terms)
     _, soft = _head_risk(alpha, zt, stat)
-    return stat, zt, rep.grad(xt, cache, _embed_softmax(alpha, soft), alpha, terms)
-
-
-def _parent_mlp_acts(weights, x):
-    """The parent's row-major forward pass: the layer inputs, then the (n, r) embeddings."""
-    acts = [x]
-    for w in weights[:-1]:
-        acts.append(np.tanh(acts[-1] @ w.T))
-    return acts, acts[-1] @ weights[-1].T
-
-
-def _parent_mlp_grad(weights, x, g_embed):
-    """The parent's row-major backpropagation of the (n, r) gradient at z."""
-    n = x.shape[0]
-    acts = _parent_mlp_acts(weights, x)[0]
-    grads = [None] * len(weights)
-    grads[-1] = g_embed.T @ acts[-1] / n
-    g_a = g_embed @ weights[-1]
-    for p in range(len(weights) - 2, -1, -1):
-        g_pre = g_a * (1.0 - acts[p + 1] ** 2)
-        grads[p] = g_pre.T @ acts[p] / n
-        if p > 0:
-            g_a = g_pre @ weights[p]
-    return grads
+    return stat, zt, rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms)
 
 
 class TestClassMajorFastPath:
@@ -411,17 +358,11 @@ class TestClassMajorFastPath:
 
     EDGES = [(1, 1, 1), (1, 3, 4), (6, 1, 1), (5, 1, 3), (4, 3, 1)]
 
-    @staticmethod
-    def _problem(seed, n, r, k_minus_1, targets=None):
-        rng = np.random.default_rng(seed)
-        d = r + 2
-        x = rng.standard_normal((n, d))
-        y = (targets or mixed_targets)(rng, n, k_minus_1)
-        alpha = rng.standard_normal((r, k_minus_1)) * 1.5
-        return rng, x, y, alpha
-
     def _check_subspace(self, seed, n, r, k_minus_1):
-        rng, x, y, alpha = self._problem(seed, n, r, k_minus_1)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, r + 2))
+        y = mixed_targets(rng, n, k_minus_1)
+        alpha = rng.standard_normal((r, k_minus_1)) * 1.5
         rep = SubspaceRep(orthonormalize(rng.standard_normal((x.shape[1], r))))
         stat, zt, grad = _fast_path(rep, alpha, x, y)
         z = x @ rep.b
@@ -445,33 +386,6 @@ class TestClassMajorFastPath:
     def test_subspace_edge_shapes(self, n, r, k_minus_1):
         for seed in range(5):
             self._check_subspace(seed, n, r, k_minus_1)
-
-    def _check_mlp(self, seed, n, r, k_minus_1, targets=None):
-        rng, x, y, alpha = self._problem(seed, n, r, k_minus_1, targets)
-        weights = (rng.standard_normal((4, x.shape[1])) * 0.5,
-                   rng.standard_normal((3, 4)) * 0.5, rng.standard_normal((r, 3)) * 0.5)
-        rep = MlpRep(weights, (100.0, 100.0, 100.0))
-        stat, zt, grads = _fast_path(rep, alpha, x, y)
-        z = _parent_mlp_acts(rep.weights, x)[1]
-        np.testing.assert_allclose(rep.apply(x), z, rtol=1e-13, atol=1e-13 * np.abs(z).max())
-        probs = softmax_full_rows(z @ alpha)[:, :-1]
-        ref = _parent_mlp_grad(rep.weights, x, probs @ alpha.T - y @ alpha.T)
-        np.testing.assert_allclose(zt, z.T, rtol=1e-13, atol=1e-13 * np.abs(z).max())
-        np.testing.assert_allclose(stat, z.T @ y / n, rtol=1e-12, atol=1e-13)
-        for g, want in zip(grads, ref):
-            assert np.linalg.norm(g - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 4), st.integers(1, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_mlp_matches_per_sample_formulas(self, seed, n, r, k_minus_1):
-        self._check_mlp(seed, n, r, k_minus_1)
-        self._check_mlp(seed, n, r, k_minus_1, _one_hot_targets)
-
-    @pytest.mark.parametrize("n, r, k_minus_1", EDGES)
-    def test_mlp_edge_shapes(self, n, r, k_minus_1):
-        for seed in range(5):
-            self._check_mlp(seed, n, r, k_minus_1)
-            self._check_mlp(seed, n, r, k_minus_1, _one_hot_targets)
 
 
 class TestPretrain:
@@ -531,24 +445,7 @@ class TestPretrain:
             )
         assert float(np.median(deltas)) > 0
 
-    def test_mlp_hypothesis_trains(self):
-        rng = derive_rng(8, "mlp")
-        truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
-        ds = make_dataset(truth, isotropic_covariates(6), 500, rng, "pretrain")
-        hyp = HypothesisConfig(
-            kind="mlp", embed_dim=2, head_cap=1.0,
-            mlp_widths=(8,), mlp_caps=(4.0, 4.0),
-        )
-        result = pretrain(
-            ds, hyp, 0.0, OptimConfig(max_iters=150, grad_tol=1e-6),
-            derive_rng(8, "init"),
-        )
-        assert isinstance(result.rep, MlpRep)
-        assert result.trace.risk[-1] < result.trace.risk[0]
-        assert not result.trace.stalled
-
-    @pytest.mark.parametrize("kind", ["subspace", "mlp"])
-    def test_head_stall_returns_current_iterate(self, kind, one_strict_trial):
+    def test_head_stall_returns_current_iterate(self, one_strict_trial):
         # the head objective is convex, so f(a - s g) >= f(a) - s |g|^2 and
         # with curvature a sufficient-decrease constant near 1 fails the one
         # allowed trial (_MIN_STEP = _STEP_INIT): the run must stop at its
@@ -556,18 +453,14 @@ class TestPretrain:
         rng = derive_rng(16, "stall")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 200, rng, "pretrain")
-        hyp = HypothesisConfig(
-            kind=kind, embed_dim=2, mlp_widths=(5,) if kind == "mlp" else (),
-            mlp_caps=(4.0, 4.0) if kind == "mlp" else (),
-        )
-        result = pretrain(ds, hyp, 0.0, OptimConfig(max_iters=10), derive_rng(16, "init"))
+        result = pretrain(ds, HypothesisConfig(embed_dim=2), 0.0, OptimConfig(max_iters=10),
+                          derive_rng(16, "init"))
         assert result.trace.stalled
         assert result.trace.stall_reason.startswith("head:")
         assert len(result.trace) == 1
         np.testing.assert_array_equal(result.head.alpha, np.zeros((2, 7)))
-        init = (SubspaceRep.random(6, 2, derive_rng(16, "init")) if kind == "subspace"
-                else MlpRep.random(6, (5, 2), (4.0, 4.0), derive_rng(16, "init")))
-        np.testing.assert_array_equal(result.rep.apply(ds.x), init.apply(ds.x))
+        init = SubspaceRep.random(6, 2, derive_rng(16, "init"))
+        np.testing.assert_array_equal(result.rep.b, init.b)
 
     def test_lambda_needs_feasible_width(self):
         rng = derive_rng(9, "pre")
@@ -657,9 +550,8 @@ class TestBarzilaiBorwein:
         ref = self._reference_head_fit(z, targets, cap)
         assert abs(trace.risk[-1] - ref) <= 1e-9
 
-    @pytest.mark.parametrize("kind", ["subspace", "mlp"])
     @pytest.mark.parametrize("lam", [0.0, 0.3])
-    def test_pretrain_descends_and_logs_accepted_steps(self, kind, lam, monkeypatch):
+    def test_pretrain_descends_and_logs_accepted_steps(self, lam, monkeypatch):
         # record, in order, each trace row and each step _backtrack accepts
         events = []
         backtrack, append = erm._backtrack, TrainTrace.append
@@ -679,12 +571,8 @@ class TestBarzilaiBorwein:
         rng = derive_rng(17, "bb-pre")
         truth = make_ground_truth(8, 2, 10, 2, 2.0, rng)
         ds = make_dataset(truth, isotropic_covariates(8), 600, rng, "pretrain")
-        hyp = HypothesisConfig(
-            kind=kind, embed_dim=2, mlp_widths=(6,) if kind == "mlp" else (),
-            mlp_caps=(4.0, 4.0) if kind == "mlp" else (),
-        )
         result = pretrain(
-            ds, hyp, lam, OptimConfig(max_iters=300, grad_tol=1e-6),
+            ds, HypothesisConfig(embed_dim=2), lam, OptimConfig(max_iters=300, grad_tol=1e-6),
             derive_rng(17, "init"),
         )
         trace = result.trace
@@ -719,15 +607,12 @@ class TestDownstreamFit:
         # which matches the class-marginal log-loss under a uniform truth
         rng = derive_rng(12, "down")
         kp, n = 3, 3000
-        mlp = MlpRep((np.zeros((2, 5)), np.zeros((2, 2))), (1.0, 1.0))
-        x = rng.standard_normal((n, 5))
         labels = rng.integers(0, kp, n)  # uniform marginal truth
         y = np.zeros((n, kp - 1))
         for i, lab in enumerate(labels):
             if lab < kp - 1:
                 y[i, lab] = 1.0
-        ds = LabeledDataset(x=x, y=y, k=kp)
-        head, trace = fit_downstream_head(mlp, ds, 1.0, OptimConfig(max_iters=50))
+        _, trace = fit_head_on_embeddings(np.zeros((n, 2)), y, 1.0, OptimConfig(max_iters=50))
         assert trace.risk[-1] == pytest.approx(math.log(kp), abs=1e-12)
         counts = np.concatenate([y.sum(axis=0), [n - y.sum()]])
         freqs = counts / n

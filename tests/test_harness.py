@@ -14,7 +14,6 @@ from transferlab.errors import ContractViolation
 from transferlab.harness import (
     ExperimentRecord,
     SweepConfig,
-    cell_truth,
     cells_of,
     default_config,
     fit_power_law,
@@ -210,21 +209,19 @@ class TestRunSweep:
             "max_iters", "max_iters", "")
         assert rec.pretrain_iters == 1 and not rec.pretrain_stalled
 
-    def test_bound_follows_hypothesis_kind(self):
-        # an MLP sweep gets the network rate without naming a bound setting
-        caps = (4.0, 4.0)
-        doc = dict(MICRO, trials=1, baseline=False,
-                   hypothesis={"kind": "mlp", "mlp_widths": [4], "mlp_caps": list(caps)},
+    def test_bound_value_is_the_subspace_rate(self):
+        # the record's rate is the evaluator's at the cell, with the config's
+        # delta and constants profile
+        bound = {"delta": 0.1, "profile": {"tail": 2.0}}
+        doc = dict(MICRO, trials=1, baseline=False, bound=bound,
                    optimizer={"max_iters": 20})
         doc["grid"] = dict(MICRO["grid"], n=[300])
-        cfg = SweepConfig.from_dict(doc)
-        (rec,) = run_sweep(cfg)
+        (rec,) = run_sweep(SweepConfig.from_dict(doc))
         assert rec.status == "ok"
-        spec, _, _ = cell_truth(cfg, cells_of(cfg)[0], 0)
         params = BoundParams(n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true,
-                             norm_cap=spec.norm_cap, mlp_caps=caps)
-        assert rec.bound_value == evaluate_risk_bound("mlp", params)
-        assert rec.bound_value != evaluate_risk_bound("subspace", params)
+                             delta=0.1)
+        assert rec.bound_value == evaluate_risk_bound(params, bound["profile"])
+        assert rec.bound_value != evaluate_risk_bound(params)
 
     def test_failed_row_has_no_outcomes(self):
         doc = dict(MICRO, trials=1)

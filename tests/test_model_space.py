@@ -12,16 +12,12 @@ from transferlab.errors import ContractViolation, DegenerateInput
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import (
     LinearHead,
-    MlpRep,
     SubspaceRep,
     cap_columns,
     component_from_payload,
     component_to_payload,
-    _cap_mlp_weights,
     load_bundle,
-    _output_norm_bound,
     principal_angles,
-    _row_sum_norm,
     save_bundle,
 )
 
@@ -98,56 +94,6 @@ class TestSubspaceRep:
         assert len(checks) == 3
         with pytest.raises(ContractViolation):
             component_from_payload({"kind": "subspace", "entries": [[1.0, 1.0], [0.0, 1.0]]})
-
-
-class TestMlpRep:
-    def test_zero_weights_zero_embedding(self):
-        rep = MlpRep((np.zeros((4, 6)), np.zeros((2, 4))), (1.0, 1.0))
-        x = np.random.default_rng(2).standard_normal(6)
-        np.testing.assert_allclose(rep.apply(x), np.zeros(2))
-
-    def test_output_norm_capped(self):
-        rng = np.random.default_rng(3)
-        w1 = rng.standard_normal((5, 4))
-        w2 = rng.standard_normal((3, 5))
-        caps = (_row_sum_norm(w1), _output_norm_bound(w2))
-        rep = MlpRep((w1, w2), caps)
-        for _ in range(50):
-            x = rng.standard_normal(4) * 100  # tanh saturates, inputs unbounded
-            assert np.linalg.norm(rep.apply(x)) <= caps[-1] + 1e-12
-
-    def test_cap_violation_rejected(self):
-        w = np.ones((2, 3))
-        with pytest.raises(ContractViolation):
-            MlpRep((w, np.ones((1, 2))), (_row_sum_norm(w) * 0.5, 10.0))
-
-    def test_cap_rescaling(self):
-        rng = np.random.default_rng(4)
-        weights = [rng.standard_normal((4, 3)) * 10, rng.standard_normal((2, 4)) * 10]
-        caps = (1.5, 2.0)
-        capped = _cap_mlp_weights(weights, caps)
-        assert _row_sum_norm(capped[0]) <= caps[0] * (1 + 1e-12)
-        assert _output_norm_bound(capped[1]) <= caps[1] * (1 + 1e-12)
-        MlpRep(tuple(capped), caps)  # must validate
-
-    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
-    @settings(max_examples=100, deadline=None)
-    def test_cap_is_euclidean_projection(self, seed, hidden_cap, out_cap):
-        # p = P(v) onto a convex set C iff p is in C and, with r = v - p,
-        # <r, p> >= max_{w in C} <r, w>: the support function of the
-        # row-wise l1 balls is cap * max |r_i| per row, that of the
-        # column-norm-sum ball cap * max_j |r_j|
-        rng = np.random.default_rng(seed)
-        scale = rng.choice([0.1, 1.0, 5.0])
-        v = [rng.standard_normal((4, 3)) * scale, rng.standard_normal((2, 4)) * scale]
-        hidden, out = _cap_mlp_weights(v, (hidden_cap, out_cap))
-        MlpRep((hidden, out), (hidden_cap, out_cap))  # must validate
-        r = v[0] - hidden
-        assert np.all(hidden_cap * np.abs(r).max(axis=1)
-                      <= (r * hidden).sum(axis=1) + 1e-12 * (1 + scale**2))
-        r = v[1] - out
-        assert (out_cap * np.linalg.norm(r, axis=0).max()
-                <= (r * out).sum() + 1e-12 * (1 + scale**2))
 
 
 class TestLinearHead:
@@ -290,19 +236,13 @@ class TestSerialization:
         back = load_bundle(path)["rep"]
         np.testing.assert_array_equal(back.b, rep.b)
 
-    def test_mlp_and_head_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        w1 = rng.standard_normal((4, 3)) / 3
-        w2 = rng.standard_normal((2, 4)) / 3
-        rep = MlpRep((w1, w2), (5.0, 5.0))
-        head = LinearHead(rng.standard_normal((2, 4)) / 3, 1.0)
+    def test_head_roundtrip_exact(self, tmp_path):
+        head = LinearHead(np.random.default_rng(12).standard_normal((2, 4)) / 3, 1.0)
         path = tmp_path / "bundle.json"
-        save_bundle(path, {"rep": rep, "head": head})
-        back = load_bundle(path)
-        np.testing.assert_array_equal(back["rep"].weights[0], w1)
-        np.testing.assert_array_equal(back["rep"].weights[1], w2)
-        np.testing.assert_array_equal(back["head"].alpha, head.alpha)
-        assert back["head"].column_cap == head.column_cap
+        save_bundle(path, {"head": head})
+        back = load_bundle(path)["head"]
+        np.testing.assert_array_equal(back.alpha, head.alpha)
+        assert back.column_cap == head.column_cap
 
     def test_stray_output_cap_key_ignored(self, tmp_path):
         # bundles written before heads lost their output cap still load
