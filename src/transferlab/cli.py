@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 property-suite failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -34,7 +35,6 @@ from .synthetic import (
     covariate_spec_hash,
     load_dataset,
     load_truth,
-    make_dataset,
     sample_covariates,
     save_dataset,
     save_truth,
@@ -77,6 +77,13 @@ def _first_cell(cfg: harness.SweepConfig) -> dict:
     return harness.cells_of(cfg)[0]
 
 
+def _file_digest(path) -> str:
+    """SHA-256 of a file's bytes: random streams keyed by it follow the
+    content, not how the path was spelled."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _write_trace(path, trace) -> None:
     columns = ["iter", "risk", "regularizer", "grad_norm", "step", "nu_tilde"]
     series = (trace.iters, trace.risk, trace.regularizer,
@@ -92,14 +99,8 @@ def _cmd_print_default_config(_args) -> int:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     cell = _first_cell(cfg)
-    spec, truth, truth_tok = harness.cell_truth(cfg, cell, args.trial)
-    n = int(cell["n"]) if args.stage == "pretrain" else int(cell["m"])
-    stream = "pretrain_data" if args.stage == "pretrain" else "down_data"
-    ds = make_dataset(
-        truth, spec, n,
-        derive_rng(cfg.seed, stream, args.trial, truth_tok, n),
-        stage=args.stage, seed_label=f"{cfg.seed}/{args.trial}",
-    )
+    truth_parts = spec, truth, _ = harness.cell_truth(cfg, cell, args.trial)
+    ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth_parts)
     save_dataset(args.out, ds, covariate_spec_hash(spec))
     truth_path = args.truth_out or (args.out + ".truth.json")
     save_truth(truth_path, truth, spec)
@@ -110,13 +111,17 @@ def _cmd_gen(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
-    embed_dim = (
-        int(_first_cell(cfg)["r"]) if args.embed_dim is None else args.embed_dim
-    )
+    if args.embed_dim is None:
+        embed_dim, source = int(_first_cell(cfg)["r"]), "the config's grid.r"
+    else:
+        embed_dim, source = args.embed_dim, "--embed-dim"
+    if embed_dim > ds.dim:
+        raise ContractViolation(
+            f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
     result = pretrain(
         ds, HypothesisConfig(embed_dim, cfg.truth["pre_head_cap"]), args.lambda_div,
         cfg.optim_config(),
-        derive_rng(cfg.seed, "cli-pretrain", args.data, args.lambda_div),
+        derive_rng(cfg.seed, "cli-pretrain", _file_digest(args.data), args.lambda_div),
     )
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
@@ -153,7 +158,7 @@ def _cmd_diagnose(args) -> int:
     rep = bundle["rep"]
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
     _check_schur_samples(n_mc, truth.rep.embed_dim)
-    rng_tok = ("cli-diagnose", args.model, args.truth, n_mc)
+    rng_tok = ("cli-diagnose", _file_digest(args.model), _file_digest(args.truth), n_mc)
     # every Monte Carlo row is scored on this one draw (common random numbers)
     x = sample_covariates(spec, n_mc, derive_rng(cfg.seed, *rng_tok, "risk"))
     rows = []

@@ -136,17 +136,21 @@ def _ridged_gram(alpha: np.ndarray, mu: float) -> np.ndarray:
     return alpha @ alpha.T + mu * np.eye(alpha.shape[0])
 
 
-def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """Value and gradient of ln det(alpha alpha^T + mu I).
+def _logdet_grad(alpha: np.ndarray, mu: float) -> np.ndarray:
+    """Gradient of ln det(alpha alpha^T + mu I): 2 (alpha alpha^T + mu I)^{-1} alpha."""
+    return 2.0 * np.linalg.solve(_ridged_gram(alpha, mu), alpha)
 
-    The gradient is 2 (alpha alpha^T + mu I)^{-1} alpha. Raises the
-    underlying singular-matrix error when the ridged Gram is not PD.
+
+def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    """Value and gradient (``_logdet_grad``) of ln det(alpha alpha^T + mu I).
+
+    Raises the underlying singular-matrix error when the ridged Gram is
+    not PD.
     """
     a = np.asarray(alpha, dtype=np.float64)
     if mu < 0:
         raise ContractViolation("ridge must be nonnegative")
-    gram = _ridged_gram(a, mu)
-    return logdet_psd(gram), 2.0 * np.linalg.solve(gram, a)
+    return logdet_psd(_ridged_gram(a, mu)), _logdet_grad(a, mu)
 
 
 def _embed(rep: SubspaceRep, xt: np.ndarray, terms):
@@ -329,8 +333,7 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         grad_alpha = _head_grad(zt, soft, label_stat)
         if lambda_div > 0.0:
             # the gradient of ln det alone: its value is ``reg``, held already
-            reg_grad = 2.0 * np.linalg.solve(_ridged_gram(alpha, mu), alpha)
-            grad_alpha = grad_alpha - lambda_div * reg_grad
+            grad_alpha = grad_alpha - lambda_div * _logdet_grad(alpha, mu)
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
         pg_rep = 0.0 if rep is None else rep.descent(rep_grad())[0]
         gnorm = float(np.hypot(pg_head, pg_rep))

@@ -38,6 +38,7 @@ from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     CovariateSpec,
     GroundTruth,
+    LabeledDataset,
     isotropic_covariates,
     make_dataset,
     make_ground_truth,
@@ -52,6 +53,7 @@ __all__ = [
     "default_config",
     "cells_of",
     "cell_truth",
+    "stage_dataset",
     "run_sweep",
     "write_csv",
     "load_records_csv",
@@ -274,36 +276,48 @@ def cell_truth(cfg: SweepConfig, cell: dict, trial: int
     return spec, truth, truth_tok
 
 
+def stage_dataset(cfg: SweepConfig, cell: dict, trial: int, stage: str,
+                  truth_parts: tuple) -> LabeledDataset:
+    """One stage's dataset of a cell and trial: n pre-training or m downstream samples.
+
+    ``truth_parts`` is the (covariate law, truth, truth token) triple that
+    ``cell_truth`` returned for this cell and trial, so both stages draw
+    from one built truth. The draw comes from the ``("pretrain_data" |
+    "down_data", trial, truth token, size)`` stream: cells with the same
+    truth and size share it.
+    """
+    spec, truth, truth_tok = truth_parts
+    pre = stage == "pretrain"
+    n = int(cell["n"] if pre else cell["m"])
+    return make_dataset(
+        truth, spec, n,
+        derive_rng(cfg.seed, "pretrain_data" if pre else "down_data", trial, truth_tok, n),
+        stage=stage, seed_label=f"{cfg.seed}/{trial}",
+    )
+
+
 def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: dict
               ) -> ExperimentRecord:
     rec = ExperimentRecord(cell_index=cell_index, trial=trial, status="ok", params=dict(cell))
     start = time.perf_counter()
-    n, m, r = int(cell["n"]), int(cell["m"]), int(cell["r"])
+    n, r = int(cell["n"]), int(cell["r"])
     lam = float(cell["lambda_div"])
-    spec, truth, truth_tok = cell_truth(cfg, cell, trial)
+    truth_parts = spec, truth, truth_tok = cell_truth(cfg, cell, trial)
 
     # the stage-one fit and, once scored, its pre-training (risk, se)
     pre_key = ("pretrain", truth_tok, n, lam)
     if pre_key not in cache:
-        pre_ds = make_dataset(
-            truth, spec, n,
-            derive_rng(cfg.seed, "pretrain_data", trial, truth_tok, n),
-            stage="pretrain",
-        )
         # the init stream ignores lambda so regularizer ablations are
         # paired: identical data and identical starting frame
         result = pretrain(
-            pre_ds, HypothesisConfig(r, cfg.truth["pre_head_cap"]), lam, cfg.optim_config(),
+            stage_dataset(cfg, cell, trial, "pretrain", truth_parts),
+            HypothesisConfig(r, cfg.truth["pre_head_cap"]), lam, cfg.optim_config(),
             derive_rng(cfg.seed, "init", trial, truth_tok, n),
         )
         cache[pre_key] = (result, None)
     result, pre_risk = cache[pre_key]
 
-    down_ds = make_dataset(
-        truth, spec, m,
-        derive_rng(cfg.seed, "down_data", trial, truth_tok, m),
-        stage="downstream",
-    )
+    down_ds = stage_dataset(cfg, cell, trial, "downstream", truth_parts)
     head_down, down_trace = fit_downstream_head(
         result.rep, down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
     )

@@ -120,6 +120,47 @@ def test_diagnose_frame_wider_than_the_truth(tmp_path, micro_config):
     assert "max_principal_angle" in metrics
 
 
+@pytest.mark.parametrize("flag, message", [
+    pytest.param(["--embed-dim", "6"], "--embed-dim = 6 exceeds the data dimension d = 5",
+                 id="flag"),
+    pytest.param([], "the config's grid.r = 6 exceeds the data dimension d = 5", id="config"),
+])
+def test_pretrain_rejects_embedding_wider_than_the_data(tmp_path, micro_config, flag,
+                                                        message, capsys):
+    # the micro data have d = 5; the default config is valid with r = 6 (d = 20)
+    data, model = tmp_path / "pre.csv", tmp_path / "model.json"
+    assert main(["gen", "--config", micro_config, "--out", str(data)]) == 0
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"grid": {"r": [6]}}))
+    assert main(["pretrain", "--config", str(config), "--data", str(data),
+                 "--out", str(model), *flag]) == 1
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_streams_follow_file_content_not_path_spelling(tmp_path, micro_config, monkeypatch):
+    # pretrain keys its initial frame by the data file, diagnose its Monte
+    # Carlo draws by the bundle and truth files: two spellings of the same
+    # files must give the same outputs
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--config", micro_config, "--out", "pre.csv"]) == 0
+    assert main(["gen", "--config", micro_config, "--out", "down.csv",
+                 "--stage", "downstream"]) == 0
+    outputs = []
+    for tag, prefix in (("a", ""), ("b", "./")):
+        model, probed, diag = (f"{prefix}{name}-{tag}.{ext}" for name, ext in (
+            ("model", "json"), ("probed", "json"), ("diag", "csv")))
+        for argv in (
+            ["pretrain", "--data", f"{prefix}pre.csv", "--out", model],
+            ["probe", "--model", model, "--data", f"{prefix}down.csv", "--out", probed],
+            ["diagnose", "--model", probed, "--truth", f"{prefix}pre.csv.truth.json",
+             "--out", diag],
+        ):
+            assert main([*argv, "--config", micro_config]) == 0, argv[0]
+        outputs.append([Path(f).read_bytes() for f in (model, diag)])
+    assert outputs[0] == outputs[1]
+
+
 def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):
     # every Monte Carlo row of diagnose is scored on one covariate draw
     data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
