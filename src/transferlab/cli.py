@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -64,6 +65,17 @@ def _int_at_least(low: int):
 
     parse.__name__ = "integer"  # argparse names the type in its message on a non-integer
     return parse
+
+
+def _finite_nonnegative(text: str) -> float:
+    """An argparse type: a finite number >= 0, or a usage error naming the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+_finite_nonnegative.__name__ = "number"
 
 
 def _load_config(path) -> harness.SweepConfig:
@@ -126,10 +138,11 @@ def _cmd_pretrain(args) -> int:
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
         _write_trace(args.trace_out, result.trace)
+    trace = result.trace
     print(
-        f"{result.trace.outcome} after {len(result.trace)} iterations; "
-        f"final risk {result.trace.risk[-1] if len(result.trace) else float('nan'):.6f}; "
-        f"model -> {args.out}"
+        f"{trace.outcome} after {len(trace)} iterations "
+        f"({trace.evaluations} objective evaluations); "
+        f"final risk {trace.risk[-1]:.6f}; model -> {args.out}"
     )
     return 0
 
@@ -266,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="stage-one training on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lambda_div", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lambda_div", type=_finite_nonnegative, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument(

@@ -4,22 +4,22 @@
 with backtracking line search from the zero head, optionally adding the
 spectral diversity regularizer ``-lambda * ln det(alpha alpha^T + mu I)``
 (mu = ``_RIDGE_MU``) to the objective. Stage one (``pretrain``) runs it
-on (representation, head), alternating a head phase and a representation
-phase. Stage two is the same loop with the representation frozen: the
-head phase alone on the embeddings, a convex problem. A no-pretraining
-baseline fits a full-dimensional linear predictor the same way on the raw
-covariates.
+on (representation, head), one joint step of both blocks per iteration.
+Stage two is the same loop with the representation frozen: the head step
+alone on the embeddings, a convex problem. A no-pretraining baseline fits
+a full-dimensional linear predictor the same way on the raw covariates.
 
 The loop works on class-major blocks: x as one (d, n) copy per fit,
 embeddings (r, n), logits (K-1, n). The targets enter once per fit, as
 the label terms S = x^T T / n, so a frame's label statistic is B^T S and
 its gradient's label part S alpha^T.
 
-Every line search starts from a Barzilai-Borwein step of its own block
-(``_bb_step``) under an Armijo safeguard (``_backtrack``). Training is
-full batch and deterministic given the RNG used for initialization; the
-trace records how each run ended, and line-search failure is reported
-as a stall rather than raised.
+Each block's step starts from a Barzilai-Borwein step of its own secant
+pair (``_bb_step``), and one Armijo backtracking search (``_backtrack``)
+shrinks the blocks' steps by a shared factor. Training is full batch and
+deterministic given the RNG used for initialization; the trace records
+how each run ended and how many objective evaluations it took, and
+line-search failure is reported as a stall rather than raised.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ __all__ = [
 
 
 # The line-search policy (``_bb_step``, ``_backtrack``; every block's first
-# search starts at _STEP_INIT) and the regularizer's ridge mu. Read at call
-# time, so tests may patch them.
+# step is _STEP_INIT) and the regularizer's ridge mu. Read at call time, so
+# tests may patch them.
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _ARMIJO_C = 1e-4
@@ -92,7 +92,10 @@ class TrainTrace:
     ``outcome`` is "converged" (the projected-gradient norm reached
     ``grad_tol``), "stalled" (a line search ended without a step, for the
     ``stall_reason`` ``_backtrack`` gives) or "max_iters" (the iteration
-    budget ran out first); it is empty until the run ends.
+    budget ran out first); it is empty until the run ends. ``step`` holds
+    the head's accepted step, and ``evaluations`` counts every objective
+    evaluation of the run: the starting point's and every line-search
+    trial's.
     """
 
     iters: list = field(default_factory=list)
@@ -103,6 +106,7 @@ class TrainTrace:
     nu_tilde: list = field(default_factory=list)
     outcome: str = ""
     stall_reason: str = ""
+    evaluations: int = 0
 
     def append(self, it, risk, reg, gnorm, step, nu):
         self.iters.append(int(it))
@@ -116,10 +120,11 @@ class TrainTrace:
     def stalled(self) -> bool:
         return self.outcome == "stalled"
 
-    def stall(self, phase: str, reason: str) -> None:
-        """Record that ``phase``'s line search ended for ``reason`` without a step."""
+    def stall(self, what: str, reason: str) -> None:
+        """Record that the line search of ``what`` ("joint" in stage one, "head"
+        in a head fit) ended for ``reason`` without a step."""
         self.outcome = "stalled"
-        self.stall_reason = f"{phase}: {reason}"
+        self.stall_reason = f"{what}: {reason}"
 
     def __len__(self):
         return len(self.iters)
@@ -226,22 +231,50 @@ def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
     return step
 
 
-def _bb_step(point, grad, prev, fallback: float) -> float:
-    """Barzilai-Borwein (BB1) initial step of one block's line search.
+def _joint_step(head_step, rep, frame_grad, ratio: float):
+    """Step map of the joint (head, representation) move for ``_backtrack``.
+
+    A head step s moves the head to ``head_step(s)`` and, when ``rep`` is
+    given, retracts its frame by the step s * ratio (``descent``) along
+    ``frame_grad`` at that trial head: one factor shrinks both blocks'
+    Barzilai-Borwein steps, and the frame sees the head's move as it did
+    when the two alternated. The squared move it reports is the head's
+    plus the frame's divided by ``ratio``: ``_backtrack``'s Armijo
+    decrease _ARMIJO_C / s * move^2 is then the sum of each block's
+    squared move over its own step, the scaled gradient projection test
+    (Bonettini, Zanella and Zanni 2009). Without ``rep`` the map is
+    ``head_step`` itself with a frozen (None) representation.
+    """
+
+    def step(s):
+        alpha, move_sq = head_step(s)
+        if rep is None:
+            return (alpha, None), move_sq
+        cand, rep_move_sq = rep.descent(frame_grad(alpha))[1](s * ratio)
+        return (alpha, cand), move_sq + rep_move_sq / ratio
+
+    return step
+
+
+def _bb_step(point, grad, prev, fallback: float, short: bool = False) -> float:
+    """Barzilai-Borwein initial step of one block's line search.
 
     With S = point - previous point and Y = grad - previous gradient, the
-    step <S,S>/<S,Y> is the inverse of the curvature seen along S
-    (Barzilai and Borwein 1988), clipped to [_MIN_STEP, _STEP_MAX]. Without
-    a previous ``(point, grad)`` pair, or when <S,Y> <= 0, it is
-    ``fallback``: the grown step ``_backtrack`` returned last time.
+    long (BB1) step <S,S>/<S,Y> and the short (BB2) step <S,Y>/<Y,Y> are
+    inverses of the curvature seen along S (Barzilai and Borwein 1988);
+    the step is clipped to [_MIN_STEP, _STEP_MAX]. Without a previous
+    ``(point, grad)`` pair, or when <S,Y> <= 0, it is ``fallback``: the
+    grown step ``_backtrack`` returned last time.
     """
     if prev is None:
         return fallback
     s = point - prev[0]
-    sy = float(np.vdot(s, grad - prev[1]))
+    y = grad - prev[1]
+    sy = float(np.vdot(s, y))
     if not sy > 0.0:
         return fallback
-    return min(max(float(np.vdot(s, s)) / sy, _MIN_STEP), _STEP_MAX)
+    step = sy / float(np.vdot(y, y)) if short else float(np.vdot(s, s)) / sy
+    return min(max(step, _MIN_STEP), _STEP_MAX)
 
 
 def _backtrack(objective, current_value, direction_step, step0):
@@ -279,17 +312,26 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
     """Projected descent from the zero head; returns ``(rep, alpha, trace)``.
 
     The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
-    alpha^T + _RIDGE_MU I)``. Each iteration runs a head phase (regularizer
-    included, columns projected onto the cap) and then, when ``rep`` is
-    given, a representation phase at the fresh head through its
-    ``descent``; the representation's Barzilai-Borwein secant pair is its
-    frame B and ``descent`` gradient. Without ``rep`` the rows of ``x``
-    are the embeddings, read as (r, n) through a transposed view, and the
-    representation stays frozen: the head fit of stage two. The trace
-    records risk, regularizer value,
-    combined projected-gradient norm, accepted step, and the running
-    least Gram eigenvalue of the head. Line-search failure stalls the run
-    and returns the current iterate with the stall recorded.
+    alpha^T + _RIDGE_MU I)``. Each iteration forms one gradient pair at
+    the current (head, representation), which serves both the stopping
+    test and one joint step (``_joint_step``): the head's gradient,
+    regularizer included, and, with ``rep``, the frame's, whose projected
+    norm is the ``descent`` norm. Each block starts from the
+    Barzilai-Borwein step of its own secant pair: the head's is alpha and
+    its gradient, the frame's B and its ambient gradient, not the
+    Riemannian one (Wen and Yin 2013), which took fewer trials on the
+    benchmark workloads. Stage one alternates the long and the short step
+    by iteration; a head fit takes the long one. One backtracking search
+    shrinks both steps by a shared factor: each trial caps the head's
+    columns, then retracts the frame along its gradient at that trial head
+    (with the iterate's softmax). Without ``rep`` the rows of ``x`` are
+    the embeddings, read as (r, n) through a transposed view, and the
+    representation stays frozen: the head fit of stage two, whose step is
+    the head step alone. The trace records risk, regularizer value,
+    combined projected-gradient norm, the head's accepted step, the
+    running least Gram eigenvalue of the head and the count of objective
+    evaluations. Line-search failure stalls the run and returns the
+    current iterate with the stall recorded.
     """
     mu = _RIDGE_MU
     trace = TrainTrace()
@@ -299,35 +341,24 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
             return 0.0
         return logdet_psd(_ridged_gram(a, mu))
 
-    # both objectives read the current iterate of the other block
-    def head_objective(cand):
-        risk_c, soft_c = _head_risk(cand, zt, label_stat)
-        reg_c = reg_value(cand)
-        return risk_c - lambda_div * reg_c, (risk_c, soft_c, reg_c)
-
-    def rep_objective(cand):
-        zt_c, stat_c = emb_c = _embed(cand, xt, terms)
-        risk_c, soft_c = _head_risk(alpha, zt_c, stat_c)
-        return risk_c, (emb_c, soft_c)
-
-    def rep_grad():
-        return rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms)
+    def objective(cand):
+        alpha_c, rep_c = cand
+        trace.evaluations += 1
+        zt_c, stat_c = (zt, label_stat) if rep_c is None else _embed(rep_c, xt, terms)
+        risk_c, soft_c = _head_risk(alpha_c, zt_c, stat_c)
+        reg_c = reg_value(alpha_c)
+        return risk_c - lambda_div * reg_c, (zt_c, stat_c, risk_c, soft_c, reg_c)
 
     if rep is None:  # the rows of x are the embeddings: read a transposed view
         zt, label_stat = x.T, x.T @ y / x.shape[0]
     else:  # one (d, n) copy of the samples and the label terms per fit
         xt = np.ascontiguousarray(x.T)
         terms = rep.label_terms(xt, y)
-        zt, label_stat = _embed(rep, xt, terms)
-    alpha = np.zeros((zt.shape[0], y.shape[1]))
-    risk, soft = _head_risk(alpha, zt, label_stat)
-    reg = reg_value(alpha)
+    alpha = np.zeros((x.shape[1] if rep is None else rep.embed_dim, y.shape[1]))
+    _, (zt, label_stat, risk, soft, reg) = objective((alpha, rep))
     s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
     last_step = 0.0
-    # a phase with projected gradient this far under tol cannot beat the
-    # rounding: skip it, not stall (a NaN one runs the head phase and stalls)
-    phase_floor = 0.5 * cfg.grad_tol
 
     for it in range(cfg.max_iters):
         grad_alpha = _head_grad(zt, soft, label_stat)
@@ -335,40 +366,38 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
             # the gradient of ln det alone: its value is ``reg``, held already
             grad_alpha = grad_alpha - lambda_div * _logdet_grad(alpha, mu)
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep = 0.0 if rep is None else rep.descent(rep_grad())[0]
+        pg_rep, frame_grad = 0.0, None
+        if rep is not None:
+            # the frame's gradient at any head, with this iterate's softmax
+            def frame_grad(a, rep=rep, soft=soft):
+                return rep.grad(xt, _embed_softmax(a, soft), a, terms)
+
+            rep_grad = frame_grad(alpha)
+            pg_rep = rep.descent(rep_grad)[0]
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
             trace.outcome = "converged"
             break
 
-        # --- head phase (objective includes the regularizer term) ---
-        if not pg_head <= phase_floor:
-            found = _backtrack(
-                head_objective, risk - lambda_div * reg,
-                _capped_step(alpha, grad_alpha, cap),
-                _bb_step(alpha, grad_alpha, prev_head, s_head),
-            )
-            if isinstance(found, str):
-                trace.stall("head", found)
-                break
-            prev_head = (alpha, grad_alpha)
-            last_step, s_head, alpha, _, (risk, soft, reg) = found
-        if rep is None:
-            continue
-
-        # --- representation phase at the fresh head ---
-        move_norm, rep_dir, rep_step = rep.descent(rep_grad())
-        if move_norm > phase_floor:
-            found = _backtrack(
-                rep_objective, risk, rep_step,
-                _bb_step(rep.b, rep_dir, prev_rep, s_rep),
-            )
-            if isinstance(found, str):
-                trace.stall("representation", found)
-                break
-            prev_rep = (rep.b, rep_dir)
-            last_step, s_rep, rep, risk, ((zt, label_stat), soft) = found
+        short = rep is not None and it % 2 == 1
+        step_head = _bb_step(alpha, grad_alpha, prev_head, s_head, short)
+        ratio = None
+        if rep is not None:
+            ratio = _bb_step(rep.b, rep_grad, prev_rep, s_rep, short) / step_head
+        found = _backtrack(
+            objective, risk - lambda_div * reg,
+            _joint_step(_capped_step(alpha, grad_alpha, cap), rep, frame_grad, ratio),
+            step_head,
+        )
+        if isinstance(found, str):
+            trace.stall("head" if rep is None else "joint", found)
+            break
+        prev_head = (alpha, grad_alpha)
+        if rep is not None:
+            prev_rep = (rep.b, rep_grad)
+            s_rep = min(found[0] * ratio * _STEP_GROW, _STEP_MAX)
+        last_step, s_head, (alpha, rep), _, (zt, label_stat, risk, soft, reg) = found
     else:
         trace.outcome = "max_iters"
     return rep, alpha, trace
@@ -381,18 +410,19 @@ def pretrain(
     cfg: OptimConfig,
     rng: np.random.Generator,
 ) -> PretrainResult:
-    """Stage-one ERM: alternating head / representation descent (``_descend``).
+    """Stage-one ERM: joint head and representation descent (``_descend``).
 
-    The head is projected onto its column-norm ball after every step; the
-    representation is retracted onto the orthonormal frames, starting from
-    a random frame.
+    Every step moves both blocks: the head is projected onto its
+    column-norm ball and the representation retracted onto the orthonormal
+    frames, starting from a random frame. ``lambda_div`` must be a finite
+    number >= 0.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
     k_minus_1 = dataset.y.shape[1]
     r = hypothesis.embed_dim
-    if lambda_div < 0:
-        raise ContractViolation("lambda must be nonnegative")
+    if not (np.isfinite(lambda_div) and lambda_div >= 0):
+        raise ContractViolation(f"lambda must be a finite number >= 0, got {lambda_div}")
     if lambda_div > 0 and r > k_minus_1:
         raise ContractViolation(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"

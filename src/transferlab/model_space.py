@@ -7,8 +7,8 @@ with per-column Euclidean norm caps.
 ``SubspaceRep`` owns its training geometry on class-major (one column
 per sample) blocks: ``forward`` ((r, n) embeddings), ``label_terms`` (the
 targets' part, formed once per fit), ``label_stat`` (z^T T / n from
-them), ``grad`` (the gradient w.r.t. B) and ``descent`` (stationarity
-norm, secant gradient and the retracted step map).
+them), ``grad`` (the gradient w.r.t. B) and ``descent`` (stationarity norm
+and the retracted step map).
 
 Values are immutable after construction; all operations are pure.
 """
@@ -104,13 +104,10 @@ class SubspaceRep:
         return xt @ a.T / xt.shape[1] - s @ alpha.T
 
     def descent(self, grad: np.ndarray):
-        """Riemannian gradient norm, secant gradient, and the QR-retracted step map.
+        """Riemannian gradient norm and the QR-retracted step map.
 
         s -> (frame of B - s * riem, squared move); riem is ``grad``
         projected onto the tangent space of the orthonormal frames at B.
-        The secant gradient paired with the frame B is the ambient ``grad``,
-        not riem (Wen and Yin 2013): it took fewer line-search trials on
-        the benchmark workloads.
         """
         b = self.b
         btg = b.T @ grad
@@ -121,7 +118,7 @@ class SubspaceRep:
             diff = cand - b
             return SubspaceRep._trusted(cand), float((diff * diff).sum())
 
-        return float(np.linalg.norm(riem)), grad, step
+        return float(np.linalg.norm(riem)), step
 
 
 @dataclass(frozen=True)
@@ -217,18 +214,28 @@ def _matrix(value, what: str) -> np.ndarray:
     return np.array(require_numbers(value, 2, what), dtype=np.float64)
 
 
-def component_from_payload(payload: dict):
+# the payload kind each named component of a bundle or truth file must have
+_ROLE_KINDS = {"rep": "subspace", "pre_head": "linear_head", "down_head": "linear_head"}
+
+
+def component_from_payload(payload: dict, role: str | None = None):
+    """The model a payload describes; a ``role`` ("rep", "pre_head" or
+    "down_head") requires the payload kind that role needs."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in ("subspace", "linear_head"):
+        raise ContractViolation(f"unknown model kind {kind!r}")
+    want = _ROLE_KINDS.get(role, kind)
+    if kind != want:
+        raise ContractViolation(
+            f"model component {role!r} must be a {want!r} payload, got {kind!r}")
     if kind == "subspace":
         require_keys(payload, ("entries",), "subspace payload")
         return SubspaceRep(_matrix(payload["entries"], "subspace entries"))
-    if kind == "linear_head":
-        require_keys(payload, ("entries", "column_cap"), "linear_head payload")
-        return LinearHead(
-            _matrix(payload["entries"], "linear_head entries"),
-            require_numbers(payload["column_cap"], 0, "linear_head column_cap"),
-        )
-    raise ContractViolation(f"unknown model kind {kind!r}")
+    require_keys(payload, ("entries", "column_cap"), "linear_head payload")
+    return LinearHead(
+        _matrix(payload["entries"], "linear_head entries"),
+        require_numbers(payload["column_cap"], 0, "linear_head column_cap"),
+    )
 
 
 def save_bundle(path, components: dict) -> None:
@@ -242,4 +249,4 @@ def load_bundle(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     require_keys(doc, (), f"model bundle {path}")
-    return {name: component_from_payload(payload) for name, payload in doc.items()}
+    return {name: component_from_payload(payload, name) for name, payload in doc.items()}

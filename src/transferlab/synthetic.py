@@ -324,9 +324,9 @@ def load_truth(path) -> tuple[GroundTruth, CovariateSpec]:
         doc = json.load(fh)
     require_keys(doc, ("rep", "pre_head", "down_head", "covariates"), f"truth {path}")
     truth = GroundTruth(
-        rep=component_from_payload(doc["rep"]),
-        pre_head=component_from_payload(doc["pre_head"]),
-        down_head=component_from_payload(doc["down_head"]),
+        rep=component_from_payload(doc["rep"], "rep"),
+        pre_head=component_from_payload(doc["pre_head"], "pre_head"),
+        down_head=component_from_payload(doc["down_head"], "down_head"),
     )
     cov = doc["covariates"]
     require_keys(cov, ("sigma", "norm_cap", "sigma_min", "sigma_max"), "covariates")

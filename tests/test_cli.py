@@ -558,6 +558,50 @@ def test_non_numeric_model_value_exits_one(tmp_path, micro_config, command, targ
     assert message in capsys.readouterr().err
 
 
+# a 5 x 2 frame and a 2 x 1 head, the shapes of micro_config's models
+_SUBSPACE = {"kind": "subspace", "entries": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                                             [0.0, 0.0], [0.0, 0.0]]}
+_HEAD = {"kind": "linear_head", "column_cap": 1.0, "entries": [[0.5], [0.0]]}
+
+
+@pytest.mark.parametrize("command, target, role, value, want", [
+    pytest.param("probe", "bundle", "rep", _HEAD, "subspace", id="bundle-rep-head"),
+    pytest.param("diagnose", "bundle", "pre_head", _SUBSPACE, "linear_head",
+                 id="bundle-head-subspace"),
+    pytest.param("diagnose", "truth", "rep", _HEAD, "subspace", id="truth-rep-head"),
+    pytest.param("diagnose", "truth", "down_head", _SUBSPACE, "linear_head",
+                 id="truth-head-subspace"),
+])
+def test_component_of_the_wrong_kind_exits_one(tmp_path, micro_config, command, target,
+                                               role, value, want, capsys):
+    assert _run_on_broken_file(tmp_path, micro_config, command, target, (role,), value) == 1
+    assert f"model component {role!r} must be a {want!r} payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_pretrain_rejects_a_lambda_that_is_not_finite_and_nonnegative(
+        tmp_path, micro_config, value, capsys):
+    data = tmp_path / "pre.csv"
+    assert main(["gen", "--config", micro_config, "--out", str(data)]) == 0
+    out, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    assert main(["pretrain", "--config", micro_config, "--data", str(data),
+                 f"--lambda={value}", "--out", str(out), "--trace-out", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "finite number >= 0" in err
+    assert not out.exists() and not trace.exists()
+
+
+def test_pretrain_summary_counts_objective_evaluations(tmp_path, micro_config, capsys):
+    data = tmp_path / "pre.csv"
+    assert main(["gen", "--config", micro_config, "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["pretrain", "--config", micro_config, "--data", str(data),
+                 "--out", str(tmp_path / "model.json")]) == 0
+    found = re.search(r"after (\d+) iterations \((\d+) objective evaluations\)",
+                      capsys.readouterr().out)
+    assert found and int(found[2]) >= int(found[1])
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_diagnose_rejects_mc_samples_below_one(tmp_path, samples, capsys):
     # the files do not exist: the flag must be rejected before any is read

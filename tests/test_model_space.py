@@ -78,7 +78,7 @@ class TestSubspaceRep:
         rng = np.random.default_rng(2)
         rep = SubspaceRep.random(6, 2, rng)
         grad = rng.standard_normal((6, 2))
-        _, _, step = rep.descent(grad)
+        _, step = rep.descent(grad)
         checks = []
         validate = SubspaceRep.__post_init__
         monkeypatch.setattr(SubspaceRep, "__post_init__",
