@@ -124,7 +124,7 @@ def _cmd_pretrain(args) -> int:
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
     if args.embed_dim is None:
-        embed_dim, source = int(_first_cell(cfg)["r"]), "the config's grid.r"
+        embed_dim, source = _first_cell(cfg)["r"], "the config's grid.r"
     else:
         embed_dim, source = args.embed_dim, "--embed-dim"
     if embed_dim > ds.dim:

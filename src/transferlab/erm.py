@@ -4,15 +4,17 @@
 with backtracking line search from the zero head, optionally adding the
 spectral diversity regularizer ``-lambda * ln det(alpha alpha^T + mu I)``
 (mu = ``_RIDGE_MU``) to the objective. Stage one (``pretrain``) runs it
-on (representation, head), one joint step of both blocks per iteration.
-Stage two is the same loop with the representation frozen: the head step
-alone on the embeddings, a convex problem. A no-pretraining baseline fits
+on (frame, head), one joint step of both blocks per iteration; the frame
+B is a plain (d, r) orthonormal array inside the loop, and its final
+value is validated once, by the ``SubspaceRep`` constructor. Stage two
+is the same loop with the representation frozen: the head step alone on
+the embeddings, a convex problem. A no-pretraining baseline fits
 a full-dimensional linear predictor the same way on the raw covariates.
 
 The loop works on class-major blocks: x as one (d, n) copy per fit,
 embeddings (r, n), logits (K-1, n). The targets enter once per fit, as
 the label terms S = x^T T / n, so a frame's label statistic is B^T S and
-its gradient's label part S alpha^T.
+its gradient's label part S alpha^T (``_frame_grad``).
 
 Each block's step starts from a Barzilai-Borwein step of its own secant
 pair (``_bb_step``), and one Armijo backtracking search (``_backtrack``)
@@ -24,12 +26,14 @@ line-search failure is reported as a stall rather than raised.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ContractViolation, DegenerateInput, check_scalars
-from .linalg import as_matrix, logdet_psd
+from .linalg import as_matrix, logdet_psd, orthonormalize
 from .model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
 from .softmax import _log_partition_cols
 from .synthetic import LabeledDataset
@@ -158,11 +162,6 @@ def logdet_regularizer(alpha: np.ndarray, mu: float) -> tuple[float, np.ndarray]
     return logdet_psd(_ridged_gram(a, mu)), _logdet_grad(a, mu)
 
 
-def _embed(rep: SubspaceRep, xt: np.ndarray, terms):
-    """``rep``'s (zt, label_stat) on a (d, n) block with label terms ``terms``."""
-    return rep.forward(xt), rep.label_stat(terms)
-
-
 def _head_risk(alpha: np.ndarray, zt: np.ndarray, label_stat: np.ndarray
                ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean cross-entropy of the logits alpha^T z, and their unnormalized softmax.
@@ -196,6 +195,20 @@ def _embed_softmax(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray]) -> np
     return (alpha @ expo) / denom
 
 
+def _frame_grad(xt: np.ndarray, s: np.ndarray, alpha: np.ndarray,
+                soft: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mean-loss gradient w.r.t. the frame B, x (alpha P)^T / n - S alpha^T, for
+    the (d, n) samples ``xt``, their label terms S = x^T T / n and the
+    ``(expo, denom)`` pair of ``_head_risk``."""
+    return xt @ _embed_softmax(alpha, soft).T / xt.shape[1] - s @ alpha.T
+
+
+def _tangent(b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` projected onto the tangent space of the orthonormal frames at ``b``."""
+    btg = b.T @ g
+    return g - b @ (0.5 * (btg + btg.T))
+
+
 def loss_and_grad(rep: SubspaceRep, head: LinearHead, x, y):
     """Empirical risk with gradients for both the head and the representation.
 
@@ -205,55 +218,16 @@ def loss_and_grad(rep: SubspaceRep, head: LinearHead, x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ContractViolation("x and y must be matching 2-D sample blocks")
+    if x.shape[1] != rep.input_dim:
+        raise ContractViolation(
+            f"input dim {x.shape[1]} != representation dim {rep.input_dim}")
     if y.shape[1] != head.n_logits:
         raise ContractViolation("label width does not match head logits")
     xt = np.ascontiguousarray(x.T)
-    terms = rep.label_terms(xt, y)
-    zt, label_stat = _embed(rep, xt, terms)
+    terms = xt @ y / xt.shape[1]
+    zt, label_stat = rep.b.T @ xt, rep.b.T @ terms
     risk, soft = _head_risk(head.alpha, zt, label_stat)
-    grad_alpha = _head_grad(zt, soft, label_stat)
-    grad_rep = rep.grad(xt, _embed_softmax(head.alpha, soft), head.alpha, terms)
-    return risk, grad_alpha, grad_rep
-
-
-def _capped_step(alpha: np.ndarray, grad: np.ndarray, cap: float):
-    """Step map of projected gradient descent on a column-capped head.
-
-    Maps a step size s to the capped candidate and its squared move, the
-    ``direction_step`` that ``_backtrack`` expects.
-    """
-
-    def step(s):
-        cand = cap_columns(alpha - s * grad, cap)
-        diff = cand - alpha
-        return cand, float((diff * diff).sum())
-
-    return step
-
-
-def _joint_step(head_step, rep, frame_grad, ratio: float):
-    """Step map of the joint (head, representation) move for ``_backtrack``.
-
-    A head step s moves the head to ``head_step(s)`` and, when ``rep`` is
-    given, retracts its frame by the step s * ratio (``descent``) along
-    ``frame_grad`` at that trial head: one factor shrinks both blocks'
-    Barzilai-Borwein steps, and the frame sees the head's move as it did
-    when the two alternated. The squared move it reports is the head's
-    plus the frame's divided by ``ratio``: ``_backtrack``'s Armijo
-    decrease _ARMIJO_C / s * move^2 is then the sum of each block's
-    squared move over its own step, the scaled gradient projection test
-    (Bonettini, Zanella and Zanni 2009). Without ``rep`` the map is
-    ``head_step`` itself with a frozen (None) representation.
-    """
-
-    def step(s):
-        alpha, move_sq = head_step(s)
-        if rep is None:
-            return (alpha, None), move_sq
-        cand, rep_move_sq = rep.descent(frame_grad(alpha))[1](s * ratio)
-        return (alpha, cand), move_sq + rep_move_sq / ratio
-
-    return step
+    return risk, _head_grad(zt, soft, label_stat), _frame_grad(xt, terms, head.alpha, soft)
 
 
 def _bb_step(point, grad, prev, fallback: float, short: bool = False) -> float:
@@ -308,31 +282,40 @@ def _backtrack(objective, current_value, direction_step, step0):
     return "line search hit minimum step without decrease"
 
 
-def _descend(x, y, cap, lambda_div, cfg, rep=None):
-    """Projected descent from the zero head; returns ``(rep, alpha, trace)``.
+def _descend(x, y, cap, lambda_div, cfg, b=None):
+    """Projected descent from the zero head; returns ``(b, alpha, trace)``.
 
     The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
-    alpha^T + _RIDGE_MU I)``. Each iteration forms one gradient pair at
-    the current (head, representation), which serves both the stopping
-    test and one joint step (``_joint_step``): the head's gradient,
-    regularizer included, and, with ``rep``, the frame's, whose projected
-    norm is the ``descent`` norm. Each block starts from the
-    Barzilai-Borwein step of its own secant pair: the head's is alpha and
-    its gradient, the frame's B and its ambient gradient, not the
-    Riemannian one (Wen and Yin 2013), which took fewer trials on the
-    benchmark workloads. Stage one alternates the long and the short step
-    by iteration; a head fit takes the long one. One backtracking search
-    shrinks both steps by a shared factor: each trial caps the head's
-    columns, then retracts the frame along its gradient at that trial head
-    (with the iterate's softmax). Without ``rep`` the rows of ``x`` are
-    the embeddings, read as (r, n) through a transposed view, and the
-    representation stays frozen: the head fit of stage two, whose step is
-    the head step alone. The trace records risk, regularizer value,
-    combined projected-gradient norm, the head's accepted step, the
-    running least Gram eigenvalue of the head and the count of objective
-    evaluations. Line-search failure stalls the run and returns the
-    current iterate with the stall recorded.
+    alpha^T + _RIDGE_MU I)``. With a (d, r) orthonormal frame ``b`` both
+    blocks move: each iteration forms one gradient pair at the current
+    (alpha, B), which serves both the stopping test and one joint step:
+    the head's gradient, regularizer included, and the frame's
+    (``_frame_grad``), whose stationarity norm is that of its tangent part
+    (``_tangent``). Each block starts from the Barzilai-Borwein step of its
+    own secant pair: the head's is alpha and its gradient, the frame's B
+    and its ambient gradient, not the Riemannian one (Wen and Yin 2013),
+    which took fewer trials on the benchmark workloads. Stage one
+    alternates the long and the short step by iteration; a head fit takes
+    the long one. One backtracking search shrinks both steps by a shared
+    factor: a trial step s caps the head's columns of alpha - s grad, then
+    QR-retracts B - s ratio riem, riem the tangent gradient of the frame at
+    that trial head (with the iterate's softmax), where ratio is the
+    frame's BB step over the head's. The frame thus sees the head's move
+    as it did when the two alternated, and the trial's squared move is the
+    head's plus the frame's over ``ratio``: ``_backtrack``'s Armijo
+    decrease _ARMIJO_C / s * move^2 is then the sum of each block's squared
+    move over its own step, the scaled gradient projection test
+    (Bonettini, Zanella and Zanni 2009). Without ``b`` the rows of ``x``
+    are the embeddings, read as (r, n) through a transposed view, and the
+    step is the head's alone: the head fit of stage two. The trace records
+    risk, regularizer value, combined projected-gradient norm, the head's
+    accepted step, the running least Gram eigenvalue of the head and the
+    count of objective evaluations. Line-search failure stalls the run and
+    returns the current iterate with the stall recorded. A ``cap`` that is
+    not a finite number > 0 is rejected before any work.
     """
+    if not (math.isfinite(cap) and cap > 0):
+        raise ContractViolation(f"head cap must be a finite number > 0, got {cap!r}")
     mu = _RIDGE_MU
     trace = TrainTrace()
 
@@ -342,20 +325,20 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
         return logdet_psd(_ridged_gram(a, mu))
 
     def objective(cand):
-        alpha_c, rep_c = cand
+        alpha_c, b_c = cand
         trace.evaluations += 1
-        zt_c, stat_c = (zt, label_stat) if rep_c is None else _embed(rep_c, xt, terms)
+        zt_c, stat_c = (zt, label_stat) if b_c is None else (b_c.T @ xt, b_c.T @ terms)
         risk_c, soft_c = _head_risk(alpha_c, zt_c, stat_c)
         reg_c = reg_value(alpha_c)
         return risk_c - lambda_div * reg_c, (zt_c, stat_c, risk_c, soft_c, reg_c)
 
-    if rep is None:  # the rows of x are the embeddings: read a transposed view
+    if b is None:  # the rows of x are the embeddings: read a transposed view
         zt, label_stat = x.T, x.T @ y / x.shape[0]
-    else:  # one (d, n) copy of the samples and the label terms per fit
+    else:  # one (d, n) copy of the samples and the label terms S per fit
         xt = np.ascontiguousarray(x.T)
-        terms = rep.label_terms(xt, y)
-    alpha = np.zeros((x.shape[1] if rep is None else rep.embed_dim, y.shape[1]))
-    _, (zt, label_stat, risk, soft, reg) = objective((alpha, rep))
+        terms = xt @ y / xt.shape[1]
+    alpha = np.zeros((x.shape[1] if b is None else b.shape[1], y.shape[1]))
+    _, (zt, label_stat, risk, soft, reg) = objective((alpha, b))
     s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
     last_step = 0.0
@@ -366,41 +349,44 @@ def _descend(x, y, cap, lambda_div, cfg, rep=None):
             # the gradient of ln det alone: its value is ``reg``, held already
             grad_alpha = grad_alpha - lambda_div * _logdet_grad(alpha, mu)
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep, frame_grad = 0.0, None
-        if rep is not None:
-            # the frame's gradient at any head, with this iterate's softmax
-            def frame_grad(a, rep=rep, soft=soft):
-                return rep.grad(xt, _embed_softmax(a, soft), a, terms)
-
-            rep_grad = frame_grad(alpha)
-            pg_rep = rep.descent(rep_grad)[0]
+        pg_rep = 0.0
+        if b is not None:
+            grad_b = _frame_grad(xt, terms, alpha, soft)
+            pg_rep = float(np.linalg.norm(_tangent(b, grad_b)))
         gnorm = float(np.hypot(pg_head, pg_rep))
         trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
             trace.outcome = "converged"
             break
 
-        short = rep is not None and it % 2 == 1
+        short = b is not None and it % 2 == 1
         step_head = _bb_step(alpha, grad_alpha, prev_head, s_head, short)
-        ratio = None
-        if rep is not None:
-            ratio = _bb_step(rep.b, rep_grad, prev_rep, s_rep, short) / step_head
-        found = _backtrack(
-            objective, risk - lambda_div * reg,
-            _joint_step(_capped_step(alpha, grad_alpha, cap), rep, frame_grad, ratio),
-            step_head,
-        )
+        if b is not None:
+            ratio = _bb_step(b, grad_b, prev_rep, s_rep, short) / step_head
+
+        def trial(s):
+            cand = cap_columns(alpha - s * grad_alpha, cap)
+            diff = cand - alpha
+            move_sq = float((diff * diff).sum())
+            if b is None:
+                return (cand, None), move_sq
+            riem = _tangent(b, _frame_grad(xt, terms, cand, soft))
+            b_c = orthonormalize(b - s * ratio * riem)
+            diff = b_c - b
+            return (cand, b_c), move_sq + float((diff * diff).sum()) / ratio
+
+        found = _backtrack(objective, risk - lambda_div * reg, trial, step_head)
         if isinstance(found, str):
-            trace.stall("head" if rep is None else "joint", found)
+            trace.stall("head" if b is None else "joint", found)
             break
         prev_head = (alpha, grad_alpha)
-        if rep is not None:
-            prev_rep = (rep.b, rep_grad)
+        if b is not None:
+            prev_rep = (b, grad_b)
             s_rep = min(found[0] * ratio * _STEP_GROW, _STEP_MAX)
-        last_step, s_head, (alpha, rep), _, (zt, label_stat, risk, soft, reg) = found
+        last_step, s_head, (alpha, b), _, (zt, label_stat, risk, soft, reg) = found
     else:
         trace.outcome = "max_iters"
-    return rep, alpha, trace
+    return b, alpha, trace
 
 
 def pretrain(
@@ -413,25 +399,29 @@ def pretrain(
     """Stage-one ERM: joint head and representation descent (``_descend``).
 
     Every step moves both blocks: the head is projected onto its
-    column-norm ball and the representation retracted onto the orthonormal
-    frames, starting from a random frame. ``lambda_div`` must be a finite
-    number >= 0.
+    column-norm ball and the frame retracted onto the orthonormal frames,
+    starting from a random frame. The embedding dimension must be an
+    integer in 1..d, the head cap a finite number > 0 and ``lambda_div`` a
+    finite number >= 0; each is checked before any work.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
-    k_minus_1 = dataset.y.shape[1]
+    d, k_minus_1 = dataset.x.shape[1], dataset.y.shape[1]
     r = hypothesis.embed_dim
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 1 <= r <= d:
+        raise ContractViolation(
+            f"embedding dimension must be an integer in 1..d = {d}, got {r!r}")
     if not (np.isfinite(lambda_div) and lambda_div >= 0):
         raise ContractViolation(f"lambda must be a finite number >= 0, got {lambda_div}")
     if lambda_div > 0 and r > k_minus_1:
         raise ContractViolation(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
         )
-    rep = SubspaceRep.random(dataset.x.shape[1], r, rng)
-    rep, alpha, trace = _descend(
-        dataset.x, dataset.y, hypothesis.head_cap, lambda_div, cfg, rep
+    b, alpha, trace = _descend(
+        dataset.x, dataset.y, hypothesis.head_cap, lambda_div, cfg,
+        SubspaceRep.random(d, r, rng).b,
     )
-    return PretrainResult(rep, LinearHead(alpha, hypothesis.head_cap), trace)
+    return PretrainResult(SubspaceRep(b), LinearHead(alpha, hypothesis.head_cap), trace)
 
 
 def fit_head_on_embeddings(
@@ -444,8 +434,9 @@ def fit_head_on_embeddings(
 
     ``targets`` may be one-hot rows or soft class probabilities; the
     objective mean(Phi(eta) - targets . eta) reduces to the empirical
-    cross-entropy in the one-hot case. Both blocks must be finite. This is
-    ``_descend`` with the representation frozen and no regularizer.
+    cross-entropy in the one-hot case. Both blocks must be finite, and
+    ``cap`` a finite number > 0. This is ``_descend`` with the
+    representation frozen and no regularizer.
     """
     z = as_matrix(z, "embeddings")
     targets = as_matrix(targets, "targets")

@@ -128,12 +128,16 @@ class SweepConfig:
             values = self.grid.get(key)
             if not isinstance(values, list) or not values:
                 raise ContractViolation(f"grid needs a nonempty list of values for {key!r}")
-            # the regularizer weight may be zero; everything else is positive
-            floor = 0.0 if key == "lambda_div" else 1e-300
+            # the regularizer weight may be zero and the condition number
+            # any positive number; the other keys are sizes, integers >= 1
+            real = key in ("condition_number", "lambda_div")
+            floor = 0.0 if key == "lambda_div" else 1e-300 if real else 1
             for v in values:
-                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                if (isinstance(v, bool) or not isinstance(v, (int, float) if real else int)
                         or not math.isfinite(v) or v < floor):
-                    raise ContractViolation(f"grid value {v!r} for {key!r} invalid")
+                    raise ContractViolation(
+                        f"grid value {v!r} for {key!r} invalid"
+                        + ("" if real else ": need an integer >= 1"))
         if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
             raise ContractViolation("class counts must be at least 2")
         # the grid is a product, so every cell has r <= d and r <= k-1 iff
@@ -187,8 +191,8 @@ class SweepConfig:
         """The closed-form subspace rate at one cell."""
         return evaluate_risk_bound(
             BoundParams(
-                n=int(cell["n"]), m=int(cell["m"]), k=int(cell["k"]),
-                k_prime=int(cell["k_prime"]), r=int(cell["r"]), d=int(cell["d"]),
+                n=cell["n"], m=cell["m"], k=cell["k"],
+                k_prime=cell["k_prime"], r=cell["r"], d=cell["d"],
                 nu_tilde=nu_tilde, delta=self.bound["delta"],
             ),
             self.bound.get("profile"),
@@ -257,8 +261,7 @@ def cell_truth(cfg: SweepConfig, cell: dict, trial: int
     derived from it are shared by all cells with the same truth.
     """
     t, cov = cfg.truth, cfg.covariates
-    d, r = int(cell["d"]), int(cell["r"])
-    k, k_prime = int(cell["k"]), int(cell["k_prime"])
+    d, r, k, k_prime = cell["d"], cell["r"], cell["k"], cell["k_prime"]
     truth_tok = (
         cell["d"], cell["r"], cell["k"], cell["k_prime"], cell["condition_number"],
         t["top_singular_value"], t["pre_head_cap"], t["down_head_cap"],
@@ -288,7 +291,7 @@ def stage_dataset(cfg: SweepConfig, cell: dict, trial: int, stage: str,
     """
     spec, truth, truth_tok = truth_parts
     pre = stage == "pretrain"
-    n = int(cell["n"] if pre else cell["m"])
+    n = cell["n"] if pre else cell["m"]
     return make_dataset(
         truth, spec, n,
         derive_rng(cfg.seed, "pretrain_data" if pre else "down_data", trial, truth_tok, n),
@@ -300,7 +303,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
               ) -> ExperimentRecord:
     rec = ExperimentRecord(cell_index=cell_index, trial=trial, status="ok", params=dict(cell))
     start = time.perf_counter()
-    n, r = int(cell["n"]), int(cell["r"])
+    n, r = cell["n"], cell["r"]
     lam = float(cell["lambda_div"])
     truth_parts = spec, truth, truth_tok = cell_truth(cfg, cell, trial)
 

@@ -4,18 +4,13 @@ The representation ``SubspaceRep`` maps ``x -> B^T x`` through a d x r
 matrix with orthonormal columns; heads are linear maps ``z -> alpha^T z``
 with per-column Euclidean norm caps.
 
-``SubspaceRep`` owns its training geometry on class-major (one column
-per sample) blocks: ``forward`` ((r, n) embeddings), ``label_terms`` (the
-targets' part, formed once per fit), ``label_stat`` (z^T T / n from
-them), ``grad`` (the gradient w.r.t. B) and ``descent`` (stationarity norm
-and the retracted step map).
-
 Values are immutable after construction; all operations are pure.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +33,6 @@ __all__ = [
 _ORTHO_TOL = 1e-8
 
 
-def _as_input(x, dim: int, axis: int = -1) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[axis] != dim:
-        raise ContractViolation(f"input dim {x.shape[axis]} != representation dim {dim}")
-    return x
-
-
 @dataclass(frozen=True)
 class SubspaceRep:
     """Orthonormal-subspace representation h(x) = B^T x."""
@@ -61,13 +49,6 @@ class SubspaceRep:
             raise ContractViolation(f"columns not orthonormal: defect {defect:.3e}")
         object.__setattr__(self, "b", b)
 
-    @classmethod
-    def _trusted(cls, b: np.ndarray) -> "SubspaceRep":
-        """Wrap a frame ``orthonormalize`` just made, skipping the re-validation."""
-        rep = object.__new__(cls)
-        object.__setattr__(rep, "b", b)
-        return rep
-
     @property
     def input_dim(self) -> int:
         return self.b.shape[0]
@@ -81,44 +62,12 @@ class SubspaceRep:
         """Uniformly random orthonormal d x r frame."""
         return cls(orthonormalize(rng.standard_normal((d, r))))
 
-    def forward(self, xt: np.ndarray) -> np.ndarray:
-        """Embeddings B^T x of a (d, n) block."""
-        return self.b.T @ _as_input(xt, self.input_dim, 0)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _as_input(x, self.input_dim) @ self.b
-
-    @staticmethod
-    def label_terms(xt: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """S = x^T T / n, (d, K-1): every frame's label terms on this data."""
-        return xt @ targets / xt.shape[1]
-
-    def label_stat(self, s: np.ndarray) -> np.ndarray:
-        """z^T T / n = B^T S, with no pass over the samples."""
-        return self.b.T @ s
-
-    def grad(self, xt: np.ndarray, a: np.ndarray, alpha: np.ndarray, s: np.ndarray
-             ) -> np.ndarray:
-        """Mean-loss gradient w.r.t. B, x (a - alpha T^T)^T / n = x a^T / n - S alpha^T,
-        from the (r, n) softmax part ``a`` = alpha P of the gradient at z."""
-        return xt @ a.T / xt.shape[1] - s @ alpha.T
-
-    def descent(self, grad: np.ndarray):
-        """Riemannian gradient norm and the QR-retracted step map.
-
-        s -> (frame of B - s * riem, squared move); riem is ``grad``
-        projected onto the tangent space of the orthonormal frames at B.
-        """
-        b = self.b
-        btg = b.T @ grad
-        riem = grad - b @ (0.5 * (btg + btg.T))
-
-        def step(s):
-            cand = orthonormalize(b - s * riem)
-            diff = cand - b
-            return SubspaceRep._trusted(cand), float((diff * diff).sum())
-
-        return float(np.linalg.norm(riem)), step
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.input_dim:
+            raise ContractViolation(
+                f"input dim {x.shape[-1]} != representation dim {self.input_dim}")
+        return x @ self.b
 
 
 @dataclass(frozen=True)
@@ -131,8 +80,8 @@ class LinearHead:
     def __post_init__(self):
         a = as_matrix(self.alpha, "head matrix")
         cap = float(self.column_cap)
-        if cap <= 0:
-            raise ContractViolation("column cap must be positive")
+        if not (math.isfinite(cap) and cap > 0):
+            raise ContractViolation(f"column cap must be a finite number > 0, got {cap}")
         norms = np.linalg.norm(a, axis=0)
         if norms.size and norms.max() > cap * (1 + 1e-10):
             raise ContractViolation(

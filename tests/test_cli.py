@@ -578,6 +578,16 @@ def test_component_of_the_wrong_kind_exits_one(tmp_path, micro_config, command, 
     assert f"model component {role!r} must be a {want!r} payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, role", [("truth", "down_head"), ("bundle", "pre_head")])
+def test_model_file_cap_that_is_not_a_number_exits_one(tmp_path, micro_config, target,
+                                                      role, capsys):
+    # a NaN cap used to load, and diagnose wrote NaN bounds and complexities
+    path = (role, "column_cap")
+    assert _run_on_broken_file(tmp_path, micro_config, "diagnose", target, path,
+                               math.nan) == 1
+    assert "column cap must be a finite number > 0, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_pretrain_rejects_a_lambda_that_is_not_finite_and_nonnegative(
         tmp_path, micro_config, value, capsys):

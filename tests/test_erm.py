@@ -353,10 +353,10 @@ def _fast_path(rep, alpha, x, y):
     """Label statistic, embeddings and representation gradient through the
     class-major path the descent loop takes."""
     xt = np.ascontiguousarray(x.T)
-    terms = rep.label_terms(xt, y)
-    zt, stat = erm._embed(rep, xt, terms)
+    terms = xt @ y / xt.shape[1]
+    zt, stat = rep.b.T @ xt, rep.b.T @ terms
     _, soft = _head_risk(alpha, zt, stat)
-    return stat, zt, rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms)
+    return stat, zt, erm._frame_grad(xt, terms, alpha, soft)
 
 
 class TestClassMajorFastPath:
@@ -679,6 +679,31 @@ class TestDownstreamFit:
         assert default.outcome == "converged"
 
 
+def _capped_step(alpha, grad, cap):
+    """Projected step map of a column-capped head: s -> (candidate, squared move)."""
+
+    def step(s):
+        cand = cap_columns(alpha - s * grad, cap)
+        diff = cand - alpha
+        return cand, float((diff * diff).sum())
+
+    return step
+
+
+def _retracted_step(b, grad):
+    """Tangent-gradient norm of a frame and its QR-retracted step map:
+    s -> (frame of B - s * riem, squared move), riem the tangent part of ``grad``."""
+    btg = b.T @ grad
+    riem = grad - b @ (0.5 * (btg + btg.T))
+
+    def step(s):
+        cand = orthonormalize(b - s * riem)
+        diff = cand - b
+        return cand, float((diff * diff).sum())
+
+    return float(np.linalg.norm(riem)), step
+
+
 def _parent_head_fit(z, targets, cap, cfg):
     """The head-fit loop as ``fit_head_on_embeddings`` ran it before it merged
     into ``erm._descend``: its own copy of the stage-one loop without a
@@ -702,7 +727,7 @@ def _parent_head_fit(z, targets, cap, cfg):
             trace.outcome = "converged"
             break
         found = erm._backtrack(
-            objective, risk, erm._capped_step(alpha, grad, cap),
+            objective, risk, _capped_step(alpha, grad, cap),
             _bb_step(alpha, grad, prev, s_cur),
         )
         if isinstance(found, str):
@@ -773,17 +798,24 @@ class TestHeadFitIsTheDescentLoop:
             fit_head_on_embeddings(blocks["embeddings"], blocks["targets"], 1.0, OptimConfig())
 
 
-def _alternating_stage_one(x, y, cap, lambda_div, cfg, rep):
+def _alternating_stage_one(x, y, cap, lambda_div, cfg, b):
     """Stage one as it ran before the joint step: each iteration a head line
     search (regularizer included), then a representation line search at the
-    fresh head, each from its own block's BB1 step. Returns ``(rep, alpha,
-    objective)``."""
+    fresh head, each from its own block's BB1 step. Starts from the frame
+    ``b``; returns ``(rep, alpha, objective)``."""
     mu = erm._RIDGE_MU
     xt = np.ascontiguousarray(x.T)
-    terms = rep.label_terms(xt, y)
+    terms = xt @ y / xt.shape[1]
 
     def reg_value(a):
         return 0.0 if lambda_div == 0.0 else logdet_regularizer(a, mu)[0]
+
+    def embed(frame):
+        return frame.T @ xt, frame.T @ terms
+
+    def frame_grad(a, soft_a):
+        expo, denom = soft_a
+        return xt @ ((a @ expo) / denom).T / xt.shape[1] - terms @ a.T
 
     def head_objective(cand):
         risk_c, soft_c = _head_risk(cand, zt, label_stat)
@@ -791,11 +823,11 @@ def _alternating_stage_one(x, y, cap, lambda_div, cfg, rep):
         return risk_c - lambda_div * reg_c, (risk_c, soft_c, reg_c)
 
     def rep_objective(cand):
-        zt_c, stat_c = emb_c = erm._embed(cand, xt, terms)
+        zt_c, stat_c = emb_c = embed(cand)
         risk_c, soft_c = _head_risk(alpha, zt_c, stat_c)
         return risk_c, (emb_c, soft_c)
 
-    zt, label_stat = erm._embed(rep, xt, terms)
+    zt, label_stat = embed(b)
     alpha = np.zeros((zt.shape[0], y.shape[1]))
     risk, soft = _head_risk(alpha, zt, label_stat)
     reg = reg_value(alpha)
@@ -807,27 +839,27 @@ def _alternating_stage_one(x, y, cap, lambda_div, cfg, rep):
         if lambda_div > 0.0:
             grad_alpha = grad_alpha - lambda_div * erm._logdet_grad(alpha, mu)
         pg_head = float(np.linalg.norm(alpha - cap_columns(alpha - grad_alpha, cap)))
-        pg_rep = rep.descent(rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms))[0]
+        pg_rep = _retracted_step(b, frame_grad(alpha, soft))[0]
         if np.hypot(pg_head, pg_rep) <= cfg.grad_tol:
             break
         if not pg_head <= floor:
             found = erm._backtrack(head_objective, risk - lambda_div * reg,
-                                   erm._capped_step(alpha, grad_alpha, cap),
+                                   _capped_step(alpha, grad_alpha, cap),
                                    _bb_step(alpha, grad_alpha, prev_head, s_head))
             assert not isinstance(found, str), found
             prev_head = (alpha, grad_alpha)
             _, s_head, alpha, _, (risk, soft, reg) = found
-        rep_grad = rep.grad(xt, _embed_softmax(alpha, soft), alpha, terms)
-        move, rep_step = rep.descent(rep_grad)
+        rep_grad = frame_grad(alpha, soft)
+        move, rep_step = _retracted_step(b, rep_grad)
         if move > floor:
             found = erm._backtrack(rep_objective, risk, rep_step,
-                                   _bb_step(rep.b, rep_grad, prev_rep, s_rep))
+                                   _bb_step(b, rep_grad, prev_rep, s_rep))
             assert not isinstance(found, str), found
-            prev_rep = (rep.b, rep_grad)
-            _, s_rep, rep, risk, ((zt, label_stat), soft) = found
+            prev_rep = (b, rep_grad)
+            _, s_rep, b, risk, ((zt, label_stat), soft) = found
     else:
         raise AssertionError("the alternating reference did not converge")
-    return rep, alpha, risk - lambda_div * reg
+    return SubspaceRep(b), alpha, risk - lambda_div * reg
 
 
 def _joint_instance(seed):
@@ -854,7 +886,7 @@ class TestJointStepAgainstAlternation:
         trace = result.trace
         assert trace.outcome == "converged"
         joint = trace.risk[-1] - lam * trace.regularizer[-1]
-        start = SubspaceRep.random(6, 2, derive_rng(seed, "init"))
+        start = SubspaceRep.random(6, 2, derive_rng(seed, "init")).b
         rep, _, ref = _alternating_stage_one(ds.x, ds.y, hyp.head_cap, lam, cfg, start)
         assert abs(joint - ref) <= 1e-10
         assert principal_angles(result.rep, rep)[-1] <= 1e-4
@@ -867,37 +899,42 @@ class TestJointStepAgainstAlternation:
         # frame; a sufficient-decrease constant of 0.5 makes the test bind,
         # where 1e-4 would pass almost any descent step
         monkeypatch.setattr(erm, "_ARMIJO_C", 0.5)
-        searches = []
-        backtrack, joint_step = erm._backtrack, erm._joint_step
+        searches, bb_steps = [], []
+        backtrack, bb_step = erm._backtrack, erm._bb_step
 
-        def spy_joint_step(head_step, rep, frame_grad, ratio):
-            searches.append({"ratio": ratio})
-            return joint_step(head_step, rep, frame_grad, ratio)
+        def spy_bb_step(*args):
+            bb_steps.append(bb_step(*args))
+            return bb_steps[-1]
 
         def spy_backtrack(objective, current, direction_step, step0):
             found = backtrack(objective, current, direction_step, step0)
-            searches[-1].update(current=current, found=found)
+            # stage one asks for the head's step first, then the frame's
+            head_step, frame_step = bb_steps[-2:]
+            assert step0 == head_step
+            searches.append({"ratio": frame_step / head_step, "current": current,
+                             "found": found})
             return found
 
-        monkeypatch.setattr(erm, "_joint_step", spy_joint_step)
+        monkeypatch.setattr(erm, "_bb_step", spy_bb_step)
         monkeypatch.setattr(erm, "_backtrack", spy_backtrack)
         ds, hyp, cfg = _joint_instance(seed)
         result = pretrain(ds, hyp, lam, cfg, derive_rng(seed, "init"))
         trace = result.trace
         assert trace.outcome == "converged"
         assert len(searches) == len(trace) - 1
+        assert len(bb_steps) == 2 * len(searches)
         alpha = np.zeros((2, 5))
         b = SubspaceRep.random(6, 2, derive_rng(seed, "init")).b
         for search, logged in zip(searches, trace.step[1:]):
-            s, _, (new_alpha, new_rep), value, _ = search["found"]
+            s, _, (new_alpha, new_b), value, _ = search["found"]
             assert s == logged
             decrease = erm._ARMIJO_C * (
                 float(np.sum((new_alpha - alpha) ** 2)) / s
-                + float(np.sum((new_rep.b - b) ** 2)) / (s * search["ratio"])
+                + float(np.sum((new_b - b) ** 2)) / (s * search["ratio"])
             )
             current = search["current"]
             assert value <= current - decrease + 4 * np.spacing(abs(current))
-            alpha, b = new_alpha, new_rep.b
+            alpha, b = new_alpha, new_b
         np.testing.assert_array_equal(alpha, result.head.alpha)
         np.testing.assert_array_equal(b, result.rep.b)
 
@@ -918,6 +955,40 @@ def test_evaluations_count_every_objective_evaluation(fit, monkeypatch):
     else:
         _, trace = fit_head_on_embeddings(ds.x, ds.y, 1.0, OptimConfig(grad_tol=1e-7))
     assert trace.evaluations == len(calls) >= len(trace)
+
+
+class TestFailFast:
+    """A head cap that is not a finite number > 0, or an embedding dimension
+    outside 1..d, is rejected before any objective evaluation."""
+
+    BAD_CAPS = [0.0, -1.0, np.nan, np.inf]
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the fit evaluated its objective")
+
+        monkeypatch.setattr(erm, "_head_risk", fail)
+
+    @pytest.mark.parametrize("cap", BAD_CAPS)
+    def test_head_fit_rejects_cap(self, cap, no_work):
+        rng = np.random.default_rng(7)
+        z, targets = rng.standard_normal((50, 3)), mixed_targets(rng, 50, 2)
+        with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
+            fit_head_on_embeddings(z, targets, cap, OptimConfig())
+
+    @pytest.mark.parametrize("cap", BAD_CAPS)
+    def test_pretrain_rejects_cap(self, cap, no_work):
+        ds, _, cfg = _joint_instance(0)
+        with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
+            pretrain(ds, HypothesisConfig(embed_dim=2, head_cap=cap), 0.0, cfg,
+                     derive_rng(0, "init"))
+
+    @pytest.mark.parametrize("r", [0, -1, 7, 2.5, True])
+    def test_pretrain_rejects_embed_dim_outside_one_to_d(self, r, no_work):
+        ds, _, cfg = _joint_instance(0)  # d = 6
+        with pytest.raises(ContractViolation, match="1..d = 6"):
+            pretrain(ds, HypothesisConfig(embed_dim=r), 0.0, cfg, derive_rng(0, "init"))
 
 
 class TestBaseline:

@@ -122,6 +122,25 @@ class TestSweepConfig:
         with pytest.raises(ContractViolation):
             SweepConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["n", "m", "k", "k_prime", "r", "d"])
+    @pytest.mark.parametrize("value", [2.5, 0.5, 500.7, 3.0, 0])
+    def test_size_grid_value_must_be_an_integer_at_least_one(self, key, value):
+        # a fractional size used to be truncated by the fit while the
+        # records kept the value as given
+        doc = {"grid": dict(MICRO["grid"], **{key: [MICRO["grid"][key][0], value]})}
+        with pytest.raises(ContractViolation, match=f"for '{key}' invalid: need an integer"):
+            SweepConfig.from_dict(doc)
+
+    def test_fractional_r_exits_one_before_any_work(self, tmp_path, monkeypatch, capsys):
+        from transferlab.cli import main
+
+        monkeypatch.setattr(harness, "_run_cell", None)  # any work would fail
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"r": [2.5]}}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "need an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ContractViolation):
             SweepConfig.from_dict({"trials": 0})

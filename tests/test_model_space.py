@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferlab.erm import loss_and_grad
 from transferlab.errors import ContractViolation, DegenerateInput
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import (
@@ -15,7 +16,6 @@ from transferlab.model_space import (
     SubspaceRep,
     cap_columns,
     component_from_payload,
-    component_to_payload,
     load_bundle,
     principal_angles,
     save_bundle,
@@ -64,36 +64,16 @@ class TestSubspaceRep:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ContractViolation):
             SubspaceRep(np.ones((4, 2)))
+        with pytest.raises(ContractViolation):
+            component_from_payload({"kind": "subspace", "entries": [[1.0, 1.0], [0.0, 1.0]]})
 
     def test_dimension_mismatch(self):
         rep = SubspaceRep(np.eye(4)[:, :2])
         with pytest.raises(ContractViolation):
             rep.apply(np.ones(5))
-        with pytest.raises(ContractViolation):
-            rep.forward(np.ones((5, 3)))
-
-    def test_descent_candidates_skip_revalidation(self, monkeypatch):
-        # the step wraps the frame orthonormalize just made; every other
-        # entry (construction, random, payload load) still validates
-        rng = np.random.default_rng(2)
-        rep = SubspaceRep.random(6, 2, rng)
-        grad = rng.standard_normal((6, 2))
-        _, step = rep.descent(grad)
-        checks = []
-        validate = SubspaceRep.__post_init__
-        monkeypatch.setattr(SubspaceRep, "__post_init__",
-                            lambda self: checks.append(1) or validate(self))
-        cand, move = step(0.3)
-        assert checks == []
-        assert isinstance(cand, SubspaceRep)
-        np.testing.assert_array_equal(cand.b, SubspaceRep(cand.b).b)
-        assert np.linalg.norm(cand.b.T @ cand.b - np.eye(2)) <= 1e-12
-        assert move == pytest.approx(float(((cand.b - rep.b) ** 2).sum()))
-        SubspaceRep.random(6, 2, rng)
-        component_from_payload(component_to_payload(rep))
-        assert len(checks) == 3
-        with pytest.raises(ContractViolation):
-            component_from_payload({"kind": "subspace", "entries": [[1.0, 1.0], [0.0, 1.0]]})
+        with pytest.raises(ContractViolation, match="input dim 5"):
+            loss_and_grad(rep, LinearHead(np.zeros((2, 2)), 1.0), np.ones((3, 5)),
+                          np.zeros((3, 2)))
 
 
 class TestLinearHead:
@@ -124,6 +104,11 @@ class TestLinearHead:
     def test_column_cap_validated(self):
         with pytest.raises(ContractViolation):
             LinearHead(np.eye(2) * 3.0, 1.0)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
+    def test_cap_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ContractViolation, match="finite number > 0"):
+            LinearHead(np.zeros((2, 3)), cap)
 
 
 class TestProjectHead:
