@@ -33,6 +33,7 @@ from .erm import HypothesisConfig, fit_downstream_head, pretrain
 from .model_space import diversity_parameter, load_bundle, principal_angles, save_bundle
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
+    HEAD_CAP,
     covariate_spec_hash,
     load_dataset,
     load_truth,
@@ -131,7 +132,7 @@ def _cmd_pretrain(args) -> int:
         raise ContractViolation(
             f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
     result = pretrain(
-        ds, HypothesisConfig(embed_dim, cfg.truth["pre_head_cap"]), args.lambda_div,
+        ds, HypothesisConfig(embed_dim, HEAD_CAP), args.lambda_div,
         cfg.optim_config(),
         derive_rng(cfg.seed, "cli-pretrain", _file_digest(args.data), args.lambda_div),
     )
@@ -152,9 +153,7 @@ def _cmd_probe(args) -> int:
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
     ds = load_dataset(args.data)
-    head, trace = fit_downstream_head(
-        bundle["rep"], ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
-    )
+    head, trace = fit_downstream_head(bundle["rep"], ds, HEAD_CAP, cfg.head_optim_config())
     bundle["down_head"] = head
     save_bundle(args.out, bundle)
     if args.trace_out:
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None)
     p.add_argument("--stage", choices=["pretrain", "downstream"], default="pretrain")
-    p.add_argument("--trial", type=int, default=0)
+    p.add_argument("--trial", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("pretrain", help="stage-one training on a dataset")

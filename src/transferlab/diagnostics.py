@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_keys, require_numbers
+from .errors import ContractViolation
 from .linalg import pinv_psd, singular_values
 from .model_space import LinearHead, SubspaceRep
 from .softmax import kl_rows, softmax_full_rows
@@ -330,13 +330,8 @@ def chain_rule_check(
 
 # --- closed-form risk-rate evaluators ---------------------------------------
 
-_DEFAULT_PROFILE: dict[str, float] = {
-    "rep_complexity": 1.0,
-    "tail": 1.0,
-    "pretrain_concentration": 1.0,
-    "downstream_complexity": 1.0,
-    "downstream_concentration": 1.0,
-}
+# the confidence level of the rate: it holds with probability 1 - delta
+_DELTA = 0.05
 
 
 @dataclass(frozen=True)
@@ -350,50 +345,33 @@ class BoundParams:
     r: int
     d: int
     nu_tilde: float
-    delta: float = 0.05
 
     def __post_init__(self):
         for name in ("n", "m", "k", "k_prime", "r", "d"):
             if getattr(self, name) <= 0:
                 raise ContractViolation(f"{name} must be positive")
-        if not (0 < self.delta < 1):
-            raise ContractViolation("delta must lie in (0, 1)")
         if self.nu_tilde < 0:
             raise ContractViolation("nu_tilde must be nonnegative")
 
 
-def evaluate_risk_bound(params: BoundParams, profile: dict[str, float] | None = None
-                        ) -> float:
+def evaluate_risk_bound(params: BoundParams) -> float:
     """Evaluate the closed-form excess-risk rate of the subspace class.
 
-    Hidden universal constants are supplied by ``profile`` (all ones by
-    default; unknown keys are rejected) and are configuration, not ground
-    truth. ``nu_tilde = 0`` returns infinity.
+    The rate is (pre-training terms) / nu_tilde + (downstream terms) at
+    confidence delta = 0.05, with every hidden universal constant set to
+    1. ``nu_tilde = 0`` returns infinity.
     """
-    profile = profile or {}
-    require_keys(profile, (), "bound profile")
-    unknown = set(profile) - set(_DEFAULT_PROFILE)
-    if unknown:
-        raise ContractViolation(f"unknown bound profile keys {sorted(unknown)}")
-    for key, value in profile.items():
-        require_numbers(value, 0, f"bound profile {key}")
-    prof = {**_DEFAULT_PROFILE, **profile}
     p = params
     if p.nu_tilde == 0.0:
         return math.inf
-    log_inv_delta = math.log(1.0 / p.delta)
+    log_inv_delta = math.log(1.0 / _DELTA)
 
     pre = (
-        prof["rep_complexity"]
-        * math.sqrt(p.k)
+        math.sqrt(p.k)
         * math.log(p.n)
         * (math.sqrt(p.k * p.d * p.r**2 / p.n) + p.k * math.sqrt(p.r / p.n))
-        + prof["tail"] * p.k / p.n**2
-        + prof["pretrain_concentration"] * math.sqrt(log_inv_delta / p.n)
+        + p.k / p.n**2
+        + math.sqrt(log_inv_delta / p.n)
     )
-    down = prof["downstream_complexity"] * p.k_prime**1.5 * math.sqrt(
-        p.r / p.m
-    ) + prof["downstream_concentration"] * p.k_prime * math.sqrt(
-        log_inv_delta / p.m
-    )
+    down = p.k_prime**1.5 * math.sqrt(p.r / p.m) + p.k_prime * math.sqrt(log_inv_delta / p.m)
     return pre / p.nu_tilde + down

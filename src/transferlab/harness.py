@@ -26,13 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    InfeasibleDiversityError,
-    InfeasibleSamplingError,
-    check_scalars,
-    require_keys,
-)
+from .errors import ContractViolation, InfeasibleDiversityError, check_scalars, require_keys
 from .model_space import diversity_parameter, principal_angles
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
@@ -84,17 +78,9 @@ def default_config() -> dict:
             "condition_number": [1.0],
             "lambda_div": [0.0],
         },
-        "covariates": {"scale": 1.0, "cap_factor": 3.0},
-        "truth": {
-            "top_singular_value": 1.0,
-            "pre_head_cap": 1.0,
-            "down_head_cap": 1.0,
-            "down_head_fill": 0.7,
-        },
         "optimizer": {"max_iters": 2000, "grad_tol": 1e-5},
         "head_optimizer": {"max_iters": 4000, "grad_tol": 1e-7},
         "diagnostics": {"risk_mc_samples": 20000},
-        "bound": {"delta": 0.05, "profile": {}},
         "baseline": True,
     }
 
@@ -106,20 +92,16 @@ class SweepConfig:
     seed: int
     trials: int
     grid: dict
-    covariates: dict
-    truth: dict
     optimizer: dict
     head_optimizer: dict
     diagnostics: dict
-    bound: dict
     baseline: bool = True
 
     def __post_init__(self):
         # the optimizer sections are checked by OptimConfig itself
         defaults = default_config()
         check_scalars("", vars(self), defaults)
-        for section in ("covariates", "truth", "diagnostics", "bound"):
-            check_scalars(f"{section}.", getattr(self, section), defaults[section])
+        check_scalars("diagnostics.", self.diagnostics, defaults["diagnostics"])
         if self.seed < 0:
             raise ContractViolation("seed must be >= 0")
         if self.trials < 1:
@@ -128,16 +110,16 @@ class SweepConfig:
             values = self.grid.get(key)
             if not isinstance(values, list) or not values:
                 raise ContractViolation(f"grid needs a nonempty list of values for {key!r}")
-            # the regularizer weight may be zero and the condition number
-            # any positive number; the other keys are sizes, integers >= 1
+            # the regularizer weight may be zero and the condition number any
+            # number >= 1; the other keys are sizes, integers >= 1
             real = key in ("condition_number", "lambda_div")
-            floor = 0.0 if key == "lambda_div" else 1e-300 if real else 1
+            floor = 0 if key == "lambda_div" else 1
             for v in values:
                 if (isinstance(v, bool) or not isinstance(v, (int, float) if real else int)
                         or not math.isfinite(v) or v < floor):
                     raise ContractViolation(
-                        f"grid value {v!r} for {key!r} invalid"
-                        + ("" if real else ": need an integer >= 1"))
+                        f"grid value {v!r} for {key!r} invalid: need "
+                        + (f"a finite number >= {floor}" if real else "an integer >= 1"))
         if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
             raise ContractViolation("class counts must be at least 2")
         # the grid is a product, so every cell has r <= d and r <= k-1 iff
@@ -147,18 +129,14 @@ class SweepConfig:
             raise ContractViolation("every grid cell needs r <= d and r <= k-1")
         if self.diagnostics["risk_mc_samples"] < 1:
             raise ContractViolation("diagnostics.risk_mc_samples must be >= 1")
-        # build the typed sections, the first cell's trial-0 truth and
-        # covariate law (probing the sampler once) and its bound, so that
-        # bad values fail before any work
+        # build the typed sections and the first cell's trial-0 truth, so
+        # that bad values fail before any work
         self.optim_config()
         self.head_optim_config()
-        first = {key: self.grid[key][0] for key in GRID_KEYS}
         try:
-            spec, truth, _ = cell_truth(self, first, 0)
-            sample_covariates(spec, 1, derive_rng(self.seed, "covariate_probe"))
-        except (InfeasibleDiversityError, InfeasibleSamplingError) as exc:
+            cell_truth(self, {key: self.grid[key][0] for key in GRID_KEYS}, 0)
+        except InfeasibleDiversityError as exc:
             raise ContractViolation(f"first grid cell: {exc}") from exc
-        self.risk_bound(first, diversity_parameter(truth.pre_head))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -168,10 +146,7 @@ class SweepConfig:
         if unknown:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
-        for nested in (
-            "grid", "covariates", "truth", "optimizer", "head_optimizer",
-            "diagnostics", "bound",
-        ):
+        for nested in ("grid", "optimizer", "head_optimizer", "diagnostics"):
             section = doc.get(nested) or {}
             if not isinstance(section, dict):
                 raise ContractViolation(f"config section {nested!r} must be an object")
@@ -186,17 +161,6 @@ class SweepConfig:
 
     def head_optim_config(self) -> OptimConfig:
         return OptimConfig(**self.head_optimizer)
-
-    def risk_bound(self, cell: dict, nu_tilde: float) -> float:
-        """The closed-form subspace rate at one cell."""
-        return evaluate_risk_bound(
-            BoundParams(
-                n=cell["n"], m=cell["m"], k=cell["k"],
-                k_prime=cell["k_prime"], r=cell["r"], d=cell["d"],
-                nu_tilde=nu_tilde, delta=self.bound["delta"],
-            ),
-            self.bound.get("profile"),
-        )
 
 
 @dataclass
@@ -247,6 +211,14 @@ _CSV_FIELDS = tuple(
 _OUTCOMES = ("", "converged", "stalled", "max_iters")
 
 
+# Stream keys of the truth and of the covariate law end in the values of
+# the fixed settings they depend on: the truth's top singular value, head
+# caps and downstream fill, then the covariates' scale and cap factor.
+# They were config values once, and keeping them keeps every stream.
+_COVARIATE_KEY = (1.0, 3.0)
+_FIXED_TRUTH_KEY = (1.0, 1.0, 1.0, 0.7, *_COVARIATE_KEY)
+
+
 def cells_of(cfg: SweepConfig) -> list[dict]:
     """Grid cells in deterministic order (later keys vary fastest)."""
     combos = itertools.product(*(cfg.grid[key] for key in GRID_KEYS))
@@ -257,24 +229,15 @@ def cell_truth(cfg: SweepConfig, cell: dict, trial: int
                ) -> tuple[CovariateSpec, GroundTruth, tuple]:
     """Covariate law, ground truth and truth token of one cell and trial.
 
-    The token holds every parameter the truth depends on; random streams
-    derived from it are shared by all cells with the same truth.
+    The token holds the grid parameters the truth depends on; random
+    streams derived from it are shared by all cells with the same truth.
     """
-    t, cov = cfg.truth, cfg.covariates
     d, r, k, k_prime = cell["d"], cell["r"], cell["k"], cell["k_prime"]
-    truth_tok = (
-        cell["d"], cell["r"], cell["k"], cell["k_prime"], cell["condition_number"],
-        t["top_singular_value"], t["pre_head_cap"], t["down_head_cap"],
-        t["down_head_fill"], cov["scale"], cov["cap_factor"],
-    )
-    spec = isotropic_covariates(d, cov["scale"], cov["cap_factor"])
+    truth_tok = (d, r, k, k_prime, cell["condition_number"], *_FIXED_TRUTH_KEY)
+    spec = isotropic_covariates(d)
     truth = make_ground_truth(
         d, r, k, k_prime, float(cell["condition_number"]),
         derive_rng(cfg.seed, "truth", trial, truth_tok),
-        top_singular_value=t["top_singular_value"],
-        pre_head_cap=t["pre_head_cap"],
-        down_head_cap=t["down_head_cap"],
-        down_head_fill=t["down_head_fill"],
     )
     return spec, truth, truth_tok
 
@@ -314,28 +277,27 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         # paired: identical data and identical starting frame
         result = pretrain(
             stage_dataset(cfg, cell, trial, "pretrain", truth_parts),
-            HypothesisConfig(r, cfg.truth["pre_head_cap"]), lam, cfg.optim_config(),
+            HypothesisConfig(r, truth.pre_head.column_cap), lam, cfg.optim_config(),
             derive_rng(cfg.seed, "init", trial, truth_tok, n),
         )
         cache[pre_key] = (result, None)
     result, pre_risk = cache[pre_key]
 
     down_ds = stage_dataset(cfg, cell, trial, "downstream", truth_parts)
+    down_cap = truth.down_head.column_cap
     head_down, down_trace = fit_downstream_head(
-        result.rep, down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
+        result.rep, down_ds, down_cap, cfg.head_optim_config()
     )
     rec.downstream_outcome = down_trace.outcome
     base_head = None
     if cfg.baseline:
-        base_head, base_trace = train_baseline(
-            down_ds, cfg.truth["down_head_cap"], cfg.head_optim_config()
-        )
+        base_head, base_trace = train_baseline(down_ds, down_cap, cfg.head_optim_config())
         rec.baseline_outcome = base_trace.outcome
 
     # one draw per covariate law: a cell's risks do not depend on which
     # other cells share its trial
     n_mc = int(cfg.diagnostics["risk_mc_samples"])
-    law = (cell["d"], cfg.covariates["scale"], cfg.covariates["cap_factor"])
+    law = (cell["d"], *_COVARIATE_KEY)
     if ("risk_mc", law) not in cache:
         cache["risk_mc", law] = sample_covariates(
             spec, n_mc, derive_rng(cfg.seed, "risk_mc", trial, *law))
@@ -357,7 +319,10 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_outcome = result.trace.outcome
-    rec.bound_value = cfg.risk_bound(cell, rec.nu_true)
+    rec.bound_value = evaluate_risk_bound(BoundParams(
+        n=n, m=cell["m"], k=cell["k"], k_prime=cell["k_prime"], r=r, d=cell["d"],
+        nu_tilde=rec.nu_true,
+    ))
     rec.wall_time = time.perf_counter() - start
     return rec
 

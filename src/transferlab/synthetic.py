@@ -30,6 +30,7 @@ from .model_space import LinearHead, SubspaceRep, component_from_payload, compon
 from .softmax import softmax_full_rows
 
 __all__ = [
+    "HEAD_CAP",
     "CovariateSpec",
     "GroundTruth",
     "LabeledDataset",
@@ -111,10 +112,6 @@ class GroundTruth:
             raise ContractViolation("pre-training head Gram is rank-deficient")
 
     @property
-    def k(self) -> int:
-        return self.pre_head.n_logits + 1
-
-    @property
     def k_prime(self) -> int:
         return self.down_head.n_logits + 1
 
@@ -149,6 +146,13 @@ class LabeledDataset:
         return self.x.shape[1]
 
 
+# the column cap of both truth heads; the top singular value of the
+# pre-training head and the downstream columns' share of the cap
+HEAD_CAP = 1.0
+_TOP_SINGULAR_VALUE = 1.0
+_DOWN_HEAD_FILL = 0.7
+
+
 def make_ground_truth(
     d: int,
     r: int,
@@ -156,21 +160,16 @@ def make_ground_truth(
     k_prime: int,
     condition_number: float,
     rng: np.random.Generator,
-    *,
-    top_singular_value: float = 1.0,
-    pre_head_cap: float = 1.0,
-    down_head_cap: float = 1.0,
-    down_head_fill: float = 0.7,
 ) -> GroundTruth:
     """Random truth with a prescribed pre-training head spectrum.
 
     The representation is a uniformly random orthonormal frame. The
     pre-training head is U diag(s) V^T with singular values geometrically
     interpolated so sigma_1 / sigma_r of alpha alpha^T equals
-    ``condition_number`` and sigma_1 stays at ``top_singular_value``, so
-    the condition number alone moves the diversity. The downstream head
-    shares the representation; its columns are random directions of norm
-    ``down_head_fill * down_head_cap``, strictly inside the class.
+    ``condition_number`` and sigma_1 stays at 1, so the condition number
+    alone moves the diversity; every column norm is at most sigma_1 = 1.
+    The downstream head shares the representation; its columns are random
+    directions of norm 0.7. Both heads are capped at ``HEAD_CAP`` = 1.
     """
     if r > d:
         raise ContractViolation(f"need r <= d, got r={r}, d={d}")
@@ -186,7 +185,7 @@ def make_ground_truth(
     rep = SubspaceRep.random(d, r, rng)
 
     # singular values of alpha so that alpha alpha^T has the requested spectrum
-    s1 = np.sqrt(top_singular_value)
+    s1 = np.sqrt(_TOP_SINGULAR_VALUE)
     if r == 1:
         svals = np.array([s1])
     else:
@@ -195,23 +194,15 @@ def make_ground_truth(
     u = orthonormalize(rng.standard_normal((r, r)))
     v = orthonormalize(rng.standard_normal((k - 1, r)))
     alpha_pre = (u * svals) @ v.T
-    col_max = float(np.linalg.norm(alpha_pre, axis=0).max())
-    if col_max > pre_head_cap * (1 + 1e-10):
-        raise ContractViolation(
-            f"constructed columns ({col_max:.4e}) exceed the pre-head cap "
-            f"{pre_head_cap:.4e}; raise the cap or lower the scale"
-        )
 
-    if not 0.0 < down_head_fill <= 1.0:
-        raise ContractViolation("down_head_fill must lie in (0, 1]")
     dirs = rng.standard_normal((r, k_prime - 1))
     dirs /= np.linalg.norm(dirs, axis=0)
-    alpha_down = dirs * (down_head_fill * down_head_cap)
+    alpha_down = dirs * (_DOWN_HEAD_FILL * HEAD_CAP)
 
     return GroundTruth(
         rep=rep,
-        pre_head=LinearHead(alpha_pre, pre_head_cap),
-        down_head=LinearHead(alpha_down, down_head_cap),
+        pre_head=LinearHead(alpha_pre, HEAD_CAP),
+        down_head=LinearHead(alpha_down, HEAD_CAP),
     )
 
 

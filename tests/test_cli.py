@@ -38,6 +38,9 @@ def test_print_default_config(capsys):
     assert main(["print-default-config"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == default_config()
+    # the truth, covariate and bound settings are constants, not config
+    assert list(json.loads(out)) == [
+        "seed", "trials", "grid", "optimizer", "head_optimizer", "diagnostics", "baseline"]
 
 
 def test_usage_errors_exit_one(capsys):
@@ -185,18 +188,22 @@ def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):
     (["pretrain", "--embed-dim", "0"], "--embed-dim"),
     (["pretrain", "--embed-dim", "-1"], "--embed-dim"),
     (["verify", "--seed", "-1"], "--seed"),
+    (["gen", "--trial", "-3"], "--trial"),
 ])
 def test_bad_integer_flag_exits_one(tmp_path, argv, flag, monkeypatch, capsys):
     # the data file does not exist and no suite may run: the flag is
-    # rejected before either
+    # rejected before either; gen writes no dataset
     ran = []
     monkeypatch.setattr(cli, "run_all_suites", lambda **kw: ran.append(kw) or [])
     if argv[0] == "pretrain":
         argv = [*argv, "--data", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path / "model.json")]
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path / "pre.csv")]
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
     assert ran == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_records_do_not_depend_on_blas_threads(tmp_path):
@@ -272,19 +279,12 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
 
 
 @pytest.mark.parametrize("section", [
-    {"bound": {"setting": "mlpp"}},
-    {"bound": {"setting": "mlp"}},
-    {"bound": {"delta": 1.5}},
-    {"bound": {"profile": {"rep_complexty": 5}}},
     {"diagnostics": {"risk_mc_samples": 0}},
     {"grid": {"n": [500], "r": [25]}},
     {"grid": {"n": [500], "k": [3]}},
     {"grid": {"n": [500], "r": [1], "condition_number": [2.0]}},
-    {"truth": {"down_head_fill": 1.5}},
-    {"covariates": {"scale": -1.0}},
-    {"covariates": {"cap_factor": 0.05}},
-    # the largest column norm is at least 10 sqrt(3/29) > 1 for every seed
-    {"truth": {"top_singular_value": 100}},
+    # a condition number below 1 in a later cell, which used to fail its rows
+    {"grid": {"n": [500], "condition_number": [1.0, 0.5]}},
     # line-search settings, now erm constants: rejected as unknown keys
     {"optimizer": {"min_step": 0, "step_init": 0}},
     {"optimizer": {"armijo_c": -1}},
@@ -296,8 +296,6 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     {"seed": -5},
     {"trials": "2"},
     {"trials": 1.5},
-    {"covariates": {"scale": "1"}},
-    {"truth": {"down_head_cap": None}},
     {"diagnostics": {"risk_mc_samples": 100.5}},
     {"baseline": "no"},
     {"optimizer": {"max_iters": "50"}},
@@ -309,6 +307,17 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     {"hypothesis": {"kind": "mlp", "mlp_widths": [2], "mlp_caps": ["a", 1]}},
     {"hypothesis": {"mlp_widths": 5}},
     {"grid": {"n": 500}},
+    # the truth, covariate and bound settings, now constants: unknown keys
+    {"bound": {"setting": "mlpp"}},
+    {"bound": {"setting": "mlp"}},
+    {"bound": {"delta": 1.5}},
+    {"bound": {"profile": {"rep_complexty": 5}}},
+    {"truth": {"down_head_fill": 1.5}},
+    {"covariates": {"scale": -1.0}},
+    {"covariates": {"cap_factor": 0.05}},
+    {"truth": {"top_singular_value": 100}},
+    {"covariates": {"scale": "1"}},
+    {"truth": {"down_head_cap": None}},
     {"bound": {"profile": 5}},
     {"bound": {"profile": {"tail": "x"}}},
     {"bound": {"profile": {"tail": None}}},
@@ -360,8 +369,12 @@ def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
     assert not (out / "summary.txt").exists()
 
 
-# the line-search policy, the ridge and the rate setting left the config:
-# a saved config that still names one is rejected like any unknown key
+# the line-search policy, the ridge, the rate setting and the truth,
+# covariate and bound sections left the config: a saved config that still
+# names one is rejected like any unknown key
+_REMOVED_SECTIONS = ("truth", "covariates", "bound")
+
+
 @pytest.mark.parametrize("section, key, value", [
     *((section, key, value)
       for section in ("optimizer", "head_optimizer")
@@ -370,6 +383,9 @@ def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
           ("step_max", 1e6), ("min_step", 1e-14), ("ridge_mu", 1e-8),
       )),
     ("bound", "setting", "subspace"),
+    ("truth", "pre_head_cap", 1.0),
+    ("covariates", "scale", 1.0),
+    ("bound", "delta", 0.05),
 ])
 def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys):
     config = tmp_path / "old.json"
@@ -377,7 +393,10 @@ def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"unknown {section} keys" in err and repr(key) in err
+    if section in _REMOVED_SECTIONS:
+        assert f"unknown config keys [{section!r}]" in err
+    else:
+        assert f"unknown {section} keys" in err and repr(key) in err
     assert not (out / "records.csv").exists()
 
 

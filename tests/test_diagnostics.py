@@ -399,50 +399,61 @@ class TestChainRule:
             chain_rule_check(cands, [np.zeros((1, 1))], x, 10, derive_rng(34, "cr"))
 
 
-DESK = dict(n=8000, m=200, k=30, k_prime=2, r=3, d=20, nu_tilde=1.0, delta=0.05)
+DESK = dict(n=8000, m=200, k=30, k_prime=2, r=3, d=20, nu_tilde=1.0)
+
+
+def _rate_terms(n, m, k, k_prime, r, d, nu_tilde):
+    """The rate's five terms, written out at delta = 0.05 with unit constants."""
+    log_inv_delta = math.log(1.0 / 0.05)
+    return {
+        "rep_complexity": math.sqrt(k) * math.log(n)
+        * (math.sqrt(k * d * r**2 / n) + k * math.sqrt(r / n)) / nu_tilde,
+        "tail": k / n**2 / nu_tilde,
+        "pretrain_concentration": math.sqrt(log_inv_delta / n) / nu_tilde,
+        "downstream_complexity": k_prime**1.5 * math.sqrt(r / m),
+        "downstream_concentration": k_prime * math.sqrt(log_inv_delta / m),
+    }
+
+
+def _term_ratio(term, key, factor):
+    """One term's value with ``key`` scaled by ``factor`` over its value at DESK.
+
+    The evaluator must equal the sum of the written-out terms at both points.
+    """
+    moved = {**DESK, key: DESK[key] * factor}
+    for params in (DESK, moved):
+        assert evaluate_risk_bound(BoundParams(**params)) == pytest.approx(
+            sum(_rate_terms(**params).values()), rel=1e-12)
+    return _rate_terms(**moved)[term] / _rate_terms(**DESK)[term]
+
+
+def _bound_at_nu(nu_tilde):
+    return evaluate_risk_bound(BoundParams(**{**DESK, "nu_tilde": nu_tilde}))
 
 
 class TestRiskBoundEvaluator:
     def test_nu_scaling_exact(self):
-        profile = {"downstream_complexity": 0.0, "downstream_concentration": 0.0}
-        one = evaluate_risk_bound(BoundParams(**DESK), profile)
-        two = evaluate_risk_bound(
-            BoundParams(**{**DESK, "nu_tilde": 2.0}), profile
-        )
-        assert two == pytest.approx(one / 2.0, rel=1e-12)
+        # b(nu) = pre / nu + down, so each doubling of nu halves the drop
+        drop = _bound_at_nu(1.0) - _bound_at_nu(2.0)
+        assert drop == pytest.approx(2.0 * (_bound_at_nu(2.0) - _bound_at_nu(4.0)), rel=1e-12)
+        pre = sum(v for key, v in _rate_terms(**DESK).items() if not key.startswith("down"))
+        assert drop == pytest.approx(pre / 2.0, rel=1e-12)
 
     def test_tail_term_quartic_in_n(self):
-        profile = {k: 0.0 for k in (
-            "rep_complexity", "pretrain_concentration",
-            "downstream_complexity", "downstream_concentration",
-        )}
-        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
-        v2 = evaluate_risk_bound(
-            BoundParams(**{**DESK, "n": 2 * DESK["n"]}), profile
-        )
-        assert v2 == pytest.approx(v1 / 4.0, rel=1e-12)
+        assert _term_ratio("tail", "n", 2) == pytest.approx(1 / 4.0, rel=1e-12)
 
     def test_concentration_halves_at_quadruple_n(self):
-        profile = {k: 0.0 for k in (
-            "rep_complexity", "tail",
-            "downstream_complexity", "downstream_concentration",
-        )}
-        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
-        v4 = evaluate_risk_bound(
-            BoundParams(**{**DESK, "n": 4 * DESK["n"]}), profile
-        )
-        assert v4 == pytest.approx(v1 / 2.0, rel=1e-12)
+        assert _term_ratio("pretrain_concentration", "n", 4) == pytest.approx(0.5, rel=1e-12)
 
     def test_downstream_complexity_halves_at_quadruple_m(self):
-        profile = {k: 0.0 for k in (
-            "rep_complexity", "tail", "pretrain_concentration",
-            "downstream_concentration",
-        )}
-        v1 = evaluate_risk_bound(BoundParams(**DESK), profile)
-        v4 = evaluate_risk_bound(
-            BoundParams(**{**DESK, "m": 4 * DESK["m"]}), profile
-        )
-        assert v4 == pytest.approx(v1 / 2.0, rel=1e-12)
+        assert _term_ratio("downstream_complexity", "m", 4) == pytest.approx(0.5, rel=1e-12)
+        # both downstream terms go as 1/sqrt(m), so the part of the rate that
+        # does not fall with nu, 2 b(2) - b(1), halves as well
+        def down(m):
+            at = {**DESK, "m": m}
+            return (2.0 * evaluate_risk_bound(BoundParams(**{**at, "nu_tilde": 2.0}))
+                    - evaluate_risk_bound(BoundParams(**at)))
+        assert down(4 * DESK["m"]) == pytest.approx(down(DESK["m"]) / 2.0, rel=1e-9)
 
     def test_monotonicities(self):
         base = evaluate_risk_bound(BoundParams(**DESK))

@@ -229,18 +229,13 @@ class TestRunSweep:
         assert rec.pretrain_iters == 1 and not rec.pretrain_stalled
 
     def test_bound_value_is_the_subspace_rate(self):
-        # the record's rate is the evaluator's at the cell, with the config's
-        # delta and constants profile
-        bound = {"delta": 0.1, "profile": {"tail": 2.0}}
-        doc = dict(MICRO, trials=1, baseline=False, bound=bound,
-                   optimizer={"max_iters": 20})
+        # the record's rate is the evaluator's at the cell
+        doc = dict(MICRO, trials=1, baseline=False, optimizer={"max_iters": 20})
         doc["grid"] = dict(MICRO["grid"], n=[300])
         (rec,) = run_sweep(SweepConfig.from_dict(doc))
         assert rec.status == "ok"
-        params = BoundParams(n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true,
-                             delta=0.1)
-        assert rec.bound_value == evaluate_risk_bound(params, bound["profile"])
-        assert rec.bound_value != evaluate_risk_bound(params)
+        params = BoundParams(n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true)
+        assert rec.bound_value == evaluate_risk_bound(params)
 
     def test_failed_row_has_no_outcomes(self):
         doc = dict(MICRO, trials=1)

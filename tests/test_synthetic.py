@@ -18,6 +18,7 @@ from transferlab.model_space import LinearHead
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows
 from transferlab.synthetic import (
+    HEAD_CAP,
     CovariateSpec,
     LabeledDataset,
     isotropic_covariates,
@@ -65,11 +66,10 @@ class TestMakeGroundTruth:
             make_ground_truth(5, 1, 4, 2, 2.0, derive_rng(3, "t"))
 
     def test_down_head_norms_inside_cap(self):
-        truth = make_ground_truth(
-            7, 3, 10, 4, 2.0, derive_rng(4, "t"), down_head_cap=2.0, down_head_fill=0.5
-        )
+        truth = make_ground_truth(7, 3, 10, 4, 2.0, derive_rng(4, "t"))
+        assert truth.pre_head.column_cap == truth.down_head.column_cap == HEAD_CAP
         norms = np.linalg.norm(truth.down_head.alpha, axis=0)
-        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(norms, 0.7 * HEAD_CAP, rtol=1e-12)
 
 
 def reference_sample_covariates(spec, n, rng):
