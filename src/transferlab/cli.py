@@ -29,7 +29,7 @@ from .diagnostics import (
     schur_complement_bound,
     worst_case_complexity_linear,
 )
-from .erm import HypothesisConfig, fit_downstream_head, pretrain
+from .erm import fit_downstream_head, pretrain
 from .model_space import diversity_parameter, load_bundle, principal_angles, save_bundle
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
@@ -132,7 +132,7 @@ def _cmd_pretrain(args) -> int:
         raise ContractViolation(
             f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
     result = pretrain(
-        ds, HypothesisConfig(embed_dim, HEAD_CAP), args.lambda_div,
+        ds, embed_dim, HEAD_CAP, args.lambda_div,
         cfg.optim_config(),
         derive_rng(cfg.seed, "cli-pretrain", _file_digest(args.data), args.lambda_div),
     )

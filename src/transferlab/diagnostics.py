@@ -14,7 +14,10 @@ and reported as such.
 All Monte Carlo diagnostics return standard errors. The routines that
 average over the covariate law take the draw itself, so that callers can
 score several fits and quantities on one draw; the others take an
-explicit generator.
+explicit generator. The KL routines walk the draw ``_MC_CHUNK`` rows at a
+time: they hold the (n_mc, r) embeddings and one n_mc vector per risk,
+and no (n_mc, K-1) logit or probability block other than the soft targets
+of ``representation_difference``'s head fit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import ContractViolation
 from .linalg import pinv_psd, singular_values
 from .model_space import LinearHead, SubspaceRep
-from .softmax import kl_rows, softmax_full_rows
+from .softmax import _KL_CHUNK, kl_rows, softmax_full_rows
 from .synthetic import GroundTruth
 from .erm import OptimConfig, fit_head_on_embeddings
 
@@ -74,7 +77,12 @@ class ComplexityEstimate:
     scope: str = "empirical"
 
 
-_CHUNK_SCALARS = 2_000_000
+# Rows per Monte Carlo chunk: kl_rows then takes exactly one of its own
+# chunks per call and picks its kernel branch as it did on the whole draw.
+_MC_CHUNK = _KL_CHUNK
+# Noise scalars per complexity block, about one Monte Carlo logit chunk; a
+# block holds whole draws, at least one.
+_CHUNK_SCALARS = 32 * _MC_CHUNK
 
 
 def empirical_gaussian_complexity_linear(
@@ -88,7 +96,9 @@ def empirical_gaussian_complexity_linear(
 
     For fixed noise the supremum over heads with ||alpha_s|| <= c is
     closed-form, (c/n) sum_s ||sum_i g_is z_i||, so only the noise is
-    Monte Carlo.
+    Monte Carlo. It is drawn in blocks of whole draws, about
+    ``_CHUNK_SCALARS`` numbers each; the generator fills them in order, so
+    the block size does not move the value.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
@@ -102,8 +112,7 @@ def empirical_gaussian_complexity_linear(
     done = 0
     while done < draws:
         take = min(chunk, draws - done)
-        g = rng.standard_normal((take, width, n))
-        sums = g @ z
+        sums = rng.standard_normal((take, width, n)) @ z
         vals[done : done + take] = np.linalg.norm(sums, axis=2).sum(axis=1)
         done += take
     vals *= column_cap / n
@@ -151,9 +160,17 @@ def mc_complexity_finite(
     return ComplexityEstimate(float(sups.mean()), draws, se, kind, "empirical")
 
 
-def _kl_stats(eta_true, eta_fit) -> tuple[float, float]:
-    kls = kl_rows(eta_true, eta_fit)
-    n = kls.shape[0]
+def _mc_chunks(n: int):
+    """The row slices of an n-row draw, ``_MC_CHUNK`` rows each."""
+    return (slice(lo, lo + _MC_CHUNK) for lo in range(0, n, _MC_CHUNK))
+
+
+def _kl_stats(n: int, eta_true, eta_fit) -> tuple[float, float]:
+    """Mean and standard error over n rows of the KL between the conditionals
+    at the logits ``eta_true(rows)`` and ``eta_fit(rows)``, one chunk at a time."""
+    kls = np.empty(n)
+    for rows in _mc_chunks(n):
+        kls[rows] = kl_rows(eta_true(rows), eta_fit(rows))
     se = float(kls.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(kls.mean()), se
 
@@ -185,16 +202,16 @@ def measure_excess_risks(
     z_hat = rep_hat.apply(x)
 
     def logits(head, z):
-        # a C-ordered (K-1, n_mc) block, handed to kl_rows as its row view
-        return (head.alpha.T @ z.T).T
+        # a C-ordered (K-1, chunk) block, handed to kl_rows as its row view
+        return lambda rows: (head.alpha.T @ z[rows].T).T
 
     eta_down = logits(truth.down_head, z_true)
-    down = _kl_stats(eta_down, logits(down_head_hat, z_hat))
+    down = _kl_stats(n_mc, eta_down, logits(down_head_hat, z_hat))
     pre = base = (math.nan, math.nan)
     if pre_head_hat is not None:
-        pre = _kl_stats(logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
+        pre = _kl_stats(n_mc, logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
     if baseline_head is not None:
-        base = _kl_stats(eta_down, logits(baseline_head, x))
+        base = _kl_stats(n_mc, eta_down, logits(baseline_head, x))
     return RiskReport(down[0], pre[0], n_mc, down[1], pre[1], base[0], base[1])
 
 
@@ -210,16 +227,23 @@ def representation_difference(
     The inner infimum over the stage's capped heads is a convex fit
     against the exact conditional class probabilities of the truth on the
     covariate draw ``x``; the value is the mean KL achieved by that best
-    head. Returns ``(value, std_error)``.
+    head. The targets are built, and the head scored, chunk by chunk.
+    Returns ``(value, std_error)``.
     """
     if stage not in ("pretrain", "downstream"):
         raise ContractViolation(f"unknown stage {stage!r}")
     truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
-    eta_true = truth.rep.apply(x) @ truth_head.alpha
-    soft = softmax_full_rows(eta_true)[:, :-1]
+    z_true = truth.rep.apply(x)
     z_hat = rep_hat.apply(x)
+
+    def eta_true(rows):
+        return z_true[rows] @ truth_head.alpha
+
+    soft = np.empty((x.shape[0], truth_head.n_logits))
+    for rows in _mc_chunks(x.shape[0]):
+        soft[rows] = softmax_full_rows(eta_true(rows))[:, :-1]
     alpha, _ = fit_head_on_embeddings(z_hat, soft, truth_head.column_cap, fit_cfg)
-    return _kl_stats(eta_true, z_hat @ alpha)
+    return _kl_stats(x.shape[0], eta_true, lambda rows: z_hat[rows] @ alpha)
 
 
 def _check_schur_samples(n_mc: int, r: int) -> None:

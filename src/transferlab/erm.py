@@ -40,7 +40,6 @@ from .synthetic import LabeledDataset
 
 __all__ = [
     "OptimConfig",
-    "HypothesisConfig",
     "TrainTrace",
     "PretrainResult",
     "logdet_regularizer",
@@ -78,15 +77,6 @@ class OptimConfig:
         check_scalars("optimizer.", vars(self), {f.name: f.default for f in fields(self)})
         if self.max_iters < 1 or self.grad_tol <= 0:
             raise ContractViolation("need max_iters >= 1 and grad_tol > 0")
-
-
-@dataclass(frozen=True)
-class HypothesisConfig:
-    """Model class searched in stage one: r-dimensional subspaces with
-    column-capped heads."""
-
-    embed_dim: int = 3
-    head_cap: float = 1.0
 
 
 @dataclass
@@ -279,6 +269,7 @@ def _backtrack(objective, current_value, direction_step, step0):
                 return "line search decrease fell below the rounding of the objective"
             return s, min(s * _STEP_GROW, _STEP_MAX), cand, value, payload
         s *= _STEP_SHRINK
+        payload = None  # a rejected trial's payload is not kept into the next
     return "line search hit minimum step without decrease"
 
 
@@ -307,12 +298,15 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
     move over its own step, the scaled gradient projection test
     (Bonettini, Zanella and Zanni 2009). Without ``b`` the rows of ``x``
     are the embeddings, read as (r, n) through a transposed view, and the
-    step is the head's alone: the head fit of stage two. The trace records
-    risk, regularizer value, combined projected-gradient norm, the head's
-    accepted step, the running least Gram eigenvalue of the head and the
-    count of objective evaluations. Line-search failure stalls the run and
-    returns the current iterate with the stall recorded. A ``cap`` that is
-    not a finite number > 0 is rejected before any work.
+    step is the head's alone: the head fit of stage two. It drops the
+    iterate's softmax once the gradient is formed, so one (K-1, n) block is
+    live during its line search; stage one keeps it for the trial's frame
+    gradient. The trace records risk, regularizer value, combined
+    projected-gradient norm, the head's accepted step, the running least
+    Gram eigenvalue of the head and the count of objective evaluations.
+    Line-search failure stalls the run and returns the current iterate
+    with the stall recorded. A ``cap`` that is not a finite number > 0 is
+    rejected before any work.
     """
     if not (math.isfinite(cap) and cap > 0):
         raise ContractViolation(f"head cap must be a finite number > 0, got {cap!r}")
@@ -345,6 +339,11 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
 
     for it in range(cfg.max_iters):
         grad_alpha = _head_grad(zt, soft, label_stat)
+        if b is None:
+            # a head trial reads no softmax: drop the iterate's, which the last
+            # step's ``found`` also holds, so that one (K-1, n) block is live
+            # during the line search, the trial's
+            soft = found = None
         if lambda_div > 0.0:
             # the gradient of ln det alone: its value is ``reg``, held already
             grad_alpha = grad_alpha - lambda_div * _logdet_grad(alpha, mu)
@@ -391,23 +390,26 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
 
 def pretrain(
     dataset: LabeledDataset,
-    hypothesis: HypothesisConfig,
+    embed_dim: int,
+    head_cap: float,
     lambda_div: float,
     cfg: OptimConfig,
     rng: np.random.Generator,
 ) -> PretrainResult:
     """Stage-one ERM: joint head and representation descent (``_descend``).
 
-    Every step moves both blocks: the head is projected onto its
-    column-norm ball and the frame retracted onto the orthonormal frames,
-    starting from a random frame. The embedding dimension must be an
-    integer in 1..d, the head cap a finite number > 0 and ``lambda_div`` a
-    finite number >= 0; each is checked before any work.
+    The model class is the ``embed_dim``-dimensional subspaces with heads
+    whose columns have norm at most ``head_cap``. Every step moves both
+    blocks: the head is projected onto its column-norm ball and the frame
+    retracted onto the orthonormal frames, starting from a random frame.
+    The embedding dimension must be an integer in 1..d, the head cap a
+    finite number > 0 and ``lambda_div`` a finite number >= 0; each is
+    checked before any work.
     """
     if dataset.n < 1:
         raise ContractViolation("dataset is empty")
     d, k_minus_1 = dataset.x.shape[1], dataset.y.shape[1]
-    r = hypothesis.embed_dim
+    r = embed_dim
     if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 1 <= r <= d:
         raise ContractViolation(
             f"embedding dimension must be an integer in 1..d = {d}, got {r!r}")
@@ -418,10 +420,9 @@ def pretrain(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
         )
     b, alpha, trace = _descend(
-        dataset.x, dataset.y, hypothesis.head_cap, lambda_div, cfg,
-        SubspaceRep.random(d, r, rng).b,
+        dataset.x, dataset.y, head_cap, lambda_div, cfg, SubspaceRep.random(d, r, rng).b,
     )
-    return PretrainResult(SubspaceRep(b), LinearHead(alpha, hypothesis.head_cap), trace)
+    return PretrainResult(SubspaceRep(b), LinearHead(alpha, head_cap), trace)
 
 
 def fit_head_on_embeddings(

@@ -6,9 +6,9 @@ evaluation) over a parameter grid with several trials per cell. Random
 streams are derived per (trial, stage, stage parameters), so cells that
 differ only in, say, the downstream sample count share their truth and
 pre-training work, and paired comparisons across the regularizer weight
-see identical data. The sweep runs trial by trial; within a trial,
-stage-one results and their pre-training risks are memoized, and every
-cell with the same covariate law is scored on one Monte Carlo draw
+see identical data. The sweep runs trial by trial; within a trial, the
+truths, stage-one results and their pre-training risks are memoized, and
+every cell with the same covariate law is scored on one Monte Carlo draw
 (common random numbers).
 
 Failures inside a cell are recorded as failed rows and never abort the
@@ -38,7 +38,7 @@ from .synthetic import (
     make_ground_truth,
     sample_covariates,
 )
-from .erm import HypothesisConfig, OptimConfig, fit_downstream_head, pretrain, train_baseline
+from .erm import OptimConfig, fit_downstream_head, pretrain, train_baseline
 from .diagnostics import BoundParams, evaluate_risk_bound, measure_excess_risks
 
 __all__ = [
@@ -225,6 +225,12 @@ def cells_of(cfg: SweepConfig) -> list[dict]:
     return [dict(zip(GRID_KEYS, combo)) for combo in combos]
 
 
+def _truth_token(cell: dict) -> tuple:
+    """The grid parameters a cell's truth depends on, then the fixed settings."""
+    return (cell["d"], cell["r"], cell["k"], cell["k_prime"], cell["condition_number"],
+            *_FIXED_TRUTH_KEY)
+
+
 def cell_truth(cfg: SweepConfig, cell: dict, trial: int
                ) -> tuple[CovariateSpec, GroundTruth, tuple]:
     """Covariate law, ground truth and truth token of one cell and trial.
@@ -233,7 +239,7 @@ def cell_truth(cfg: SweepConfig, cell: dict, trial: int
     streams derived from it are shared by all cells with the same truth.
     """
     d, r, k, k_prime = cell["d"], cell["r"], cell["k"], cell["k_prime"]
-    truth_tok = (d, r, k, k_prime, cell["condition_number"], *_FIXED_TRUTH_KEY)
+    truth_tok = _truth_token(cell)
     spec = isotropic_covariates(d)
     truth = make_ground_truth(
         d, r, k, k_prime, float(cell["condition_number"]),
@@ -268,7 +274,11 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     start = time.perf_counter()
     n, r = cell["n"], cell["r"]
     lam = float(cell["lambda_div"])
-    truth_parts = spec, truth, truth_tok = cell_truth(cfg, cell, trial)
+    # one truth per token and trial, shared by the cells that name it
+    truth_key = ("truth", _truth_token(cell))
+    if truth_key not in cache:
+        cache[truth_key] = cell_truth(cfg, cell, trial)
+    truth_parts = spec, truth, truth_tok = cache[truth_key]
 
     # the stage-one fit and, once scored, its pre-training (risk, se)
     pre_key = ("pretrain", truth_tok, n, lam)
@@ -277,7 +287,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         # paired: identical data and identical starting frame
         result = pretrain(
             stage_dataset(cfg, cell, trial, "pretrain", truth_parts),
-            HypothesisConfig(r, truth.pre_head.column_cap), lam, cfg.optim_config(),
+            r, truth.pre_head.column_cap, lam, cfg.optim_config(),
             derive_rng(cfg.seed, "init", trial, truth_tok, n),
         )
         cache[pre_key] = (result, None)
@@ -333,8 +343,9 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
 
     Deterministic for a fixed config: streams are derived, and rows run
     and come out in (trial, cell_index) order. A cache that lives for one
-    trial memoizes the stage-one fits and their pre-training risks, so
-    cells sharing a fit compute it and score it once, and holds one Monte
+    trial memoizes the truths by token, and the stage-one fits and their
+    pre-training risks, so cells sharing a truth build it once and cells
+    sharing a fit compute it and score it once; it also holds one Monte
     Carlo covariate draw per covariate law, drawn from the (trial, law)
     stream, that every cell of the trial is scored on. Memory therefore
     stays bounded by one trial. Rows are appended to ``out_csv`` as they

@@ -1,15 +1,17 @@
 """Diagnostics: diversity, complexities, risk estimators, and rate formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from transferlab import diagnostics
 from transferlab.errors import ContractViolation
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import LinearHead, SubspaceRep, diversity_parameter
 from transferlab.rngutil import derive_rng
-from transferlab.softmax import cross_entropy_rows
+from transferlab.softmax import _KL_CHUNK, cross_entropy_rows, kl_rows, softmax_full_rows
 from transferlab.synthetic import (
     GroundTruth,
     isotropic_covariates,
@@ -17,7 +19,7 @@ from transferlab.synthetic import (
     sample_covariates,
     _sample_labels,
 )
-from transferlab.erm import OptimConfig
+from transferlab.erm import OptimConfig, fit_head_on_embeddings
 from transferlab.diagnostics import (
     BoundParams,
     chain_rule_check,
@@ -83,6 +85,17 @@ class TestEmpiricalComplexityLinear:
         one = empirical_gaussian_complexity_linear(z, 1.0, 4, 500, rng_a)
         two = empirical_gaussian_complexity_linear(z, 2.0, 4, 500, rng_b)
         assert two.value == pytest.approx(2.0 * one.value, rel=1e-12)
+
+    def test_block_size_does_not_move_the_draws(self, monkeypatch):
+        # the generator fills the noise in order, so blocks of any number of
+        # whole draws see the same numbers
+        z = derive_rng(45, "g").standard_normal((300, 3))
+        ref = empirical_gaussian_complexity_linear(z, 1.0, 5, 50, derive_rng(46, "g"))
+        per_draw = 300 * 4
+        for scalars in (1, per_draw - 1, per_draw, 7 * per_draw + 5, 10**9):
+            monkeypatch.setattr(diagnostics, "_CHUNK_SCALARS", scalars)
+            est = empirical_gaussian_complexity_linear(z, 1.0, 5, 50, derive_rng(46, "g"))
+            assert (est.value, est.std_error) == (ref.value, ref.std_error), scalars
 
     def test_worst_case_reduction(self):
         est = worst_case_complexity_linear(0.5, 4, 2.0, 25)
@@ -270,6 +283,143 @@ class TestRepresentationDifference:
             rep_hat, truth, sample_covariates(spec, 8000, derive_rng(21, "b")), FIT_CFG
         )
         assert abs(v1 - v2) <= 3.0 * math.hypot(se1, se2)
+
+
+# The Monte Carlo routines as they were before they walked the draw in
+# chunks, kept as the oracle of the chunked ones: each forms whole
+# (n_mc, K-1) logit and probability blocks.
+def _whole_kl_stats(eta_true, eta_fit):
+    kls = kl_rows(eta_true, eta_fit)
+    n = kls.shape[0]
+    se = float(kls.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(kls.mean()), se
+
+
+def _whole_excess_risks(rep_hat, pre_head_hat, down_head_hat, truth, x, baseline_head):
+    z_true = truth.rep.apply(x)
+    z_hat = rep_hat.apply(x)
+
+    def logits(head, z):
+        return (head.alpha.T @ z.T).T
+
+    eta_down = logits(truth.down_head, z_true)
+    down = _whole_kl_stats(eta_down, logits(down_head_hat, z_hat))
+    pre = base = (math.nan, math.nan)
+    if pre_head_hat is not None:
+        pre = _whole_kl_stats(logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
+    if baseline_head is not None:
+        base = _whole_kl_stats(eta_down, logits(baseline_head, x))
+    return (*down, *pre, *base)
+
+
+def _whole_representation_difference(rep_hat, truth, x, fit_cfg, stage):
+    truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
+    eta_true = truth.rep.apply(x) @ truth_head.alpha
+    soft = softmax_full_rows(eta_true)[:, :-1]
+    z_hat = rep_hat.apply(x)
+    alpha, _ = fit_head_on_embeddings(z_hat, soft, truth_head.column_cap, fit_cfg)
+    return _whole_kl_stats(eta_true, z_hat @ alpha)
+
+
+def _chunk_instance(n_mc, seed=40):
+    """A K = 30 truth in d = 10, fitted heads near it, and an n_mc-row draw."""
+    rng = derive_rng(seed, "chunks")
+    truth = make_ground_truth(10, 3, 30, 6, 2.0, rng)
+    heads = {
+        "pre": LinearHead(truth.pre_head.alpha * 0.9, 1.0),
+        "down": LinearHead(truth.down_head.alpha * 1.1, 1.0),
+        "base": LinearHead(rng.standard_normal((10, 5)) * 0.2, 1.0),
+    }
+    x = sample_covariates(isotropic_covariates(10), n_mc, rng)
+    return truth, _perturbed_rep(truth, 0.3, rng), heads, x
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MC_SIZES = [1, 2047, 2048, 2049, 5000]
+
+
+class TestChunkedMonteCarlo:
+    """The chunked risks give the bits of the whole-block formulas."""
+
+    @pytest.mark.parametrize("n_mc", MC_SIZES)
+    @pytest.mark.parametrize("with_heads", [False, True])
+    def test_excess_risks_match_the_whole_block(self, n_mc, with_heads):
+        truth, rep_hat, heads, x = _chunk_instance(n_mc)
+        pre = heads["pre"] if with_heads else None
+        base = heads["base"] if with_heads else None
+        report = measure_excess_risks(rep_hat, pre, heads["down"], truth, x, n_mc,
+                                      baseline_head=base)
+        got = (report.excess_transfer_risk, report.std_error,
+               report.excess_pretrain_risk, report.pretrain_std_error,
+               report.baseline_excess_risk, report.baseline_std_error)
+        np.testing.assert_array_equal(
+            got, _whole_excess_risks(rep_hat, pre, heads["down"], truth, x, base))
+
+    def test_a_chunk_past_the_shift_free_range_matches_the_whole_block(self):
+        # logits far above softmax._SHIFT_FREE_MAX in the second chunk only:
+        # each kl_rows call must see the rows that its own chunk held
+        truth, rep_hat, heads, x = _chunk_instance(5000)
+        x[_KL_CHUNK:2 * _KL_CHUNK] *= 400.0
+        report = measure_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x, 5000,
+                                      baseline_head=heads["base"])
+        got = (report.excess_transfer_risk, report.std_error,
+               report.excess_pretrain_risk, report.pretrain_std_error,
+               report.baseline_excess_risk, report.baseline_std_error)
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(
+            got, _whole_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x,
+                                     heads["base"]))
+
+    @pytest.mark.parametrize("n_mc", MC_SIZES)
+    @pytest.mark.parametrize("stage", ["pretrain", "downstream"])
+    def test_representation_difference_matches_the_whole_block(self, n_mc, stage):
+        truth, rep_hat, _, x = _chunk_instance(n_mc)
+        cfg = OptimConfig(max_iters=200, grad_tol=1e-7)
+        assert representation_difference(rep_hat, truth, x, cfg, stage) == (
+            _whole_representation_difference(rep_hat, truth, x, cfg, stage))
+
+
+class TestMonteCarloMemory:
+    """No (n_mc, K-1) block is held whole, and a head fit holds one logit block."""
+
+    def test_excess_risks_hold_no_whole_logit_block(self):
+        n_mc, d = 100_000, 20
+        rng = derive_rng(41, "mem")
+        truth = make_ground_truth(d, 3, 30, 30, 2.0, rng)
+        x = sample_covariates(isotropic_covariates(d), n_mc, rng)
+        heads = [LinearHead(h.alpha * 0.9, 1.0) for h in (truth.pre_head, truth.down_head)]
+        base = LinearHead(rng.standard_normal((d, 29)) * 0.05, 1.0)
+        block = n_mc * 29 * 8
+        peak = _peak_bytes(lambda: measure_excess_risks(
+            _perturbed_rep(truth, 0.3, rng), *heads, truth, x, n_mc, baseline_head=base))
+        # the two (n_mc, r) embeddings, one n_mc KL vector, and chunk buffers
+        assert peak < block / 2, (peak, block)
+
+    def test_head_fit_holds_one_logit_block(self):
+        n, width = 20_000, 29
+        rng = derive_rng(42, "mem")
+        z = rng.standard_normal((n, 3))
+        soft = softmax_full_rows(rng.standard_normal((n, width)))[:, :-1].copy()
+        block = n * width * 8
+        peak = _peak_bytes(lambda: fit_head_on_embeddings(
+            z, soft, 1.0, OptimConfig(max_iters=30, grad_tol=1e-12)))
+        assert peak < 1.5 * block, (peak, block)
+
+    def test_complexity_noise_block_stays_near_a_chunk(self):
+        # the shape diagnose uses: 400 draws at n = 2000 rows and one logit
+        z = derive_rng(43, "mem").standard_normal((2000, 3))
+        peak = _peak_bytes(lambda: empirical_gaussian_complexity_linear(
+            z, 1.0, 2, 400, derive_rng(44, "mem")))
+        assert peak < 1_000_000, peak
 
 
 class TestSchurComplementBound:

@@ -37,7 +37,6 @@ from transferlab.erm import (
     _head_grad,
     _head_risk,
     TrainTrace,
-    HypothesisConfig,
     OptimConfig,
     fit_downstream_head,
     fit_head_on_embeddings,
@@ -401,7 +400,7 @@ class TestPretrain:
         spec = isotropic_covariates(20)
         ds = make_dataset(truth, spec, 10_000, rng, "pretrain")
         result = pretrain(
-            ds, HypothesisConfig(embed_dim=3), 0.0,
+            ds, 3, 1.0, 0.0,
             OptimConfig(max_iters=1500, grad_tol=1e-5), derive_rng(4, "init"),
         )
         eta_true = (ds.x @ truth.rep.b) @ truth.pre_head.alpha
@@ -415,7 +414,7 @@ class TestPretrain:
         ds = make_dataset(truth, isotropic_covariates(8), 800, rng, "pretrain")
         lam = 0.3
         result = pretrain(
-            ds, HypothesisConfig(embed_dim=2), lam,
+            ds, 2, 1.0, lam,
             OptimConfig(max_iters=400, grad_tol=1e-8), derive_rng(5, "init"),
         )
         objective = np.array(result.trace.risk) - lam * np.array(result.trace.regularizer)
@@ -430,8 +429,8 @@ class TestPretrain:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 300, rng, "pretrain")
         cfg = OptimConfig(max_iters=100, grad_tol=1e-9)
-        a = pretrain(ds, HypothesisConfig(embed_dim=2), 0.0, cfg, derive_rng(7, "i"))
-        b = pretrain(ds, HypothesisConfig(embed_dim=2), 0.0, cfg, derive_rng(7, "i"))
+        a = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(7, "i"))
+        b = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(7, "i"))
         np.testing.assert_array_equal(a.rep.b, b.rep.b)
         np.testing.assert_array_equal(a.head.alpha, b.head.alpha)
         assert a.trace.risk == b.trace.risk
@@ -443,9 +442,8 @@ class TestPretrain:
             truth = make_ground_truth(6, 2, 10, 2, 1.0, rng)
             ds = make_dataset(truth, isotropic_covariates(6), 600, rng, "pretrain")
             cfg = OptimConfig(max_iters=250, grad_tol=1e-6)
-            hyp = HypothesisConfig(embed_dim=2)
-            plain = pretrain(ds, hyp, 0.0, cfg, derive_rng(seed, "init"))
-            reg = pretrain(ds, hyp, 0.5, cfg, derive_rng(seed, "init"))
+            plain = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(seed, "init"))
+            reg = pretrain(ds, 2, 1.0, 0.5, cfg, derive_rng(seed, "init"))
             deltas.append(
                 diversity_parameter(reg.head) - diversity_parameter(plain.head)
             )
@@ -459,7 +457,7 @@ class TestPretrain:
         rng = derive_rng(16, "stall")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 200, rng, "pretrain")
-        result = pretrain(ds, HypothesisConfig(embed_dim=2), 0.0, OptimConfig(max_iters=10),
+        result = pretrain(ds, 2, 1.0, 0.0, OptimConfig(max_iters=10),
                           derive_rng(16, "init"))
         assert result.trace.stalled
         assert result.trace.stall_reason == "joint: line search hit minimum step without decrease"
@@ -474,7 +472,7 @@ class TestPretrain:
         truth = make_ground_truth(6, 2, 5, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 100, rng, "pretrain")
         with pytest.raises(ContractViolation, match="lambda must be a finite number >= 0"):
-            pretrain(ds, HypothesisConfig(embed_dim=2), bad, OptimConfig(max_iters=10),
+            pretrain(ds, 2, 1.0, bad, OptimConfig(max_iters=10),
                      derive_rng(9, "init"))
 
     def test_lambda_needs_feasible_width(self):
@@ -483,7 +481,7 @@ class TestPretrain:
         ds = make_dataset(truth, isotropic_covariates(6), 100, rng, "pretrain")
         with pytest.raises(ContractViolation):
             pretrain(
-                ds, HypothesisConfig(embed_dim=5), 0.5,
+                ds, 5, 1.0, 0.5,
                 OptimConfig(max_iters=10), derive_rng(9, "init"),
             )
 
@@ -587,7 +585,7 @@ class TestBarzilaiBorwein:
         truth = make_ground_truth(8, 2, 10, 2, 2.0, rng)
         ds = make_dataset(truth, isotropic_covariates(8), 600, rng, "pretrain")
         result = pretrain(
-            ds, HypothesisConfig(embed_dim=2), lam, OptimConfig(max_iters=300, grad_tol=1e-6),
+            ds, 2, 1.0, lam, OptimConfig(max_iters=300, grad_tol=1e-6),
             derive_rng(17, "init"),
         )
         trace = result.trace
@@ -863,11 +861,11 @@ def _alternating_stage_one(x, y, cap, lambda_div, cfg, b):
 
 
 def _joint_instance(seed):
-    """A small stage-one problem (d=6, r=2, K=6, n=400) and its config."""
+    """A small stage-one problem (d=6, K=6, n=400) and its config; fit at r=2, cap 1."""
     rng = derive_rng(seed, "joint-vs-alternating")
     truth = make_ground_truth(6, 2, 6, 2, 2.0, rng)
     ds = make_dataset(truth, isotropic_covariates(6), 400, rng, "pretrain")
-    return ds, HypothesisConfig(embed_dim=2), OptimConfig(max_iters=3000, grad_tol=1e-7)
+    return ds, OptimConfig(max_iters=3000, grad_tol=1e-7)
 
 
 class TestJointStepAgainstAlternation:
@@ -881,13 +879,13 @@ class TestJointStepAgainstAlternation:
         # seeds 0-29 they stopped at the same point at both lambdas (the
         # objective not convex in the head at lambda > 0), |difference| at
         # most 2e-13 and frames at most 3e-6 rad apart
-        ds, hyp, cfg = _joint_instance(seed)
-        result = pretrain(ds, hyp, lam, cfg, derive_rng(seed, "init"))
+        ds, cfg = _joint_instance(seed)
+        result = pretrain(ds, 2, 1.0, lam, cfg, derive_rng(seed, "init"))
         trace = result.trace
         assert trace.outcome == "converged"
         joint = trace.risk[-1] - lam * trace.regularizer[-1]
         start = SubspaceRep.random(6, 2, derive_rng(seed, "init")).b
-        rep, _, ref = _alternating_stage_one(ds.x, ds.y, hyp.head_cap, lam, cfg, start)
+        rep, _, ref = _alternating_stage_one(ds.x, ds.y, 1.0, lam, cfg, start)
         assert abs(joint - ref) <= 1e-10
         assert principal_angles(result.rep, rep)[-1] <= 1e-4
 
@@ -917,8 +915,8 @@ class TestJointStepAgainstAlternation:
 
         monkeypatch.setattr(erm, "_bb_step", spy_bb_step)
         monkeypatch.setattr(erm, "_backtrack", spy_backtrack)
-        ds, hyp, cfg = _joint_instance(seed)
-        result = pretrain(ds, hyp, lam, cfg, derive_rng(seed, "init"))
+        ds, cfg = _joint_instance(seed)
+        result = pretrain(ds, 2, 1.0, lam, cfg, derive_rng(seed, "init"))
         trace = result.trace
         assert trace.outcome == "converged"
         assert len(searches) == len(trace) - 1
@@ -949,9 +947,9 @@ def test_evaluations_count_every_objective_evaluation(fit, monkeypatch):
         return _head_risk(*args)
 
     monkeypatch.setattr(erm, "_head_risk", counting_risk)
-    ds, hyp, cfg = _joint_instance(1)
+    ds, cfg = _joint_instance(1)
     if fit == "pretrain":
-        trace = pretrain(ds, hyp, 0.5, cfg, derive_rng(1, "init")).trace
+        trace = pretrain(ds, 2, 1.0, 0.5, cfg, derive_rng(1, "init")).trace
     else:
         _, trace = fit_head_on_embeddings(ds.x, ds.y, 1.0, OptimConfig(grad_tol=1e-7))
     assert trace.evaluations == len(calls) >= len(trace)
@@ -979,16 +977,15 @@ class TestFailFast:
 
     @pytest.mark.parametrize("cap", BAD_CAPS)
     def test_pretrain_rejects_cap(self, cap, no_work):
-        ds, _, cfg = _joint_instance(0)
+        ds, cfg = _joint_instance(0)
         with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
-            pretrain(ds, HypothesisConfig(embed_dim=2, head_cap=cap), 0.0, cfg,
-                     derive_rng(0, "init"))
+            pretrain(ds, 2, cap, 0.0, cfg, derive_rng(0, "init"))
 
     @pytest.mark.parametrize("r", [0, -1, 7, 2.5, True])
     def test_pretrain_rejects_embed_dim_outside_one_to_d(self, r, no_work):
-        ds, _, cfg = _joint_instance(0)  # d = 6
+        ds, cfg = _joint_instance(0)  # d = 6
         with pytest.raises(ContractViolation, match="1..d = 6"):
-            pretrain(ds, HypothesisConfig(embed_dim=r), 0.0, cfg, derive_rng(0, "init"))
+            pretrain(ds, r, 1.0, 0.0, cfg, derive_rng(0, "init"))
 
 
 class TestBaseline:

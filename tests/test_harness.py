@@ -257,6 +257,25 @@ class TestRunSweep:
         assert records[0].excess_pretrain == records[1].excess_pretrain
         assert records[0].excess_pretrain_se == records[1].excess_pretrain_se
 
+    def test_one_truth_build_per_token_and_trial(self, monkeypatch):
+        # the m and lambda cells share a token, the two condition numbers do not
+        doc = dict(MICRO, trials=2)
+        doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], condition_number=[1.0, 2.0],
+                           lambda_div=[0.0, 0.3])
+        cfg = SweepConfig.from_dict(doc)
+        builds = []
+        build = harness.cell_truth
+
+        def spy(cfg_, cell, trial):
+            parts = build(cfg_, cell, trial)
+            builds.append((parts[2], trial))
+            return parts
+
+        monkeypatch.setattr(harness, "cell_truth", spy)
+        records = run_sweep(cfg)
+        assert [rec.status for rec in records] == ["ok"] * 16
+        assert len(builds) == len(set(builds)) == 4
+
     def test_rows_in_trial_then_cell_order(self, micro_records):
         assert [(rec.trial, rec.cell_index) for rec in micro_records] == [
             (trial, idx) for trial in range(2) for idx in range(3)]
