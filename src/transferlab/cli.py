@@ -99,7 +99,7 @@ def _file_digest(path) -> str:
 
 def _write_trace(path, trace) -> None:
     columns = ["iter", "risk", "regularizer", "grad_norm", "step", "nu_tilde"]
-    series = (trace.iters, trace.risk, trace.regularizer,
+    series = (range(len(trace)), trace.risk, trace.regularizer,
               trace.grad_norm, trace.step, trace.nu_tilde)
     harness.write_csv(path, [dict(zip(columns, row)) for row in zip(*series)], columns)
 
@@ -162,12 +162,26 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+def _check_fits_truth(bundle: dict, truth, path) -> None:
+    """Raise unless the bundle's d and its heads' class counts are the truth's."""
+    if bundle["rep"].input_dim != truth.rep.input_dim:
+        raise ContractViolation(
+            f"model bundle {path}: 'rep' has d = {bundle['rep'].input_dim}, "
+            f"but the truth has d = {truth.rep.input_dim}")
+    for role in ("pre_head", "down_head"):
+        if role in bundle and bundle[role].n_logits != getattr(truth, role).n_logits:
+            raise ContractViolation(
+                f"model bundle {path}: {role!r} has {bundle[role].n_logits} logits, "
+                f"but the truth's has {getattr(truth, role).n_logits}")
+
+
 def _cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
     truth, spec = load_truth(args.truth)
     rep = bundle["rep"]
+    _check_fits_truth(bundle, truth, args.model)
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
     _check_schur_samples(n_mc, truth.rep.embed_dim)
     rng_tok = ("cli-diagnose", _file_digest(args.model), _file_digest(args.truth), n_mc)

@@ -45,7 +45,6 @@ __all__ = [
     "representation_difference",
     "schur_complement_bound",
     "chain_rule_check",
-    "BoundParams",
     "evaluate_risk_bound",
 ]
 
@@ -59,7 +58,6 @@ class RiskReport:
 
     excess_transfer_risk: float
     excess_pretrain_risk: float
-    mc_samples: int
     std_error: float
     pretrain_std_error: float = math.nan
     baseline_excess_risk: float = math.nan
@@ -68,13 +66,10 @@ class RiskReport:
 
 @dataclass
 class ComplexityEstimate:
-    """A Gaussian/Rademacher complexity value with its provenance."""
+    """A Gaussian/Rademacher complexity value with its Monte Carlo error bar."""
 
     value: float
-    draws: int
     std_error: float
-    kind: str = "gaussian"
-    scope: str = "empirical"
 
 
 # Rows per Monte Carlo chunk: kl_rows then takes exactly one of its own
@@ -83,6 +78,13 @@ _MC_CHUNK = _KL_CHUNK
 # Noise scalars per complexity block, about one Monte Carlo logit chunk; a
 # block holds whole draws, at least one.
 _CHUNK_SCALARS = 32 * _MC_CHUNK
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the Monte Carlo values and its standard error (0 for one value)."""
+    n = values.shape[0]
+    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se
 
 
 def empirical_gaussian_complexity_linear(
@@ -116,8 +118,7 @@ def empirical_gaussian_complexity_linear(
         vals[done : done + take] = np.linalg.norm(sums, axis=2).sum(axis=1)
         done += take
     vals *= column_cap / n
-    se = float(vals.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-    return ComplexityEstimate(float(vals.mean()), draws, se, "gaussian", "empirical")
+    return ComplexityEstimate(*_mean_se(vals))
 
 
 def worst_case_complexity_linear(
@@ -131,7 +132,7 @@ def worst_case_complexity_linear(
     if n < 1:
         raise ContractViolation("need n >= 1")
     value = column_cap * (n_classes - 1) * max_embed_norm / math.sqrt(n)
-    return ComplexityEstimate(float(value), 0, 0.0, "gaussian", "worst-case")
+    return ComplexityEstimate(float(value), 0.0)
 
 
 def mc_complexity_finite(
@@ -155,9 +156,7 @@ def mc_complexity_finite(
         noise = rng.standard_normal((draws, flat.shape[1]))
     else:
         noise = rng.integers(0, 2, size=(draws, flat.shape[1])) * 2.0 - 1.0
-    sups = (noise @ flat.T).max(axis=1) / n
-    se = float(sups.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-    return ComplexityEstimate(float(sups.mean()), draws, se, kind, "empirical")
+    return ComplexityEstimate(*_mean_se((noise @ flat.T).max(axis=1) / n))
 
 
 def _mc_chunks(n: int):
@@ -171,8 +170,7 @@ def _kl_stats(n: int, eta_true, eta_fit) -> tuple[float, float]:
     kls = np.empty(n)
     for rows in _mc_chunks(n):
         kls[rows] = kl_rows(eta_true(rows), eta_fit(rows))
-    se = float(kls.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(kls.mean()), se
+    return _mean_se(kls)
 
 
 def measure_excess_risks(
@@ -212,7 +210,7 @@ def measure_excess_risks(
         pre = _kl_stats(n_mc, logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
     if baseline_head is not None:
         base = _kl_stats(n_mc, eta_down, logits(baseline_head, x))
-    return RiskReport(down[0], pre[0], n_mc, down[1], pre[1], base[0], base[1])
+    return RiskReport(down[0], pre[0], down[1], pre[1], base[0], base[1])
 
 
 def representation_difference(
@@ -358,44 +356,31 @@ def chain_rule_check(
 _DELTA = 0.05
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the closed-form risk rate."""
-
-    n: int
-    m: int
-    k: int
-    k_prime: int
-    r: int
-    d: int
-    nu_tilde: float
-
-    def __post_init__(self):
-        for name in ("n", "m", "k", "k_prime", "r", "d"):
-            if getattr(self, name) <= 0:
-                raise ContractViolation(f"{name} must be positive")
-        if self.nu_tilde < 0:
-            raise ContractViolation("nu_tilde must be nonnegative")
-
-
-def evaluate_risk_bound(params: BoundParams) -> float:
+def evaluate_risk_bound(*, n: int, m: int, k: int, k_prime: int, r: int, d: int,
+                        nu_tilde: float) -> float:
     """Evaluate the closed-form excess-risk rate of the subspace class.
 
     The rate is (pre-training terms) / nu_tilde + (downstream terms) at
     confidence delta = 0.05, with every hidden universal constant set to
-    1. ``nu_tilde = 0`` returns infinity.
+    1. The sizes must be positive and ``nu_tilde`` nonnegative;
+    ``nu_tilde = 0`` returns infinity.
     """
-    p = params
-    if p.nu_tilde == 0.0:
+    sizes = {"n": n, "m": m, "k": k, "k_prime": k_prime, "r": r, "d": d}
+    for name, value in sizes.items():
+        if value <= 0:
+            raise ContractViolation(f"{name} must be positive")
+    if nu_tilde < 0:
+        raise ContractViolation("nu_tilde must be nonnegative")
+    if nu_tilde == 0.0:
         return math.inf
     log_inv_delta = math.log(1.0 / _DELTA)
 
     pre = (
-        math.sqrt(p.k)
-        * math.log(p.n)
-        * (math.sqrt(p.k * p.d * p.r**2 / p.n) + p.k * math.sqrt(p.r / p.n))
-        + p.k / p.n**2
-        + math.sqrt(log_inv_delta / p.n)
+        math.sqrt(k)
+        * math.log(n)
+        * (math.sqrt(k * d * r**2 / n) + k * math.sqrt(r / n))
+        + k / n**2
+        + math.sqrt(log_inv_delta / n)
     )
-    down = p.k_prime**1.5 * math.sqrt(p.r / p.m) + p.k_prime * math.sqrt(log_inv_delta / p.m)
-    return pre / p.nu_tilde + down
+    down = k_prime**1.5 * math.sqrt(r / m) + k_prime * math.sqrt(log_inv_delta / m)
+    return pre / nu_tilde + down

@@ -83,16 +83,16 @@ class OptimConfig:
 class TrainTrace:
     """Per-iteration optimizer log plus how the run ended.
 
-    ``outcome`` is "converged" (the projected-gradient norm reached
-    ``grad_tol``), "stalled" (a line search ended without a step, for the
-    ``stall_reason`` ``_backtrack`` gives) or "max_iters" (the iteration
-    budget ran out first); it is empty until the run ends. ``step`` holds
-    the head's accepted step, and ``evaluations`` counts every objective
-    evaluation of the run: the starting point's and every line-search
-    trial's.
+    Entry i of each list is iteration i, so ``len(trace)`` counts the
+    iterations. ``outcome`` is "converged" (the projected-gradient norm
+    reached ``grad_tol``), "stalled" (a line search ended without a step,
+    for the ``stall_reason`` ``_backtrack`` gives) or "max_iters" (the
+    iteration budget ran out first); it is empty until the run ends.
+    ``step`` holds the head's accepted step, and ``evaluations`` counts
+    every objective evaluation of the run: the starting point's and every
+    line-search trial's.
     """
 
-    iters: list = field(default_factory=list)
     risk: list = field(default_factory=list)
     regularizer: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
@@ -102,8 +102,7 @@ class TrainTrace:
     stall_reason: str = ""
     evaluations: int = 0
 
-    def append(self, it, risk, reg, gnorm, step, nu):
-        self.iters.append(int(it))
+    def append(self, risk, reg, gnorm, step, nu):
         self.risk.append(float(risk))
         self.regularizer.append(float(reg))
         self.grad_norm.append(float(gnorm))
@@ -121,7 +120,7 @@ class TrainTrace:
         self.stall_reason = f"{what}: {reason}"
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.risk)
 
 
 @dataclass
@@ -353,7 +352,7 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
             grad_b = _frame_grad(xt, terms, alpha, soft)
             pg_rep = float(np.linalg.norm(_tangent(b, grad_b)))
         gnorm = float(np.hypot(pg_head, pg_rep))
-        trace.append(it, risk, reg, gnorm, last_step, diversity_parameter(alpha))
+        trace.append(risk, reg, gnorm, last_step, diversity_parameter(alpha))
         if gnorm <= cfg.grad_tol:
             trace.outcome = "converged"
             break

@@ -27,17 +27,15 @@ class InfeasibleDiversityError(ValueError):
 def check_scalars(where: str, values: dict, defaults: dict) -> None:
     """Require each scalar setting to have the type of its default.
 
-    Booleans must be booleans, integers integers, and floats finite real
-    numbers (an integer is accepted for a float); settings whose default
-    is not a scalar are checked where they are used.
+    Integers must be integers and floats finite real numbers (an integer
+    is accepted for a float; a boolean is neither); settings whose default
+    is not a number are checked where they are used.
     """
     for key, default in defaults.items():
         if key not in values:
             continue
         value = values[key]
-        if isinstance(default, bool):
-            kind, ok = "a boolean", isinstance(value, bool)
-        elif isinstance(default, int):
+        if isinstance(default, int):
             kind = "an integer"
             ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
         elif isinstance(default, float):

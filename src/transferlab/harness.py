@@ -39,7 +39,7 @@ from .synthetic import (
     sample_covariates,
 )
 from .erm import OptimConfig, fit_downstream_head, pretrain, train_baseline
-from .diagnostics import BoundParams, evaluate_risk_bound, measure_excess_risks
+from .diagnostics import evaluate_risk_bound, measure_excess_risks
 
 __all__ = [
     "SweepConfig",
@@ -81,7 +81,6 @@ def default_config() -> dict:
         "optimizer": {"max_iters": 2000, "grad_tol": 1e-5},
         "head_optimizer": {"max_iters": 4000, "grad_tol": 1e-7},
         "diagnostics": {"risk_mc_samples": 20000},
-        "baseline": True,
     }
 
 
@@ -95,7 +94,6 @@ class SweepConfig:
     optimizer: dict
     head_optimizer: dict
     diagnostics: dict
-    baseline: bool = True
 
     def __post_init__(self):
         # the optimizer sections are checked by OptimConfig itself
@@ -168,8 +166,7 @@ class ExperimentRecord:
     """One sweep cell x trial outcome; failures carry a reason.
 
     Each ``*_outcome`` is the ``TrainTrace.outcome`` of that stage's fit
-    ("converged", "stalled" or "max_iters"); it is empty for a failed row
-    and for the baseline of a sweep without one.
+    ("converged", "stalled" or "max_iters"); it is empty for a failed row.
     """
 
     cell_index: int
@@ -207,7 +204,7 @@ _CSV_FIELDS = tuple(
     for column in (GRID_KEYS if f.name == "params" else (f.name,))
 )
 # the values a stage's outcome column may hold: a TrainTrace.outcome, or
-# empty for a failed row and a skipped baseline
+# empty for a failed row
 _OUTCOMES = ("", "converged", "stalled", "max_iters")
 
 
@@ -299,10 +296,8 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         result.rep, down_ds, down_cap, cfg.head_optim_config()
     )
     rec.downstream_outcome = down_trace.outcome
-    base_head = None
-    if cfg.baseline:
-        base_head, base_trace = train_baseline(down_ds, down_cap, cfg.head_optim_config())
-        rec.baseline_outcome = base_trace.outcome
+    base_head, base_trace = train_baseline(down_ds, down_cap, cfg.head_optim_config())
+    rec.baseline_outcome = base_trace.outcome
 
     # one draw per covariate law: a cell's risks do not depend on which
     # other cells share its trial
@@ -329,10 +324,10 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_outcome = result.trace.outcome
-    rec.bound_value = evaluate_risk_bound(BoundParams(
+    rec.bound_value = evaluate_risk_bound(
         n=n, m=cell["m"], k=cell["k"], k_prime=cell["k_prime"], r=r, d=cell["d"],
         nu_tilde=rec.nu_true,
-    ))
+    )
     rec.wall_time = time.perf_counter() - start
     return rec
 

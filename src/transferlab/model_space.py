@@ -195,7 +195,15 @@ def save_bundle(path, components: dict) -> None:
 
 
 def load_bundle(path) -> dict:
+    """Read a ``save_bundle`` file; every head must act on the ``rep``'s embeddings."""
     with open(path) as fh:
         doc = json.load(fh)
     require_keys(doc, (), f"model bundle {path}")
-    return {name: component_from_payload(payload, name) for name, payload in doc.items()}
+    bundle = {name: component_from_payload(payload, name) for name, payload in doc.items()}
+    r = bundle["rep"].embed_dim if "rep" in bundle else None
+    for name, head in bundle.items():
+        if isinstance(head, LinearHead) and r is not None and head.embed_dim != r:
+            raise ContractViolation(
+                f"model bundle {path}: {name!r} has r = {head.embed_dim}, "
+                f"but 'rep' has r = {r}")
+    return bundle

@@ -38,9 +38,10 @@ def test_print_default_config(capsys):
     assert main(["print-default-config"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == default_config()
-    # the truth, covariate and bound settings are constants, not config
+    # the truth, covariate and bound settings are constants, not config, and
+    # every cell fits the baseline
     assert list(json.loads(out)) == [
-        "seed", "trials", "grid", "optimizer", "head_optimizer", "diagnostics", "baseline"]
+        "seed", "trials", "grid", "optimizer", "head_optimizer", "diagnostics"]
 
 
 def test_usage_errors_exit_one(capsys):
@@ -297,7 +298,7 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     {"trials": "2"},
     {"trials": 1.5},
     {"diagnostics": {"risk_mc_samples": 100.5}},
-    {"baseline": "no"},
+    {"baseline": "no"},  # the baseline switch left the config: an unknown key
     {"optimizer": {"max_iters": "50"}},
     # the hypothesis section, which went with the MLP family: an unknown key
     {"hypothesis": {"kind": "mlp", "mlp_widths": ["a"], "mlp_caps": [1, 1]}},
@@ -369,10 +370,10 @@ def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
     assert not (out / "summary.txt").exists()
 
 
-# the line-search policy, the ridge, the rate setting and the truth,
-# covariate and bound sections left the config: a saved config that still
-# names one is rejected like any unknown key
-_REMOVED_SECTIONS = ("truth", "covariates", "bound")
+# the line-search policy, the ridge, the rate setting, the truth,
+# covariate and bound sections and the baseline switch left the config: a
+# saved config that still names one is rejected like any unknown key
+_REMOVED_TOP_LEVEL = ("truth", "covariates", "bound", "baseline")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -386,14 +387,16 @@ _REMOVED_SECTIONS = ("truth", "covariates", "bound")
     ("truth", "pre_head_cap", 1.0),
     ("covariates", "scale", 1.0),
     ("bound", "delta", 0.05),
+    ("baseline", None, False),
 ])
 def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys):
     config = tmp_path / "old.json"
-    config.write_text(json.dumps({"trials": 1, "grid": {"n": [500]}, section: {key: value}}))
+    entry = value if key is None else {key: value}  # a switch holds no keys
+    config.write_text(json.dumps({"trials": 1, "grid": {"n": [500]}, section: entry}))
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    if section in _REMOVED_SECTIONS:
+    if section in _REMOVED_TOP_LEVEL:
         assert f"unknown config keys [{section!r}]" in err
     else:
         assert f"unknown {section} keys" in err and repr(key) in err
@@ -662,3 +665,41 @@ def test_diagnose_rejects_too_few_mc_samples_before_any_work(tmp_path, micro_con
     assert "n_mc >= 10 r = 20" in capsys.readouterr().err
     assert called == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("role, edit, message", [
+    pytest.param("down_head", lambda e: e[:1], "'down_head' has r = 1, but 'rep' has r = 2",
+                 id="down-head-r"),
+    pytest.param("pre_head", lambda e: e[:1], "'pre_head' has r = 1, but 'rep' has r = 2",
+                 id="pre-head-r"),
+    pytest.param("pre_head", lambda e: [row[:2] for row in e],
+                 "'pre_head' has 2 logits, but the truth's has 4", id="pre-head-classes"),
+    pytest.param("down_head", lambda e: [row * 2 for row in e],
+                 "'down_head' has 2 logits, but the truth's has 1", id="down-head-classes"),
+    pytest.param("rep", lambda e: [*e, [0.0, 0.0]], "'rep' has d = 6, but the truth has d = 5",
+                 id="rep-d"),
+])
+def test_diagnose_rejects_a_bundle_that_does_not_fit(tmp_path, micro_config, role, edit,
+                                                     message, monkeypatch, capsys):
+    # a part cut to another r used to fail in a matmul as a runtime error, and
+    # a head of another class count or a frame of another d only after the
+    # covariates were drawn, with a message that named neither
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    doc = json.loads(truth.read_text())
+    bundle = {k: doc[k] for k in ("rep", "pre_head", "down_head")}
+    bundle[role] = dict(bundle[role], entries=edit(bundle[role]["entries"]))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(bundle))
+    draws = []
+    monkeypatch.setattr(cli, "sample_covariates", lambda *a, **k: draws.append(a[1]))
+    out = tmp_path / "diag.csv"
+    assert main([
+        "diagnose", "--config", micro_config, "--model", str(model),
+        "--truth", str(truth), "--out", str(out),
+    ]) == 1
+    assert message in capsys.readouterr().err
+    assert draws == []
+    assert not out.exists() and not (tmp_path / "diag.csv.txt").exists()

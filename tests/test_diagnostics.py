@@ -21,7 +21,6 @@ from transferlab.synthetic import (
 )
 from transferlab.erm import OptimConfig, fit_head_on_embeddings
 from transferlab.diagnostics import (
-    BoundParams,
     chain_rule_check,
     empirical_gaussian_complexity_linear,
     evaluate_risk_bound,
@@ -100,7 +99,7 @@ class TestEmpiricalComplexityLinear:
     def test_worst_case_reduction(self):
         est = worst_case_complexity_linear(0.5, 4, 2.0, 25)
         assert est.value == pytest.approx(0.5 * 3 * 2.0 / 5.0)
-        assert est.scope == "worst-case"
+        assert est.std_error == 0.0  # analytic: nothing is sampled
 
 
 class TestMcComplexityFinite:
@@ -120,7 +119,7 @@ class TestMcComplexityFinite:
         outs = [np.array([[z]]), np.array([[-z]])]
         est = mc_complexity_finite(outs, 500, "rademacher", derive_rng(8, "m"))
         assert est.value == pytest.approx(z, abs=1e-12)  # sup = |eps z| = z always
-        assert est.kind == "rademacher"
+        assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_superset_monotone_same_draws(self):
         rng = derive_rng(9, "m")
@@ -235,7 +234,7 @@ class TestTransferRisk:
         )
         assert report.excess_transfer_risk >= 0.0
         assert report.excess_pretrain_risk >= 0.0
-        assert report.mc_samples == 4000
+        assert report.std_error > 0.0 and report.pretrain_std_error > 0.0
 
 
     @pytest.mark.parametrize("rows", [1999, 2001])
@@ -572,13 +571,13 @@ def _term_ratio(term, key, factor):
     """
     moved = {**DESK, key: DESK[key] * factor}
     for params in (DESK, moved):
-        assert evaluate_risk_bound(BoundParams(**params)) == pytest.approx(
+        assert evaluate_risk_bound(**params) == pytest.approx(
             sum(_rate_terms(**params).values()), rel=1e-12)
     return _rate_terms(**moved)[term] / _rate_terms(**DESK)[term]
 
 
 def _bound_at_nu(nu_tilde):
-    return evaluate_risk_bound(BoundParams(**{**DESK, "nu_tilde": nu_tilde}))
+    return evaluate_risk_bound(**{**DESK, "nu_tilde": nu_tilde})
 
 
 class TestRiskBoundEvaluator:
@@ -601,26 +600,35 @@ class TestRiskBoundEvaluator:
         # does not fall with nu, 2 b(2) - b(1), halves as well
         def down(m):
             at = {**DESK, "m": m}
-            return (2.0 * evaluate_risk_bound(BoundParams(**{**at, "nu_tilde": 2.0}))
-                    - evaluate_risk_bound(BoundParams(**at)))
+            return (2.0 * evaluate_risk_bound(**{**at, "nu_tilde": 2.0})
+                    - evaluate_risk_bound(**at))
         assert down(4 * DESK["m"]) == pytest.approx(down(DESK["m"]) / 2.0, rel=1e-9)
 
     def test_monotonicities(self):
-        base = evaluate_risk_bound(BoundParams(**DESK))
+        base = evaluate_risk_bound(**DESK)
         assert base > 0 and math.isfinite(base)
         for key, factor, direction in (
             ("n", 2, -1), ("m", 2, -1), ("nu_tilde", 2, -1),
             ("k", 2, +1), ("d", 2, +1), ("r", 2, +1),
         ):
-            moved = evaluate_risk_bound(
-                BoundParams(**{**DESK, key: DESK[key] * factor})
-            )
+            moved = evaluate_risk_bound(**{**DESK, key: DESK[key] * factor})
             if direction < 0:
                 assert moved < base, key
             else:
                 assert moved > base, key
 
     def test_zero_diversity_is_infinite(self):
-        assert math.isinf(
-            evaluate_risk_bound(BoundParams(**{**DESK, "nu_tilde": 0.0}))
-        )
+        assert math.isinf(evaluate_risk_bound(**{**DESK, "nu_tilde": 0.0}))
+
+    @pytest.mark.parametrize("key, value, message", [
+        *((key, 0, f"{key} must be positive") for key in ("n", "m", "k", "k_prime", "r", "d")),
+        ("n", -5, "n must be positive"),
+        ("nu_tilde", -1e-12, "nu_tilde must be nonnegative"),
+    ])
+    def test_bad_inputs_rejected(self, key, value, message):
+        with pytest.raises(ContractViolation, match=message):
+            evaluate_risk_bound(**{**DESK, key: value})
+
+    def test_inputs_are_keywords_only(self):
+        with pytest.raises(TypeError):
+            evaluate_risk_bound(*DESK.values())

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from transferlab.diagnostics import BoundParams, evaluate_risk_bound
+from transferlab.diagnostics import evaluate_risk_bound
 from transferlab import harness
 from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
@@ -115,7 +115,7 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("doc", [
         {"seed": "abc"}, {"seed": -5}, {"seed": 1.0}, {"trials": "2"},
-        {"trials": True}, {"baseline": 1},
+        {"trials": True}, {"trials": 2.0},
         {"grid": {"n": [True]}}, {"grid": {"d": [float("inf")]}},
     ])
     def test_mistyped_scalar_rejected(self, doc):
@@ -216,26 +216,24 @@ class TestRunSweep:
             assert rec.downstream_outcome == "converged"
             assert rec.baseline_outcome == "converged"
 
-    def test_exhausted_budgets_and_skipped_baseline(self):
-        # one outer iteration cannot reach either tolerance; without a
-        # baseline that stage has no outcome
-        doc = dict(MICRO, trials=1, baseline=False,
-                   optimizer={"max_iters": 1}, head_optimizer={"max_iters": 1})
+    def test_exhausted_budgets(self):
+        # one outer iteration cannot reach any stage's tolerance
+        doc = dict(MICRO, trials=1, optimizer={"max_iters": 1}, head_optimizer={"max_iters": 1})
         doc["grid"] = dict(MICRO["grid"], n=[300])
         (rec,) = run_sweep(SweepConfig.from_dict(doc))
         assert rec.status == "ok"
         assert (rec.pretrain_outcome, rec.downstream_outcome, rec.baseline_outcome) == (
-            "max_iters", "max_iters", "")
+            "max_iters", "max_iters", "max_iters")
         assert rec.pretrain_iters == 1 and not rec.pretrain_stalled
 
     def test_bound_value_is_the_subspace_rate(self):
         # the record's rate is the evaluator's at the cell
-        doc = dict(MICRO, trials=1, baseline=False, optimizer={"max_iters": 20})
+        doc = dict(MICRO, trials=1, optimizer={"max_iters": 20})
         doc["grid"] = dict(MICRO["grid"], n=[300])
         (rec,) = run_sweep(SweepConfig.from_dict(doc))
         assert rec.status == "ok"
-        params = BoundParams(n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true)
-        assert rec.bound_value == evaluate_risk_bound(params)
+        assert rec.bound_value == evaluate_risk_bound(
+            n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true)
 
     def test_failed_row_has_no_outcomes(self):
         doc = dict(MICRO, trials=1)
