@@ -34,7 +34,7 @@ from .model_space import diversity_parameter, load_bundle, principal_angles, sav
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     HEAD_CAP,
-    covariate_spec_hash,
+    isotropic_covariates,
     load_dataset,
     load_truth,
     sample_covariates,
@@ -112,11 +112,11 @@ def _cmd_print_default_config(_args) -> int:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     cell = _first_cell(cfg)
-    truth_parts = spec, truth, _ = harness.cell_truth(cfg, cell, args.trial)
+    truth_parts = _, truth, _ = harness.cell_truth(cfg, cell, args.trial)
     ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth_parts)
-    save_dataset(args.out, ds, covariate_spec_hash(spec))
+    save_dataset(args.out, ds)
     truth_path = args.truth_out or (args.out + ".truth.json")
-    save_truth(truth_path, truth, spec)
+    save_truth(truth_path, truth)
     print(f"wrote {ds.n} samples (K={ds.k}) to {args.out}; truth to {truth_path}")
     return 0
 
@@ -179,14 +179,15 @@ def _cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
-    truth, spec = load_truth(args.truth)
+    truth = load_truth(args.truth)
     rep = bundle["rep"]
     _check_fits_truth(bundle, truth, args.model)
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
     _check_schur_samples(n_mc, truth.rep.embed_dim)
     rng_tok = ("cli-diagnose", _file_digest(args.model), _file_digest(args.truth), n_mc)
     # every Monte Carlo row is scored on this one draw (common random numbers)
-    x = sample_covariates(spec, n_mc, derive_rng(cfg.seed, *rng_tok, "risk"))
+    x = sample_covariates(isotropic_covariates(truth.rep.input_dim), n_mc,
+                          derive_rng(cfg.seed, *rng_tok, "risk"))
     rows = []
 
     def add(metric, value, se=float("nan")):

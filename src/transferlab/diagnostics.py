@@ -285,10 +285,7 @@ class ChainRuleReport:
     lhs_se: float
     rhs: float
     rhs_se: float
-    rep_complexity: float
-    head_complexity_worst: float
     lipschitz: float
-    output_bound: float
     passed: bool
 
 
@@ -342,10 +339,7 @@ def chain_rule_check(
         lhs_se=lhs_est.std_error,
         rhs=float(rhs),
         rhs_se=float(rhs_se),
-        rep_complexity=rep_est.value,
-        head_complexity_worst=worst.value,
         lipschitz=lipschitz,
-        output_bound=d_out,
         passed=lhs_est.value <= rhs + 3.0 * combined_se,
     )
 

@@ -16,10 +16,6 @@ class SingularMatrixError(ValueError):
     """A positive-definite factorization failed."""
 
 
-class InfeasibleSamplingError(ValueError):
-    """Rejection sampling cannot produce draws at a usable acceptance rate."""
-
-
 class InfeasibleDiversityError(ValueError):
     """Requested head dimensions cannot yield a full-rank Gram spectrum."""
 

@@ -210,8 +210,11 @@ _OUTCOMES = ("", "converged", "stalled", "max_iters")
 
 # Stream keys of the truth and of the covariate law end in the values of
 # the fixed settings they depend on: the truth's top singular value, head
-# caps and downstream fill, then the covariates' scale and cap factor.
-# They were config values once, and keeping them keeps every stream.
+# caps and downstream fill, then the covariates' scale (1, the identity
+# covariance) and cap factor (synthetic._CAP_FACTOR). They were config
+# values once, and keeping them keeps every stream; when the streams next
+# move, these go, and so can the column reversal in
+# synthetic.sample_covariates.
 _COVARIATE_KEY = (1.0, 3.0)
 _FIXED_TRUTH_KEY = (1.0, 1.0, 1.0, 0.7, *_COVARIATE_KEY)
 
@@ -522,17 +525,16 @@ def write_report(records, out_dir) -> ReportSummary:
     """
     if not records:
         raise ContractViolation("no records to report on")
+    rows = _cell_rows(_group_by_cell(records))
+    if not rows:
+        raise ContractViolation("every record failed; nothing to aggregate")
     os.makedirs(out_dir, exist_ok=True)
-    groups = _group_by_cell(records)
-    rows = _cell_rows(groups)
     n_failed = sum(1 for rec in records if rec.status != "ok")
     summary = ReportSummary(
         slope_n=None, slope_m=None, diversity_monotone=None,
         regularizer_raises_nu=None,
         n_ok=len(records) - n_failed, n_failed=n_failed,
     )
-    if not rows:
-        raise ContractViolation("every record failed; nothing to aggregate")
 
     base_cols = ["cell_index", *GRID_KEYS, "trials",
                  "median_excess", "q25_excess", "q75_excess"]

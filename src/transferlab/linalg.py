@@ -83,7 +83,7 @@ def orthonormalize(m) -> np.ndarray:
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise DegenerateInput(
-            f"columns numerically dependent: sigma_min/sigma_max = "
+            f"columns numerically dependent: least/largest singular value = "
             f"{sv[-1] / max(sv[0], 1e-300):.3e}"
         )
     q, rr = np.linalg.qr(a)

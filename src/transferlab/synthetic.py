@@ -1,8 +1,8 @@
 """Ground-truth construction and synthetic data generation.
 
-Covariates are drawn from a centered Gaussian N(0, Sigma) and
-rejection-resampled to the norm ball ||x|| <= D, which keeps the
-distribution sub-gaussian with the stated covariance spectrum while
+Covariates are drawn from the standard Gaussian N(0, I_d) and
+rejection-resampled to the norm ball ||x|| <= D = 3 sqrt(d), which keeps
+the distribution sub-gaussian with near-identity covariance while
 bounding every sample. Labels follow the multinomial logistic
 conditional of a ground-truth (representation, head) pair; class K is
 encoded as the all-zero one-hot row.
@@ -14,17 +14,14 @@ experimental control knob.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation, InfeasibleDiversityError, InfeasibleSamplingError, require_keys,
-    require_numbers,
-)
+from .errors import ContractViolation, InfeasibleDiversityError, require_keys
 from .linalg import as_matrix, orthonormalize, sym_spectral
 from .model_space import LinearHead, SubspaceRep, component_from_payload, component_to_payload
 from .softmax import softmax_full_rows
@@ -42,55 +39,31 @@ __all__ = [
     "load_dataset",
     "save_truth",
     "load_truth",
-    "covariate_spec_hash",
 ]
+
+
+# the covariates' norm cap is this factor times sqrt(d), read at each draw
+_CAP_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
 class CovariateSpec:
-    """Covariate law: N(0, Sigma) truncated to the ball of radius ``norm_cap``.
+    """Covariate law: N(0, I_d) truncated to the ball of radius 3 sqrt(d)."""
 
-    ``sigma_min``/``sigma_max`` are the certified bounds on the spectrum
-    of Sigma; construction fails if Sigma leaves them, if they are not
-    0 <= sigma_min <= sigma_max, or if ``norm_cap`` is not positive
-    (NaN included).
-    """
-
-    sigma: np.ndarray
-    norm_cap: float
-    sigma_min: float
-    sigma_max: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_min <= self.sigma_max:
-            raise ContractViolation("spectrum bounds need 0 <= sigma_min <= sigma_max")
-        if not self.norm_cap > 0:
-            raise ContractViolation(f"norm cap must be positive, got {self.norm_cap}")
-        s = as_matrix(self.sigma, "covariance")
-        lam, _ = sym_spectral(s)
-        if lam[-1] < self.sigma_min - 1e-10 or lam[0] > self.sigma_max + 1e-10:
-            raise ContractViolation(
-                f"spectrum [{lam[-1]:.3e}, {lam[0]:.3e}] outside "
-                f"[{self.sigma_min:.3e}, {self.sigma_max:.3e}]"
-            )
-        object.__setattr__(self, "sigma", s)
+    dim: int
 
     @property
-    def dim(self) -> int:
-        return self.sigma.shape[0]
+    def norm_cap(self) -> float:
+        return _CAP_FACTOR * math.sqrt(self.dim)
 
 
-def isotropic_covariates(d: int, scale: float = 1.0, cap_factor: float = 3.0) -> CovariateSpec:
-    """Identity-covariance spec with D = cap_factor * sqrt(tr Sigma).
+def isotropic_covariates(d: int) -> CovariateSpec:
+    """The covariate law of d-dimensional inputs.
 
-    The default factor 3 keeps the truncation loss of covariance below a
+    The cap 3 sqrt(d) keeps the truncation loss of covariance below a
     couple of percent.
     """
-    sigma = np.eye(d) * scale
-    # a negative scale gives a NaN cap, which CovariateSpec rejects
-    with np.errstate(invalid="ignore"):
-        cap = cap_factor * np.sqrt(d * scale)
-    return CovariateSpec(sigma, cap, sigma_min=scale, sigma_max=scale)
+    return CovariateSpec(d)
 
 
 @dataclass(frozen=True)
@@ -206,36 +179,28 @@ def make_ground_truth(
     )
 
 
-_PROBE_BATCH = 1000
-_MIN_ACCEPT = 0.01
+_MIN_BATCH = 1000
 
 
 def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows of N(0, Sigma) restricted to ||x|| <= norm_cap."""
+    """Draw n rows of N(0, I_d) restricted to ||x|| <= norm_cap.
+
+    Each batch of standard normals is copied with its columns reversed:
+    the order the law's old Sigma-factor product gave them, because
+    ``sym_spectral`` returns the identity's eigenbasis as the
+    anti-identity, so the draws are unchanged.
+    """
     if n < 1:
         raise ContractViolation("need n >= 1")
-    lam, vec = sym_spectral(spec.sigma)
-    factor = vec * np.sqrt(np.maximum(lam, 0.0))
     out = np.empty((n, spec.dim))
     got = 0
-    probe_drawn = 0
-    probe_kept = 0
     while got < n:
-        batch = max(n - got, _PROBE_BATCH)
-        cand = rng.standard_normal((batch, spec.dim)) @ factor.T
+        batch = max(n - got, _MIN_BATCH)
+        cand = rng.standard_normal((batch, spec.dim))[:, ::-1].copy()
         inside = np.linalg.norm(cand, axis=1) <= spec.norm_cap
         if got == 0 and inside.all():
             return cand[:n]  # the batch covers n and the cap rejects none of it
         keep = cand[inside]
-        if probe_drawn < _PROBE_BATCH:
-            probe_drawn += batch
-            probe_kept += keep.shape[0]
-            if probe_drawn >= _PROBE_BATCH and probe_kept < _MIN_ACCEPT * probe_drawn:
-                raise InfeasibleSamplingError(
-                    f"acceptance rate {probe_kept / probe_drawn:.4f} below "
-                    f"{_MIN_ACCEPT}: norm cap {spec.norm_cap:.3e} too small "
-                    f"for tr(Sigma) = {np.trace(spec.sigma):.3e}"
-                )
         take = min(keep.shape[0], n - got)
         out[got : got + take] = keep[:take]
         got += take
@@ -276,57 +241,33 @@ def make_dataset(
     return LabeledDataset(x=x, y=y, k=head.n_logits + 1, seed=seed_label)
 
 
-def covariate_spec_hash(spec: CovariateSpec) -> str:
-    """Stable 12-hex digest of the covariate law, for dataset headers."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(spec.sigma).tobytes())
-    h.update(repr((spec.norm_cap, spec.sigma_min, spec.sigma_max)).encode())
-    return h.hexdigest()[:12]
-
-
-def save_dataset(path, ds: LabeledDataset, spec_hash: str = "") -> None:
+def save_dataset(path, ds: LabeledDataset) -> None:
     """CSV with a header line and rows x_1,...,x_d,label_index (1-based)."""
     labels = np.where(ds.y.sum(axis=1) > 0, ds.y.argmax(axis=1) + 1, ds.k)
     line = ",".join(["%.17g"] * ds.dim) + ",%d\n"
     with open(path, "w") as fh:
-        fh.write(f"# d={ds.dim} K={ds.k} n={ds.n} seed={ds.seed} spec={spec_hash}\n")
+        fh.write(f"# d={ds.dim} K={ds.k} n={ds.n} seed={ds.seed}\n")
         fh.writelines(line % (*row, lab) for row, lab in zip(ds.x.tolist(), labels.tolist()))
 
 
-def save_truth(path, truth: GroundTruth, spec: CovariateSpec) -> None:
-    """Write the truth models plus the covariate law to one JSON file."""
-    doc = {
-        "rep": component_to_payload(truth.rep),
-        "pre_head": component_to_payload(truth.pre_head),
-        "down_head": component_to_payload(truth.down_head),
-        "covariates": {
-            "sigma": spec.sigma.tolist(),
-            "norm_cap": spec.norm_cap,
-            "sigma_min": spec.sigma_min,
-            "sigma_max": spec.sigma_max,
-        },
-    }
+_TRUTH_ROLES = ("rep", "pre_head", "down_head")
+
+
+def save_truth(path, truth: GroundTruth) -> None:
+    """Write the truth models to one JSON file."""
+    doc = {role: component_to_payload(getattr(truth, role)) for role in _TRUTH_ROLES}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
 
-def load_truth(path) -> tuple[GroundTruth, CovariateSpec]:
+def load_truth(path) -> GroundTruth:
+    """Read a ``save_truth`` file; other keys, such as an older file's
+    ``covariates`` section, are ignored."""
     with open(path) as fh:
         doc = json.load(fh)
-    require_keys(doc, ("rep", "pre_head", "down_head", "covariates"), f"truth {path}")
-    truth = GroundTruth(
-        rep=component_from_payload(doc["rep"], "rep"),
-        pre_head=component_from_payload(doc["pre_head"], "pre_head"),
-        down_head=component_from_payload(doc["down_head"], "down_head"),
-    )
-    cov = doc["covariates"]
-    require_keys(cov, ("sigma", "norm_cap", "sigma_min", "sigma_max"), "covariates")
-    spec = CovariateSpec(
-        sigma=np.array(require_numbers(cov["sigma"], 2, "covariates sigma"), dtype=np.float64),
-        **{key: require_numbers(cov[key], 0, f"covariates {key}")
-           for key in ("norm_cap", "sigma_min", "sigma_max")},
-    )
-    return truth, spec
+    require_keys(doc, _TRUTH_ROLES, f"truth {path}")
+    return GroundTruth(**{role: component_from_payload(doc[role], role)
+                          for role in _TRUTH_ROLES})
 
 
 def load_dataset(path) -> LabeledDataset:

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit-code mapping."""
 
+import csv
 import json
 import math
 import os
@@ -183,6 +184,32 @@ def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):
         "--truth", str(truth), "--out", str(tmp_path / "diag.csv"),
     ]) == 0
     assert draws == [1500]
+
+
+def test_diagnose_ignores_the_covariates_section_of_an_older_truth_file(
+        tmp_path, micro_config):
+    # the law is N(0, I_d) capped at 3 sqrt(d), built from the truth's d; a
+    # sigma cut to 4 x 4 beside the d = 5 frame used to fail after the draw
+    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
+    assert main([
+        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
+    ]) == 0
+    doc = json.loads(truth.read_text())
+    assert "covariates" not in doc
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({k: doc[k] for k in ("rep", "pre_head", "down_head")}))
+    doc["covariates"] = {"sigma": [[float(i == j) for j in range(4)] for i in range(4)],
+                         "norm_cap": 3.0 * math.sqrt(5), "sigma_min": 1.0, "sigma_max": 1.0}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    out = tmp_path / "diag.csv"
+    assert main([
+        "diagnose", "--config", micro_config, "--model", str(model),
+        "--truth", str(old), "--out", str(out),
+    ]) == 0
+    with open(out) as fh:
+        values = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -370,6 +397,25 @@ def test_report_rejects_malformed_records(tmp_path, field, text, capsys):
     assert not (out / "summary.txt").exists()
 
 
+def test_report_on_records_that_all_failed_writes_nothing(tmp_path, capsys):
+    # the report directory used to be made before the rows were checked
+    rows = [
+        harness.ExperimentRecord(
+            cell_index=0, trial=trial, status="failed", reason="boom",
+            params={key: 1.0 for key in harness.GRID_KEYS},
+        )
+        for trial in range(2)
+    ]
+    indir = tmp_path / "sweep"
+    indir.mkdir()
+    (indir / "records.csv").write_text(
+        "".join([",".join(harness._CSV_FIELDS) + "\n", *map(harness._record_row, rows)]))
+    out = tmp_path / "report"
+    assert main(["report", "--in", str(indir), "--out", str(out)]) == 1
+    assert "every record failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the line-search policy, the ridge, the rate setting, the truth,
 # covariate and bound sections and the baseline switch left the config: a
 # saved config that still names one is rejected like any unknown key
@@ -529,11 +575,7 @@ def _run_on_broken_file(tmp_path, micro_config, command, target, path, value=_DR
                  id="probe-rep-entries"),
     pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), "'column_cap'",
                  id="diagnose-head-cap"),
-    pytest.param("diagnose", "truth", ("covariates",), "'covariates'",
-                 id="truth-covariates"),
     pytest.param("diagnose", "truth", ("down_head",), "'down_head'", id="truth-down-head"),
-    pytest.param("diagnose", "truth", ("covariates", "sigma"), "'sigma'",
-                 id="truth-sigma"),
     pytest.param("diagnose", "truth", ("down_head", "entries"), "'entries'",
                  id="truth-head-entries"),
 ])
@@ -565,12 +607,6 @@ _MLP_REP = {"kind": "mlp", "layers": [[[0.5] * 5, [0.0] * 5], [[0.5, 0.0], [0.0,
                  id="head-cap-string"),
     pytest.param("diagnose", "bundle", ("pre_head", "column_cap"), [1.0], "column_cap",
                  id="head-cap-list"),
-    pytest.param("diagnose", "truth", ("covariates", "sigma"), "abc", "sigma",
-                 id="truth-sigma-string"),
-    pytest.param("diagnose", "truth", ("covariates", "norm_cap"), "5", "norm_cap",
-                 id="truth-norm-cap-string"),
-    pytest.param("diagnose", "truth", ("covariates", "sigma_min"), None, "sigma_min",
-                 id="truth-sigma-min-null"),
     pytest.param("diagnose", "truth", ("down_head", "entries"), "abc",
                  "linear_head entries", id="truth-head-entries-string"),
 ])

@@ -1,5 +1,6 @@
 """Ground-truth construction and data-generation statistics."""
 
+import json
 import math
 import warnings
 
@@ -8,18 +9,15 @@ import pytest
 from scipy import stats
 
 from transferlab.model_space import diversity_parameter
-from transferlab.errors import (
-    ContractViolation,
-    InfeasibleDiversityError,
-    InfeasibleSamplingError,
-)
+from transferlab import synthetic
+from transferlab.errors import ContractViolation, InfeasibleDiversityError
 from transferlab.linalg import sym_spectral
 from transferlab.model_space import LinearHead
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows
 from transferlab.synthetic import (
     HEAD_CAP,
-    CovariateSpec,
+    GroundTruth,
     LabeledDataset,
     isotropic_covariates,
     load_dataset,
@@ -30,7 +28,6 @@ from transferlab.synthetic import (
     _sample_labels,
     save_dataset,
     save_truth,
-    covariate_spec_hash,
 )
 
 
@@ -73,15 +70,21 @@ class TestMakeGroundTruth:
 
 
 def reference_sample_covariates(spec, n, rng):
-    """The sampler as written before its first-batch shortcut, line for line."""
-    lam, vec = sym_spectral(spec.sigma)
+    """The sampler of the general-Sigma law, line for line, at Sigma = I_d.
+
+    It maps each standard-normal batch through the factor of Sigma's
+    eigendecomposition and rejects rows outside the cap.
+    """
+    sigma = np.eye(spec.dim)
+    lam, vec = sym_spectral(sigma)
     factor = vec * np.sqrt(np.maximum(lam, 0.0))
+    cap = synthetic._CAP_FACTOR * np.sqrt(spec.dim * 1.0)
     out = np.empty((n, spec.dim))
     got = 0
     while got < n:
         batch = max(n - got, 1000)
         cand = rng.standard_normal((batch, spec.dim)) @ factor.T
-        keep = cand[np.linalg.norm(cand, axis=1) <= spec.norm_cap]
+        keep = cand[np.linalg.norm(cand, axis=1) <= cap]
         take = min(keep.shape[0], n - got)
         out[got : got + take] = keep[:take]
         got += take
@@ -89,30 +92,33 @@ def reference_sample_covariates(spec, n, rng):
 
 
 class TestSampleCovariates:
-    @pytest.mark.parametrize("cap_factor, n", [
-        pytest.param(3.0, 5000, id="keeps-every-row"),
-        pytest.param(1.0, 5000, id="cap-rejects-rows"),
-        pytest.param(3.0, 7, id="n-below-batch"),
-        pytest.param(1.0, 999, id="n-below-batch-rejects"),
-        pytest.param(3.0, 1000, id="n-equals-batch"),
+    @pytest.mark.parametrize("cap_factor, d, n, rejects", [
+        pytest.param(3.0, 5, 5000, False, id="keeps-every-row"),
+        pytest.param(1.0, 5, 5000, True, id="cap-rejects-rows"),
+        pytest.param(3.0, 5, 7, False, id="n-below-batch"),
+        pytest.param(1.0, 5, 999, True, id="n-below-batch-rejects"),
+        pytest.param(3.0, 5, 1000, False, id="n-equals-batch"),
+        # the fixed cap rejects about 0.27 % of rows at d = 1
+        pytest.param(3.0, 1, 5000, True, id="d1-fixed-cap-rejects"),
+        pytest.param(1.0, 1, 20, True, id="d1-n-below-batch-rejects"),
+        pytest.param(3.0, 2, 20000, True, id="d2-fixed-cap-rejects"),
+        pytest.param(3.0, 20, 20000, False, id="d20"),
     ])
-    def test_bitwise_equal_to_reference_loop(self, cap_factor, n):
-        spec = isotropic_covariates(5, cap_factor=cap_factor)
+    def test_bitwise_equal_to_reference_loop(self, cap_factor, d, n, rejects, monkeypatch):
+        monkeypatch.setattr(synthetic, "_CAP_FACTOR", cap_factor)
+        spec = isotropic_covariates(d)
         rng_a, rng_b = derive_rng(3, "cov"), derive_rng(3, "cov")
         x = sample_covariates(spec, n, rng_a)
         ref = reference_sample_covariates(spec, n, rng_b)
-        assert x.shape == (n, 5) and x.flags.c_contiguous
+        assert x.shape == (n, d) and x.flags.c_contiguous
         np.testing.assert_array_equal(x, ref)
         # the stream continues where the reference leaves it, so labels drawn
         # next from the same generator are unchanged too
         np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
         # each case takes the path its name says: the first batch of max(n, 1000)
-        # rows lies inside the cap exactly when no row is rejected
-        lam, vec = sym_spectral(spec.sigma)
-        first = derive_rng(3, "cov").standard_normal((max(n, 1000), 5)) @ (
-            vec * np.sqrt(lam)).T
-        inside = np.linalg.norm(first, axis=1) <= spec.norm_cap
-        assert inside.all() == (cap_factor == 3.0)
+        # rows has a row outside the cap exactly in the rejecting cases
+        first = derive_rng(3, "cov").standard_normal((max(n, 1000), d))
+        assert (np.linalg.norm(first, axis=1).max() > spec.norm_cap) == rejects
 
     def test_mean_near_zero(self):
         spec = isotropic_covariates(2)
@@ -123,16 +129,12 @@ class TestSampleCovariates:
         se = x.std(axis=0, ddof=1) / np.sqrt(x.shape[0])
         assert np.all(np.abs(x.mean(axis=0)) <= 3.0 * se)
 
-    def test_norm_cap_enforced(self):
-        spec = isotropic_covariates(6, cap_factor=1.0)
+    def test_norm_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_CAP_FACTOR", 1.0)
+        spec = isotropic_covariates(6)
+        assert spec.norm_cap == math.sqrt(6)
         x = sample_covariates(spec, 5000, derive_rng(6, "cov"))
         assert np.linalg.norm(x, axis=1).max() <= spec.norm_cap
-
-    def test_infeasible_cap(self):
-        sigma = np.eye(50)
-        spec = CovariateSpec(sigma, norm_cap=0.1, sigma_min=1.0, sigma_max=1.0)
-        with pytest.raises(InfeasibleSamplingError):
-            sample_covariates(spec, 100, derive_rng(7, "cov"))
 
     def test_determinism(self):
         spec = isotropic_covariates(4)
@@ -145,28 +147,8 @@ class TestSampleCovariates:
         spec = isotropic_covariates(5)
         x = sample_covariates(spec, 100_000, derive_rng(9, "cov"))
         emp = x.T @ x / x.shape[0]
-        lam, _ = sym_spectral(emp - spec.sigma)
+        lam, _ = sym_spectral(emp - np.eye(5))
         assert max(abs(lam[0]), abs(lam[-1])) < 0.05 * 1.0
-
-    def test_spectrum_bounds_validated(self):
-        with pytest.raises(ContractViolation):
-            CovariateSpec(np.eye(3) * 2.0, 10.0, sigma_min=0.5, sigma_max=1.0)
-
-    @pytest.mark.parametrize("norm_cap, sigma_min, sigma_max", [
-        (math.nan, 1.0, 1.0),
-        (0.0, 1.0, 1.0),
-        (10.0, -1.0, -1.0),
-        (10.0, math.nan, 1.0),
-        (10.0, 1.0, 0.5),
-    ])
-    def test_bad_cap_and_bounds_rejected(self, norm_cap, sigma_min, sigma_max):
-        with pytest.raises(ContractViolation):
-            CovariateSpec(np.eye(3), norm_cap, sigma_min=sigma_min, sigma_max=sigma_max)
-
-    def test_negative_scale_rejected(self):
-        # scale -1 gives sigma = -I and a NaN cap; neither may pass
-        with pytest.raises(ContractViolation):
-            isotropic_covariates(3, scale=-1.0)
 
 
 class TestSampleLabels:
@@ -230,12 +212,20 @@ class TestDatasetIo:
         spec = isotropic_covariates(4)
         ds = make_dataset(truth, spec, 60, rng, "pretrain", seed_label="s16")
         path = tmp_path / "data.csv"
-        save_dataset(path, ds, covariate_spec_hash(spec))
+        save_dataset(path, ds)
         back = load_dataset(path)
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.k == ds.k
         assert back.seed == "s16"
+
+    def test_header_spec_token_of_an_older_file_is_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# d=1 K=3 n=2 seed=s spec=d46a7b6ac17d\n0.5,1\n-2,3\n")
+        back = load_dataset(path)
+        np.testing.assert_array_equal(back.x, [[0.5], [-2.0]])
+        np.testing.assert_array_equal(back.y, [[1.0, 0.0], [0.0, 0.0]])
+        assert back.seed == "s"
 
     @staticmethod
     def _parent_rows(ds):
@@ -262,7 +252,7 @@ class TestDatasetIo:
         path = tmp_path / "d.csv"
         save_dataset(path, ds)
         header, body = path.read_text().split("\n", 1)
-        assert header == "# d=%d K=4 n=70 seed=s spec=" % d
+        assert header == "# d=%d K=4 n=70 seed=s" % d
         assert body == self._parent_rows(ds)
         assert body.startswith("-0,") and "e+300," in body and "e-300," in body
 
@@ -345,12 +335,33 @@ class TestDatasetIo:
     def test_truth_roundtrip(self, tmp_path):
         rng = derive_rng(18, "io")
         truth = make_ground_truth(5, 2, 7, 3, 3.0, rng)
-        spec = isotropic_covariates(5)
         path = tmp_path / "truth.json"
-        save_truth(path, truth, spec)
-        back_truth, back_spec = load_truth(path)
-        np.testing.assert_array_equal(back_truth.rep.b, truth.rep.b)
-        np.testing.assert_array_equal(back_truth.pre_head.alpha, truth.pre_head.alpha)
-        np.testing.assert_array_equal(back_truth.down_head.alpha, truth.down_head.alpha)
-        np.testing.assert_array_equal(back_spec.sigma, spec.sigma)
-        assert back_spec.norm_cap == spec.norm_cap
+        save_truth(path, truth)
+        assert list(json.loads(path.read_text())) == ["rep", "pre_head", "down_head"]
+        back = load_truth(path)
+        assert isinstance(back, GroundTruth)
+        np.testing.assert_array_equal(back.rep.b, truth.rep.b)
+        np.testing.assert_array_equal(back.pre_head.alpha, truth.pre_head.alpha)
+        np.testing.assert_array_equal(back.down_head.alpha, truth.down_head.alpha)
+
+    @pytest.mark.parametrize("section", [
+        pytest.param({"sigma": np.eye(20).tolist(), "norm_cap": 3.0 * math.sqrt(20),
+                      "sigma_min": 1.0, "sigma_max": 1.0}, id="as-written-before"),
+        # a 19 x 19 sigma beside a d = 20 frame used to load, and diagnose
+        # failed only after the draw
+        pytest.param({"sigma": np.eye(19).tolist(), "norm_cap": 3.0 * math.sqrt(20),
+                      "sigma_min": 1.0, "sigma_max": 1.0}, id="sigma-cut"),
+        pytest.param({"sigma": "abc", "norm_cap": "5", "sigma_min": None}, id="malformed"),
+        pytest.param({}, id="empty"),
+    ])
+    def test_covariates_section_of_an_older_file_is_ignored(self, tmp_path, section):
+        truth = make_ground_truth(20, 3, 30, 2, 1.0, derive_rng(18, "io"))
+        path = tmp_path / "truth.json"
+        save_truth(path, truth)
+        plain = load_truth(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "covariates": section}))
+        back = load_truth(path)
+        np.testing.assert_array_equal(back.rep.b, plain.rep.b)
+        for role in ("pre_head", "down_head"):
+            np.testing.assert_array_equal(getattr(back, role).alpha, getattr(plain, role).alpha)
+            assert getattr(back, role).column_cap == getattr(plain, role).column_cap
