@@ -149,11 +149,11 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args.config)
+    _load_config(args.config)  # nothing in it is read, but a bad config still exits 1
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
     ds = load_dataset(args.data)
-    head, trace = fit_downstream_head(bundle["rep"], ds, HEAD_CAP, cfg.head_optim_config())
+    head, trace = fit_downstream_head(bundle["rep"], ds, HEAD_CAP, harness.HEAD_OPTIM)
     bundle["down_head"] = head
     save_bundle(args.out, bundle)
     if args.trace_out:
@@ -206,7 +206,7 @@ def _cmd_diagnose(args) -> int:
             add("excess_pretrain_risk", report.excess_pretrain_risk,
                 report.pretrain_std_error)
     add("pretrain_rep_difference",
-        *representation_difference(rep, truth, x, cfg.head_optim_config()))
+        *representation_difference(rep, truth, x, harness.HEAD_OPTIM))
     _, schur = schur_complement_bound(
         rep, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
     )

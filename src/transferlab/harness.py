@@ -2,14 +2,16 @@
 
 A sweep runs the full pipeline (truth construction, data generation,
 stage-one training, stage-two head fit, baseline, diagnostics, rate
-evaluation) over a parameter grid with several trials per cell. Random
-streams are derived per (trial, stage, stage parameters), so cells that
-differ only in, say, the downstream sample count share their truth and
-pre-training work, and paired comparisons across the regularizer weight
-see identical data. The sweep runs trial by trial; within a trial, the
-truths, stage-one results and their pre-training risks are memoized, and
-every cell with the same covariate law is scored on one Monte Carlo draw
-(common random numbers).
+evaluation) over a parameter grid with several trials per cell. A random
+stream is keyed by the trial, the stage and only the values its draws
+depend on, so the cells of one trial share every draw they can (common
+random numbers). Cells that differ in the regularizer weight or the
+downstream size share the truth and the pre-training data. Cells that
+differ in the condition number share everything but the pre-training
+head's spectrum and the labels it moves, because the spectrum is set
+after the truth's draws. The sweep runs trial by trial; within a trial,
+the truths, stage-one results and their pre-training risks are memoized,
+and every cell of one input dimension is scored on one Monte Carlo draw.
 
 Failures inside a cell are recorded as failed rows and never abort the
 sweep. Records are written in deterministic order; wall time is kept on
@@ -44,6 +46,7 @@ from .diagnostics import evaluate_risk_bound, measure_excess_risks
 __all__ = [
     "SweepConfig",
     "ExperimentRecord",
+    "HEAD_OPTIM",
     "default_config",
     "cells_of",
     "cell_truth",
@@ -58,6 +61,9 @@ __all__ = [
 ]
 
 GRID_KEYS = ("n", "m", "k", "k_prime", "r", "d", "condition_number", "lambda_div")
+# the budget of every head fit: the downstream head, the baseline, the
+# CLI's probe and the representation difference
+HEAD_OPTIM = OptimConfig(max_iters=4000, grad_tol=1e-7)
 # the report's power-law slope window and least R^2 of a passing scaling fit
 _SLOPE_WINDOW = (-0.75, -0.25)
 _MIN_R2 = 0.8
@@ -79,7 +85,6 @@ def default_config() -> dict:
             "lambda_div": [0.0],
         },
         "optimizer": {"max_iters": 2000, "grad_tol": 1e-5},
-        "head_optimizer": {"max_iters": 4000, "grad_tol": 1e-7},
         "diagnostics": {"risk_mc_samples": 20000},
     }
 
@@ -92,11 +97,10 @@ class SweepConfig:
     trials: int
     grid: dict
     optimizer: dict
-    head_optimizer: dict
     diagnostics: dict
 
     def __post_init__(self):
-        # the optimizer sections are checked by OptimConfig itself
+        # the optimizer section is checked by OptimConfig itself
         defaults = default_config()
         check_scalars("", vars(self), defaults)
         check_scalars("diagnostics.", self.diagnostics, defaults["diagnostics"])
@@ -130,7 +134,6 @@ class SweepConfig:
         # build the typed sections and the first cell's trial-0 truth, so
         # that bad values fail before any work
         self.optim_config()
-        self.head_optim_config()
         try:
             cell_truth(self, {key: self.grid[key][0] for key in GRID_KEYS}, 0)
         except InfeasibleDiversityError as exc:
@@ -144,7 +147,7 @@ class SweepConfig:
         if unknown:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
-        for nested in ("grid", "optimizer", "head_optimizer", "diagnostics"):
+        for nested in ("grid", "optimizer", "diagnostics"):
             section = doc.get(nested) or {}
             if not isinstance(section, dict):
                 raise ContractViolation(f"config section {nested!r} must be an object")
@@ -156,9 +159,6 @@ class SweepConfig:
 
     def optim_config(self) -> OptimConfig:
         return OptimConfig(**self.optimizer)
-
-    def head_optim_config(self) -> OptimConfig:
-        return OptimConfig(**self.head_optimizer)
 
 
 @dataclass
@@ -208,17 +208,6 @@ _CSV_FIELDS = tuple(
 _OUTCOMES = ("", "converged", "stalled", "max_iters")
 
 
-# Stream keys of the truth and of the covariate law end in the values of
-# the fixed settings they depend on: the truth's top singular value, head
-# caps and downstream fill, then the covariates' scale (1, the identity
-# covariance) and cap factor (synthetic._CAP_FACTOR). They were config
-# values once, and keeping them keeps every stream; when the streams next
-# move, these go, and so can the column reversal in
-# synthetic.sample_covariates.
-_COVARIATE_KEY = (1.0, 3.0)
-_FIXED_TRUTH_KEY = (1.0, 1.0, 1.0, 0.7, *_COVARIATE_KEY)
-
-
 def cells_of(cfg: SweepConfig) -> list[dict]:
     """Grid cells in deterministic order (later keys vary fastest)."""
     combos = itertools.product(*(cfg.grid[key] for key in GRID_KEYS))
@@ -226,17 +215,19 @@ def cells_of(cfg: SweepConfig) -> list[dict]:
 
 
 def _truth_token(cell: dict) -> tuple:
-    """The grid parameters a cell's truth depends on, then the fixed settings."""
-    return (cell["d"], cell["r"], cell["k"], cell["k_prime"], cell["condition_number"],
-            *_FIXED_TRUTH_KEY)
+    """The grid parameters the truth's random draws depend on."""
+    return (cell["d"], cell["r"], cell["k"], cell["k_prime"])
 
 
 def cell_truth(cfg: SweepConfig, cell: dict, trial: int
                ) -> tuple[CovariateSpec, GroundTruth, tuple]:
     """Covariate law, ground truth and truth token of one cell and trial.
 
-    The token holds the grid parameters the truth depends on; random
-    streams derived from it are shared by all cells with the same truth.
+    The token holds the grid parameters the truth's draws depend on, and
+    the truth comes from the ``("truth", trial, token)`` stream. The
+    condition number is not in the token: it sets the pre-training head's
+    singular values after the draws, so cells that differ only in it get
+    the same frames U, V, representation and downstream head.
     """
     d, r, k, k_prime = cell["d"], cell["r"], cell["k"], cell["k_prime"]
     truth_tok = _truth_token(cell)
@@ -256,7 +247,10 @@ def stage_dataset(cfg: SweepConfig, cell: dict, trial: int, stage: str,
     ``cell_truth`` returned for this cell and trial, so both stages draw
     from one built truth. The draw comes from the ``("pretrain_data" |
     "down_data", trial, truth token, size)`` stream: cells with the same
-    truth and size share it.
+    token and size share it, whatever their condition numbers. They then
+    share the covariates and the label uniforms; the pre-training labels
+    still differ where the heads' spectra move them, and the downstream
+    datasets are equal.
     """
     spec, truth, truth_tok = truth_parts
     pre = stage == "pretrain"
@@ -274,17 +268,19 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     start = time.perf_counter()
     n, r = cell["n"], cell["r"]
     lam = float(cell["lambda_div"])
-    # one truth per token and trial, shared by the cells that name it
-    truth_key = ("truth", _truth_token(cell))
+    # one truth per token, condition number and trial, shared by the cells
+    # that name them
+    cond = cell["condition_number"]
+    truth_key = ("truth", _truth_token(cell), cond)
     if truth_key not in cache:
         cache[truth_key] = cell_truth(cfg, cell, trial)
     truth_parts = spec, truth, truth_tok = cache[truth_key]
 
     # the stage-one fit and, once scored, its pre-training (risk, se)
-    pre_key = ("pretrain", truth_tok, n, lam)
+    pre_key = ("pretrain", truth_tok, cond, n, lam)
     if pre_key not in cache:
-        # the init stream ignores lambda so regularizer ablations are
-        # paired: identical data and identical starting frame
+        # the init stream ignores lambda and the condition number, so their
+        # grids are paired: identical covariates and starting frame
         result = pretrain(
             stage_dataset(cfg, cell, trial, "pretrain", truth_parts),
             r, truth.pre_head.column_cap, lam, cfg.optim_config(),
@@ -295,23 +291,21 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
 
     down_ds = stage_dataset(cfg, cell, trial, "downstream", truth_parts)
     down_cap = truth.down_head.column_cap
-    head_down, down_trace = fit_downstream_head(
-        result.rep, down_ds, down_cap, cfg.head_optim_config()
-    )
+    head_down, down_trace = fit_downstream_head(result.rep, down_ds, down_cap, HEAD_OPTIM)
     rec.downstream_outcome = down_trace.outcome
-    base_head, base_trace = train_baseline(down_ds, down_cap, cfg.head_optim_config())
+    base_head, base_trace = train_baseline(down_ds, down_cap, HEAD_OPTIM)
     rec.baseline_outcome = base_trace.outcome
 
-    # one draw per covariate law: a cell's risks do not depend on which
+    # one draw per input dimension: a cell's risks do not depend on which
     # other cells share its trial
     n_mc = int(cfg.diagnostics["risk_mc_samples"])
-    law = (cell["d"], *_COVARIATE_KEY)
-    if ("risk_mc", law) not in cache:
-        cache["risk_mc", law] = sample_covariates(
-            spec, n_mc, derive_rng(cfg.seed, "risk_mc", trial, *law))
+    d = cell["d"]
+    if ("risk_mc", d) not in cache:
+        cache["risk_mc", d] = sample_covariates(
+            spec, n_mc, derive_rng(cfg.seed, "risk_mc", trial, d))
     report = measure_excess_risks(
         result.rep, result.head if pre_risk is None else None, head_down, truth,
-        cache["risk_mc", law], n_mc, baseline_head=base_head,
+        cache["risk_mc", d], n_mc, baseline_head=base_head,
     )
     if pre_risk is None:
         pre_risk = (report.excess_pretrain_risk, report.pretrain_std_error)
@@ -328,7 +322,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_outcome = result.trace.outcome
     rec.bound_value = evaluate_risk_bound(
-        n=n, m=cell["m"], k=cell["k"], k_prime=cell["k_prime"], r=r, d=cell["d"],
+        n=n, m=cell["m"], k=cell["k"], k_prime=cell["k_prime"], r=r, d=d,
         nu_tilde=rec.nu_true,
     )
     rec.wall_time = time.perf_counter() - start
@@ -341,11 +335,12 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
 
     Deterministic for a fixed config: streams are derived, and rows run
     and come out in (trial, cell_index) order. A cache that lives for one
-    trial memoizes the truths by token, and the stage-one fits and their
-    pre-training risks, so cells sharing a truth build it once and cells
-    sharing a fit compute it and score it once; it also holds one Monte
-    Carlo covariate draw per covariate law, drawn from the (trial, law)
-    stream, that every cell of the trial is scored on. Memory therefore
+    trial memoizes the truths by token and condition number, and the
+    stage-one fits and their pre-training risks, so cells sharing a truth
+    build it once and cells sharing a fit compute it and score it once; it
+    also holds one Monte Carlo covariate draw per input dimension d, drawn
+    from the ("risk_mc", trial, d) stream, that every cell of the trial is
+    scored on. Memory therefore
     stays bounded by one trial. Rows are appended to ``out_csv`` as they
     finish. BLAS runs at one thread, so the rows do not depend on the
     caller's thread count.

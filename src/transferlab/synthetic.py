@@ -143,6 +143,9 @@ def make_ground_truth(
     alone moves the diversity; every column norm is at most sigma_1 = 1.
     The downstream head shares the representation; its columns are random
     directions of norm 0.7. Both heads are capped at ``HEAD_CAP`` = 1.
+    Every random draw comes before the spectrum is set, so truths that
+    differ only in ``condition_number`` share the frame, U, V and the
+    downstream head.
     """
     if r > d:
         raise ContractViolation(f"need r <= d, got r={r}, d={d}")
@@ -155,7 +158,11 @@ def make_ground_truth(
     if r == 1 and condition_number != 1.0:
         raise InfeasibleDiversityError("r=1 spectrum has a single value; need cond=1")
 
+    # every draw first, so that the condition number moves none of them
     rep = SubspaceRep.random(d, r, rng)
+    u = orthonormalize(rng.standard_normal((r, r)))
+    v = orthonormalize(rng.standard_normal((k - 1, r)))
+    dirs = rng.standard_normal((r, k_prime - 1))
 
     # singular values of alpha so that alpha alpha^T has the requested spectrum
     s1 = np.sqrt(_TOP_SINGULAR_VALUE)
@@ -164,11 +171,8 @@ def make_ground_truth(
     else:
         exponents = np.arange(r) / (r - 1)
         svals = s1 * condition_number ** (-0.5 * exponents)
-    u = orthonormalize(rng.standard_normal((r, r)))
-    v = orthonormalize(rng.standard_normal((k - 1, r)))
     alpha_pre = (u * svals) @ v.T
 
-    dirs = rng.standard_normal((r, k_prime - 1))
     dirs /= np.linalg.norm(dirs, axis=0)
     alpha_down = dirs * (_DOWN_HEAD_FILL * HEAD_CAP)
 
@@ -183,20 +187,14 @@ _MIN_BATCH = 1000
 
 
 def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows of N(0, I_d) restricted to ||x|| <= norm_cap.
-
-    Each batch of standard normals is copied with its columns reversed:
-    the order the law's old Sigma-factor product gave them, because
-    ``sym_spectral`` returns the identity's eigenbasis as the
-    anti-identity, so the draws are unchanged.
-    """
+    """Draw n rows of N(0, I_d) restricted to ||x|| <= norm_cap."""
     if n < 1:
         raise ContractViolation("need n >= 1")
     out = np.empty((n, spec.dim))
     got = 0
     while got < n:
         batch = max(n - got, _MIN_BATCH)
-        cand = rng.standard_normal((batch, spec.dim))[:, ::-1].copy()
+        cand = rng.standard_normal((batch, spec.dim))
         inside = np.linalg.norm(cand, axis=1) <= spec.norm_cap
         if got == 0 and inside.all():
             return cand[:n]  # the batch covers n and the cap rejects none of it

@@ -28,7 +28,6 @@ def micro_config(tmp_path):
         condition_number=[1.0], lambda_div=[0.0],
     )
     doc["optimizer"].update(max_iters=200, grad_tol=1e-4)
-    doc["head_optimizer"].update(max_iters=500, grad_tol=1e-6)
     doc["diagnostics"]["risk_mc_samples"] = 1500
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -39,10 +38,9 @@ def test_print_default_config(capsys):
     assert main(["print-default-config"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out) == default_config()
-    # the truth, covariate and bound settings are constants, not config, and
-    # every cell fits the baseline
-    assert list(json.loads(out)) == [
-        "seed", "trials", "grid", "optimizer", "head_optimizer", "diagnostics"]
+    # the truth, covariate, bound and head-fit settings are constants, not
+    # config, and every cell fits the baseline
+    assert list(json.loads(out)) == ["seed", "trials", "grid", "optimizer", "diagnostics"]
 
 
 def test_usage_errors_exit_one(capsys):
@@ -417,9 +415,10 @@ def test_report_on_records_that_all_failed_writes_nothing(tmp_path, capsys):
 
 
 # the line-search policy, the ridge, the rate setting, the truth,
-# covariate and bound sections and the baseline switch left the config: a
-# saved config that still names one is rejected like any unknown key
-_REMOVED_TOP_LEVEL = ("truth", "covariates", "bound", "baseline")
+# covariate, bound and head-optimizer sections and the baseline switch left
+# the config: a saved config that still names one is rejected like any
+# unknown key
+_REMOVED_TOP_LEVEL = ("truth", "covariates", "bound", "baseline", "head_optimizer")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -434,6 +433,7 @@ _REMOVED_TOP_LEVEL = ("truth", "covariates", "bound", "baseline")
     ("covariates", "scale", 1.0),
     ("bound", "delta", 0.05),
     ("baseline", None, False),
+    ("head_optimizer", "max_iters", 4000),
 ])
 def test_sweep_rejects_removed_config_key(tmp_path, section, key, value, capsys):
     config = tmp_path / "old.json"

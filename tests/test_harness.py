@@ -1,5 +1,6 @@
 """Sweep mechanics: determinism, crash isolation, fits, and reports."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ from transferlab.diagnostics import evaluate_risk_bound
 from transferlab import harness
 from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
+from transferlab.model_space import SubspaceRep
 from transferlab.harness import (
     ExperimentRecord,
     SweepConfig,
@@ -37,7 +39,6 @@ MICRO = {
         "lambda_div": [0.0],
     },
     "optimizer": {"max_iters": 250, "grad_tol": 1e-4},
-    "head_optimizer": {"max_iters": 800, "grad_tol": 1e-6},
     "diagnostics": {"risk_mc_samples": 2000},
 }
 
@@ -90,7 +91,7 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("doc", [
         {"optimizer": {"max_iter": 50}},
-        {"head_optimizer": {"gradtol": 1e-6}},
+        {"head_optimizer": {"max_iters": 800}},  # the head budget is a constant
         {"truth": {"pre_head_capp": 1.0}},
         {"grid": {"lambda": [0.0]}},
         {"diagnostics": {"mc_samples": 100}},
@@ -106,12 +107,8 @@ class TestSweepConfig:
             SweepConfig.from_dict(doc)
 
     def test_optimizer_accepts_every_optim_field(self):
-        cfg = SweepConfig.from_dict({
-            "optimizer": {"max_iters": 7, "grad_tol": 1e-3},
-            "head_optimizer": {"max_iters": 9, "grad_tol": 1e-8},
-        })
+        cfg = SweepConfig.from_dict({"optimizer": {"max_iters": 7, "grad_tol": 1e-3}})
         assert cfg.optim_config() == OptimConfig(max_iters=7, grad_tol=1e-3)
-        assert cfg.head_optim_config() == OptimConfig(max_iters=9, grad_tol=1e-8)
 
     @pytest.mark.parametrize("doc", [
         {"seed": "abc"}, {"seed": -5}, {"seed": 1.0}, {"trials": "2"},
@@ -216,9 +213,10 @@ class TestRunSweep:
             assert rec.downstream_outcome == "converged"
             assert rec.baseline_outcome == "converged"
 
-    def test_exhausted_budgets(self):
+    def test_exhausted_budgets(self, monkeypatch):
         # one outer iteration cannot reach any stage's tolerance
-        doc = dict(MICRO, trials=1, optimizer={"max_iters": 1}, head_optimizer={"max_iters": 1})
+        monkeypatch.setattr(harness, "HEAD_OPTIM", OptimConfig(max_iters=1))
+        doc = dict(MICRO, trials=1, optimizer={"max_iters": 1})
         doc["grid"] = dict(MICRO["grid"], n=[300])
         (rec,) = run_sweep(SweepConfig.from_dict(doc))
         assert rec.status == "ok"
@@ -256,7 +254,8 @@ class TestRunSweep:
         assert records[0].excess_pretrain_se == records[1].excess_pretrain_se
 
     def test_one_truth_build_per_token_and_trial(self, monkeypatch):
-        # the m and lambda cells share a token, the two condition numbers do not
+        # the m and lambda cells share a truth; the two condition numbers share
+        # its token, and so its draws, but each builds its own head spectrum
         doc = dict(MICRO, trials=2)
         doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], condition_number=[1.0, 2.0],
                            lambda_div=[0.0, 0.3])
@@ -266,13 +265,55 @@ class TestRunSweep:
 
         def spy(cfg_, cell, trial):
             parts = build(cfg_, cell, trial)
-            builds.append((parts[2], trial))
+            builds.append((parts[2], cell["condition_number"], trial))
             return parts
 
         monkeypatch.setattr(harness, "cell_truth", spy)
         records = run_sweep(cfg)
         assert [rec.status for rec in records] == ["ok"] * 16
         assert len(builds) == len(set(builds)) == 4
+        assert len({token for token, _, _ in builds}) == 1
+
+    def test_condition_numbers_share_every_draw(self, monkeypatch):
+        # cells that differ only in the condition number are paired: the same
+        # frame, downstream head, covariates, initial frame and downstream data
+        doc = dict(MICRO, trials=1)
+        doc["grid"] = dict(MICRO["grid"], n=[300], condition_number=[1.0, 4.0])
+        cfg = SweepConfig.from_dict(doc)  # before the spies: it builds one truth
+        truths, pre_fits, down_sets = [], [], []
+        build, fit_pre, fit_down = harness.cell_truth, harness.pretrain, harness.fit_downstream_head
+
+        def truth_spy(cfg_, cell, trial):
+            parts = build(cfg_, cell, trial)
+            truths.append(parts[1])
+            return parts
+
+        def pretrain_spy(ds, r, cap, lam, optim, rng):
+            # the frame pretrain starts from, drawn from a copy of its stream
+            pre_fits.append((ds, SubspaceRep.random(ds.dim, r, copy.deepcopy(rng)).b))
+            return fit_pre(ds, r, cap, lam, optim, rng)
+
+        def down_spy(rep, ds, cap, optim):
+            down_sets.append(ds)
+            return fit_down(rep, ds, cap, optim)
+
+        monkeypatch.setattr(harness, "cell_truth", truth_spy)
+        monkeypatch.setattr(harness, "pretrain", pretrain_spy)
+        monkeypatch.setattr(harness, "fit_downstream_head", down_spy)
+        records = run_sweep(cfg)
+        assert [rec.status for rec in records] == ["ok", "ok"]
+        (t1, t4), ((pre1, init1), (pre4, init4)), (down1, down4) = truths, pre_fits, down_sets
+        np.testing.assert_array_equal(t1.rep.b, t4.rep.b)
+        np.testing.assert_array_equal(t1.down_head.alpha, t4.down_head.alpha)
+        np.testing.assert_array_equal(pre1.x, pre4.x)
+        np.testing.assert_array_equal(init1, init4)
+        np.testing.assert_array_equal(down1.x, down4.x)
+        np.testing.assert_array_equal(down1.y, down4.y)
+        # only the pre-training head's spectrum differs: cond 1 gives the head
+        # U V^T, so with U and V shared, alpha_4 alpha_1^T = U diag(1, 1/2) U^T
+        shared = t4.pre_head.alpha @ t1.pre_head.alpha.T
+        np.testing.assert_allclose(shared, shared.T, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(shared), [0.5, 1.0], rtol=1e-12)
 
     def test_rows_in_trial_then_cell_order(self, micro_records):
         assert [(rec.trial, rec.cell_index) for rec in micro_records] == [
@@ -282,7 +323,8 @@ class TestRunSweep:
         # every cell shares its trial's draw and stage-one memo with the
         # other cells; alone it must produce the same row, byte for byte
         doc = dict(MICRO, trials=2)
-        doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], lambda_div=[0.0, 0.3])
+        doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], condition_number=[1.0, 2.0],
+                           lambda_div=[0.0, 0.3])
         full = tmp_path / "full.csv"
         cells = cells_of(SweepConfig.from_dict(doc))
         run_sweep(SweepConfig.from_dict(doc), out_csv=full)

@@ -70,20 +70,14 @@ class TestMakeGroundTruth:
 
 
 def reference_sample_covariates(spec, n, rng):
-    """The sampler of the general-Sigma law, line for line, at Sigma = I_d.
-
-    It maps each standard-normal batch through the factor of Sigma's
-    eigendecomposition and rejects rows outside the cap.
-    """
-    sigma = np.eye(spec.dim)
-    lam, vec = sym_spectral(sigma)
-    factor = vec * np.sqrt(np.maximum(lam, 0.0))
+    """The plain rejection loop: standard-normal batches of at least 1000
+    rows, keeping the rows inside the cap until n are kept."""
     cap = synthetic._CAP_FACTOR * np.sqrt(spec.dim * 1.0)
     out = np.empty((n, spec.dim))
     got = 0
     while got < n:
         batch = max(n - got, 1000)
-        cand = rng.standard_normal((batch, spec.dim)) @ factor.T
+        cand = rng.standard_normal((batch, spec.dim))
         keep = cand[np.linalg.norm(cand, axis=1) <= cap]
         take = min(keep.shape[0], n - got)
         out[got : got + take] = keep[:take]
