@@ -112,8 +112,8 @@ def _cmd_print_default_config(_args) -> int:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     cell = _first_cell(cfg)
-    truth_parts = _, truth, _ = harness.cell_truth(cfg, cell, args.trial)
-    ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth_parts)
+    truth = harness.cell_truth(cfg, cell, args.trial)
+    ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth)
     save_dataset(args.out, ds)
     truth_path = args.truth_out or (args.out + ".truth.json")
     save_truth(truth_path, truth)
@@ -199,7 +199,8 @@ def _cmd_diagnose(args) -> int:
     add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
     if "down_head" in bundle:
         report = measure_excess_risks(
-            rep, bundle.get("pre_head"), bundle["down_head"], truth, x, n_mc,
+            truth, x, n_mc, rep_hat=rep, pre_head_hat=bundle.get("pre_head"),
+            down_head_hat=bundle["down_head"],
         )
         add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
         if "pre_head" in bundle:
@@ -349,7 +350,8 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except (ContractViolation, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ContractViolation, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # anything else is a runtime failure

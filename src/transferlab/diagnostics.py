@@ -51,9 +51,9 @@ __all__ = [
 
 @dataclass
 class RiskReport:
-    """Excess risks of a fitted pipeline, with Monte Carlo error bars.
+    """Excess risks of fitted heads, with Monte Carlo error bars.
 
-    The risks of stages whose head was not given are NaN.
+    The risks of heads that were not given are NaN.
     """
 
     excess_transfer_risk: float
@@ -174,42 +174,46 @@ def _kl_stats(n: int, eta_true, eta_fit) -> tuple[float, float]:
 
 
 def measure_excess_risks(
-    rep_hat: SubspaceRep,
-    pre_head_hat: LinearHead | None,
-    down_head_hat: LinearHead,
     truth: GroundTruth,
     x: np.ndarray,
     n_mc: int,
+    *,
+    rep_hat: SubspaceRep | None = None,
+    pre_head_hat: LinearHead | None = None,
+    down_head_hat: LinearHead | None = None,
     baseline_head: LinearHead | None = None,
 ) -> RiskReport:
-    """Excess risks of a fitted pipeline on one covariate draw ``x``.
+    """Excess risks of the fitted heads given, on one covariate draw ``x``.
 
     Each risk is the Monte Carlo mean over the ``n_mc`` rows of ``x``
     (draws from the covariate law) of the KL divergence between the true
     and fitted conditionals, which is the expected loss gap under the
     generating model and is pointwise nonnegative. The caller owns the
     draw, so fits scored on the same ``x`` are compared on common random
-    numbers. The downstream (transfer) risk is always measured; the
-    pre-training risk only when ``pre_head_hat`` is given. A
-    ``baseline_head`` acts on the raw covariates and is scored against
-    the downstream truth on the same draw.
+    numbers. Only the heads given are measured; the risks of the others
+    read NaN. The pre-training and downstream heads act on the embeddings
+    of ``rep_hat``, which they need; a ``baseline_head`` acts on the raw
+    covariates and is scored against the downstream truth.
     """
     if x.ndim != 2 or x.shape[0] != n_mc:
         raise ContractViolation(f"covariate draw of shape {x.shape} needs n_mc = {n_mc} rows")
+    if rep_hat is None and (pre_head_hat is not None or down_head_hat is not None):
+        raise ContractViolation("a pre-training or downstream head needs rep_hat")
     z_true = truth.rep.apply(x)
-    z_hat = rep_hat.apply(x)
+    z_hat = None if rep_hat is None else rep_hat.apply(x)
 
     def logits(head, z):
         # a C-ordered (K-1, chunk) block, handed to kl_rows as its row view
         return lambda rows: (head.alpha.T @ z[rows].T).T
 
-    eta_down = logits(truth.down_head, z_true)
-    down = _kl_stats(n_mc, eta_down, logits(down_head_hat, z_hat))
-    pre = base = (math.nan, math.nan)
-    if pre_head_hat is not None:
-        pre = _kl_stats(n_mc, logits(truth.pre_head, z_true), logits(pre_head_hat, z_hat))
-    if baseline_head is not None:
-        base = _kl_stats(n_mc, eta_down, logits(baseline_head, x))
+    def stats(true_head, head, z):
+        if head is None:
+            return math.nan, math.nan
+        return _kl_stats(n_mc, logits(true_head, z_true), logits(head, z))
+
+    down = stats(truth.down_head, down_head_hat, z_hat)
+    pre = stats(truth.pre_head, pre_head_hat, z_hat)
+    base = stats(truth.down_head, baseline_head, x)
     return RiskReport(down[0], pre[0], down[1], pre[1], base[0], base[1])
 
 

@@ -9,9 +9,13 @@ random numbers). Cells that differ in the regularizer weight or the
 downstream size share the truth and the pre-training data. Cells that
 differ in the condition number share everything but the pre-training
 head's spectrum and the labels it moves, because the spectrum is set
-after the truth's draws. The sweep runs trial by trial; within a trial,
-the truths, stage-one results and their pre-training risks are memoized,
-and every cell of one input dimension is scored on one Monte Carlo draw.
+after the truth's draws. The sweep runs trial by trial, and a cache that
+lives for one trial memoizes each shared quantity under exactly what it
+depends on: the truth by (token, condition number); the Monte Carlo draw
+every risk is scored on by d; the stage-one fit and its pre-training risk
+by (token, condition number, n, lambda); the downstream dataset, the
+baseline fit and its risk by (token, m). A cell then fits and scores only
+its own downstream head.
 
 Failures inside a cell are recorded as failed rows and never abort the
 sweep. Records are written in deterministic order; wall time is kept on
@@ -32,7 +36,6 @@ from .errors import ContractViolation, InfeasibleDiversityError, check_scalars, 
 from .model_space import diversity_parameter, principal_angles
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
-    CovariateSpec,
     GroundTruth,
     LabeledDataset,
     isotropic_covariates,
@@ -148,7 +151,7 @@ class SweepConfig:
             raise ContractViolation(f"unknown config keys {sorted(unknown)}")
         merged = {**base, **doc}
         for nested in ("grid", "optimizer", "diagnostics"):
-            section = doc.get(nested) or {}
+            section = doc.get(nested, {})
             if not isinstance(section, dict):
                 raise ContractViolation(f"config section {nested!r} must be an object")
             unknown = set(section) - set(base[nested])
@@ -219,111 +222,102 @@ def _truth_token(cell: dict) -> tuple:
     return (cell["d"], cell["r"], cell["k"], cell["k_prime"])
 
 
-def cell_truth(cfg: SweepConfig, cell: dict, trial: int
-               ) -> tuple[CovariateSpec, GroundTruth, tuple]:
-    """Covariate law, ground truth and truth token of one cell and trial.
+def cell_truth(cfg: SweepConfig, cell: dict, trial: int) -> GroundTruth:
+    """Ground truth of one cell and trial.
 
-    The token holds the grid parameters the truth's draws depend on, and
-    the truth comes from the ``("truth", trial, token)`` stream. The
-    condition number is not in the token: it sets the pre-training head's
-    singular values after the draws, so cells that differ only in it get
-    the same frames U, V, representation and downstream head.
+    The truth comes from the ``("truth", trial, token)`` stream, whose
+    token holds the grid parameters its draws depend on, (d, r, k, k').
+    The condition number is not in the token: it sets the pre-training
+    head's singular values after the draws, so cells that differ only in
+    it get the same frames U, V, representation and downstream head.
     """
-    d, r, k, k_prime = cell["d"], cell["r"], cell["k"], cell["k_prime"]
-    truth_tok = _truth_token(cell)
-    spec = isotropic_covariates(d)
-    truth = make_ground_truth(
-        d, r, k, k_prime, float(cell["condition_number"]),
-        derive_rng(cfg.seed, "truth", trial, truth_tok),
+    return make_ground_truth(
+        cell["d"], cell["r"], cell["k"], cell["k_prime"], float(cell["condition_number"]),
+        derive_rng(cfg.seed, "truth", trial, _truth_token(cell)),
     )
-    return spec, truth, truth_tok
 
 
 def stage_dataset(cfg: SweepConfig, cell: dict, trial: int, stage: str,
-                  truth_parts: tuple) -> LabeledDataset:
+                  truth: GroundTruth) -> LabeledDataset:
     """One stage's dataset of a cell and trial: n pre-training or m downstream samples.
 
-    ``truth_parts`` is the (covariate law, truth, truth token) triple that
-    ``cell_truth`` returned for this cell and trial, so both stages draw
-    from one built truth. The draw comes from the ``("pretrain_data" |
+    ``truth`` is what ``cell_truth`` returned for this cell and trial, so
+    both stages draw from one built truth; the covariate law is N(0, I_d)
+    at the cell's d. The draw comes from the ``("pretrain_data" |
     "down_data", trial, truth token, size)`` stream: cells with the same
     token and size share it, whatever their condition numbers. They then
     share the covariates and the label uniforms; the pre-training labels
     still differ where the heads' spectra move them, and the downstream
     datasets are equal.
     """
-    spec, truth, truth_tok = truth_parts
     pre = stage == "pretrain"
-    n = cell["n"] if pre else cell["m"]
+    size = cell["n"] if pre else cell["m"]
     return make_dataset(
-        truth, spec, n,
-        derive_rng(cfg.seed, "pretrain_data" if pre else "down_data", trial, truth_tok, n),
+        truth, isotropic_covariates(cell["d"]), size,
+        derive_rng(cfg.seed, "pretrain_data" if pre else "down_data", trial,
+                   _truth_token(cell), size),
         stage=stage, seed_label=f"{cfg.seed}/{trial}",
     )
+
+
+def _memo(cache: dict, key: tuple, make):
+    """The cache's value at ``key``, made by ``make()`` on the first call."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
 
 
 def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: dict
               ) -> ExperimentRecord:
     rec = ExperimentRecord(cell_index=cell_index, trial=trial, status="ok", params=dict(cell))
     start = time.perf_counter()
-    n, r = cell["n"], cell["r"]
+    n, m, r, d = cell["n"], cell["m"], cell["r"], cell["d"]
     lam = float(cell["lambda_div"])
-    # one truth per token, condition number and trial, shared by the cells
-    # that name them
-    cond = cell["condition_number"]
-    truth_key = ("truth", _truth_token(cell), cond)
-    if truth_key not in cache:
-        cache[truth_key] = cell_truth(cfg, cell, trial)
-    truth_parts = spec, truth, truth_tok = cache[truth_key]
+    token, cond = _truth_token(cell), cell["condition_number"]
+    n_mc = int(cfg.diagnostics["risk_mc_samples"])
+    # each shared quantity is memoized for the trial under exactly what it
+    # depends on: a cell's row does not depend on which other cells ran
+    truth = _memo(cache, ("truth", token, cond), lambda: cell_truth(cfg, cell, trial))
+    x_mc = _memo(cache, ("risk_mc", d), lambda: sample_covariates(
+        isotropic_covariates(d), n_mc, derive_rng(cfg.seed, "risk_mc", trial, d)))
 
-    # the stage-one fit and, once scored, its pre-training (risk, se)
-    pre_key = ("pretrain", truth_tok, cond, n, lam)
-    if pre_key not in cache:
+    def fit_stage_one():
         # the init stream ignores lambda and the condition number, so their
         # grids are paired: identical covariates and starting frame
         result = pretrain(
-            stage_dataset(cfg, cell, trial, "pretrain", truth_parts),
+            stage_dataset(cfg, cell, trial, "pretrain", truth),
             r, truth.pre_head.column_cap, lam, cfg.optim_config(),
-            derive_rng(cfg.seed, "init", trial, truth_tok, n),
+            derive_rng(cfg.seed, "init", trial, token, n),
         )
-        cache[pre_key] = (result, None)
-    result, pre_risk = cache[pre_key]
+        return result, measure_excess_risks(
+            truth, x_mc, n_mc, rep_hat=result.rep, pre_head_hat=result.head)
 
-    down_ds = stage_dataset(cfg, cell, trial, "downstream", truth_parts)
-    down_cap = truth.down_head.column_cap
-    head_down, down_trace = fit_downstream_head(result.rep, down_ds, down_cap, HEAD_OPTIM)
+    def fit_baseline():
+        # the downstream data and the truth's rep and downstream head do not
+        # depend on the condition number, so neither does the baseline
+        down_ds = stage_dataset(cfg, cell, trial, "downstream", truth)
+        head, trace = train_baseline(down_ds, truth.down_head.column_cap, HEAD_OPTIM)
+        return down_ds, trace.outcome, measure_excess_risks(
+            truth, x_mc, n_mc, baseline_head=head)
+
+    result, pre = _memo(cache, ("pretrain", token, cond, n, lam), fit_stage_one)
+    down_ds, rec.baseline_outcome, base = _memo(cache, ("downstream", token, m), fit_baseline)
+    head_down, down_trace = fit_downstream_head(
+        result.rep, down_ds, truth.down_head.column_cap, HEAD_OPTIM)
     rec.downstream_outcome = down_trace.outcome
-    base_head, base_trace = train_baseline(down_ds, down_cap, HEAD_OPTIM)
-    rec.baseline_outcome = base_trace.outcome
+    down = measure_excess_risks(truth, x_mc, n_mc, rep_hat=result.rep, down_head_hat=head_down)
 
-    # one draw per input dimension: a cell's risks do not depend on which
-    # other cells share its trial
-    n_mc = int(cfg.diagnostics["risk_mc_samples"])
-    d = cell["d"]
-    if ("risk_mc", d) not in cache:
-        cache["risk_mc", d] = sample_covariates(
-            spec, n_mc, derive_rng(cfg.seed, "risk_mc", trial, d))
-    report = measure_excess_risks(
-        result.rep, result.head if pre_risk is None else None, head_down, truth,
-        cache["risk_mc", d], n_mc, baseline_head=base_head,
-    )
-    if pre_risk is None:
-        pre_risk = (report.excess_pretrain_risk, report.pretrain_std_error)
-        cache[pre_key] = (result, pre_risk)
-    rec.excess_transfer = report.excess_transfer_risk
-    rec.excess_transfer_se = report.std_error
-    rec.excess_pretrain, rec.excess_pretrain_se = pre_risk
-    rec.baseline_excess = report.baseline_excess_risk
-    rec.baseline_excess_se = report.baseline_std_error
-
+    rec.excess_transfer, rec.excess_transfer_se = down.excess_transfer_risk, down.std_error
+    rec.excess_pretrain, rec.excess_pretrain_se = pre.excess_pretrain_risk, pre.pretrain_std_error
+    rec.baseline_excess = base.baseline_excess_risk
+    rec.baseline_excess_se = base.baseline_std_error
     rec.nu_true = diversity_parameter(truth.pre_head)
     rec.nu_learned = diversity_parameter(result.head)
     rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
     rec.pretrain_iters = len(result.trace)
     rec.pretrain_outcome = result.trace.outcome
     rec.bound_value = evaluate_risk_bound(
-        n=n, m=cell["m"], k=cell["k"], k_prime=cell["k_prime"], r=r, d=d,
-        nu_tilde=rec.nu_true,
+        n=n, m=m, k=cell["k"], k_prime=cell["k_prime"], r=r, d=d, nu_tilde=rec.nu_true,
     )
     rec.wall_time = time.perf_counter() - start
     return rec
@@ -334,16 +328,10 @@ def run_sweep(cfg: SweepConfig, out_csv=None) -> list[ExperimentRecord]:
     """Run every (trial, cell), isolate failures, and stream records.
 
     Deterministic for a fixed config: streams are derived, and rows run
-    and come out in (trial, cell_index) order. A cache that lives for one
-    trial memoizes the truths by token and condition number, and the
-    stage-one fits and their pre-training risks, so cells sharing a truth
-    build it once and cells sharing a fit compute it and score it once; it
-    also holds one Monte Carlo covariate draw per input dimension d, drawn
-    from the ("risk_mc", trial, d) stream, that every cell of the trial is
-    scored on. Memory therefore
-    stays bounded by one trial. Rows are appended to ``out_csv`` as they
-    finish. BLAS runs at one thread, so the rows do not depend on the
-    caller's thread count.
+    and come out in (trial, cell_index) order. The cache of the module
+    docstring lives for one trial, so memory stays bounded by one trial.
+    Rows are appended to ``out_csv`` as they finish. BLAS runs at one
+    thread, so the rows do not depend on the caller's thread count.
     """
     cells = cells_of(cfg)
     records: list[ExperimentRecord] = []

@@ -414,6 +414,38 @@ def test_report_on_records_that_all_failed_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--out", "{dir}"], id="gen-out-dir"),
+    pytest.param(["pretrain", "--data", "{dir}", "--out", "{new}"], id="pretrain-data-dir"),
+    pytest.param(["sweep", "--out", "{file}"], id="sweep-out-file"),
+    pytest.param(["report", "--in", "{records}", "--out", "{file}"], id="report-out-file"),
+    pytest.param(["report", "--in", "{file}", "--out", "{new}"], id="report-in-file"),
+])
+def test_path_of_the_wrong_kind_exits_one(tmp_path, micro_config, argv, capsys):
+    # a directory where a file belongs, or a file where a directory belongs,
+    # is a usage error like a missing file, not a runtime failure
+    a_dir, a_file, records = tmp_path / "a-dir", tmp_path / "a-file", tmp_path / "sweep"
+    a_dir.mkdir()
+    a_file.write_text("not a directory\n")
+    records.mkdir()
+    row = harness.ExperimentRecord(cell_index=0, trial=0, status="ok",
+                                   params={key: 1.0 for key in harness.GRID_KEYS})
+    (records / "records.csv").write_text(
+        ",".join(harness._CSV_FIELDS) + "\n" + harness._record_row(row))
+    paths = {"dir": a_dir, "file": a_file, "records": records, "new": tmp_path / "new"}
+    argv = [arg.format(**paths) for arg in argv] + ["--config", micro_config] * (
+        argv[0] in ("gen", "pretrain", "sweep"))
+
+    def contents():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = contents()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime failure" not in err
+    assert contents() == before
+
+
 # the line-search policy, the ridge, the rate setting, the truth,
 # covariate, bound and head-optimizer sections and the baseline switch left
 # the config: a saved config that still names one is rejected like any

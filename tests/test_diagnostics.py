@@ -155,7 +155,8 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         report = measure_excess_risks(
-            truth.rep, None, truth.down_head, truth, sample_covariates(spec, 2000, rng), 2000
+            truth, sample_covariates(spec, 2000, rng), 2000,
+            rep_hat=truth.rep, down_head_hat=truth.down_head,
         )
         assert report.excess_transfer_risk == 0.0
         assert report.std_error == 0.0
@@ -167,7 +168,7 @@ class TestTransferRisk:
         truth = GroundTruth(rep=base.rep, pre_head=base.pre_head, down_head=zero)
         other_rep = _perturbed_rep(base, 0.5, rng)
         x = sample_covariates(isotropic_covariates(6), 1000, rng)
-        report = measure_excess_risks(other_rep, None, zero, truth, x, 1000)
+        report = measure_excess_risks(truth, x, 1000, rep_hat=other_rep, down_head_hat=zero)
         assert report.excess_transfer_risk == 0.0
 
     def test_agrees_with_naive_sampled_estimator(self):
@@ -177,8 +178,8 @@ class TestTransferRisk:
         rep_hat = _perturbed_rep(truth, 0.3, rng)
         head_hat = LinearHead(truth.down_head.alpha * 0.8, truth.down_head.column_cap)
         kl_report = measure_excess_risks(
-            rep_hat, None, head_hat, truth,
-            sample_covariates(spec, 50_000, derive_rng(15, "a")), 50_000,
+            truth, sample_covariates(spec, 50_000, derive_rng(15, "a")), 50_000,
+            rep_hat=rep_hat, down_head_hat=head_hat,
         )
         naive, naive_se = naive_excess_risk(
             rep_hat, head_hat, truth, spec, 200_000, derive_rng(15, "b")
@@ -191,14 +192,15 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 9, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         report = measure_excess_risks(
-            truth.rep, truth.pre_head, truth.down_head, truth,
-            sample_covariates(spec, 500, rng), 500,
+            truth, sample_covariates(spec, 500, rng), 500,
+            rep_hat=truth.rep, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
         )
         assert report.excess_pretrain_risk == 0.0
         assert report.pretrain_std_error == 0.0
         # without a pre-training head only the downstream stage is measured
         report = measure_excess_risks(
-            truth.rep, None, truth.down_head, truth, sample_covariates(spec, 500, rng), 500
+            truth, sample_covariates(spec, 500, rng), 500,
+            rep_hat=truth.rep, down_head_hat=truth.down_head,
         )
         assert math.isnan(report.excess_pretrain_risk)
         assert math.isnan(report.baseline_excess_risk)
@@ -211,13 +213,13 @@ class TestTransferRisk:
         spec = isotropic_covariates(6)
         base_head = LinearHead(rng.standard_normal((6, 2)) * 0.1, 1.0)
         report = measure_excess_risks(
-            truth.rep, truth.pre_head, truth.down_head, truth,
-            sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
+            truth, sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
+            rep_hat=truth.rep, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
             baseline_head=base_head,
         )
         identity = measure_excess_risks(
-            SubspaceRep(np.eye(6)), None, base_head, truth,
-            sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
+            truth, sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
+            rep_hat=SubspaceRep(np.eye(6)), down_head_hat=base_head,
         )
         assert report.baseline_excess_risk > 0.0
         assert report.baseline_excess_risk == identity.excess_transfer_risk
@@ -229,8 +231,8 @@ class TestTransferRisk:
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.2, rng)
         report = measure_excess_risks(
-            rep_hat, truth.pre_head, truth.down_head, truth,
-            sample_covariates(spec, 4000, rng), 4000,
+            truth, sample_covariates(spec, 4000, rng), 4000,
+            rep_hat=rep_hat, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
         )
         assert report.excess_transfer_risk >= 0.0
         assert report.excess_pretrain_risk >= 0.0
@@ -243,7 +245,47 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         x = sample_covariates(isotropic_covariates(6), rows, rng)
         with pytest.raises(ContractViolation, match="n_mc = 2000"):
-            measure_excess_risks(truth.rep, None, truth.down_head, truth, x, 2000)
+            measure_excess_risks(truth, x, 2000, rep_hat=truth.rep,
+                                 down_head_hat=truth.down_head)
+
+    @pytest.mark.parametrize("role", ["pre_head_hat", "down_head_hat", "baseline_head"])
+    def test_each_head_alone_gives_the_bits_it_gets_with_the_others(self, role):
+        # the sweep scores the stage-one fit, the baseline and each downstream
+        # head in calls of their own; the risks must not depend on the company
+        truth, rep_hat, heads, x = _chunk_instance(5000)
+        given = {"pre_head_hat": heads["pre"], "down_head_hat": heads["down"],
+                 "baseline_head": heads["base"]}
+        together = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat, **given)
+        alone = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat, **{role: given[role]})
+        columns = {
+            "pre_head_hat": ("excess_pretrain_risk", "pretrain_std_error"),
+            "down_head_hat": ("excess_transfer_risk", "std_error"),
+            "baseline_head": ("baseline_excess_risk", "baseline_std_error"),
+        }
+        for name, pair in columns.items():
+            got = [getattr(alone, column) for column in pair]
+            if name == role:
+                assert got == [getattr(together, column) for column in pair]
+                assert np.isfinite(got).all()
+            else:
+                assert np.isnan(got).all()
+
+    def test_baseline_needs_no_representation(self):
+        truth, rep_hat, heads, x = _chunk_instance(3000)
+        report = measure_excess_risks(truth, x, 3000, baseline_head=heads["base"])
+        with_rep = measure_excess_risks(truth, x, 3000, rep_hat=rep_hat,
+                                        baseline_head=heads["base"])
+        assert (report.baseline_excess_risk, report.baseline_std_error) == (
+            with_rep.baseline_excess_risk, with_rep.baseline_std_error)
+        assert math.isnan(report.excess_transfer_risk)
+        assert math.isnan(report.excess_pretrain_risk)
+
+    @pytest.mark.parametrize("role", ["pre_head_hat", "down_head_hat"])
+    def test_an_embedding_head_needs_rep_hat(self, role):
+        truth, _, heads, x = _chunk_instance(100)
+        head = heads["pre" if role == "pre_head_hat" else "down"]
+        with pytest.raises(ContractViolation, match="needs rep_hat"):
+            measure_excess_risks(truth, x, 100, **{role: head})
 
 
 class TestRepresentationDifference:
@@ -355,8 +397,8 @@ class TestChunkedMonteCarlo:
         truth, rep_hat, heads, x = _chunk_instance(n_mc)
         pre = heads["pre"] if with_heads else None
         base = heads["base"] if with_heads else None
-        report = measure_excess_risks(rep_hat, pre, heads["down"], truth, x, n_mc,
-                                      baseline_head=base)
+        report = measure_excess_risks(truth, x, n_mc, rep_hat=rep_hat, pre_head_hat=pre,
+                                      down_head_hat=heads["down"], baseline_head=base)
         got = (report.excess_transfer_risk, report.std_error,
                report.excess_pretrain_risk, report.pretrain_std_error,
                report.baseline_excess_risk, report.baseline_std_error)
@@ -368,7 +410,8 @@ class TestChunkedMonteCarlo:
         # each kl_rows call must see the rows that its own chunk held
         truth, rep_hat, heads, x = _chunk_instance(5000)
         x[_KL_CHUNK:2 * _KL_CHUNK] *= 400.0
-        report = measure_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x, 5000,
+        report = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat,
+                                      pre_head_hat=heads["pre"], down_head_hat=heads["down"],
                                       baseline_head=heads["base"])
         got = (report.excess_transfer_risk, report.std_error,
                report.excess_pretrain_risk, report.pretrain_std_error,
@@ -399,7 +442,8 @@ class TestMonteCarloMemory:
         base = LinearHead(rng.standard_normal((d, 29)) * 0.05, 1.0)
         block = n_mc * 29 * 8
         peak = _peak_bytes(lambda: measure_excess_risks(
-            _perturbed_rep(truth, 0.3, rng), *heads, truth, x, n_mc, baseline_head=base))
+            truth, x, n_mc, rep_hat=_perturbed_rep(truth, 0.3, rng), pre_head_hat=heads[0],
+            down_head_hat=heads[1], baseline_head=base))
         # the two (n_mc, r) embeddings, one n_mc KL vector, and chunk buffers
         assert peak < block / 2, (peak, block)
 

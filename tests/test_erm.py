@@ -1006,9 +1006,8 @@ class TestBaseline:
             pipe_head, _ = fit_downstream_head(truth.rep, ds, 1.0, cfg)
             base_head, _ = train_baseline(ds, 1.0, cfg)
             report = measure_excess_risks(
-                truth.rep, None, pipe_head, truth,
-                sample_covariates(spec, 20_000, derive_rng(seed, "base-mc")), 20_000,
-                baseline_head=base_head,
+                truth, sample_covariates(spec, 20_000, derive_rng(seed, "base-mc")), 20_000,
+                rep_hat=truth.rep, down_head_hat=pipe_head, baseline_head=base_head,
             )
             wins += report.excess_transfer_risk < report.baseline_excess_risk
         assert wins >= 4

@@ -101,6 +101,11 @@ class TestSweepConfig:
         {"covariates": {"scale": "1"}},
         {"bound": {"delta": None}},
         {"optimizer": {"armijo_c": 1.0}},
+        # a falsy section that is not an object is not the default section
+        {"grid": []},
+        {"grid": None},
+        {"optimizer": 0},
+        {"diagnostics": ""},
     ])
     def test_bad_nested_section_rejected(self, doc):
         with pytest.raises(ContractViolation):
@@ -264,15 +269,69 @@ class TestRunSweep:
         build = harness.cell_truth
 
         def spy(cfg_, cell, trial):
-            parts = build(cfg_, cell, trial)
-            builds.append((parts[2], cell["condition_number"], trial))
-            return parts
+            builds.append((harness._truth_token(cell), cell["condition_number"], trial))
+            return build(cfg_, cell, trial)
 
         monkeypatch.setattr(harness, "cell_truth", spy)
         records = run_sweep(cfg)
         assert [rec.status for rec in records] == ["ok"] * 16
         assert len(builds) == len(set(builds)) == 4
         assert len({token for token, _, _ in builds}) == 1
+
+    def test_each_shared_quantity_is_computed_once_per_trial(self, monkeypatch):
+        # per trial: one baseline fit and one downstream draw per (token, m),
+        # whatever n, lambda and the condition number; one pre-training
+        # scoring per stage-one fit; one downstream scoring per cell
+        doc = dict(MICRO, trials=2, optimizer={"max_iters": 30, "grad_tol": 1e-4})
+        doc["grid"] = dict(MICRO["grid"], n=[300, 450], m=[40, 80],
+                           condition_number=[1.0, 2.0], lambda_div=[0.0, 0.3])
+        cfg = SweepConfig.from_dict(doc)
+        calls = []
+        draw, base, fit_pre, score = (harness.stage_dataset, harness.train_baseline,
+                                      harness.pretrain, harness.measure_excess_risks)
+
+        def stage_spy(cfg_, cell, trial, stage, truth):
+            calls.append(("data", trial, stage, cell["m"] if stage == "downstream" else None))
+            return draw(cfg_, cell, trial, stage, truth)
+
+        def baseline_spy(ds, cap, optim):
+            calls.append(("baseline", ds.seed, ds.n))
+            return base(ds, cap, optim)
+
+        def pretrain_spy(ds, *args):
+            calls.append(("pretrain", ds.seed))
+            return fit_pre(ds, *args)
+
+        def score_spy(truth, x, n_mc, **heads):
+            calls.append(("score", *sorted(heads)))
+            return score(truth, x, n_mc, **heads)
+
+        monkeypatch.setattr(harness, "stage_dataset", stage_spy)
+        monkeypatch.setattr(harness, "train_baseline", baseline_spy)
+        monkeypatch.setattr(harness, "pretrain", pretrain_spy)
+        monkeypatch.setattr(harness, "measure_excess_risks", score_spy)
+        records = run_sweep(cfg)
+        assert [rec.status for rec in records] == ["ok"] * 32
+
+        def count(*prefix):
+            return sum(call[:len(prefix)] == prefix for call in calls)
+
+        for trial in range(2):
+            label = f"{cfg.seed}/{trial}"
+            assert count("pretrain", label) == count("data", trial, "pretrain") == 8
+            for m in (40, 80):
+                assert count("data", trial, "downstream", m) == 1
+                assert count("baseline", label, m) == 1
+        assert count("score", "baseline_head") == 2 * 2
+        assert count("score", "pre_head_hat", "rep_hat") == 2 * 8
+        assert count("score", "down_head_hat", "rep_hat") == 2 * 16
+        assert len(calls) == 2 * (8 + 8 + 2 + 2) + 4 + 16 + 32
+        # the cells that share (token, m) carry one baseline pair
+        for trial in range(2):
+            for m in (40, 80):
+                pairs = {(rec.baseline_excess, rec.baseline_excess_se) for rec in records
+                         if rec.trial == trial and rec.params["m"] == m}
+                assert len(pairs) == 1
 
     def test_condition_numbers_share_every_draw(self, monkeypatch):
         # cells that differ only in the condition number are paired: the same
@@ -284,9 +343,8 @@ class TestRunSweep:
         build, fit_pre, fit_down = harness.cell_truth, harness.pretrain, harness.fit_downstream_head
 
         def truth_spy(cfg_, cell, trial):
-            parts = build(cfg_, cell, trial)
-            truths.append(parts[1])
-            return parts
+            truths.append(build(cfg_, cell, trial))
+            return truths[-1]
 
         def pretrain_spy(ds, r, cap, lam, optim, rng):
             # the frame pretrain starts from, drawn from a copy of its stream
@@ -320,11 +378,12 @@ class TestRunSweep:
             (trial, idx) for trial in range(2) for idx in range(3)]
 
     def test_row_does_not_depend_on_the_rest_of_the_grid(self, tmp_path):
-        # every cell shares its trial's draw and stage-one memo with the
-        # other cells; alone it must produce the same row, byte for byte
+        # every cell shares its trial's draw, stage-one memo and baseline with
+        # the other cells; alone it must produce the same row, byte for byte,
+        # so a baseline fitted for another n matches a freshly fitted one
         doc = dict(MICRO, trials=2)
-        doc["grid"] = dict(MICRO["grid"], n=[300], m=[40, 80], condition_number=[1.0, 2.0],
-                           lambda_div=[0.0, 0.3])
+        doc["grid"] = dict(MICRO["grid"], n=[300, 450], m=[40, 80],
+                           condition_number=[1.0, 2.0], lambda_div=[0.0, 0.3])
         full = tmp_path / "full.csv"
         cells = cells_of(SweepConfig.from_dict(doc))
         run_sweep(SweepConfig.from_dict(doc), out_csv=full)
