@@ -22,7 +22,6 @@ import numpy as np
 from . import harness
 from .errors import ContractViolation, require_keys
 from .diagnostics import (
-    _check_schur_samples,
     empirical_gaussian_complexity_linear,
     measure_excess_risks,
     representation_difference,
@@ -97,6 +96,16 @@ def _file_digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _check_out_paths(*paths) -> None:
+    """Raise unless each path given is not a directory and its directory exists;
+    checking every output before any work leaves nothing behind on exit 1."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ContractViolation(f"output path {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ContractViolation(f"output path {path} is not in an existing directory")
+
+
 def _write_trace(path, trace) -> None:
     columns = ["iter", "risk", "regularizer", "grad_norm", "step", "nu_tilde"]
     series = (range(len(trace)), trace.risk, trace.regularizer,
@@ -110,18 +119,20 @@ def _cmd_print_default_config(_args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    truth_path = args.truth_out or (args.out + ".truth.json")
+    _check_out_paths(args.out, truth_path)
     cfg = _load_config(args.config)
     cell = _first_cell(cfg)
     truth = harness.cell_truth(cfg, cell, args.trial)
     ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth)
     save_dataset(args.out, ds)
-    truth_path = args.truth_out or (args.out + ".truth.json")
     save_truth(truth_path, truth)
     print(f"wrote {ds.n} samples (K={ds.k}) to {args.out}; truth to {truth_path}")
     return 0
 
 
 def _cmd_pretrain(args) -> int:
+    _check_out_paths(args.out, args.trace_out)
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
     if args.embed_dim is None:
@@ -149,6 +160,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _check_out_paths(args.out, args.trace_out)
     _load_config(args.config)  # nothing in it is read, but a bad config still exits 1
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
@@ -176,6 +188,8 @@ def _check_fits_truth(bundle: dict, truth, path) -> None:
 
 
 def _cmd_diagnose(args) -> int:
+    summary_path = args.summary or (args.out + ".txt")
+    _check_out_paths(args.out, summary_path)
     cfg = _load_config(args.config)
     bundle = load_bundle(args.model)
     require_keys(bundle, ("rep",), f"model bundle {args.model}")
@@ -183,7 +197,6 @@ def _cmd_diagnose(args) -> int:
     rep = bundle["rep"]
     _check_fits_truth(bundle, truth, args.model)
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
-    _check_schur_samples(n_mc, truth.rep.embed_dim)
     rng_tok = ("cli-diagnose", _file_digest(args.model), _file_digest(args.truth), n_mc)
     # every Monte Carlo row is scored on this one draw (common random numbers)
     x = sample_covariates(isotropic_covariates(truth.rep.input_dim), n_mc,
@@ -208,10 +221,8 @@ def _cmd_diagnose(args) -> int:
                 report.pretrain_std_error)
     add("pretrain_rep_difference",
         *representation_difference(rep, truth, x, harness.HEAD_OPTIM))
-    _, schur = schur_complement_bound(
-        rep, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
-    )
-    add("schur_worst_case_bound", schur)
+    add("schur_worst_case_bound", schur_complement_bound(
+        rep, truth.rep, truth.down_head.column_cap, truth.k_prime))
 
     # head-class complexity at the fitted embeddings of the draw's leading
     # rows, plus its analytic worst case over admissible embeddings
@@ -236,7 +247,6 @@ def _cmd_diagnose(args) -> int:
         ],
         ["metric", "value", "std_error", "seed", "n_mc"],
     )
-    summary_path = args.summary or (args.out + ".txt")
     with open(summary_path, "w") as fh:
         fh.write(f"diagnostics for {args.model} against {args.truth}\n")
         fh.write(f"seed={cfg.seed} n_mc={n_mc}\n")

@@ -7,9 +7,9 @@ nonnegative and needs no label sampling. The test suite cross-checks it
 against the naive sampled-label estimator.
 
 The worst-case representation difference of a candidate embedding is not
-searched by brute force; its closed-form bound through the generalized
-Schur complement of the joint embedding covariance is computed instead,
-and reported as such.
+searched by brute force; its generalized-Schur-complement bound is reported
+instead, in closed form from the largest principal angle between the frames
+and the covariate law's second moment kappa_d, with no draw.
 
 All Monte Carlo diagnostics return standard errors. The routines that
 average over the covariate law take the draw itself, so that callers can
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import pinv_psd, singular_values
-from .model_space import LinearHead, SubspaceRep
+from .linalg import singular_values
+from .model_space import LinearHead, SubspaceRep, principal_angles
 from .softmax import _KL_CHUNK, kl_rows, softmax_full_rows
-from .synthetic import GroundTruth
+from .synthetic import GroundTruth, isotropic_covariates
 from .erm import OptimConfig, fit_head_on_embeddings
 
 __all__ = [
@@ -248,37 +248,23 @@ def representation_difference(
     return _kl_stats(x.shape[0], eta_true, lambda rows: z_hat[rows] @ alpha)
 
 
-def _check_schur_samples(n_mc: int, r: int) -> None:
-    """Raise unless n_mc covers the 10 r draws the block moments of rank r need."""
-    if n_mc < 10 * r:
-        raise ContractViolation(f"need n_mc >= 10 r = {10 * r} for block moments")
-
-
 def schur_complement_bound(
     rep_hat: SubspaceRep,
     truth_rep: SubspaceRep,
-    x: np.ndarray,
     down_cap: float,
     k_prime: int,
-) -> tuple[np.ndarray, float]:
+) -> float:
     """Closed-form bound on the worst-case representation difference.
 
-    From the block moments of (h(x), h_hat(x)) over the draw ``x`` the
-    generalized Schur complement L = F_hh - F_hhat pinv(F_hathat) F_hath
-    is formed; the bound is (k'-1) c0^2/2 sigma_1(L).
+    The bound is (k'-1) c0^2/2 sigma_1(L), with L the generalized Schur
+    complement of the embeddings' second moments. As E[x x^T] = kappa_d I,
+    L = kappa_d (I - B^T B_hat B_hat^T B), whose top eigenvalue is kappa_d
+    sin^2 of the largest principal angle, or kappa_d when r_hat < r.
     """
-    n_mc = x.shape[0]
-    _check_schur_samples(n_mc, truth_rep.embed_dim)
-    h = truth_rep.apply(x)
-    h_hat = rep_hat.apply(x)
-    f_hh = h.T @ h / n_mc
-    f_hath = h_hat.T @ h / n_mc
-    f_hathat = h_hat.T @ h_hat / n_mc
-    lam_sc = f_hh - f_hath.T @ pinv_psd(f_hathat) @ f_hath
-    lam_sc = 0.5 * (lam_sc + lam_sc.T)
-    top = float(singular_values(lam_sc)[0])
-    bound = (k_prime - 1) * down_cap**2 / 2.0 * top
-    return lam_sc, float(bound)
+    theta_max = principal_angles(rep_hat, truth_rep)[-1]  # also checks the frames' d
+    sin2 = 1.0 if rep_hat.embed_dim < truth_rep.embed_dim else math.sin(theta_max) ** 2
+    kappa = isotropic_covariates(truth_rep.input_dim).second_moment
+    return (k_prime - 1) * down_cap**2 / 2.0 * kappa * sin2
 
 
 @dataclass

@@ -16,15 +16,12 @@ __all__ = [
     "as_matrix",
     "sym_spectral",
     "orthonormalize",
-    "pinv_psd",
     "logdet_psd",
     "singular_values",
 ]
 
 _SYM_RTOL = 1e-10
 _RANK_RTOL = 1e-12
-# relative eigenvalue floor below which pinv_psd treats a direction as null
-_PINV_TOL = 1e-10
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -90,24 +87,6 @@ def orthonormalize(m) -> np.ndarray:
     signs = np.sign(np.diag(rr))
     signs[signs == 0.0] = 1.0
     return q * signs
-
-
-def pinv_psd(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
-
-    Eigenvalues below ``_PINV_TOL * lambda_max`` are treated as zero.
-    """
-    a = _check_symmetric(as_matrix(m, "pinv_psd input"), "pinv_psd input")
-    lam, vec = np.linalg.eigh(a)
-    lmax = float(lam[-1]) if lam.size else 0.0
-    if lam.size and lam[0] < -1e-10 * max(abs(lmax), 1.0):
-        raise ContractViolation(
-            f"matrix is not PSD: lambda_min = {lam[0]:.3e}, lambda_max = {lmax:.3e}"
-        )
-    inv = np.zeros_like(lam)
-    keep = lam > _PINV_TOL * max(lmax, 0.0)
-    inv[keep] = 1.0 / lam[keep]
-    return (vec * inv) @ vec.T
 
 
 def logdet_psd(m) -> float:

@@ -2,8 +2,8 @@
 
 Covariates are drawn from the standard Gaussian N(0, I_d) and
 rejection-resampled to the norm ball ||x|| <= D = 3 sqrt(d), which keeps
-the distribution sub-gaussian with near-identity covariance while
-bounding every sample. Labels follow the multinomial logistic
+the distribution sub-gaussian with second moment kappa_d I_d, kappa_d just
+below 1, while bounding every sample. Labels follow the multinomial logistic
 conditional of a ground-truth (representation, head) pair; class K is
 encoded as the all-zero one-hot row.
 
@@ -56,12 +56,29 @@ class CovariateSpec:
     def norm_cap(self) -> float:
         return _CAP_FACTOR * math.sqrt(self.dim)
 
+    @property
+    def second_moment(self) -> float:
+        """kappa_d with E[x x^T] = kappa_d I_d: F_{d+2}(t) / F_d(t) at t = norm_cap^2,
+        F_nu the chi-square CDF, stepped up from F_1 or F_2 by F_{nu+2}(t) =
+        F_nu(t) - (t/2)^{nu/2} exp(-t/2) / Gamma(nu/2 + 1)."""
+        half_t = _CAP_FACTOR**2 * self.dim / 2.0
+
+        def drop(nu):  # F_nu(t) - F_{nu+2}(t)
+            return math.exp(nu / 2 * math.log(half_t) - half_t - math.lgamma(nu / 2 + 1))
+
+        start = 2 - self.dim % 2
+        cdf = math.erf(math.sqrt(half_t)) if start == 1 else -math.expm1(-half_t)
+        for nu in range(start, self.dim, 2):
+            cdf -= drop(nu)
+        return (cdf - drop(self.dim)) / cdf
+
 
 def isotropic_covariates(d: int) -> CovariateSpec:
     """The covariate law of d-dimensional inputs.
 
-    The cap 3 sqrt(d) keeps the truncation loss of covariance below a
-    couple of percent.
+    The cap 3 sqrt(d) scales the second moment by kappa_d
+    (``CovariateSpec.second_moment``): 0.97334 at d = 1, 0.99889 at d = 2,
+    1 - 1.2e-7 at d = 5, and within 2e-11 of 1 from d = 8 on.
     """
     return CovariateSpec(d)
 

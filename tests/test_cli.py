@@ -420,10 +420,19 @@ def test_report_on_records_that_all_failed_writes_nothing(tmp_path, capsys):
     pytest.param(["sweep", "--out", "{file}"], id="sweep-out-file"),
     pytest.param(["report", "--in", "{records}", "--out", "{file}"], id="report-out-file"),
     pytest.param(["report", "--in", "{file}", "--out", "{new}"], id="report-in-file"),
+    # a bad second output used to be found only after the first was written
+    pytest.param(["gen", "--out", "{new}", "--truth-out", "{dir}"], id="gen-truth-out-dir"),
+    pytest.param(["pretrain", "--data", "{data}", "--out", "{new}", "--trace-out", "{dir}"],
+                 id="pretrain-trace-out-dir"),
+    pytest.param(["probe", "--model", "{model}", "--data", "{data}", "--out", "{new}",
+                  "--trace-out", "{dir}"], id="probe-trace-out-dir"),
+    pytest.param(["diagnose", "--model", "{model}", "--truth", "{truth}", "--out", "{new}",
+                  "--summary", "{dir}"], id="diagnose-summary-dir"),
 ])
 def test_path_of_the_wrong_kind_exits_one(tmp_path, micro_config, argv, capsys):
     # a directory where a file belongs, or a file where a directory belongs,
-    # is a usage error like a missing file, not a runtime failure
+    # is a usage error like a missing file, not a runtime failure, and no
+    # output of the command is written
     a_dir, a_file, records = tmp_path / "a-dir", tmp_path / "a-file", tmp_path / "sweep"
     a_dir.mkdir()
     a_file.write_text("not a directory\n")
@@ -432,9 +441,16 @@ def test_path_of_the_wrong_kind_exits_one(tmp_path, micro_config, argv, capsys):
                                    params={key: 1.0 for key in harness.GRID_KEYS})
     (records / "records.csv").write_text(
         ",".join(harness._CSV_FIELDS) + "\n" + harness._record_row(row))
-    paths = {"dir": a_dir, "file": a_file, "records": records, "new": tmp_path / "new"}
+    # good inputs, so that only the path of the wrong kind can stop the command
+    data, truth, model = tmp_path / "pre.csv", tmp_path / "truth.json", tmp_path / "model.json"
+    assert main(["gen", "--config", micro_config, "--out", str(data),
+                 "--truth-out", str(truth)]) == 0
+    doc = json.loads(truth.read_text())
+    model.write_text(json.dumps({k: doc[k] for k in ("rep", "pre_head", "down_head")}))
+    paths = {"dir": a_dir, "file": a_file, "records": records, "new": tmp_path / "new",
+             "data": data, "truth": truth, "model": model}
     argv = [arg.format(**paths) for arg in argv] + ["--config", micro_config] * (
-        argv[0] in ("gen", "pretrain", "sweep"))
+        argv[0] in ("gen", "pretrain", "probe", "diagnose", "sweep"))
 
     def contents():
         return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -712,27 +728,29 @@ def test_diagnose_rejects_mc_samples_below_one(tmp_path, samples, capsys):
     assert "--mc-samples" in capsys.readouterr().err
 
 
-def test_diagnose_rejects_too_few_mc_samples_before_any_work(tmp_path, micro_config,
-                                                             monkeypatch, capsys):
-    # r = 2 needs n_mc >= 20 for the Schur block moments
-    data, truth = tmp_path / "pre.csv", tmp_path / "truth.json"
-    assert main([
-        "gen", "--config", micro_config, "--out", str(data), "--truth-out", str(truth),
-    ]) == 0
-    doc = json.loads(truth.read_text())
+def test_diagnose_on_few_mc_samples_gives_finite_values(tmp_path, micro_config):
+    # the Schur bound is closed-form, so no draw size is too small for it,
+    # and it reads the same at any draw size; the model is another trial's
+    # truth, so the bound is not zero
+    data, truth, other = tmp_path / "pre.csv", tmp_path / "truth.json", tmp_path / "t1.json"
+    for trial, path in (("0", truth), ("1", other)):
+        assert main(["gen", "--config", micro_config, "--out", str(data),
+                     "--truth-out", str(path), "--trial", trial]) == 0
+    doc = json.loads(other.read_text())
     model = tmp_path / "model.json"
     model.write_text(json.dumps({k: doc[k] for k in ("rep", "pre_head", "down_head")}))
-    called = []
-    for name in ("measure_excess_risks", "representation_difference"):
-        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
-    out = tmp_path / "diag.csv"
-    assert main([
-        "diagnose", "--model", str(model), "--truth", str(truth), "--out", str(out),
-        "--config", micro_config, "--mc-samples", "19",
-    ]) == 1
-    assert "n_mc >= 10 r = 20" in capsys.readouterr().err
-    assert called == []
-    assert not out.exists()
+    values = {}
+    for samples in ("19", "1500"):
+        out = tmp_path / f"diag{samples}.csv"
+        assert main([
+            "diagnose", "--model", str(model), "--truth", str(truth), "--out", str(out),
+            "--config", micro_config, "--mc-samples", samples,
+        ]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows and all(math.isfinite(float(row["value"])) for row in rows)
+        values[samples] = {row["metric"]: row["value"] for row in rows}
+    assert float(values["19"]["schur_worst_case_bound"]) > 0.01
+    assert values["19"]["schur_worst_case_bound"] == values["1500"]["schur_worst_case_bound"]
 
 
 @pytest.mark.parametrize("role, edit, message", [

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transferlab import diagnostics
 from transferlab.errors import ContractViolation
@@ -465,47 +466,54 @@ class TestMonteCarloMemory:
         assert peak < 1_000_000, peak
 
 
+@st.composite
+def _frame_pairs(draw):
+    """A truth frame and a candidate frame of any width, near it or not."""
+    d = draw(st.integers(1, 9))
+    r, r_hat = draw(st.integers(1, d)), draw(st.integers(1, d))
+    scale = draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = orthonormalize(rng.standard_normal((d, r)))
+    shared = min(r, r_hat)
+    near = b[:, :shared] + scale * rng.standard_normal((d, shared))
+    b_hat = orthonormalize(np.hstack([near, rng.standard_normal((d, r_hat - shared))]))
+    return SubspaceRep(b), SubspaceRep(b_hat)
+
+
 class TestSchurComplementBound:
     def test_true_rep_vanishes(self):
-        rng = derive_rng(22, "sc")
-        truth = make_ground_truth(8, 3, 10, 2, 1.0, rng)
-        spec = isotropic_covariates(8)
-        lam_sc, bound = schur_complement_bound(
-            truth.rep, truth.rep, sample_covariates(spec, 100_000, rng), 1.0, 2
-        )
-        assert np.linalg.norm(lam_sc) <= 1e-6
-        assert bound <= 1e-6
+        truth = make_ground_truth(8, 3, 10, 2, 1.0, derive_rng(22, "sc"))
+        assert 0.0 <= schur_complement_bound(truth.rep, truth.rep, 1.0, 2) <= 1e-12
 
     def test_orthogonal_complement_recovers_second_moment(self):
         rng = derive_rng(23, "sc")
         truth = make_ground_truth(8, 2, 8, 2, 1.0, rng)
-        spec = isotropic_covariates(8)
         full = orthonormalize(np.hstack([truth.rep.b, rng.standard_normal((8, 6))]))
         ortho = SubspaceRep(full[:, 2:4])
-        n_mc = 60_000
-        lam_sc, _ = schur_complement_bound(
-            ortho, truth.rep, sample_covariates(spec, n_mc, rng), 1.0, 2
-        )
-        # isotropic truncated law: E[h h^T] = c I with c slightly below 1
-        off = lam_sc - np.diag(np.diag(lam_sc))
-        assert np.abs(off).max() < 0.02
-        diag = np.diag(lam_sc)
-        assert np.all(diag > 0.9) and np.all(diag < 1.02)
-        assert abs(diag[0] - diag[1]) < 0.03
+        kappa = isotropic_covariates(8).second_moment
+        assert schur_complement_bound(ortho, truth.rep, 0.7, 3) == pytest.approx(
+            (3 - 1) * 0.7**2 * kappa / 2, rel=1e-14)
 
-    def test_psd_up_to_tolerance(self):
-        rng = derive_rng(24, "sc")
-        truth = make_ground_truth(6, 2, 7, 2, 1.0, rng)
-        spec = isotropic_covariates(6)
-        rep_hat = _perturbed_rep(truth, 0.5, rng)
-        lam_sc, bound = schur_complement_bound(
-            rep_hat, truth.rep, sample_covariates(spec, 5000, rng), 1.0, 2
-        )
-        from transferlab.linalg import sym_spectral
+    def test_a_narrower_frame_gives_the_ceiling(self):
+        # a frame inside the truth's span still misses one of its directions
+        truth = make_ground_truth(6, 2, 7, 2, 1.0, derive_rng(27, "sc"))
+        narrow = SubspaceRep(truth.rep.b[:, :1])
+        kappa = isotropic_covariates(6).second_moment
+        assert schur_complement_bound(narrow, truth.rep, 1.0, 4) == (4 - 1) * 1.0**2 / 2 * kappa
 
-        lam, _ = sym_spectral(lam_sc)
-        assert lam[-1] >= -1e-8
-        assert bound >= 0.0
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_frame_pairs(), st.floats(0.1, 3.0), st.integers(2, 8))
+    def test_top_eigenvalue_of_the_schur_complement(self, frames, cap, k_prime):
+        truth_rep, rep_hat = frames
+        b, b_hat = truth_rep.b, rep_hat.b
+        kappa = isotropic_covariates(b.shape[0]).second_moment
+        scale = (k_prime - 1) * cap**2 / 2
+        bound = schur_complement_bound(rep_hat, truth_rep, cap, k_prime)
+        assert 0.0 <= bound <= scale * kappa
+        cross = b_hat.T @ b
+        schur = kappa * (np.eye(b.shape[1]) - cross.T @ cross)
+        top = np.linalg.eigvalsh(0.5 * (schur + schur.T))[-1]
+        assert bound == pytest.approx(scale * top, rel=1e-9, abs=1e-12 * scale)
 
     def test_upper_bounds_measured_downstream_difference(self):
         rng = derive_rng(25, "sc")
@@ -513,22 +521,15 @@ class TestSchurComplementBound:
         spec = isotropic_covariates(8)
         for scale in (0.2, 0.6):
             rep_hat = _perturbed_rep(truth, scale, rng)
-            # the bound and the difference it bounds, on one draw
+            # the closed-form bound, and the difference it bounds measured on a draw
             x = sample_covariates(spec, 40_000, derive_rng(26, scale))
-            _, bound = schur_complement_bound(
-                rep_hat, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
+            bound = schur_complement_bound(
+                rep_hat, truth.rep, truth.down_head.column_cap, truth.k_prime,
             )
             measured, se = representation_difference(
                 rep_hat, truth, x, FIT_CFG, stage="downstream",
             )
             assert measured <= bound + 3.0 * se
-
-    def test_needs_enough_samples(self):
-        rng = derive_rng(28, "sc")
-        truth = make_ground_truth(6, 3, 8, 2, 1.0, rng)
-        x = sample_covariates(isotropic_covariates(6), 29, rng)
-        with pytest.raises(ContractViolation, match="n_mc >= 10 r = 30"):
-            schur_complement_bound(truth.rep, truth.rep, x, 1.0, 2)
 
 
 class TestDiversityRatio:
@@ -544,10 +545,10 @@ class TestDiversityRatio:
         for seed in range(3):
             rep_hat = _perturbed_rep(truth, 0.4, derive_rng(seed, "p"))
             # closed-form downstream bound times the diversity, over the
-            # measured pre-training difference, both on one draw
+            # pre-training difference measured on a draw
             x = sample_covariates(spec, 20_000, derive_rng(seed, "r"))
-            _, bound = schur_complement_bound(
-                rep_hat, truth.rep, x, truth.down_head.column_cap, truth.k_prime,
+            bound = schur_complement_bound(
+                rep_hat, truth.rep, truth.down_head.column_cap, truth.k_prime,
             )
             d_fp, _ = representation_difference(rep_hat, truth, x, FIT_CFG)
             assert d_fp > 0

@@ -7,7 +7,6 @@ from transferlab.errors import ContractViolation, DegenerateInput, SingularMatri
 from transferlab.linalg import (
     logdet_psd,
     orthonormalize,
-    pinv_psd,
     singular_values,
     sym_spectral,
 )
@@ -125,33 +124,6 @@ class TestOrthonormalize:
     def test_wide_rejected(self):
         with pytest.raises(ContractViolation):
             orthonormalize(np.ones((2, 3)))
-
-
-class TestPinvPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(pinv_psd(np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_diagonal_with_null_direction(self):
-        got = pinv_psd(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_penrose_identity_on_low_rank(self):
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal((4, 2))
-        m = b @ b.T
-        mp = pinv_psd(m)
-        np.testing.assert_allclose(m @ mp @ m, m, atol=1e-8)
-
-    def test_involution_on_full_rank(self):
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal((5, 5))
-        m = b @ b.T + 0.5 * np.eye(5)
-        back = pinv_psd(pinv_psd(m))
-        assert np.linalg.norm(back - m) <= 1e-7 * np.linalg.norm(m)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ContractViolation):
-            pinv_psd(np.diag([1.0, -1.0]))
 
 
 class TestLogdetPsd:

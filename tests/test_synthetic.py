@@ -136,13 +136,29 @@ class TestSampleCovariates:
         b = sample_covariates(spec, 500, derive_rng(8, "cov"))
         np.testing.assert_array_equal(a, b)
 
-    def test_empirical_covariance_close(self):
-        # truncation at 3 sqrt(tr) keeps the covariance within 5% operator norm
-        spec = isotropic_covariates(5)
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_empirical_covariance_close(self, d):
+        # the truncated law's second moment is kappa_d I: each entry of the
+        # empirical one lies within 4 standard errors of it
+        spec = isotropic_covariates(d)
         x = sample_covariates(spec, 100_000, derive_rng(9, "cov"))
-        emp = x.T @ x / x.shape[0]
-        lam, _ = sym_spectral(emp - np.eye(5))
-        assert max(abs(lam[0]), abs(lam[-1])) < 0.05 * 1.0
+        products = x[:, :, None] * x[:, None, :]
+        se = products.std(axis=0, ddof=1) / np.sqrt(x.shape[0])
+        gap = products.mean(axis=0) - spec.second_moment * np.eye(d)
+        assert np.all(np.abs(gap) <= 4.0 * se)
+
+    def test_second_moment_matches_chi_square_reference(self):
+        for d in range(1, 201):
+            ref = stats.chi2.cdf(9.0 * d, d + 2) / stats.chi2.cdf(9.0 * d, d)
+            assert abs(isotropic_covariates(d).second_moment - ref) <= 1e-14, d
+
+    @pytest.mark.parametrize("cap_factor", [0.5, 1.0, 2.0])
+    def test_second_moment_follows_the_cap(self, cap_factor, monkeypatch):
+        monkeypatch.setattr(synthetic, "_CAP_FACTOR", cap_factor)
+        for d in (1, 2, 7):
+            t = cap_factor**2 * d
+            ref = stats.chi2.cdf(t, d + 2) / stats.chi2.cdf(t, d)
+            assert isotropic_covariates(d).second_moment == pytest.approx(ref, rel=1e-13)
 
 
 class TestSampleLabels:
