@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 property-suite failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -89,13 +88,6 @@ def _first_cell(cfg: harness.SweepConfig) -> dict:
     return harness.cells_of(cfg)[0]
 
 
-def _file_digest(path) -> str:
-    """SHA-256 of a file's bytes: random streams keyed by it follow the
-    content, not how the path was spelled."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _check_out_paths(*paths) -> None:
     """Raise unless each path given is not a directory and its directory exists;
     checking every output before any work leaves nothing behind on exit 1."""
@@ -142,11 +134,7 @@ def _cmd_pretrain(args) -> int:
     if embed_dim > ds.dim:
         raise ContractViolation(
             f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
-    result = pretrain(
-        ds, embed_dim, HEAD_CAP, args.lambda_div,
-        cfg.optim_config(),
-        derive_rng(cfg.seed, "cli-pretrain", _file_digest(args.data), args.lambda_div),
-    )
+    result = pretrain(ds, embed_dim, HEAD_CAP, args.lambda_div, cfg.optim_config())
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
         _write_trace(args.trace_out, result.trace)
@@ -197,8 +185,8 @@ def _cmd_diagnose(args) -> int:
     rep = bundle["rep"]
     _check_fits_truth(bundle, truth, args.model)
     n_mc = args.mc_samples or int(cfg.diagnostics["risk_mc_samples"])
-    rng_tok = ("cli-diagnose", _file_digest(args.model), _file_digest(args.truth), n_mc)
-    # every Monte Carlo row is scored on this one draw (common random numbers)
+    # keyed by d, not the files: every bundle's rows share one draw (common random numbers)
+    rng_tok = ("cli-diagnose", truth.rep.input_dim, n_mc)
     x = sample_covariates(isotropic_covariates(truth.rep.input_dim), n_mc,
                           derive_rng(cfg.seed, *rng_tok, "risk"))
     rows = []

@@ -19,9 +19,9 @@ its gradient's label part S alpha^T (``_frame_grad``).
 Each block's step starts from a Barzilai-Borwein step of its own secant
 pair (``_bb_step``), and one Armijo backtracking search (``_backtrack``)
 shrinks the blocks' steps by a shared factor. Training is full batch and
-deterministic given the RNG used for initialization; the trace records
-how each run ended and how many objective evaluations it took, and
-line-search failure is reported as a stall rather than raised.
+starts from the data's own frame estimate, a deterministic function of
+the data; the trace records how each run ended and how many objective
+evaluations it took, and line-search failure is reported as a stall.
 """
 
 from __future__ import annotations
@@ -387,20 +387,37 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
     return b, alpha, trace
 
 
+def _moment_frame(x: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    """Stage one's start: the top ``r`` left singular vectors of S = x^T y / n.
+
+    For Gaussian x, Stein's lemma makes them estimate the truth frame at the
+    1/sqrt(n) rate (Stein 1981; Li 1991). Past the rank of S (r > K-1, or
+    classes missing from the sample) each further column is the normalized
+    part outside the span so far of the coordinate axis with the largest such
+    part. Every column's largest-magnitude entry is then made positive."""
+    s = x.T @ y / x.shape[0]
+    frame = np.linalg.svd(s, full_matrices=False)[0][:, :min(r, np.linalg.matrix_rank(s))]
+    while frame.shape[1] < r:
+        rest = np.eye(s.shape[0]) - frame @ frame.T
+        axis = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+        frame = np.column_stack([frame, axis / np.linalg.norm(axis)])
+    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(r)]
+    return frame * np.where(lead < 0.0, -1.0, 1.0)
+
+
 def pretrain(
     dataset: LabeledDataset,
     embed_dim: int,
     head_cap: float,
     lambda_div: float,
     cfg: OptimConfig,
-    rng: np.random.Generator,
 ) -> PretrainResult:
     """Stage-one ERM: joint head and representation descent (``_descend``).
 
     The model class is the ``embed_dim``-dimensional subspaces with heads
     whose columns have norm at most ``head_cap``. Every step moves both
     blocks: the head is projected onto its column-norm ball and the frame
-    retracted onto the orthonormal frames, starting from a random frame.
+    retracted onto the orthonormal frames, starting from ``_moment_frame``.
     The embedding dimension must be an integer in 1..d, the head cap a
     finite number > 0 and ``lambda_div`` a finite number >= 0; each is
     checked before any work.
@@ -418,9 +435,8 @@ def pretrain(
         raise ContractViolation(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
         )
-    b, alpha, trace = _descend(
-        dataset.x, dataset.y, head_cap, lambda_div, cfg, SubspaceRep.random(d, r, rng).b,
-    )
+    start = _moment_frame(dataset.x, dataset.y, r)
+    b, alpha, trace = _descend(dataset.x, dataset.y, head_cap, lambda_div, cfg, start)
     return PretrainResult(SubspaceRep(b), LinearHead(alpha, head_cap), trace)
 
 

@@ -282,13 +282,8 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         isotropic_covariates(d), n_mc, derive_rng(cfg.seed, "risk_mc", trial, d)))
 
     def fit_stage_one():
-        # the init stream ignores lambda and the condition number, so their
-        # grids are paired: identical covariates and starting frame
-        result = pretrain(
-            stage_dataset(cfg, cell, trial, "pretrain", truth),
-            r, truth.pre_head.column_cap, lam, cfg.optim_config(),
-            derive_rng(cfg.seed, "init", trial, token, n),
-        )
+        ds = stage_dataset(cfg, cell, trial, "pretrain", truth)
+        result = pretrain(ds, r, truth.pre_head.column_cap, lam, cfg.optim_config())
         return result, measure_excess_risks(
             truth, x_mc, n_mc, rep_hat=result.rep, pre_head_hat=result.head)
 

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import transferlab
-from transferlab import cli, harness, rngutil
+from transferlab import cli, erm, harness, rngutil
 from transferlab.cli import main
 from transferlab.harness import default_config
 from transferlab.model_space import load_bundle
@@ -141,10 +142,12 @@ def test_pretrain_rejects_embedding_wider_than_the_data(tmp_path, micro_config, 
     assert not model.exists()
 
 
-def test_streams_follow_file_content_not_path_spelling(tmp_path, micro_config, monkeypatch):
-    # pretrain keys its initial frame by the data file, diagnose its Monte
-    # Carlo draws by the bundle and truth files: two spellings of the same
-    # files must give the same outputs
+def test_outputs_follow_the_data_not_file_bytes_or_path_spelling(
+        tmp_path, micro_config, monkeypatch):
+    # pretrain starts from the data's own frame estimate, and diagnose keys
+    # its Monte Carlo draws by the truth's d: two spellings of the same
+    # files give the same outputs, and a copy of the data whose header
+    # carries another seed label gives the same model, byte for byte
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "--config", micro_config, "--out", "pre.csv"]) == 0
     assert main(["gen", "--config", micro_config, "--out", "down.csv",
@@ -162,6 +165,59 @@ def test_streams_follow_file_content_not_path_spelling(tmp_path, micro_config, m
             assert main([*argv, "--config", micro_config]) == 0, argv[0]
         outputs.append([Path(f).read_bytes() for f in (model, diag)])
     assert outputs[0] == outputs[1]
+    header, body = Path("pre.csv").read_text().split("\n", 1)
+    relabelled = re.sub(r"seed=\S+", "seed=relabelled", header)
+    assert relabelled != header
+    Path("relabelled.csv").write_text(relabelled + "\n" + body)
+    assert main(["pretrain", "--data", "relabelled.csv", "--out", "model-c.json",
+                 "--config", micro_config]) == 0
+    assert Path("model-c.json").read_bytes() == outputs[0][0]
+
+
+def test_bundles_diagnosed_against_one_truth_share_one_draw(
+        tmp_path, micro_config, monkeypatch):
+    # common random numbers: the draw is keyed by the truth's d and n_mc,
+    # not by the bundle's bytes
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--config", micro_config, "--out", "pre.csv"]) == 0
+    for lam, model in (("0", "plain.json"), ("0.5", "reg.json")):
+        assert main(["pretrain", "--data", "pre.csv", "--lambda", lam, "--out", model,
+                     "--config", micro_config]) == 0
+    assert Path("plain.json").read_bytes() != Path("reg.json").read_bytes()
+    draws = []
+    sample = cli.sample_covariates
+    monkeypatch.setattr(
+        cli, "sample_covariates", lambda *a, **k: draws.append(sample(*a, **k)) or draws[-1])
+    for model in ("plain.json", "reg.json"):
+        assert main(["diagnose", "--model", model, "--truth", "pre.csv.truth.json",
+                     "--out", f"{model}.csv", "--config", micro_config]) == 0
+    assert len(draws) == 2
+    np.testing.assert_array_equal(draws[0], draws[1])
+
+
+def test_embed_dim_past_k_minus_1_starts_from_a_completed_frame(tmp_path, micro_config,
+                                                                 monkeypatch):
+    # at lambda = 0 --embed-dim may exceed K - 1 = 4, the rank of S: the start
+    # completes S's leading frame with coordinate axes, deterministically
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(Path(micro_config).read_text())
+    doc["grid"].update(d=[8])
+    Path("wide.json").write_text(json.dumps(doc))
+    assert main(["gen", "--config", "wide.json", "--out", "pre.csv"]) == 0
+    starts = []
+    moment_frame = erm._moment_frame
+    monkeypatch.setattr(
+        erm, "_moment_frame", lambda *a: starts.append(moment_frame(*a)) or starts[-1])
+    for model in ("a.json", "b.json"):
+        assert main(["pretrain", "--data", "pre.csv", "--embed-dim", "6", "--out", model,
+                     "--config", "wide.json"]) == 0
+    assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
+    np.testing.assert_array_equal(starts[0], starts[1])
+    start, ds = starts[0], load_dataset("pre.csv")
+    assert start.shape == (8, 6)
+    np.testing.assert_allclose(start.T @ start, np.eye(6), atol=1e-12)
+    lead = np.linalg.svd(ds.x.T @ ds.y / ds.n)[0][:, :4]
+    np.testing.assert_allclose(lead @ lead.T @ start[:, :4], start[:, :4], atol=1e-12)
 
 
 def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):

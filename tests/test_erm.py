@@ -399,10 +399,7 @@ class TestPretrain:
         truth = make_ground_truth(20, 3, 30, 2, 1.0, rng)
         spec = isotropic_covariates(20)
         ds = make_dataset(truth, spec, 10_000, rng, "pretrain")
-        result = pretrain(
-            ds, 3, 1.0, 0.0,
-            OptimConfig(max_iters=1500, grad_tol=1e-5), derive_rng(4, "init"),
-        )
+        result = pretrain(ds, 3, 1.0, 0.0, OptimConfig(max_iters=1500, grad_tol=1e-5))
         eta_true = (ds.x @ truth.rep.b) @ truth.pre_head.alpha
         truth_risk = float(cross_entropy_rows(eta_true, ds.y).mean())
         assert not result.trace.stalled
@@ -413,10 +410,7 @@ class TestPretrain:
         truth = make_ground_truth(8, 2, 10, 2, 2.0, rng)
         ds = make_dataset(truth, isotropic_covariates(8), 800, rng, "pretrain")
         lam = 0.3
-        result = pretrain(
-            ds, 2, 1.0, lam,
-            OptimConfig(max_iters=400, grad_tol=1e-8), derive_rng(5, "init"),
-        )
+        result = pretrain(ds, 2, 1.0, lam, OptimConfig(max_iters=400, grad_tol=1e-8))
         objective = np.array(result.trace.risk) - lam * np.array(result.trace.regularizer)
         assert np.all(np.diff(objective) <= 1e-10)
         norms = np.linalg.norm(result.head.alpha, axis=0)
@@ -429,8 +423,8 @@ class TestPretrain:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 300, rng, "pretrain")
         cfg = OptimConfig(max_iters=100, grad_tol=1e-9)
-        a = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(7, "i"))
-        b = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(7, "i"))
+        a = pretrain(ds, 2, 1.0, 0.0, cfg)
+        b = pretrain(ds, 2, 1.0, 0.0, cfg)
         np.testing.assert_array_equal(a.rep.b, b.rep.b)
         np.testing.assert_array_equal(a.head.alpha, b.head.alpha)
         assert a.trace.risk == b.trace.risk
@@ -442,8 +436,8 @@ class TestPretrain:
             truth = make_ground_truth(6, 2, 10, 2, 1.0, rng)
             ds = make_dataset(truth, isotropic_covariates(6), 600, rng, "pretrain")
             cfg = OptimConfig(max_iters=250, grad_tol=1e-6)
-            plain = pretrain(ds, 2, 1.0, 0.0, cfg, derive_rng(seed, "init"))
-            reg = pretrain(ds, 2, 1.0, 0.5, cfg, derive_rng(seed, "init"))
+            plain = pretrain(ds, 2, 1.0, 0.0, cfg)
+            reg = pretrain(ds, 2, 1.0, 0.5, cfg)
             deltas.append(
                 diversity_parameter(reg.head) - diversity_parameter(plain.head)
             )
@@ -457,14 +451,12 @@ class TestPretrain:
         rng = derive_rng(16, "stall")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 200, rng, "pretrain")
-        result = pretrain(ds, 2, 1.0, 0.0, OptimConfig(max_iters=10),
-                          derive_rng(16, "init"))
+        result = pretrain(ds, 2, 1.0, 0.0, OptimConfig(max_iters=10))
         assert result.trace.stalled
         assert result.trace.stall_reason == "joint: line search hit minimum step without decrease"
         assert len(result.trace) == 1
         np.testing.assert_array_equal(result.head.alpha, np.zeros((2, 7)))
-        init = SubspaceRep.random(6, 2, derive_rng(16, "init"))
-        np.testing.assert_array_equal(result.rep.b, init.b)
+        np.testing.assert_array_equal(result.rep.b, erm._moment_frame(ds.x, ds.y, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_lambda_must_be_finite_and_nonnegative(self, bad):
@@ -472,18 +464,14 @@ class TestPretrain:
         truth = make_ground_truth(6, 2, 5, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 100, rng, "pretrain")
         with pytest.raises(ContractViolation, match="lambda must be a finite number >= 0"):
-            pretrain(ds, 2, 1.0, bad, OptimConfig(max_iters=10),
-                     derive_rng(9, "init"))
+            pretrain(ds, 2, 1.0, bad, OptimConfig(max_iters=10))
 
     def test_lambda_needs_feasible_width(self):
         rng = derive_rng(9, "pre")
         truth = make_ground_truth(6, 4, 5, 2, 1.0, rng)
         ds = make_dataset(truth, isotropic_covariates(6), 100, rng, "pretrain")
         with pytest.raises(ContractViolation):
-            pretrain(
-                ds, 5, 1.0, 0.5,
-                OptimConfig(max_iters=10), derive_rng(9, "init"),
-            )
+            pretrain(ds, 5, 1.0, 0.5, OptimConfig(max_iters=10))
 
 
 class TestBarzilaiBorwein:
@@ -584,10 +572,7 @@ class TestBarzilaiBorwein:
         rng = derive_rng(17, "bb-pre")
         truth = make_ground_truth(8, 2, 10, 2, 2.0, rng)
         ds = make_dataset(truth, isotropic_covariates(8), 600, rng, "pretrain")
-        result = pretrain(
-            ds, 2, 1.0, lam, OptimConfig(max_iters=300, grad_tol=1e-6),
-            derive_rng(17, "init"),
-        )
+        result = pretrain(ds, 2, 1.0, lam, OptimConfig(max_iters=300, grad_tol=1e-6))
         trace = result.trace
         assert trace.outcome in ("converged", "max_iters")
         objective = np.array(trace.risk) - lam * np.array(trace.regularizer)
@@ -879,13 +864,13 @@ class TestJointStepAgainstAlternation:
         # where the objective is within ~1e-13 of its stationary value; on
         # seeds 0-29 they stopped at the same point at both lambdas (the
         # objective not convex in the head at lambda > 0), |difference| at
-        # most 2e-13 and frames at most 3e-6 rad apart
+        # most 2e-13 and frames at most 7e-6 rad apart
         ds, cfg = _joint_instance(seed)
-        result = pretrain(ds, 2, 1.0, lam, cfg, derive_rng(seed, "init"))
+        result = pretrain(ds, 2, 1.0, lam, cfg)
         trace = result.trace
         assert trace.outcome == "converged"
         joint = trace.risk[-1] - lam * trace.regularizer[-1]
-        start = SubspaceRep.random(6, 2, derive_rng(seed, "init")).b
+        start = erm._moment_frame(ds.x, ds.y, 2)
         rep, _, ref = _alternating_stage_one(ds.x, ds.y, 1.0, lam, cfg, start)
         assert abs(joint - ref) <= 1e-10
         assert principal_angles(result.rep, rep)[-1] <= 1e-4
@@ -917,13 +902,13 @@ class TestJointStepAgainstAlternation:
         monkeypatch.setattr(erm, "_bb_step", spy_bb_step)
         monkeypatch.setattr(erm, "_backtrack", spy_backtrack)
         ds, cfg = _joint_instance(seed)
-        result = pretrain(ds, 2, 1.0, lam, cfg, derive_rng(seed, "init"))
+        result = pretrain(ds, 2, 1.0, lam, cfg)
         trace = result.trace
         assert trace.outcome == "converged"
         assert len(searches) == len(trace) - 1
         assert len(bb_steps) == 2 * len(searches)
         alpha = np.zeros((2, 5))
-        b = SubspaceRep.random(6, 2, derive_rng(seed, "init")).b
+        b = erm._moment_frame(ds.x, ds.y, 2)
         for search, logged in zip(searches, trace.step[1:]):
             s, _, (new_alpha, new_b), value, _ = search["found"]
             assert s == logged
@@ -950,10 +935,81 @@ def test_evaluations_count_every_objective_evaluation(fit, monkeypatch):
     monkeypatch.setattr(erm, "_head_risk", counting_risk)
     ds, cfg = _joint_instance(1)
     if fit == "pretrain":
-        trace = pretrain(ds, 2, 1.0, 0.5, cfg, derive_rng(1, "init")).trace
+        trace = pretrain(ds, 2, 1.0, 0.5, cfg).trace
     else:
         _, trace = fit_head_on_embeddings(ds.x, ds.y, 1.0, OptimConfig(grad_tol=1e-7))
     assert trace.evaluations == len(calls) >= len(trace)
+
+
+class TestMomentFrame:
+    """Stage one's start: the top left singular vectors of S = x^T y / n."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_angle_to_the_truth_shrinks_with_n(self, seed):
+        # Stein's lemma puts S's column space in the truth's span, up to
+        # 1/sqrt(n) noise; each n is 8x the last (the angle about 2.8x less)
+        rng = derive_rng(seed, "start-rate")
+        truth = make_ground_truth(10, 2, 6, 2, 1.0, rng)
+        angles = []
+        for n in (500, 4000, 32000):
+            ds = make_dataset(truth, isotropic_covariates(10), n, rng, "pretrain")
+            start = SubspaceRep(erm._moment_frame(ds.x, ds.y, 2))
+            angles.append(principal_angles(start, truth.rep)[-1])
+        assert angles[0] > angles[1] > angles[2]
+        assert angles[2] < angles[0] / 4
+
+    @pytest.mark.parametrize("flip", range(5))
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_invariant_to_the_singular_vectors_signs(self, r, flip, monkeypatch):
+        # LAPACK may return any pair (u_i, v_i) as (-u_i, -v_i); S has five
+        ds, _ = _joint_instance(2)
+        ref = erm._moment_frame(ds.x, ds.y, r)
+        svd = np.linalg.svd
+
+        def flipped_svd(a, *args, **kwargs):
+            u, sv, vt = svd(a, *args, **kwargs)
+            signs = np.where(np.arange(sv.size) == flip, -1.0, 1.0)
+            return u * signs, sv, vt * signs[:, None]
+
+        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+        np.testing.assert_array_equal(erm._moment_frame(ds.x, ds.y, r), ref)
+
+    def test_completes_past_the_rank_of_missing_classes(self, monkeypatch):
+        # only classes 1, 2 and K are in the sample, so S has rank 2; r = 4
+        # takes two columns from the coordinate axes, whatever basis LAPACK
+        # returns for S's null space
+        ds, cfg = _joint_instance(3)  # d = 6, K = 6
+        keep = ds.y[:, 2:].sum(axis=1) == 0
+        ds = LabeledDataset(ds.x[keep], ds.y[keep], ds.k)
+        s = ds.x.T @ ds.y / ds.n
+        assert np.linalg.matrix_rank(s) == 2
+        frame = erm._moment_frame(ds.x, ds.y, 4)
+        np.testing.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-12)
+        lead = np.linalg.svd(s)[0][:, :2]
+        np.testing.assert_allclose(lead @ lead.T @ frame[:, :2], frame[:, :2], atol=1e-12)
+        svd = np.linalg.svd
+
+        def rotated_null_space(a, *args, **kwargs):
+            u, sv, vt = svd(a, *args, **kwargs)
+            mix = np.linalg.qr(derive_rng(0, "null-mix").standard_normal((3, 3)))[0]
+            return np.column_stack([u[:, :2], u[:, 2:] @ mix]), sv, vt
+
+        monkeypatch.setattr(np.linalg, "svd", rotated_null_space)
+        np.testing.assert_array_equal(erm._moment_frame(ds.x, ds.y, 4), frame)
+        monkeypatch.undo()
+        result = pretrain(ds, 4, 1.0, 0.0, cfg)
+        assert not result.trace.stalled
+        np.testing.assert_array_equal(pretrain(ds, 4, 1.0, 0.0, cfg).rep.b, result.rep.b)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_pretrain_is_the_loop_from_the_start(self, lam):
+        ds, cfg = _joint_instance(4)
+        result = pretrain(ds, 2, 1.0, lam, cfg)
+        b, alpha, trace = erm._descend(ds.x, ds.y, 1.0, lam, cfg,
+                                       erm._moment_frame(ds.x, ds.y, 2))
+        np.testing.assert_array_equal(result.rep.b, b)
+        np.testing.assert_array_equal(result.head.alpha, alpha)
+        assert result.trace == trace
 
 
 class TestFailFast:
@@ -980,13 +1036,13 @@ class TestFailFast:
     def test_pretrain_rejects_cap(self, cap, no_work):
         ds, cfg = _joint_instance(0)
         with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
-            pretrain(ds, 2, cap, 0.0, cfg, derive_rng(0, "init"))
+            pretrain(ds, 2, cap, 0.0, cfg)
 
     @pytest.mark.parametrize("r", [0, -1, 7, 2.5, True])
     def test_pretrain_rejects_embed_dim_outside_one_to_d(self, r, no_work):
         ds, cfg = _joint_instance(0)  # d = 6
         with pytest.raises(ContractViolation, match="1..d = 6"):
-            pretrain(ds, r, 1.0, 0.0, cfg, derive_rng(0, "init"))
+            pretrain(ds, r, 1.0, 0.0, cfg)
 
 
 class TestBaseline:

@@ -1,6 +1,5 @@
 """Sweep mechanics: determinism, crash isolation, fits, and reports."""
 
-import copy
 import dataclasses
 import json
 import math
@@ -9,10 +8,9 @@ import numpy as np
 import pytest
 
 from transferlab.diagnostics import evaluate_risk_bound
-from transferlab import harness
+from transferlab import erm, harness
 from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
-from transferlab.model_space import SubspaceRep
 from transferlab.harness import (
     ExperimentRecord,
     SweepConfig,
@@ -335,9 +333,12 @@ class TestRunSweep:
 
     def test_condition_numbers_share_every_draw(self, monkeypatch):
         # cells that differ only in the condition number are paired: the same
-        # frame, downstream head, covariates, initial frame and downstream data
+        # frame, downstream head, covariates and downstream data; stage one
+        # starts from its own labels' frame estimate, which the condition
+        # number moves, so only cells that differ in lambda share the start
         doc = dict(MICRO, trials=1)
-        doc["grid"] = dict(MICRO["grid"], n=[300], condition_number=[1.0, 4.0])
+        doc["grid"] = dict(MICRO["grid"], n=[300], condition_number=[1.0, 4.0],
+                           lambda_div=[0.0, 0.3])
         cfg = SweepConfig.from_dict(doc)  # before the spies: it builds one truth
         truths, pre_fits, down_sets = [], [], []
         build, fit_pre, fit_down = harness.cell_truth, harness.pretrain, harness.fit_downstream_head
@@ -346,10 +347,9 @@ class TestRunSweep:
             truths.append(build(cfg_, cell, trial))
             return truths[-1]
 
-        def pretrain_spy(ds, r, cap, lam, optim, rng):
-            # the frame pretrain starts from, drawn from a copy of its stream
-            pre_fits.append((ds, SubspaceRep.random(ds.dim, r, copy.deepcopy(rng)).b))
-            return fit_pre(ds, r, cap, lam, optim, rng)
+        def pretrain_spy(ds, r, cap, lam, optim):
+            pre_fits.append((ds, erm._moment_frame(ds.x, ds.y, r)))
+            return fit_pre(ds, r, cap, lam, optim)
 
         def down_spy(rep, ds, cap, optim):
             down_sets.append(ds)
@@ -359,14 +359,19 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "pretrain", pretrain_spy)
         monkeypatch.setattr(harness, "fit_downstream_head", down_spy)
         records = run_sweep(cfg)
-        assert [rec.status for rec in records] == ["ok", "ok"]
-        (t1, t4), ((pre1, init1), (pre4, init4)), (down1, down4) = truths, pre_fits, down_sets
+        assert [rec.status for rec in records] == ["ok"] * 4
+        # cells run (cond 1, lambda 0), (1, 0.3), (4, 0), (4, 0.3)
+        (t1, t4), ((pre1, init1), (_, init1_reg), (pre4, init4), (_, init4_reg)) = (
+            truths, pre_fits)
         np.testing.assert_array_equal(t1.rep.b, t4.rep.b)
         np.testing.assert_array_equal(t1.down_head.alpha, t4.down_head.alpha)
         np.testing.assert_array_equal(pre1.x, pre4.x)
-        np.testing.assert_array_equal(init1, init4)
-        np.testing.assert_array_equal(down1.x, down4.x)
-        np.testing.assert_array_equal(down1.y, down4.y)
+        np.testing.assert_array_equal(init1, init1_reg)
+        np.testing.assert_array_equal(init4, init4_reg)
+        assert len(down_sets) == 4
+        for down in down_sets[1:]:
+            np.testing.assert_array_equal(down.x, down_sets[0].x)
+            np.testing.assert_array_equal(down.y, down_sets[0].y)
         # only the pre-training head's spectrum differs: cond 1 gives the head
         # U V^T, so with U and V shared, alpha_4 alpha_1^T = U diag(1, 1/2) U^T
         shared = t4.pre_head.alpha @ t1.pre_head.alpha.T
