@@ -105,6 +105,12 @@ def _write_trace(path, trace) -> None:
     harness.write_csv(path, [dict(zip(columns, row)) for row in zip(*series)], columns)
 
 
+def _fit_summary(trace) -> str:
+    """How a fit ended, in how many iterations and objective evaluations."""
+    return (f"{trace.outcome} after {len(trace)} iterations "
+            f"({trace.evaluations} objective evaluations)")
+
+
 def _cmd_print_default_config(_args) -> int:
     print(json.dumps(harness.default_config(), indent=2))
     return 0
@@ -139,11 +145,7 @@ def _cmd_pretrain(args) -> int:
     if args.trace_out:
         _write_trace(args.trace_out, result.trace)
     trace = result.trace
-    print(
-        f"{trace.outcome} after {len(trace)} iterations "
-        f"({trace.evaluations} objective evaluations); "
-        f"final risk {trace.risk[-1]:.6f}; model -> {args.out}"
-    )
+    print(f"{_fit_summary(trace)}; final risk {trace.risk[-1]:.6f}; model -> {args.out}")
     return 0
 
 
@@ -158,7 +160,7 @@ def _cmd_probe(args) -> int:
     save_bundle(args.out, bundle)
     if args.trace_out:
         _write_trace(args.trace_out, trace)
-    print(f"fit downstream head in {len(trace)} iterations; model -> {args.out}")
+    print(f"downstream head {_fit_summary(trace)}; model -> {args.out}")
     return 0
 
 
@@ -207,8 +209,8 @@ def _cmd_diagnose(args) -> int:
         if "pre_head" in bundle:
             add("excess_pretrain_risk", report.excess_pretrain_risk,
                 report.pretrain_std_error)
-    add("pretrain_rep_difference",
-        *representation_difference(rep, truth, x, harness.HEAD_OPTIM))
+    value, se, rep_fit = representation_difference(rep, truth, x, harness.HEAD_OPTIM)
+    add("pretrain_rep_difference", value, se)
     add("schur_worst_case_bound", schur_complement_bound(
         rep, truth.rep, truth.down_head.column_cap, truth.k_prime))
 
@@ -241,6 +243,7 @@ def _cmd_diagnose(args) -> int:
         for metric, value, se in rows:
             tail = "" if np.isnan(se) else f" +- {se:.3e}"
             fh.write(f"  {metric}: {value:.6e}{tail}\n")
+        fh.write(f"pretrain_rep_difference head fit: {_fit_summary(rep_fit)}\n")
     print(f"wrote {len(rows)} diagnostics to {args.out}")
     return 0
 

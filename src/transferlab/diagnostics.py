@@ -6,10 +6,13 @@ expected KL divergence between their conditionals, which is pointwise
 nonnegative and needs no label sampling. The test suite cross-checks it
 against the naive sampled-label estimator.
 
-The worst-case representation difference of a candidate embedding is not
-searched by brute force; its generalized-Schur-complement bound is reported
-instead, in closed form from the largest principal angle between the frames
-and the covariate law's second moment kappa_d, with no draw.
+The representation difference of a candidate embedding is a convex head
+fit against the truth's soft targets; it starts from the least-squares head
+B_hat^T B alpha* (``_least_squares_head``), not the zero head, and returns
+the fit's trace with its value. The worst-case representation difference
+is not searched by brute force; its generalized-Schur-complement bound is
+reported instead, in closed form from the largest principal angle between
+the frames and the covariate law's second moment kappa_d, with no draw.
 
 All Monte Carlo diagnostics return standard errors. The routines that
 average over the covariate law take the draw itself, so that callers can
@@ -32,7 +35,7 @@ from .linalg import singular_values
 from .model_space import LinearHead, SubspaceRep, principal_angles
 from .softmax import _KL_CHUNK, kl_rows, softmax_full_rows
 from .synthetic import GroundTruth, isotropic_covariates
-from .erm import OptimConfig, fit_head_on_embeddings
+from .erm import OptimConfig, TrainTrace, fit_head_on_embeddings
 
 __all__ = [
     "RiskReport",
@@ -217,20 +220,36 @@ def measure_excess_risks(
     return RiskReport(down[0], pre[0], down[1], pre[1], base[0], base[1])
 
 
+def _least_squares_head(rep_hat: SubspaceRep, truth_rep: SubspaceRep,
+                        truth_head: LinearHead) -> np.ndarray:
+    """The head B_hat^T B alpha* of ``rep_hat`` nearest the truth's logits.
+
+    As E[x x^T] = kappa_d I, it minimizes E||alpha*^T B^T x - alpha^T
+    B_hat^T x||^2 = kappa_d ||B alpha* - B_hat alpha||_F^2. B_hat^T B is a
+    contraction, so each column is no longer than the truth head's, and the
+    head lies inside the truth's column-cap ball.
+    """
+    return (rep_hat.b.T @ truth_rep.b) @ truth_head.alpha
+
+
 def representation_difference(
     rep_hat: SubspaceRep,
     truth: GroundTruth,
     x: np.ndarray,
     fit_cfg: OptimConfig,
     stage: str = "pretrain",
-) -> tuple[float, float]:
+) -> tuple[float, float, TrainTrace]:
     """Best-head expected loss gap of a candidate representation.
 
     The inner infimum over the stage's capped heads is a convex fit
     against the exact conditional class probabilities of the truth on the
     covariate draw ``x``; the value is the mean KL achieved by that best
-    head. The targets are built, and the head scored, chunk by chunk.
-    Returns ``(value, std_error)``.
+    head. The fit starts from ``_least_squares_head``, not the zero head:
+    the objective is strictly convex, so the infimum is the same, and a
+    start that fits the truth's logits usually lies near it. The targets are built, and the head scored,
+    chunk by chunk. A frame whose d is not the truth's is rejected (by
+    ``SubspaceRep.apply`` on the draw) before the start is formed. Returns
+    ``(value, std_error, trace)``, the trace being the head fit's.
     """
     if stage not in ("pretrain", "downstream"):
         raise ContractViolation(f"unknown stage {stage!r}")
@@ -244,8 +263,10 @@ def representation_difference(
     soft = np.empty((x.shape[0], truth_head.n_logits))
     for rows in _mc_chunks(x.shape[0]):
         soft[rows] = softmax_full_rows(eta_true(rows))[:, :-1]
-    alpha, _ = fit_head_on_embeddings(z_hat, soft, truth_head.column_cap, fit_cfg)
-    return _kl_stats(x.shape[0], eta_true, lambda rows: z_hat[rows] @ alpha)
+    alpha, trace = fit_head_on_embeddings(
+        z_hat, soft, truth_head.column_cap, fit_cfg,
+        start=_least_squares_head(rep_hat, truth.rep, truth_head))
+    return (*_kl_stats(x.shape[0], eta_true, lambda rows: z_hat[rows] @ alpha), trace)
 
 
 def schur_complement_bound(

@@ -1,9 +1,9 @@
 """Two-stage empirical risk minimization through one descent loop.
 
 ``_descend`` is the only optimizer: projected/retracted gradient descent
-with backtracking line search from the zero head, optionally adding the
-spectral diversity regularizer ``-lambda * ln det(alpha alpha^T + mu I)``
-(mu = ``_RIDGE_MU``) to the objective. Stage one (``pretrain``) runs it
+with backtracking line search from the zero head unless given a start,
+optionally adding the spectral diversity regularizer ``-lambda * ln
+det(alpha alpha^T + mu I)`` (mu = ``_RIDGE_MU``) to the objective. Stage one (``pretrain``) runs it
 on (frame, head), one joint step of both blocks per iteration; the frame
 B is a plain (d, r) orthonormal array inside the loop, and its final
 value is validated once, by the ``SubspaceRep`` constructor. Stage two
@@ -272,8 +272,9 @@ def _backtrack(objective, current_value, direction_step, step0):
     return "line search hit minimum step without decrease"
 
 
-def _descend(x, y, cap, lambda_div, cfg, b=None):
-    """Projected descent from the zero head; returns ``(b, alpha, trace)``.
+def _descend(x, y, cap, lambda_div, cfg, b=None, start=None):
+    """Projected descent from the zero head unless given a start; returns
+    ``(b, alpha, trace)``.
 
     The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
     alpha^T + _RIDGE_MU I)``. With a (d, r) orthonormal frame ``b`` both
@@ -304,11 +305,22 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
     projected-gradient norm, the head's accepted step, the running least
     Gram eigenvalue of the head and the count of objective evaluations.
     Line-search failure stalls the run and returns the current iterate
-    with the stall recorded. A ``cap`` that is not a finite number > 0 is
-    rejected before any work.
+    with the stall recorded. A ``start`` head is capped (``cap_columns``)
+    before the first step. A ``cap`` that is not a finite number > 0, or a
+    ``start`` that is not a finite (r, K-1) array, is rejected before any
+    work.
     """
     if not (math.isfinite(cap) and cap > 0):
         raise ContractViolation(f"head cap must be a finite number > 0, got {cap!r}")
+    shape = (x.shape[1] if b is None else b.shape[1], y.shape[1])
+    if start is None:
+        alpha = np.zeros(shape)
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != shape or not np.isfinite(start).all():
+            raise ContractViolation(
+                f"start head must be a finite {shape} array, got shape {start.shape}")
+        alpha = cap_columns(start, cap)
     mu = _RIDGE_MU
     trace = TrainTrace()
 
@@ -330,7 +342,6 @@ def _descend(x, y, cap, lambda_div, cfg, b=None):
     else:  # one (d, n) copy of the samples and the label terms S per fit
         xt = np.ascontiguousarray(x.T)
         terms = xt @ y / xt.shape[1]
-    alpha = np.zeros((x.shape[1] if b is None else b.shape[1], y.shape[1]))
     _, (zt, label_stat, risk, soft, reg) = objective((alpha, b))
     s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
@@ -445,14 +456,16 @@ def fit_head_on_embeddings(
     targets: np.ndarray,
     cap: float,
     cfg: OptimConfig,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, TrainTrace]:
-    """Projected gradient descent on the convex capped-head objective.
+    """Projected gradient descent on the convex capped-head objective, from
+    the zero head unless given a ``start`` (capped before the first step).
 
     ``targets`` may be one-hot rows or soft class probabilities; the
     objective mean(Phi(eta) - targets . eta) reduces to the empirical
-    cross-entropy in the one-hot case. Both blocks must be finite, and
-    ``cap`` a finite number > 0. This is ``_descend`` with the
-    representation frozen and no regularizer.
+    cross-entropy in the one-hot case. Both blocks must be finite, ``cap``
+    a finite number > 0 and ``start``, if given, a finite (r, K-1) array.
+    This is ``_descend`` with the representation frozen and no regularizer.
     """
     z = as_matrix(z, "embeddings")
     targets = as_matrix(targets, "targets")
@@ -460,7 +473,7 @@ def fit_head_on_embeddings(
         raise ContractViolation("embeddings and targets must be matching blocks")
     if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")
-    _, alpha, trace = _descend(z, targets, cap, 0.0, cfg)
+    _, alpha, trace = _descend(z, targets, cap, 0.0, cfg, start=start)
     return alpha, trace
 
 

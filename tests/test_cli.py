@@ -774,6 +774,37 @@ def test_pretrain_summary_counts_objective_evaluations(tmp_path, micro_config, c
     assert found and int(found[2]) >= int(found[1])
 
 
+def test_probe_and_diagnose_report_their_head_fits(tmp_path, micro_config, capsys):
+    # probe prints how its fit ended; diagnose's summary says how the
+    # representation difference's head fit did, and diag.csv reruns to the byte
+    pre, truth, down = tmp_path / "pre.csv", tmp_path / "truth.json", tmp_path / "down.csv"
+    model, probed = tmp_path / "model.json", tmp_path / "probed.json"
+    assert main(["gen", "--config", micro_config, "--out", str(pre),
+                 "--truth-out", str(truth)]) == 0
+    assert main(["gen", "--config", micro_config, "--out", str(down),
+                 "--stage", "downstream"]) == 0
+    assert main(["pretrain", "--config", micro_config, "--data", str(pre),
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["probe", "--config", micro_config, "--model", str(model),
+                 "--data", str(down), "--out", str(probed)]) == 0
+    found = re.search(r"downstream head (converged|stalled|max_iters) after (\d+) "
+                      r"iterations \((\d+) objective evaluations\)", capsys.readouterr().out)
+    assert found and int(found[3]) >= int(found[2]) >= 1
+    outputs = []
+    for name in ("diag.csv", "again.csv"):
+        out = tmp_path / name
+        assert main(["diagnose", "--config", micro_config, "--model", str(probed),
+                     "--truth", str(truth), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    summary = (tmp_path / "diag.csv.txt").read_text()
+    found = re.search(r"pretrain_rep_difference head fit: converged after (\d+) "
+                      r"iterations \((\d+) objective evaluations\)", summary)
+    assert found and int(found[2]) >= int(found[1]) >= 1
+    assert summary.count("head fit") == 1
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_diagnose_rejects_mc_samples_below_one(tmp_path, samples, capsys):
     # the files do not exist: the flag must be rejected before any is read

@@ -771,6 +771,28 @@ class TestHeadFitIsTheDescentLoop:
         else:
             assert trace.stall_reason == ref.stall_reason == ""
 
+    def test_start_is_capped_before_the_first_step(self):
+        rng = np.random.default_rng(8)
+        z, t = rng.standard_normal((80, 3)), mixed_targets(rng, 80, 2)
+        start = np.array([[3.0, 0.1], [4.0, 0.2], [0.0, -0.3]])  # first column norm 5
+        cfg = OptimConfig(max_iters=1)
+        _, trace = fit_head_on_embeddings(z, t, 1.0, cfg, start=start)
+        capped = cap_columns(start, 1.0)
+        risk, _ = _parent_head_risk(capped, z, _parent_label_stat(z, t))
+        assert trace.risk[0] == risk
+        assert trace.nu_tilde[0] == diversity_parameter(capped)
+
+    def test_a_start_at_the_optimum_converges_at_once(self):
+        rng = np.random.default_rng(9)
+        z, t = rng.standard_normal((80, 3)), mixed_targets(rng, 80, 2)
+        cfg = OptimConfig(grad_tol=1e-7)
+        alpha, trace = fit_head_on_embeddings(z, t, 1.0, cfg)
+        assert trace.outcome == "converged" and trace.evaluations > 1
+        again, restart = fit_head_on_embeddings(z, t, 1.0, cfg, start=alpha)
+        assert restart.outcome == "converged"
+        assert len(restart) == restart.evaluations == 1
+        assert again.tobytes() == alpha.tobytes()
+
     @pytest.mark.parametrize("block", ["embeddings", "targets"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, block, bad):
@@ -1013,8 +1035,9 @@ class TestMomentFrame:
 
 
 class TestFailFast:
-    """A head cap that is not a finite number > 0, or an embedding dimension
-    outside 1..d, is rejected before any objective evaluation."""
+    """A head cap that is not a finite number > 0, a start head that is not a
+    finite (r, K-1) array, or an embedding dimension outside 1..d, is
+    rejected before any objective evaluation."""
 
     BAD_CAPS = [0.0, -1.0, np.nan, np.inf]
 
@@ -1031,6 +1054,25 @@ class TestFailFast:
         z, targets = rng.standard_normal((50, 3)), mixed_targets(rng, 50, 2)
         with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
             fit_head_on_embeddings(z, targets, cap, OptimConfig())
+
+    @pytest.mark.parametrize("start", [
+        pytest.param(np.zeros((2, 2)), id="narrow"),
+        pytest.param(np.zeros((3, 3)), id="wide"),
+        pytest.param(np.zeros((3,)), id="flat"),
+        pytest.param(np.zeros((3, 2, 1)), id="3-d"),
+        pytest.param(np.full((3, 2), np.nan), id="nan"),
+        pytest.param(np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]), id="inf"),
+    ])
+    @pytest.mark.parametrize("frame", [False, True])
+    def test_rejects_start(self, start, frame, no_work):
+        rng = np.random.default_rng(7)
+        x, targets = rng.standard_normal((50, 6)), mixed_targets(rng, 50, 2)
+        with pytest.raises(ContractViolation, match=r"start head must be a finite \(3, 2\)"):
+            if frame:  # stage one's loop: the head is (r, K-1) for the frame's r = 3
+                erm._descend(x, targets, 1.0, 0.0, OptimConfig(),
+                             orthonormalize(rng.standard_normal((6, 3))), start)
+            else:
+                fit_head_on_embeddings(x[:, :3], targets, 1.0, OptimConfig(), start=start)
 
     @pytest.mark.parametrize("cap", BAD_CAPS)
     def test_pretrain_rejects_cap(self, cap, no_work):
