@@ -84,10 +84,6 @@ def _load_config(path) -> harness.SweepConfig:
         return harness.SweepConfig.from_dict(json.load(fh))
 
 
-def _first_cell(cfg: harness.SweepConfig) -> dict:
-    return harness.cells_of(cfg)[0]
-
-
 def _check_out_paths(*paths) -> None:
     """Raise unless each path given is not a directory and its directory exists;
     checking every output before any work leaves nothing behind on exit 1."""
@@ -106,9 +102,9 @@ def _write_trace(path, trace) -> None:
 
 
 def _fit_summary(trace) -> str:
-    """How a fit ended, in how many iterations and objective evaluations."""
-    return (f"{trace.outcome} after {len(trace)} iterations "
-            f"({trace.evaluations} objective evaluations)")
+    """How a fit ended, and why if it stalled, in how many iterations and evaluations."""
+    outcome = f"stalled ({trace.stall_reason})" if trace.stalled else trace.outcome
+    return f"{outcome} after {len(trace)} iterations ({trace.evaluations} objective evaluations)"
 
 
 def _cmd_print_default_config(_args) -> int:
@@ -120,7 +116,7 @@ def _cmd_gen(args) -> int:
     truth_path = args.truth_out or (args.out + ".truth.json")
     _check_out_paths(args.out, truth_path)
     cfg = _load_config(args.config)
-    cell = _first_cell(cfg)
+    cell = harness.cells_of(cfg)[0]
     truth = harness.cell_truth(cfg, cell, args.trial)
     ds = harness.stage_dataset(cfg, cell, args.trial, args.stage, truth)
     save_dataset(args.out, ds)
@@ -133,14 +129,16 @@ def _cmd_pretrain(args) -> int:
     _check_out_paths(args.out, args.trace_out)
     cfg = _load_config(args.config)
     ds = load_dataset(args.data)
+    cell = harness.cells_of(cfg)[0]
     if args.embed_dim is None:
-        embed_dim, source = _first_cell(cfg)["r"], "the config's grid.r"
+        embed_dim, source = cell["r"], "the config's grid.r"
     else:
         embed_dim, source = args.embed_dim, "--embed-dim"
     if embed_dim > ds.dim:
         raise ContractViolation(
             f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
-    result = pretrain(ds, embed_dim, HEAD_CAP, args.lambda_div, cfg.optim_config())
+    lambda_div = float(cell["lambda_div"]) if args.lambda_div is None else args.lambda_div
+    result = pretrain(ds, embed_dim, HEAD_CAP, lambda_div, cfg.optim_config())
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
         _write_trace(args.trace_out, result.trace)
@@ -295,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="stage-one training on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lambda_div", type=_finite_nonnegative, default=0.0)
+    p.add_argument("--lambda", dest="lambda_div", type=_finite_nonnegative, default=None,
+                   help="diversity weight (default: lambda_div of the config's first grid cell)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument(

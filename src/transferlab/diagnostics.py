@@ -7,7 +7,8 @@ nonnegative and needs no label sampling. The test suite cross-checks it
 against the naive sampled-label estimator.
 
 The representation difference of a candidate embedding is a convex head
-fit against the truth's soft targets; it starts from the least-squares head
+fit against the truth's soft targets, read as their label statistic
+z_hat^T T / n (``_soft_label_stat``); it starts from the least-squares head
 B_hat^T B alpha* (``_least_squares_head``), not the zero head, and returns
 the fit's trace with its value. The worst-case representation difference
 is not searched by brute force; its generalized-Schur-complement bound is
@@ -19,12 +20,12 @@ average over the covariate law take the draw itself, so that callers can
 score several fits and quantities on one draw; the others take an
 explicit generator. The KL routines walk the draw ``_MC_CHUNK`` rows at a
 time: they hold the (n_mc, r) embeddings and one n_mc vector per risk,
-and no (n_mc, K-1) logit or probability block other than the soft targets
-of ``representation_difference``'s head fit.
+and no (n_mc, K-1) logit or probability block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -232,6 +233,16 @@ def _least_squares_head(rep_hat: SubspaceRep, truth_rep: SubspaceRep,
     return (rep_hat.b.T @ truth_rep.b) @ truth_head.alpha
 
 
+def _soft_label_stat(z: np.ndarray, eta_true) -> np.ndarray:
+    """z^T T / n for the class probabilities T at the logits ``eta_true(rows)``,
+    summed one chunk at a time; an empty draw is rejected before the division."""
+    if z.shape[0] < 1:
+        raise ContractViolation("no samples to fit")
+    parts = (z[rows].T @ softmax_full_rows(eta_true(rows))[:, :-1]
+             for rows in _mc_chunks(z.shape[0]))
+    return functools.reduce(np.add, parts) / z.shape[0]
+
+
 def representation_difference(
     rep_hat: SubspaceRep,
     truth: GroundTruth,
@@ -246,10 +257,11 @@ def representation_difference(
     covariate draw ``x``; the value is the mean KL achieved by that best
     head. The fit starts from ``_least_squares_head``, not the zero head:
     the objective is strictly convex, so the infimum is the same, and a
-    start that fits the truth's logits usually lies near it. The targets are built, and the head scored,
-    chunk by chunk. A frame whose d is not the truth's is rejected (by
-    ``SubspaceRep.apply`` on the draw) before the start is formed. Returns
-    ``(value, std_error, trace)``, the trace being the head fit's.
+    start that fits the truth's logits usually lies near it. The fit reads
+    the targets as their statistic ``_soft_label_stat``, and the head is
+    scored chunk by chunk. A frame whose d is not the truth's is rejected
+    (by ``SubspaceRep.apply`` on the draw) before the start is formed.
+    Returns ``(value, std_error, trace)``, the trace being the head fit's.
     """
     if stage not in ("pretrain", "downstream"):
         raise ContractViolation(f"unknown stage {stage!r}")
@@ -260,11 +272,8 @@ def representation_difference(
     def eta_true(rows):
         return z_true[rows] @ truth_head.alpha
 
-    soft = np.empty((x.shape[0], truth_head.n_logits))
-    for rows in _mc_chunks(x.shape[0]):
-        soft[rows] = softmax_full_rows(eta_true(rows))[:, :-1]
     alpha, trace = fit_head_on_embeddings(
-        z_hat, soft, truth_head.column_cap, fit_cfg,
+        z_hat, _soft_label_stat(z_hat, eta_true), truth_head.column_cap, fit_cfg,
         start=_least_squares_head(rep_hat, truth.rep, truth_head))
     return (*_kl_stats(x.shape[0], eta_true, lambda rows: z_hat[rows] @ alpha), trace)
 

@@ -12,9 +12,10 @@ the embeddings, a convex problem. A no-pretraining baseline fits
 a full-dimensional linear predictor the same way on the raw covariates.
 
 The loop works on class-major blocks: x as one (d, n) copy per fit,
-embeddings (r, n), logits (K-1, n). The targets enter once per fit, as
-the label terms S = x^T T / n, so a frame's label statistic is B^T S and
-its gradient's label part S alpha^T (``_frame_grad``).
+embeddings (r, n), logits (K-1, n). A fit reads its targets T only as
+the label terms S = x^T T / n (``_label_terms``), formed once by its
+caller, so a frame's label statistic is B^T S and its gradient's label
+part S alpha^T (``_frame_grad``).
 
 Each block's step starts from a Barzilai-Borwein step of its own secant
 pair (``_bb_step``), and one Armijo backtracking search (``_backtrack``)
@@ -184,18 +185,25 @@ def _embed_softmax(alpha: np.ndarray, soft: tuple[np.ndarray, np.ndarray]) -> np
     return (alpha @ expo) / denom
 
 
-def _frame_grad(xt: np.ndarray, s: np.ndarray, alpha: np.ndarray,
+def _frame_grad(xt: np.ndarray, terms: np.ndarray, alpha: np.ndarray,
                 soft: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Mean-loss gradient w.r.t. the frame B, x (alpha P)^T / n - S alpha^T, for
     the (d, n) samples ``xt``, their label terms S = x^T T / n and the
     ``(expo, denom)`` pair of ``_head_risk``."""
-    return xt @ _embed_softmax(alpha, soft).T / xt.shape[1] - s @ alpha.T
+    return xt @ _embed_softmax(alpha, soft).T / xt.shape[1] - terms @ alpha.T
 
 
 def _tangent(b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``g`` projected onto the tangent space of the orthonormal frames at ``b``."""
     btg = b.T @ g
     return g - b @ (0.5 * (btg + btg.T))
+
+
+def _label_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The label terms S = x^T y / n; n = 0 is rejected before the division."""
+    if x.shape[0] < 1:
+        raise ContractViolation("no samples to fit")
+    return x.T @ y / x.shape[0]
 
 
 def loss_and_grad(rep: SubspaceRep, head: LinearHead, x, y):
@@ -208,12 +216,11 @@ def loss_and_grad(rep: SubspaceRep, head: LinearHead, x, y):
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ContractViolation("x and y must be matching 2-D sample blocks")
     if x.shape[1] != rep.input_dim:
-        raise ContractViolation(
-            f"input dim {x.shape[1]} != representation dim {rep.input_dim}")
+        raise ContractViolation(f"input dim {x.shape[1]} != representation dim {rep.input_dim}")
     if y.shape[1] != head.n_logits:
         raise ContractViolation("label width does not match head logits")
+    terms = _label_terms(x, y)
     xt = np.ascontiguousarray(x.T)
-    terms = xt @ y / xt.shape[1]
     zt, label_stat = rep.b.T @ xt, rep.b.T @ terms
     risk, soft = _head_risk(head.alpha, zt, label_stat)
     return risk, _head_grad(zt, soft, label_stat), _frame_grad(xt, terms, head.alpha, soft)
@@ -272,47 +279,47 @@ def _backtrack(objective, current_value, direction_step, step0):
     return "line search hit minimum step without decrease"
 
 
-def _descend(x, y, cap, lambda_div, cfg, b=None, start=None):
+def _descend(x, terms, cap, lambda_div, cfg, b=None, start=None):
     """Projected descent from the zero head unless given a start; returns
     ``(b, alpha, trace)``.
 
-    The objective is mean cross-entropy minus ``lambda_div * ln det(alpha
-    alpha^T + _RIDGE_MU I)``. With a (d, r) orthonormal frame ``b`` both
-    blocks move: each iteration forms one gradient pair at the current
-    (alpha, B), which serves both the stopping test and one joint step:
-    the head's gradient, regularizer included, and the frame's
-    (``_frame_grad``), whose stationarity norm is that of its tangent part
-    (``_tangent``). Each block starts from the Barzilai-Borwein step of its
-    own secant pair: the head's is alpha and its gradient, the frame's B
-    and its ambient gradient, not the Riemannian one (Wen and Yin 2013),
-    which took fewer trials on the benchmark workloads. Stage one
+    The targets T enter only as ``terms``, their label terms S = x^T T / n,
+    which the caller forms. The objective is mean cross-entropy minus
+    ``lambda_div * ln det(alpha alpha^T + _RIDGE_MU I)``. With a (d, r)
+    orthonormal frame ``b`` both blocks move: each iteration forms one
+    gradient pair at the current (alpha, B), which serves both the stopping
+    test and one joint step: the head's gradient, regularizer included, and
+    the frame's (``_frame_grad``), whose stationarity norm is that of its
+    tangent part (``_tangent``). Each block starts from the Barzilai-Borwein
+    step of its own secant pair: the head's is alpha and its gradient, the
+    frame's B and its ambient gradient, not the Riemannian one (Wen and Yin
+    2013), which took fewer trials on the benchmark workloads. Stage one
     alternates the long and the short step by iteration; a head fit takes
     the long one. One backtracking search shrinks both steps by a shared
     factor: a trial step s caps the head's columns of alpha - s grad, then
     QR-retracts B - s ratio riem, riem the tangent gradient of the frame at
-    that trial head (with the iterate's softmax), where ratio is the
-    frame's BB step over the head's. The frame thus sees the head's move
-    as it did when the two alternated, and the trial's squared move is the
-    head's plus the frame's over ``ratio``: ``_backtrack``'s Armijo
-    decrease _ARMIJO_C / s * move^2 is then the sum of each block's squared
-    move over its own step, the scaled gradient projection test
-    (Bonettini, Zanella and Zanni 2009). Without ``b`` the rows of ``x``
-    are the embeddings, read as (r, n) through a transposed view, and the
-    step is the head's alone: the head fit of stage two. It drops the
-    iterate's softmax once the gradient is formed, so one (K-1, n) block is
-    live during its line search; stage one keeps it for the trial's frame
-    gradient. The trace records risk, regularizer value, combined
-    projected-gradient norm, the head's accepted step, the running least
-    Gram eigenvalue of the head and the count of objective evaluations.
-    Line-search failure stalls the run and returns the current iterate
-    with the stall recorded. A ``start`` head is capped (``cap_columns``)
-    before the first step. A ``cap`` that is not a finite number > 0, or a
-    ``start`` that is not a finite (r, K-1) array, is rejected before any
-    work.
+    that trial head (with the iterate's softmax), where ratio is the frame's
+    BB step over the head's. The frame thus sees the head's move as it did
+    when the two alternated, and the trial's squared move is the head's plus
+    the frame's over ``ratio``: ``_backtrack``'s Armijo decrease _ARMIJO_C /
+    s * move^2 is then the sum of each block's squared move over its own
+    step, the scaled gradient projection test (Bonettini, Zanella and Zanni
+    2009). Without ``b`` the rows of ``x`` are the embeddings, read as (r,
+    n) through a transposed view, and the step is the head's alone: the head
+    fit of stage two. It drops the iterate's softmax once the gradient is
+    formed, so one (K-1, n) block is live during its line search; stage one
+    keeps it for the trial's frame gradient. The trace records risk,
+    regularizer value, combined projected-gradient norm, the head's accepted
+    step, the running least Gram eigenvalue of the head and the count of
+    objective evaluations. Line-search failure stalls the run and returns
+    the current iterate with the stall recorded. A ``start`` head is capped
+    (``cap_columns``) before the first step. A ``cap`` that is not a finite
+    number > 0, or a ``start`` that is not a finite (r, K-1) array, is
+    rejected before any work.
     """
     if not (math.isfinite(cap) and cap > 0):
         raise ContractViolation(f"head cap must be a finite number > 0, got {cap!r}")
-    shape = (x.shape[1] if b is None else b.shape[1], y.shape[1])
+    shape = (x.shape[1] if b is None else b.shape[1], terms.shape[1])
     if start is None:
         alpha = np.zeros(shape)
     else:
@@ -338,10 +345,9 @@ def _descend(x, y, cap, lambda_div, cfg, b=None, start=None):
         return risk_c - lambda_div * reg_c, (zt_c, stat_c, risk_c, soft_c, reg_c)
 
     if b is None:  # the rows of x are the embeddings: read a transposed view
-        zt, label_stat = x.T, x.T @ y / x.shape[0]
-    else:  # one (d, n) copy of the samples and the label terms S per fit
+        zt, label_stat = x.T, terms
+    else:  # one (d, n) copy of the samples per fit
         xt = np.ascontiguousarray(x.T)
-        terms = xt @ y / xt.shape[1]
     _, (zt, label_stat, risk, soft, reg) = objective((alpha, b))
     s_head = s_rep = _STEP_INIT
     prev_head = prev_rep = None
@@ -398,18 +404,17 @@ def _descend(x, y, cap, lambda_div, cfg, b=None, start=None):
     return b, alpha, trace
 
 
-def _moment_frame(x: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
-    """Stage one's start: the top ``r`` left singular vectors of S = x^T y / n.
+def _moment_frame(terms: np.ndarray, r: int) -> np.ndarray:
+    """Stage one's start: the top ``r`` left singular vectors of the label terms S.
 
     For Gaussian x, Stein's lemma makes them estimate the truth frame at the
     1/sqrt(n) rate (Stein 1981; Li 1991). Past the rank of S (r > K-1, or
     classes missing from the sample) each further column is the normalized
     part outside the span so far of the coordinate axis with the largest such
     part. Every column's largest-magnitude entry is then made positive."""
-    s = x.T @ y / x.shape[0]
-    frame = np.linalg.svd(s, full_matrices=False)[0][:, :min(r, np.linalg.matrix_rank(s))]
+    frame = np.linalg.svd(terms, full_matrices=False)[0][:, :min(r, np.linalg.matrix_rank(terms))]
     while frame.shape[1] < r:
-        rest = np.eye(s.shape[0]) - frame @ frame.T
+        rest = np.eye(terms.shape[0]) - frame @ frame.T
         axis = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
         frame = np.column_stack([frame, axis / np.linalg.norm(axis)])
     lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(r)]
@@ -428,13 +433,11 @@ def pretrain(
     The model class is the ``embed_dim``-dimensional subspaces with heads
     whose columns have norm at most ``head_cap``. Every step moves both
     blocks: the head is projected onto its column-norm ball and the frame
-    retracted onto the orthonormal frames, starting from ``_moment_frame``.
-    The embedding dimension must be an integer in 1..d, the head cap a
-    finite number > 0 and ``lambda_div`` a finite number >= 0; each is
-    checked before any work.
+    retracted onto the orthonormal frames, from the ``_moment_frame`` of the
+    label terms the descent reads. The dataset must be nonempty, the
+    embedding dimension an integer in 1..d, the head cap a finite number > 0
+    and ``lambda_div`` a finite number >= 0; each is checked before any work.
     """
-    if dataset.n < 1:
-        raise ContractViolation("dataset is empty")
     d, k_minus_1 = dataset.x.shape[1], dataset.y.shape[1]
     r = embed_dim
     if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 1 <= r <= d:
@@ -446,14 +449,14 @@ def pretrain(
         raise ContractViolation(
             f"diversity regularizer needs r <= K-1, got r={r}, K-1={k_minus_1}"
         )
-    start = _moment_frame(dataset.x, dataset.y, r)
-    b, alpha, trace = _descend(dataset.x, dataset.y, head_cap, lambda_div, cfg, start)
+    terms = _label_terms(dataset.x, dataset.y)
+    b, alpha, trace = _descend(dataset.x, terms, head_cap, lambda_div, cfg, _moment_frame(terms, r))
     return PretrainResult(SubspaceRep(b), LinearHead(alpha, head_cap), trace)
 
 
 def fit_head_on_embeddings(
     z: np.ndarray,
-    targets: np.ndarray,
+    label_stat: np.ndarray,
     cap: float,
     cfg: OptimConfig,
     start: np.ndarray | None = None,
@@ -461,19 +464,20 @@ def fit_head_on_embeddings(
     """Projected gradient descent on the convex capped-head objective, from
     the zero head unless given a ``start`` (capped before the first step).
 
-    ``targets`` may be one-hot rows or soft class probabilities; the
-    objective mean(Phi(eta) - targets . eta) reduces to the empirical
-    cross-entropy in the one-hot case. Both blocks must be finite, ``cap``
-    a finite number > 0 and ``start``, if given, a finite (r, K-1) array.
-    This is ``_descend`` with the representation frozen and no regularizer.
+    The targets T, one-hot or soft, enter only as ``label_stat`` = z^T T / n;
+    the objective mean(Phi(eta) - T . eta) is the empirical cross-entropy in
+    the one-hot case. ``z`` must be finite and nonempty, ``label_stat``
+    finite with a row per column of ``z``, ``cap`` a finite number > 0 and
+    ``start``, if given, a finite (r, K-1) array. This is ``_descend`` with
+    the representation frozen and no regularizer.
     """
     z = as_matrix(z, "embeddings")
-    targets = as_matrix(targets, "targets")
-    if z.shape[0] != targets.shape[0]:
-        raise ContractViolation("embeddings and targets must be matching blocks")
+    label_stat = as_matrix(label_stat, "label statistic")
+    if label_stat.shape[0] != z.shape[1]:
+        raise ContractViolation(f"label statistic has {label_stat.shape[0]} rows, not {z.shape[1]}")
     if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")
-    _, alpha, trace = _descend(z, targets, cap, 0.0, cfg, start=start)
+    _, alpha, trace = _descend(z, label_stat, cap, 0.0, cfg, start=start)
     return alpha, trace
 
 
@@ -485,7 +489,7 @@ def fit_downstream_head(
 ) -> tuple[LinearHead, TrainTrace]:
     """Stage two: fit a capped head on the frozen representation."""
     z = rep.apply(dataset.x)
-    alpha, trace = fit_head_on_embeddings(z, dataset.y, cap, cfg)
+    alpha, trace = fit_head_on_embeddings(z, _label_terms(z, dataset.y), cap, cfg)
     return LinearHead(alpha, cap), trace
 
 
@@ -493,5 +497,5 @@ def train_baseline(
     dataset: LabeledDataset, cap: float, cfg: OptimConfig
 ) -> tuple[LinearHead, TrainTrace]:
     """No-pretraining comparator: capped linear predictor on raw covariates."""
-    alpha, trace = fit_head_on_embeddings(dataset.x, dataset.y, cap, cfg)
+    alpha, trace = fit_head_on_embeddings(dataset.x, _label_terms(dataset.x, dataset.y), cap, cfg)
     return LinearHead(alpha, cap), trace

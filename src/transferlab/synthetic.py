@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleDiversityError, require_keys
-from .linalg import as_matrix, orthonormalize, sym_spectral
-from .model_space import LinearHead, SubspaceRep, component_from_payload, component_to_payload
+from .linalg import as_matrix, orthonormalize
+from .model_space import (
+    LinearHead, SubspaceRep, component_from_payload, component_to_payload, diversity_parameter)
 from .softmax import softmax_full_rows
 
 __all__ = [
@@ -96,9 +97,7 @@ class GroundTruth:
             raise ContractViolation("stage heads disagree on embedding dimension")
         if self.pre_head.embed_dim != self.rep.embed_dim:
             raise ContractViolation("head embedding dim does not match representation")
-        gram = self.pre_head.alpha @ self.pre_head.alpha.T
-        lam, _ = sym_spectral(gram)
-        if lam[-1] <= 0.0:
+        if diversity_parameter(self.pre_head) <= 0.0:
             raise ContractViolation("pre-training head Gram is rank-deficient")
 
     @property
@@ -229,16 +228,12 @@ def _sample_labels(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One-hot labels drawn from the softmax conditional of head(rep(x))."""
-    eta = rep.apply(x) @ head.alpha
-    probs = softmax_full_rows(eta)
+    probs = softmax_full_rows(rep.apply(x) @ head.alpha)
     n, k = probs.shape
     u = rng.random(n)
     idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, k - 1)
-    y = np.zeros((n, k - 1))
-    hit = idx < k - 1
-    y[np.nonzero(hit)[0], idx[hit]] = 1.0
-    return y
+    # an index past K-1 (rounding in the cumulative sum) is class K too
+    return (idx[:, None] == np.arange(k - 1)).astype(np.float64)
 
 
 def make_dataset(

@@ -162,21 +162,14 @@ def gradient_check_suite(
 
         # cross-entropy gradient in the natural parameters
         eta = rng.standard_normal(k - 1)
-        y = np.zeros(k - 1)
-        cls = int(rng.integers(0, k))
-        if cls < k - 1:
-            y[cls] = 1.0
+        y = np.eye(k)[int(rng.integers(0, k)), :-1]
         analytic = softmax_full_rows(eta[None, :])[0, :-1] - y
         numeric = _fd_grad(lambda e: float(cross_entropy_rows(e, y)[0]), eta)
         worst = max(worst, _rel_err(analytic, numeric))
 
         # empirical risk gradients through a representation
         x = rng.standard_normal((n, d))
-        yy = np.zeros((n, k - 1))
-        labels = rng.integers(0, k, n)
-        for row, lab in enumerate(labels):
-            if lab < k - 1:
-                yy[row, lab] = 1.0
+        yy = np.eye(k)[rng.integers(0, k, n), :-1]
         alpha = rng.standard_normal((r, k - 1)) * 0.5
         head = LinearHead(alpha, column_cap=10.0)
         rep = SubspaceRep.random(d, r, rng)

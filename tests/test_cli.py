@@ -142,6 +142,52 @@ def test_pretrain_rejects_embedding_wider_than_the_data(tmp_path, micro_config, 
     assert not model.exists()
 
 
+def test_pretrain_lambda_defaults_to_the_config_and_the_flag_overrides_it(
+        tmp_path, micro_config, monkeypatch):
+    # --lambda defaults to lambda_div of the first grid cell, as --embed-dim
+    # defaults to its r; a flag given wins over the config
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--config", micro_config, "--out", "pre.csv"]) == 0
+    doc = json.loads(Path(micro_config).read_text())
+    doc["grid"]["lambda_div"] = [0.5, 0.0]
+    Path("lam.json").write_text(json.dumps(doc))
+    for config, flag, model in (
+        ("lam.json", [], "by-config.json"),
+        (micro_config, ["--lambda", "0.5"], "by-flag.json"),
+        (micro_config, [], "by-plain.json"),
+        ("lam.json", ["--lambda", "0"], "by-override.json"),
+    ):
+        assert main(["pretrain", "--config", config, "--data", "pre.csv", "--out", model,
+                     *flag]) == 0, model
+    model = {name: Path(f"by-{name}.json").read_bytes()
+             for name in ("config", "flag", "plain", "override")}
+    assert model["config"] == model["flag"] != model["plain"] == model["override"]
+
+
+def test_a_stalled_fit_names_its_reason(tmp_path, micro_config, monkeypatch, capsys):
+    # one line-search trial whose sufficient-decrease constant is near 1
+    # stalls every fit at its start; each summary gives the stall's reason
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--config", micro_config, "--out", "pre.csv"]) == 0
+    assert main(["gen", "--config", micro_config, "--out", "down.csv",
+                 "--stage", "downstream"]) == 0
+    monkeypatch.setattr(erm, "_ARMIJO_C", 0.999)
+    monkeypatch.setattr(erm, "_MIN_STEP", erm._STEP_INIT)
+    capsys.readouterr()
+    reason = "line search hit minimum step without decrease"
+    assert main(["pretrain", "--config", micro_config, "--data", "pre.csv",
+                 "--out", "model.json"]) == 0
+    assert f"stalled (joint: {reason}) after 1 iterations" in capsys.readouterr().out
+    assert main(["probe", "--config", micro_config, "--model", "model.json",
+                 "--data", "down.csv", "--out", "probed.json"]) == 0
+    assert (f"downstream head stalled (head: {reason}) after 1 iterations"
+            in capsys.readouterr().out)
+    assert main(["diagnose", "--config", micro_config, "--model", "probed.json",
+                 "--truth", "pre.csv.truth.json", "--out", "diag.csv"]) == 0
+    summary = Path("diag.csv.txt").read_text()
+    assert f"pretrain_rep_difference head fit: stalled (head: {reason}) after 1 " in summary
+
+
 def test_outputs_follow_the_data_not_file_bytes_or_path_spelling(
         tmp_path, micro_config, monkeypatch):
     # pretrain starts from the data's own frame estimate, and diagnose keys

@@ -356,12 +356,14 @@ def _whole_excess_risks(rep_hat, pre_head_hat, down_head_hat, truth, x, baseline
 
 def _whole_representation_difference(rep_hat, truth, x, fit_cfg, stage, start):
     """The representation difference on whole blocks, its head fit from ``start``
-    (None: the zero head); returns ``(value, std_error, trace)``."""
+    (None: the zero head); returns ``(value, std_error, trace)``. The fit's
+    label statistic is the chunked sum's, so that the fits take the same steps
+    at every n_mc (``TestSoftLabelStatistic`` checks the sum itself)."""
     truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
     eta_true = truth.rep.apply(x) @ truth_head.alpha
-    soft = softmax_full_rows(eta_true)[:, :-1]
     z_hat = rep_hat.apply(x)
-    alpha, trace = fit_head_on_embeddings(z_hat, soft, truth_head.column_cap, fit_cfg,
+    stat = diagnostics._soft_label_stat(z_hat, lambda rows: eta_true[rows])
+    alpha, trace = fit_head_on_embeddings(z_hat, stat, truth_head.column_cap, fit_cfg,
                                           start=start)
     return (*_whole_kl_stats(eta_true, z_hat @ alpha), trace)
 
@@ -437,6 +439,38 @@ class TestChunkedMonteCarlo:
             _whole_representation_difference(rep_hat, truth, x, cfg, stage, start))
 
 
+class TestSoftLabelStatistic:
+    """The chunked sum z_hat^T T / n of the soft targets against the whole block."""
+
+    @staticmethod
+    def _stats(n_mc):
+        truth, rep_hat, _, x = _chunk_instance(n_mc)
+        eta_true = truth.rep.apply(x) @ truth.pre_head.alpha
+        z_hat = rep_hat.apply(x)
+        soft = softmax_full_rows(eta_true)[:, :-1]
+        chunked = diagnostics._soft_label_stat(z_hat, lambda rows: eta_true[rows])
+        return chunked, z_hat.T @ soft / n_mc, np.abs(z_hat).T @ soft / n_mc
+
+    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n <= diagnostics._MC_CHUNK])
+    def test_one_chunk_gives_the_whole_block_bits(self, n_mc):
+        chunked, whole, _ = self._stats(n_mc)
+        assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n > diagnostics._MC_CHUNK])
+    def test_more_chunks_agree_within_the_summation_bound(self, n_mc):
+        # two orders of summing n_mc terms each err by at most (n_mc - 1) u
+        # times the sum of their magnitudes (u = eps / 2), so the two means
+        # differ by at most n_mc eps times the mean of |z_hat| t; at n_mc =
+        # 5000 they were 4.6 eps times it apart when measured
+        chunked, whole, magnitude = self._stats(n_mc)
+        assert np.all(np.abs(chunked - whole) <= n_mc * np.finfo(float).eps * magnitude)
+
+    def test_empty_draw_rejected(self):
+        truth, rep_hat, _, _ = _chunk_instance(1)
+        with pytest.raises(ContractViolation, match="no samples"):
+            representation_difference(rep_hat, truth, np.zeros((0, 10)), FIT_CFG)
+
+
 class TestMonteCarloMemory:
     """No (n_mc, K-1) block is held whole, and a head fit holds one logit block."""
 
@@ -458,10 +492,24 @@ class TestMonteCarloMemory:
         n, width = 20_000, 29
         rng = derive_rng(42, "mem")
         z = rng.standard_normal((n, 3))
-        soft = softmax_full_rows(rng.standard_normal((n, width)))[:, :-1].copy()
+        stat = z.T @ softmax_full_rows(rng.standard_normal((n, width)))[:, :-1] / n
         block = n * width * 8
         peak = _peak_bytes(lambda: fit_head_on_embeddings(
-            z, soft, 1.0, OptimConfig(max_iters=30, grad_tol=1e-12)))
+            z, stat, 1.0, OptimConfig(max_iters=30, grad_tol=1e-12)))
+        assert peak < 1.5 * block, (peak, block)
+
+    def test_representation_difference_holds_one_logit_block(self):
+        # the head fit's logit block, the two (n_mc, r) embeddings and one
+        # n_mc KL vector: 1.36 blocks when measured, where a whole soft-target
+        # block beside the fit's took 2.36
+        n_mc, d = 20_000, 20
+        rng = derive_rng(45, "mem")
+        truth = make_ground_truth(d, 3, 30, 2, 2.0, rng)
+        rep_hat = _perturbed_rep(truth, 0.3, rng)
+        x = sample_covariates(isotropic_covariates(d), n_mc, rng)
+        block = n_mc * 29 * 8
+        peak = _peak_bytes(lambda: representation_difference(
+            rep_hat, truth, x, OptimConfig(max_iters=30, grad_tol=1e-12)))
         assert peak < 1.5 * block, (peak, block)
 
     def test_complexity_noise_block_stays_near_a_chunk(self):

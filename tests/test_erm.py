@@ -36,6 +36,7 @@ from transferlab.erm import (
     _embed_softmax,
     _head_grad,
     _head_risk,
+    _label_terms,
     TrainTrace,
     OptimConfig,
     fit_downstream_head,
@@ -456,7 +457,13 @@ class TestPretrain:
         assert result.trace.stall_reason == "joint: line search hit minimum step without decrease"
         assert len(result.trace) == 1
         np.testing.assert_array_equal(result.head.alpha, np.zeros((2, 7)))
-        np.testing.assert_array_equal(result.rep.b, erm._moment_frame(ds.x, ds.y, 2))
+        np.testing.assert_array_equal(result.rep.b, erm._moment_frame(_label_terms(ds.x, ds.y), 2))
+
+    def test_empty_dataset_rejected(self):
+        # rejected before the label terms are formed: 0 / 0 would warn first
+        ds = LabeledDataset(x=np.zeros((0, 3)), y=np.zeros((0, 2)), k=3)
+        with pytest.raises(ContractViolation, match="no samples"):
+            pretrain(ds, 2, 1.0, 0.0, OptimConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_lambda_must_be_finite_and_nonnegative(self, bad):
@@ -544,7 +551,7 @@ class TestBarzilaiBorwein:
         # 1e-7 is the head fits' default tolerance; far below it the
         # Armijo decrease drops under the rounding of the risk
         cfg = OptimConfig(max_iters=5000, grad_tol=1e-7)
-        alpha, trace = fit_head_on_embeddings(z, targets, cap, cfg)
+        alpha, trace = fit_head_on_embeddings(z, _label_terms(z, targets), cap, cfg)
         assert trace.outcome == "converged"
         assert trace.grad_norm[-1] <= cfg.grad_tol
         assert np.linalg.norm(alpha, axis=0).max() <= cap * (1 + 1e-12)
@@ -610,7 +617,8 @@ class TestDownstreamFit:
         for i, lab in enumerate(labels):
             if lab < kp - 1:
                 y[i, lab] = 1.0
-        _, trace = fit_head_on_embeddings(np.zeros((n, 2)), y, 1.0, OptimConfig(max_iters=50))
+        z = np.zeros((n, 2))
+        _, trace = fit_head_on_embeddings(z, _label_terms(z, y), 1.0, OptimConfig(max_iters=50))
         assert trace.risk[-1] == pytest.approx(math.log(kp), abs=1e-12)
         counts = np.concatenate([y.sum(axis=0), [n - y.sum()]])
         freqs = counts / n
@@ -631,7 +639,7 @@ class TestDownstreamFit:
         z = rng.standard_normal((50, 2))
         y = np.zeros((50, 1))
         y[:25, 0] = 1.0
-        alpha, trace = fit_head_on_embeddings(z, y, 1.0, OptimConfig(max_iters=10))
+        alpha, trace = fit_head_on_embeddings(z, _label_terms(z, y), 1.0, OptimConfig(max_iters=10))
         assert trace.stalled
         assert "minimum step" in trace.stall_reason
 
@@ -650,7 +658,8 @@ class TestDownstreamFit:
         rng = np.random.default_rng(1316)
         z = rng.standard_normal((60, 3))
         targets = mixed_targets(rng, 60, 2)
-        alpha, trace = fit_head_on_embeddings(z, targets, 2.0, OptimConfig(grad_tol=1e-9))
+        stat = _label_terms(z, targets)
+        alpha, trace = fit_head_on_embeddings(z, stat, 2.0, OptimConfig(grad_tol=1e-9))
         assert trace.outcome == "stalled"
         assert "rounding" in trace.stall_reason
         assert len(trace) < 100
@@ -658,7 +667,7 @@ class TestDownstreamFit:
         ref = TestBarzilaiBorwein._reference_head_fit(z, targets, 2.0)
         assert abs(trace.risk[-1] - ref) <= 1e-14
         # the head fits' default tolerance is met on the same problem
-        _, default = fit_head_on_embeddings(z, targets, 2.0, OptimConfig(grad_tol=1e-7))
+        _, default = fit_head_on_embeddings(z, stat, 2.0, OptimConfig(grad_tol=1e-7))
         assert default.outcome == "converged"
 
 
@@ -754,9 +763,9 @@ class TestHeadFitIsTheDescentLoop:
         t = targets(rng, n, 2)
         if request.node.callspec.id == "nan-embedding":
             z[4, 1] = np.nan
-            _, alpha, trace = erm._descend(z, t, cap, 0.0, cfg)
+            _, alpha, trace = erm._descend(z, _label_terms(z, t), cap, 0.0, cfg)
         else:
-            alpha, trace = fit_head_on_embeddings(z, t, cap, cfg)
+            alpha, trace = fit_head_on_embeddings(z, _label_terms(z, t), cap, cfg)
         ref_alpha, ref = _parent_head_fit(z, t, cap, cfg)
         assert trace.outcome == ref.outcome == outcome
         assert alpha.tobytes() == ref_alpha.tobytes()
@@ -776,7 +785,7 @@ class TestHeadFitIsTheDescentLoop:
         z, t = rng.standard_normal((80, 3)), mixed_targets(rng, 80, 2)
         start = np.array([[3.0, 0.1], [4.0, 0.2], [0.0, -0.3]])  # first column norm 5
         cfg = OptimConfig(max_iters=1)
-        _, trace = fit_head_on_embeddings(z, t, 1.0, cfg, start=start)
+        _, trace = fit_head_on_embeddings(z, _label_terms(z, t), 1.0, cfg, start=start)
         capped = cap_columns(start, 1.0)
         risk, _ = _parent_head_risk(capped, z, _parent_label_stat(z, t))
         assert trace.risk[0] == risk
@@ -786,22 +795,24 @@ class TestHeadFitIsTheDescentLoop:
         rng = np.random.default_rng(9)
         z, t = rng.standard_normal((80, 3)), mixed_targets(rng, 80, 2)
         cfg = OptimConfig(grad_tol=1e-7)
-        alpha, trace = fit_head_on_embeddings(z, t, 1.0, cfg)
+        stat = _label_terms(z, t)
+        alpha, trace = fit_head_on_embeddings(z, stat, 1.0, cfg)
         assert trace.outcome == "converged" and trace.evaluations > 1
-        again, restart = fit_head_on_embeddings(z, t, 1.0, cfg, start=alpha)
+        again, restart = fit_head_on_embeddings(z, stat, 1.0, cfg, start=alpha)
         assert restart.outcome == "converged"
         assert len(restart) == restart.evaluations == 1
         assert again.tobytes() == alpha.tobytes()
 
-    @pytest.mark.parametrize("block", ["embeddings", "targets"])
+    @pytest.mark.parametrize("block", ["embeddings", "label statistic"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, block, bad):
         rng = np.random.default_rng(7)
-        blocks = {"embeddings": rng.standard_normal((50, 3)),
-                  "targets": mixed_targets(rng, 50, 2)}
-        blocks[block][4, 1] = bad
+        z = rng.standard_normal((50, 3))
+        blocks = {"embeddings": z, "label statistic": _label_terms(z, mixed_targets(rng, 50, 2))}
+        blocks[block][1, 1] = bad
         with pytest.raises(ContractViolation, match=block):
-            fit_head_on_embeddings(blocks["embeddings"], blocks["targets"], 1.0, OptimConfig())
+            fit_head_on_embeddings(blocks["embeddings"], blocks["label statistic"], 1.0,
+                                   OptimConfig())
 
 
 def _alternating_stage_one(x, y, cap, lambda_div, cfg, b):
@@ -892,7 +903,7 @@ class TestJointStepAgainstAlternation:
         trace = result.trace
         assert trace.outcome == "converged"
         joint = trace.risk[-1] - lam * trace.regularizer[-1]
-        start = erm._moment_frame(ds.x, ds.y, 2)
+        start = erm._moment_frame(_label_terms(ds.x, ds.y), 2)
         rep, _, ref = _alternating_stage_one(ds.x, ds.y, 1.0, lam, cfg, start)
         assert abs(joint - ref) <= 1e-10
         assert principal_angles(result.rep, rep)[-1] <= 1e-4
@@ -930,7 +941,7 @@ class TestJointStepAgainstAlternation:
         assert len(searches) == len(trace) - 1
         assert len(bb_steps) == 2 * len(searches)
         alpha = np.zeros((2, 5))
-        b = erm._moment_frame(ds.x, ds.y, 2)
+        b = erm._moment_frame(_label_terms(ds.x, ds.y), 2)
         for search, logged in zip(searches, trace.step[1:]):
             s, _, (new_alpha, new_b), value, _ = search["found"]
             assert s == logged
@@ -959,7 +970,7 @@ def test_evaluations_count_every_objective_evaluation(fit, monkeypatch):
     if fit == "pretrain":
         trace = pretrain(ds, 2, 1.0, 0.5, cfg).trace
     else:
-        _, trace = fit_head_on_embeddings(ds.x, ds.y, 1.0, OptimConfig(grad_tol=1e-7))
+        _, trace = train_baseline(ds, 1.0, OptimConfig(grad_tol=1e-7))
     assert trace.evaluations == len(calls) >= len(trace)
 
 
@@ -975,7 +986,7 @@ class TestMomentFrame:
         angles = []
         for n in (500, 4000, 32000):
             ds = make_dataset(truth, isotropic_covariates(10), n, rng, "pretrain")
-            start = SubspaceRep(erm._moment_frame(ds.x, ds.y, 2))
+            start = SubspaceRep(erm._moment_frame(_label_terms(ds.x, ds.y), 2))
             angles.append(principal_angles(start, truth.rep)[-1])
         assert angles[0] > angles[1] > angles[2]
         assert angles[2] < angles[0] / 4
@@ -985,7 +996,8 @@ class TestMomentFrame:
     def test_invariant_to_the_singular_vectors_signs(self, r, flip, monkeypatch):
         # LAPACK may return any pair (u_i, v_i) as (-u_i, -v_i); S has five
         ds, _ = _joint_instance(2)
-        ref = erm._moment_frame(ds.x, ds.y, r)
+        terms = _label_terms(ds.x, ds.y)
+        ref = erm._moment_frame(terms, r)
         svd = np.linalg.svd
 
         def flipped_svd(a, *args, **kwargs):
@@ -994,7 +1006,7 @@ class TestMomentFrame:
             return u * signs, sv, vt * signs[:, None]
 
         monkeypatch.setattr(np.linalg, "svd", flipped_svd)
-        np.testing.assert_array_equal(erm._moment_frame(ds.x, ds.y, r), ref)
+        np.testing.assert_array_equal(erm._moment_frame(terms, r), ref)
 
     def test_completes_past_the_rank_of_missing_classes(self, monkeypatch):
         # only classes 1, 2 and K are in the sample, so S has rank 2; r = 4
@@ -1003,9 +1015,9 @@ class TestMomentFrame:
         ds, cfg = _joint_instance(3)  # d = 6, K = 6
         keep = ds.y[:, 2:].sum(axis=1) == 0
         ds = LabeledDataset(ds.x[keep], ds.y[keep], ds.k)
-        s = ds.x.T @ ds.y / ds.n
+        s = _label_terms(ds.x, ds.y)
         assert np.linalg.matrix_rank(s) == 2
-        frame = erm._moment_frame(ds.x, ds.y, 4)
+        frame = erm._moment_frame(s, 4)
         np.testing.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-12)
         lead = np.linalg.svd(s)[0][:, :2]
         np.testing.assert_allclose(lead @ lead.T @ frame[:, :2], frame[:, :2], atol=1e-12)
@@ -1017,7 +1029,7 @@ class TestMomentFrame:
             return np.column_stack([u[:, :2], u[:, 2:] @ mix]), sv, vt
 
         monkeypatch.setattr(np.linalg, "svd", rotated_null_space)
-        np.testing.assert_array_equal(erm._moment_frame(ds.x, ds.y, 4), frame)
+        np.testing.assert_array_equal(erm._moment_frame(s, 4), frame)
         monkeypatch.undo()
         result = pretrain(ds, 4, 1.0, 0.0, cfg)
         assert not result.trace.stalled
@@ -1027,8 +1039,8 @@ class TestMomentFrame:
     def test_pretrain_is_the_loop_from_the_start(self, lam):
         ds, cfg = _joint_instance(4)
         result = pretrain(ds, 2, 1.0, lam, cfg)
-        b, alpha, trace = erm._descend(ds.x, ds.y, 1.0, lam, cfg,
-                                       erm._moment_frame(ds.x, ds.y, 2))
+        terms = _label_terms(ds.x, ds.y)
+        b, alpha, trace = erm._descend(ds.x, terms, 1.0, lam, cfg, erm._moment_frame(terms, 2))
         np.testing.assert_array_equal(result.rep.b, b)
         np.testing.assert_array_equal(result.head.alpha, alpha)
         assert result.trace == trace
@@ -1053,7 +1065,15 @@ class TestFailFast:
         rng = np.random.default_rng(7)
         z, targets = rng.standard_normal((50, 3)), mixed_targets(rng, 50, 2)
         with pytest.raises(ContractViolation, match="cap must be a finite number > 0"):
-            fit_head_on_embeddings(z, targets, cap, OptimConfig())
+            fit_head_on_embeddings(z, _label_terms(z, targets), cap, OptimConfig())
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_head_fit_rejects_a_statistic_of_another_width(self, rows, no_work):
+        # the statistic z^T T / n has one row per embedding coordinate
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((50, 3))
+        with pytest.raises(ContractViolation, match=f"label statistic has {rows} rows"):
+            fit_head_on_embeddings(z, np.zeros((rows, 2)), 1.0, OptimConfig())
 
     @pytest.mark.parametrize("start", [
         pytest.param(np.zeros((2, 2)), id="narrow"),
@@ -1069,10 +1089,12 @@ class TestFailFast:
         x, targets = rng.standard_normal((50, 6)), mixed_targets(rng, 50, 2)
         with pytest.raises(ContractViolation, match=r"start head must be a finite \(3, 2\)"):
             if frame:  # stage one's loop: the head is (r, K-1) for the frame's r = 3
-                erm._descend(x, targets, 1.0, 0.0, OptimConfig(),
+                erm._descend(x, _label_terms(x, targets), 1.0, 0.0, OptimConfig(),
                              orthonormalize(rng.standard_normal((6, 3))), start)
             else:
-                fit_head_on_embeddings(x[:, :3], targets, 1.0, OptimConfig(), start=start)
+                z = x[:, :3]
+                fit_head_on_embeddings(z, _label_terms(z, targets), 1.0, OptimConfig(),
+                                       start=start)
 
     @pytest.mark.parametrize("cap", BAD_CAPS)
     def test_pretrain_rejects_cap(self, cap, no_work):

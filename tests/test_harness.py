@@ -348,7 +348,7 @@ class TestRunSweep:
             return truths[-1]
 
         def pretrain_spy(ds, r, cap, lam, optim):
-            pre_fits.append((ds, erm._moment_frame(ds.x, ds.y, r)))
+            pre_fits.append((ds, erm._moment_frame(erm._label_terms(ds.x, ds.y), r)))
             return fit_pre(ds, r, cap, lam, optim)
 
         def down_spy(rep, ds, cap, optim):
