@@ -198,15 +198,12 @@ def _cmd_diagnose(args) -> int:
     if "pre_head" in bundle:
         add("nu_learned", diversity_parameter(bundle["pre_head"]))
     add("max_principal_angle", principal_angles(rep, truth.rep)[-1])
-    if "down_head" in bundle:
-        report = measure_excess_risks(
-            truth, x, n_mc, rep_hat=rep, pre_head_hat=bundle.get("pre_head"),
-            down_head_hat=bundle["down_head"],
-        )
-        add("excess_transfer_risk", report.excess_transfer_risk, report.std_error)
+    if "down_head" in bundle:  # the excess risks are scored once the bundle is probed
+        add("excess_transfer_risk",
+            *measure_excess_risks(truth, x, n_mc, bundle["down_head"], rep, "downstream"))
         if "pre_head" in bundle:
-            add("excess_pretrain_risk", report.excess_pretrain_risk,
-                report.pretrain_std_error)
+            add("excess_pretrain_risk",
+                *measure_excess_risks(truth, x, n_mc, bundle["pre_head"], rep, "pretrain"))
     value, se, rep_fit = representation_difference(rep, truth, x, harness.HEAD_OPTIM)
     add("pretrain_rep_difference", value, se)
     add("schur_worst_case_bound", schur_complement_bound(

@@ -19,8 +19,9 @@ All Monte Carlo diagnostics return standard errors. The routines that
 average over the covariate law take the draw itself, so that callers can
 score several fits and quantities on one draw; the others take an
 explicit generator. The KL routines walk the draw ``_MC_CHUNK`` rows at a
-time: they hold the (n_mc, r) embeddings and one n_mc vector per risk,
-and no (n_mc, K-1) logit or probability block.
+time, handing ``softmax.kl_rows`` one chunk per call: they hold the
+(n_mc, r) embeddings and one n_mc vector, and no (n_mc, K-1) logit or
+probability block.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ import numpy as np
 from .errors import ContractViolation
 from .linalg import singular_values
 from .model_space import LinearHead, SubspaceRep, principal_angles
-from .softmax import _KL_CHUNK, kl_rows, softmax_full_rows
+from .softmax import kl_rows, softmax_full_rows
 from .synthetic import GroundTruth, isotropic_covariates
 from .erm import OptimConfig, TrainTrace, fit_head_on_embeddings
 
 __all__ = [
-    "RiskReport",
     "ComplexityEstimate",
     "ChainRuleReport",
     "empirical_gaussian_complexity_linear",
@@ -54,31 +54,16 @@ __all__ = [
 
 
 @dataclass
-class RiskReport:
-    """Excess risks of fitted heads, with Monte Carlo error bars.
-
-    The risks of heads that were not given are NaN.
-    """
-
-    excess_transfer_risk: float
-    excess_pretrain_risk: float
-    std_error: float
-    pretrain_std_error: float = math.nan
-    baseline_excess_risk: float = math.nan
-    baseline_std_error: float = math.nan
-
-
-@dataclass
 class ComplexityEstimate:
-    """A Gaussian/Rademacher complexity value with its Monte Carlo error bar."""
+    """A Gaussian complexity value with its Monte Carlo error bar."""
 
     value: float
     std_error: float
 
 
-# Rows per Monte Carlo chunk: kl_rows then takes exactly one of its own
-# chunks per call and picks its kernel branch as it did on the whole draw.
-_MC_CHUNK = _KL_CHUNK
+# Rows per Monte Carlo chunk: each kl_rows call holds two (K-1) x chunk
+# blocks and picks its kernel branch for its chunk alone.
+_MC_CHUNK = 2048
 # Noise scalars per complexity block, about one Monte Carlo logit chunk; a
 # block holds whole draws, at least one.
 _CHUNK_SCALARS = 32 * _MC_CHUNK
@@ -142,24 +127,18 @@ def worst_case_complexity_linear(
 def mc_complexity_finite(
     class_outputs,
     draws: int,
-    kind: str,
     rng: np.random.Generator,
 ) -> ComplexityEstimate:
-    """Complexity of a finite class given each candidate's sample outputs.
+    """Gaussian complexity of a finite class given each candidate's sample outputs.
 
-    ``class_outputs`` is a list of (n, r) arrays; per noise draw the
-    supremum over candidates of (1/n) sum_{k,i} g_ki q_k(x_i) is exact.
+    ``class_outputs`` is a list of (n, r) arrays; per Gaussian noise draw
+    the supremum over candidates of (1/n) sum_{k,i} g_ki q_k(x_i) is exact.
     """
     if not class_outputs:
         raise ContractViolation("candidate list is empty")
-    if kind not in ("gaussian", "rademacher"):
-        raise ContractViolation(f"unknown noise kind {kind!r}")
     flat = np.stack([np.asarray(q, dtype=np.float64).ravel() for q in class_outputs])
     n = np.asarray(class_outputs[0]).shape[0]
-    if kind == "gaussian":
-        noise = rng.standard_normal((draws, flat.shape[1]))
-    else:
-        noise = rng.integers(0, 2, size=(draws, flat.shape[1])) * 2.0 - 1.0
+    noise = rng.standard_normal((draws, flat.shape[1]))
     return ComplexityEstimate(*_mean_se((noise @ flat.T).max(axis=1) / n))
 
 
@@ -181,44 +160,39 @@ def measure_excess_risks(
     truth: GroundTruth,
     x: np.ndarray,
     n_mc: int,
-    *,
-    rep_hat: SubspaceRep | None = None,
-    pre_head_hat: LinearHead | None = None,
-    down_head_hat: LinearHead | None = None,
-    baseline_head: LinearHead | None = None,
-) -> RiskReport:
-    """Excess risks of the fitted heads given, on one covariate draw ``x``.
+    head: LinearHead,
+    rep_hat: SubspaceRep | None,
+    stage: str,
+) -> tuple[float, float]:
+    """Excess risk of one fitted head against ``stage``'s truth head, on the
+    covariate draw ``x``; returns ``(mean, std_error)``.
 
-    Each risk is the Monte Carlo mean over the ``n_mc`` rows of ``x``
+    The risk is the Monte Carlo mean over the ``n_mc`` rows of ``x``
     (draws from the covariate law) of the KL divergence between the true
     and fitted conditionals, which is the expected loss gap under the
     generating model and is pointwise nonnegative. The caller owns the
     draw, so fits scored on the same ``x`` are compared on common random
-    numbers. Only the heads given are measured; the risks of the others
-    read NaN. The pre-training and downstream heads act on the embeddings
-    of ``rep_hat``, which they need; a ``baseline_head`` acts on the raw
-    covariates and is scored against the downstream truth.
+    numbers. The head acts on the embeddings of ``rep_hat``, or on the raw
+    covariates when ``rep_hat`` is None (the baseline). An unknown stage,
+    a draw without ``n_mc`` rows and a head of the wrong shape are
+    rejected before any work.
     """
+    truth_head = truth.head(stage)
     if x.ndim != 2 or x.shape[0] != n_mc:
         raise ContractViolation(f"covariate draw of shape {x.shape} needs n_mc = {n_mc} rows")
-    if rep_hat is None and (pre_head_hat is not None or down_head_hat is not None):
-        raise ContractViolation("a pre-training or downstream head needs rep_hat")
+    width = x.shape[1] if rep_hat is None else rep_hat.embed_dim
+    if head.alpha.shape != (width, truth_head.n_logits):
+        raise ContractViolation(
+            f"head of shape {head.alpha.shape} needs {width} rows and "
+            f"the {stage} truth's {truth_head.n_logits} logits")
     z_true = truth.rep.apply(x)
-    z_hat = None if rep_hat is None else rep_hat.apply(x)
+    z = x if rep_hat is None else rep_hat.apply(x)
 
-    def logits(head, z):
+    def logits(h, emb):
         # a C-ordered (K-1, chunk) block, handed to kl_rows as its row view
-        return lambda rows: (head.alpha.T @ z[rows].T).T
+        return lambda rows: (h.alpha.T @ emb[rows].T).T
 
-    def stats(true_head, head, z):
-        if head is None:
-            return math.nan, math.nan
-        return _kl_stats(n_mc, logits(true_head, z_true), logits(head, z))
-
-    down = stats(truth.down_head, down_head_hat, z_hat)
-    pre = stats(truth.pre_head, pre_head_hat, z_hat)
-    base = stats(truth.down_head, baseline_head, x)
-    return RiskReport(down[0], pre[0], down[1], pre[1], base[0], base[1])
+    return _kl_stats(n_mc, logits(truth_head, z_true), logits(head, z))
 
 
 def _least_squares_head(rep_hat: SubspaceRep, truth_rep: SubspaceRep,
@@ -263,9 +237,7 @@ def representation_difference(
     (by ``SubspaceRep.apply`` on the draw) before the start is formed.
     Returns ``(value, std_error, trace)``, the trace being the head fit's.
     """
-    if stage not in ("pretrain", "downstream"):
-        raise ContractViolation(f"unknown stage {stage!r}")
-    truth_head = truth.pre_head if stage == "pretrain" else truth.down_head
+    truth_head = truth.head(stage)
     z_true = truth.rep.apply(x)
     z_hat = rep_hat.apply(x)
 
@@ -336,11 +308,11 @@ def chain_rule_check(
     k_minus_1 = alphas[0].shape[1]
 
     composite = [z @ a for z in h_outputs for a in alphas]
-    lhs_est = mc_complexity_finite(composite, draws, "gaussian", rng)
+    lhs_est = mc_complexity_finite(composite, draws, rng)
 
-    rep_est = mc_complexity_finite(h_outputs, draws, "gaussian", rng)
+    rep_est = mc_complexity_finite(h_outputs, draws, rng)
     per_h = [
-        mc_complexity_finite([z @ a for a in alphas], draws, "gaussian", rng)
+        mc_complexity_finite([z @ a for a in alphas], draws, rng)
         for z in h_outputs
     ]
     worst = max(per_h, key=lambda e: e.value)

@@ -467,14 +467,16 @@ def fit_head_on_embeddings(
     The targets T, one-hot or soft, enter only as ``label_stat`` = z^T T / n;
     the objective mean(Phi(eta) - T . eta) is the empirical cross-entropy in
     the one-hot case. ``z`` must be finite and nonempty, ``label_stat``
-    finite with a row per column of ``z``, ``cap`` a finite number > 0 and
-    ``start``, if given, a finite (r, K-1) array. This is ``_descend`` with
-    the representation frozen and no regularizer.
+    finite with a row per column of ``z`` and K-1 >= 1 columns, ``cap`` a
+    finite number > 0 and ``start``, if given, a finite (r, K-1) array.
+    This is ``_descend`` with the representation frozen and no regularizer.
     """
     z = as_matrix(z, "embeddings")
     label_stat = as_matrix(label_stat, "label statistic")
     if label_stat.shape[0] != z.shape[1]:
         raise ContractViolation(f"label statistic has {label_stat.shape[0]} rows, not {z.shape[1]}")
+    if label_stat.shape[1] < 1:
+        raise ContractViolation("label statistic has no class column; need K >= 2")
     if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")
     _, alpha, trace = _descend(z, label_stat, cap, 0.0, cfg, start=start)

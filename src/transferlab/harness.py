@@ -284,8 +284,8 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
     def fit_stage_one():
         ds = stage_dataset(cfg, cell, trial, "pretrain", truth)
         result = pretrain(ds, r, truth.pre_head.column_cap, lam, cfg.optim_config())
-        return result, measure_excess_risks(
-            truth, x_mc, n_mc, rep_hat=result.rep, pre_head_hat=result.head)
+        return result, measure_excess_risks(truth, x_mc, n_mc, result.head, result.rep,
+                                            "pretrain")
 
     def fit_baseline():
         # the downstream data and the truth's rep and downstream head do not
@@ -293,19 +293,17 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
         down_ds = stage_dataset(cfg, cell, trial, "downstream", truth)
         head, trace = train_baseline(down_ds, truth.down_head.column_cap, HEAD_OPTIM)
         return down_ds, trace.outcome, measure_excess_risks(
-            truth, x_mc, n_mc, baseline_head=head)
+            truth, x_mc, n_mc, head, None, "downstream")
 
-    result, pre = _memo(cache, ("pretrain", token, cond, n, lam), fit_stage_one)
-    down_ds, rec.baseline_outcome, base = _memo(cache, ("downstream", token, m), fit_baseline)
+    result, (rec.excess_pretrain, rec.excess_pretrain_se) = _memo(
+        cache, ("pretrain", token, cond, n, lam), fit_stage_one)
+    down_ds, rec.baseline_outcome, (rec.baseline_excess, rec.baseline_excess_se) = _memo(
+        cache, ("downstream", token, m), fit_baseline)
     head_down, down_trace = fit_downstream_head(
         result.rep, down_ds, truth.down_head.column_cap, HEAD_OPTIM)
     rec.downstream_outcome = down_trace.outcome
-    down = measure_excess_risks(truth, x_mc, n_mc, rep_hat=result.rep, down_head_hat=head_down)
-
-    rec.excess_transfer, rec.excess_transfer_se = down.excess_transfer_risk, down.std_error
-    rec.excess_pretrain, rec.excess_pretrain_se = pre.excess_pretrain_risk, pre.pretrain_std_error
-    rec.baseline_excess = base.baseline_excess_risk
-    rec.baseline_excess_se = base.baseline_std_error
+    rec.excess_transfer, rec.excess_transfer_se = measure_excess_risks(
+        truth, x_mc, n_mc, head_down, result.rep, "downstream")
     rec.nu_true = diversity_parameter(truth.pre_head)
     rec.nu_learned = diversity_parameter(result.head)
     rec.max_principal_angle = float(principal_angles(result.rep, truth.rep)[-1])
@@ -454,9 +452,6 @@ def _group_by_cell(records):
 @dataclass
 class ReportSummary:
     slope_n: PowerLawFit | None
-    slope_m: PowerLawFit | None
-    diversity_monotone: bool | None
-    regularizer_raises_nu: bool | None
     n_ok: int
     n_failed: int
     lines: list = field(default_factory=list)
@@ -508,11 +503,7 @@ def write_report(records, out_dir) -> ReportSummary:
         raise ContractViolation("every record failed; nothing to aggregate")
     os.makedirs(out_dir, exist_ok=True)
     n_failed = sum(1 for rec in records if rec.status != "ok")
-    summary = ReportSummary(
-        slope_n=None, slope_m=None, diversity_monotone=None,
-        regularizer_raises_nu=None,
-        n_ok=len(records) - n_failed, n_failed=n_failed,
-    )
+    summary = ReportSummary(slope_n=None, n_ok=len(records) - n_failed, n_failed=n_failed)
 
     base_cols = ["cell_index", *GRID_KEYS, "trials",
                  "median_excess", "q25_excess", "q75_excess"]
@@ -548,7 +539,8 @@ def write_report(records, out_dir) -> ReportSummary:
         series = [(x, float(np.median(v))) for x, v in sorted(pts.items())]
         if len(series) >= 3 and all(y > 0 for _, y in series):
             fit = fit_power_law(series)
-            setattr(summary, f"slope_{key}", fit)
+            if key == "n":
+                summary.slope_n = fit
             low, high = _SLOPE_WINDOW
             ok = low <= fit.slope <= high and fit.r_squared >= _MIN_R2
             lines.append(
@@ -563,12 +555,10 @@ def write_report(records, out_dir) -> ReportSummary:
             for c in conds
         ]
         vals = [v for _, v in med_by_cond]
-        summary.diversity_monotone = all(
-            vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1)
-        )
+        monotone = all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
         lines.append(
             "diversity monotonicity (excess non-decreasing in condition number): "
-            f"{'pass' if summary.diversity_monotone else 'FAIL'} {med_by_cond}"
+            f"{'pass' if monotone else 'FAIL'} {med_by_cond}"
         )
     lams = distinct("lambda_div")
     if len(lams) >= 2:
@@ -577,12 +567,10 @@ def write_report(records, out_dir) -> ReportSummary:
                                  if row["lambda_div"] == l])))
             for l in lams
         ]
-        summary.regularizer_raises_nu = all(
-            nus[i][1] < nus[i + 1][1] for i in range(len(nus) - 1)
-        )
+        raises = all(nus[i][1] < nus[i + 1][1] for i in range(len(nus) - 1))
         lines.append(
             "regularizer raises learned head diversity: "
-            f"{'pass' if summary.regularizer_raises_nu else 'FAIL'} {nus}"
+            f"{'pass' if raises else 'FAIL'} {nus}"
         )
     with open(f"{out_dir}/summary.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,10 +19,11 @@ column against overflow. Columns with
 no positive logit get the same bits either way. The training loss
 passes it a C-ordered block; the ``*_rows`` functions pass their
 (N, K-1) rows transposed, so ``kl_rows(b.T, ...)`` reads a class-major
-block ``b`` without a copy. ``kl_rows`` takes its rows ``_KL_CHUNK`` at
-a time through two buffers allocated once per call, each chunk choosing
-its branch alone. ``hessian_log_partition`` and ``kl_quadratic_bounds``
-take one 1-D ``eta`` each. All are pure functions.
+block ``b`` without a copy. ``kl_rows`` evaluates its rows as one block
+through two C-ordered (K-1, N) buffers, so the whole block takes one
+branch; a caller that wants bounded memory passes it a chunk at a time.
+``hessian_log_partition`` and ``kl_quadratic_bounds`` take one 1-D
+``eta`` each. All are pure functions.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ def _rows(eta_rows) -> np.ndarray:
 # about 2e130, so a column sum stays finite for any realistic K and the
 # gradients can scale the unnormalized exponentials by 1/denom afterwards.
 _SHIFT_FREE_MAX = 300.0
-# Columns per kl_rows chunk: two (K-1) x chunk buffers stay resident
-# between chunks and calls instead of being faulted in per call.
-_KL_CHUNK = 2048
 
 
 def _log_partition_cols(logits: np.ndarray, out: np.ndarray | None = None):
@@ -114,31 +112,24 @@ def kl_rows(eta_true_rows: np.ndarray, eta_model_rows: np.ndarray) -> np.ndarray
     """Row-wise KL between conditionals, as the Bregman remainder of Phi.
 
     KL[P(.|t), P(.|m)] = Phi(m) - Phi(t) - grad Phi(t).(m - t); tiny
-    negative rounding residues are clamped to zero. The rows are taken
-    ``_KL_CHUNK`` at a time through two buffers allocated once per call,
-    and each chunk picks its kernel branch on its own.
+    negative rounding residues are clamped to zero. The rows are one
+    block, which picks its kernel branch as a whole. The exponentials go
+    to two C-ordered (K-1, N) buffers, so each column sum runs over the
+    classes in one order whatever the layout of the caller's rows.
     """
     t, m = _rows(eta_true_rows), _rows(eta_model_rows)
     if t.shape != m.shape:
         raise ContractViolation(f"shape mismatch {t.shape} vs {m.shape}")
-    n, width = t.shape
-    kl = np.empty(n)
-    size = width * min(n, _KL_CHUNK)
-    buf_t, buf_m = np.empty(size), np.empty(size)
-    for lo in range(0, n, _KL_CHUNK):
-        ct, cm = t[lo:lo + _KL_CHUNK].T, m[lo:lo + _KL_CHUNK].T
-        cols = ct.shape[1]
-        phi_t, expo_t, _, denom_t = _log_partition_cols(
-            ct, out=buf_t[: width * cols].reshape(width, cols))
-        phi_m, gap, _, _ = _log_partition_cols(
-            cm, out=buf_m[: width * cols].reshape(width, cols))
-        # the model's exponentials are spent; their buffer takes (m - t) exp(t - shift)
-        np.subtract(cm, ct, out=gap)
-        gap *= expo_t
-        inner = gap.sum(axis=0)
-        inner /= denom_t
-        inner += phi_t
-        np.subtract(phi_m, inner, out=kl[lo:lo + cols])
+    ct, cm = t.T, m.T
+    phi_t, expo_t, _, denom_t = _log_partition_cols(ct, out=np.empty(ct.shape))
+    phi_m, gap, _, _ = _log_partition_cols(cm, out=np.empty(cm.shape))
+    # the model's exponentials are spent; their buffer takes (m - t) exp(t - shift)
+    np.subtract(cm, ct, out=gap)
+    gap *= expo_t
+    kl = gap.sum(axis=0)
+    kl /= denom_t
+    kl += phi_t
+    np.subtract(phi_m, kl, out=kl)
     return np.maximum(kl, 0.0, out=kl)
 
 

@@ -104,6 +104,13 @@ class GroundTruth:
     def k_prime(self) -> int:
         return self.down_head.n_logits + 1
 
+    def head(self, stage: str) -> LinearHead:
+        """The truth head of ``stage``, "pretrain" or "downstream"; any other
+        stage is a ContractViolation."""
+        if stage not in ("pretrain", "downstream"):
+            raise ContractViolation(f"unknown stage {stage!r}")
+        return self.pre_head if stage == "pretrain" else self.down_head
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -244,8 +251,9 @@ def make_dataset(
     stage: str = "pretrain",
     seed_label=None,
 ) -> LabeledDataset:
-    """Sample a dataset for one stage of the pipeline from the truth."""
-    head = truth.pre_head if stage == "pretrain" else truth.down_head
+    """Sample a dataset for one stage of the pipeline from the truth; an
+    unknown stage is rejected before any draw."""
+    head = truth.head(stage)
     x = sample_covariates(spec, n, rng)
     y = _sample_labels(truth.rep, head, x, rng)
     return LabeledDataset(x=x, y=y, k=head.n_logits + 1, seed=seed_label)

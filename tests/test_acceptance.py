@@ -221,7 +221,7 @@ def test_criterion_5_complexity_oracles():
     lin_ok = abs(lin.value - math.sqrt(2 / math.pi)) <= 3.0 * lin.std_error
 
     outs = [np.array([[1.3]]), np.array([[-1.3]])]
-    fin = mc_complexity_finite(outs, 10_000, "gaussian", derive_rng(0, "c5b"))
+    fin = mc_complexity_finite(outs, 10_000, derive_rng(0, "c5b"))
     fin_ok = abs(fin.value - 1.3 * math.sqrt(2 / math.pi)) <= 3.0 * fin.std_error
 
     chain = chain_rule_suite(instances=20, draws=3000)

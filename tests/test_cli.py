@@ -16,8 +16,9 @@ import transferlab
 from transferlab import cli, erm, harness, rngutil
 from transferlab.cli import main
 from transferlab.harness import default_config
+from transferlab.diagnostics import measure_excess_risks
 from transferlab.model_space import load_bundle
-from transferlab.synthetic import load_dataset
+from transferlab.synthetic import load_dataset, load_truth
 
 
 @pytest.fixture()
@@ -284,6 +285,39 @@ def test_diagnose_draws_covariates_once(tmp_path, micro_config, monkeypatch):
         "--truth", str(truth), "--out", str(tmp_path / "diag.csv"),
     ]) == 0
     assert draws == [1500]
+
+
+def test_diagnose_scores_the_heads_of_a_probed_bundle(tmp_path, micro_config, monkeypatch):
+    # a pre-training bundle writes no excess row; a probed one writes the
+    # transfer and pre-training excesses, each the single-head score on the draw
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen", "--config", micro_config, "--out", "pre.csv"],
+        ["gen", "--config", micro_config, "--out", "down.csv", "--stage", "downstream"],
+        ["pretrain", "--config", micro_config, "--data", "pre.csv", "--out", "a.json"],
+        ["probe", "--config", micro_config, "--model", "a.json", "--data", "down.csv",
+         "--out", "probed.json"],
+    ):
+        assert main(argv) == 0, argv[0]
+    draws = []
+    sample = cli.sample_covariates
+    monkeypatch.setattr(
+        cli, "sample_covariates", lambda *a, **k: draws.append(sample(*a, **k)) or draws[-1])
+    rows = {}
+    for model in ("a.json", "probed.json"):
+        assert main(["diagnose", "--config", micro_config, "--model", model,
+                     "--truth", "pre.csv.truth.json", "--out", f"{model}.csv"]) == 0
+        rows[model] = {row["metric"]: (float(row["value"]), float(row["std_error"]))
+                       for row in csv.DictReader(Path(f"{model}.csv").read_text().splitlines())}
+    assert all(math.isfinite(value) for value, _ in rows["a.json"].values())
+    assert not [metric for metric in rows["a.json"] if metric.startswith("excess_")]
+    scored = [metric for metric in rows["probed.json"] if metric.startswith("excess_")]
+    assert scored == ["excess_transfer_risk", "excess_pretrain_risk"]
+    truth, bundle, x = load_truth("pre.csv.truth.json"), load_bundle("probed.json"), draws[1]
+    for metric, role, stage in (("excess_transfer_risk", "down_head", "downstream"),
+                                ("excess_pretrain_risk", "pre_head", "pretrain")):
+        assert rows["probed.json"][metric] == measure_excess_risks(
+            truth, x, x.shape[0], bundle[role], bundle["rep"], stage)
 
 
 def test_diagnose_ignores_the_covariates_section_of_an_older_truth_file(

@@ -12,7 +12,7 @@ from transferlab.errors import ContractViolation
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
 from transferlab.rngutil import derive_rng
-from transferlab.softmax import _KL_CHUNK, cross_entropy_rows, kl_rows, softmax_full_rows
+from transferlab.softmax import cross_entropy_rows, kl_rows, softmax_full_rows
 from transferlab.synthetic import (
     GroundTruth,
     isotropic_covariates,
@@ -105,33 +105,26 @@ class TestEmpiricalComplexityLinear:
 
 class TestMcComplexityFinite:
     def test_zero_candidate(self):
-        est = mc_complexity_finite([np.zeros((6, 2))], 100, "gaussian", derive_rng(6, "m"))
+        est = mc_complexity_finite([np.zeros((6, 2))], 100, derive_rng(6, "m"))
         assert est.value == 0.0
 
     def test_folded_normal_oracle(self):
         z = 1.7
         outs = [np.array([[z]]), np.array([[-z]])]
-        est = mc_complexity_finite(outs, 10_000, "gaussian", derive_rng(7, "m"))
+        est = mc_complexity_finite(outs, 10_000, derive_rng(7, "m"))
         expected = math.sqrt(2.0 / math.pi) * z
         assert abs(est.value - expected) <= 3.0 * est.std_error
-
-    def test_rademacher_two_point_exact(self):
-        z = 0.9
-        outs = [np.array([[z]]), np.array([[-z]])]
-        est = mc_complexity_finite(outs, 500, "rademacher", derive_rng(8, "m"))
-        assert est.value == pytest.approx(z, abs=1e-12)  # sup = |eps z| = z always
-        assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_superset_monotone_same_draws(self):
         rng = derive_rng(9, "m")
         cands = [rng.standard_normal((8, 2)) for _ in range(4)]
-        small = mc_complexity_finite(cands[:2], 400, "gaussian", derive_rng(10, "m"))
-        large = mc_complexity_finite(cands, 400, "gaussian", derive_rng(10, "m"))
+        small = mc_complexity_finite(cands[:2], 400, derive_rng(10, "m"))
+        large = mc_complexity_finite(cands, 400, derive_rng(10, "m"))
         assert large.value >= small.value - 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            mc_complexity_finite([], 10, "gaussian", derive_rng(11, "m"))
+            mc_complexity_finite([], 10, derive_rng(11, "m"))
 
 
 def _perturbed_rep(truth, scale, rng):
@@ -155,12 +148,9 @@ class TestTransferRisk:
         rng = derive_rng(12, "risk")
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         spec = isotropic_covariates(6)
-        report = measure_excess_risks(
-            truth, sample_covariates(spec, 2000, rng), 2000,
-            rep_hat=truth.rep, down_head_hat=truth.down_head,
-        )
-        assert report.excess_transfer_risk == 0.0
-        assert report.std_error == 0.0
+        x = sample_covariates(spec, 2000, rng)
+        assert measure_excess_risks(
+            truth, x, 2000, truth.down_head, truth.rep, "downstream") == (0.0, 0.0)
 
     def test_zero_heads_agree(self):
         rng = derive_rng(13, "risk")
@@ -169,8 +159,8 @@ class TestTransferRisk:
         truth = GroundTruth(rep=base.rep, pre_head=base.pre_head, down_head=zero)
         other_rep = _perturbed_rep(base, 0.5, rng)
         x = sample_covariates(isotropic_covariates(6), 1000, rng)
-        report = measure_excess_risks(truth, x, 1000, rep_hat=other_rep, down_head_hat=zero)
-        assert report.excess_transfer_risk == 0.0
+        value, _ = measure_excess_risks(truth, x, 1000, zero, other_rep, "downstream")
+        assert value == 0.0
 
     def test_agrees_with_naive_sampled_estimator(self):
         rng = derive_rng(14, "risk")
@@ -178,33 +168,25 @@ class TestTransferRisk:
         spec = isotropic_covariates(8)
         rep_hat = _perturbed_rep(truth, 0.3, rng)
         head_hat = LinearHead(truth.down_head.alpha * 0.8, truth.down_head.column_cap)
-        kl_report = measure_excess_risks(
+        kl, kl_se = measure_excess_risks(
             truth, sample_covariates(spec, 50_000, derive_rng(15, "a")), 50_000,
-            rep_hat=rep_hat, down_head_hat=head_hat,
+            head_hat, rep_hat, "downstream",
         )
         naive, naive_se = naive_excess_risk(
             rep_hat, head_hat, truth, spec, 200_000, derive_rng(15, "b")
         )
-        combined = math.hypot(kl_report.std_error, naive_se)
-        assert abs(kl_report.excess_transfer_risk - naive) <= 3.0 * combined
+        assert abs(kl - naive) <= 3.0 * math.hypot(kl_se, naive_se)
 
     def test_pretrain_task_variant(self):
         rng = derive_rng(16, "risk")
         truth = make_ground_truth(6, 2, 9, 2, 1.0, rng)
-        spec = isotropic_covariates(6)
-        report = measure_excess_risks(
-            truth, sample_covariates(spec, 500, rng), 500,
-            rep_hat=truth.rep, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
-        )
-        assert report.excess_pretrain_risk == 0.0
-        assert report.pretrain_std_error == 0.0
-        # without a pre-training head only the downstream stage is measured
-        report = measure_excess_risks(
-            truth, sample_covariates(spec, 500, rng), 500,
-            rep_hat=truth.rep, down_head_hat=truth.down_head,
-        )
-        assert math.isnan(report.excess_pretrain_risk)
-        assert math.isnan(report.baseline_excess_risk)
+        x = sample_covariates(isotropic_covariates(6), 500, rng)
+        assert measure_excess_risks(
+            truth, x, 500, truth.pre_head, truth.rep, "pretrain") == (0.0, 0.0)
+        # the stage names the truth head: the pre-training head (8 logits) is
+        # not a head of the downstream task (1 logit)
+        with pytest.raises(ContractViolation, match="downstream truth's 1 logits"):
+            measure_excess_risks(truth, x, 500, truth.pre_head, truth.rep, "downstream")
 
     def test_baseline_is_identity_representation_risk(self):
         # a baseline head acts on raw covariates: its risk is the downstream
@@ -213,32 +195,22 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 8, 3, 1.0, rng)
         spec = isotropic_covariates(6)
         base_head = LinearHead(rng.standard_normal((6, 2)) * 0.1, 1.0)
-        report = measure_excess_risks(
-            truth, sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
-            rep_hat=truth.rep, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
-            baseline_head=base_head,
-        )
+        x = sample_covariates(spec, 3000, derive_rng(36, "mc"))
+        baseline = measure_excess_risks(truth, x, 3000, base_head, None, "downstream")
         identity = measure_excess_risks(
-            truth, sample_covariates(spec, 3000, derive_rng(36, "mc")), 3000,
-            rep_hat=SubspaceRep(np.eye(6)), down_head_hat=base_head,
-        )
-        assert report.baseline_excess_risk > 0.0
-        assert report.baseline_excess_risk == identity.excess_transfer_risk
-        assert report.baseline_std_error == identity.std_error
+            truth, x, 3000, base_head, SubspaceRep(np.eye(6)), "downstream")
+        assert baseline[0] > 0.0
+        assert baseline == identity
 
     def test_measure_both_stages(self):
         rng = derive_rng(17, "risk")
         truth = make_ground_truth(6, 2, 9, 2, 1.0, rng)
         spec = isotropic_covariates(6)
         rep_hat = _perturbed_rep(truth, 0.2, rng)
-        report = measure_excess_risks(
-            truth, sample_covariates(spec, 4000, rng), 4000,
-            rep_hat=rep_hat, pre_head_hat=truth.pre_head, down_head_hat=truth.down_head,
-        )
-        assert report.excess_transfer_risk >= 0.0
-        assert report.excess_pretrain_risk >= 0.0
-        assert report.std_error > 0.0 and report.pretrain_std_error > 0.0
-
+        x = sample_covariates(spec, 4000, rng)
+        for head, stage in ((truth.down_head, "downstream"), (truth.pre_head, "pretrain")):
+            value, se = measure_excess_risks(truth, x, 4000, head, rep_hat, stage)
+            assert value >= 0.0 and se > 0.0
 
     @pytest.mark.parametrize("rows", [1999, 2001])
     def test_draw_must_have_n_mc_rows(self, rows):
@@ -246,47 +218,21 @@ class TestTransferRisk:
         truth = make_ground_truth(6, 2, 8, 2, 1.0, rng)
         x = sample_covariates(isotropic_covariates(6), rows, rng)
         with pytest.raises(ContractViolation, match="n_mc = 2000"):
-            measure_excess_risks(truth, x, 2000, rep_hat=truth.rep,
-                                 down_head_hat=truth.down_head)
-
-    @pytest.mark.parametrize("role", ["pre_head_hat", "down_head_hat", "baseline_head"])
-    def test_each_head_alone_gives_the_bits_it_gets_with_the_others(self, role):
-        # the sweep scores the stage-one fit, the baseline and each downstream
-        # head in calls of their own; the risks must not depend on the company
-        truth, rep_hat, heads, x = _chunk_instance(5000)
-        given = {"pre_head_hat": heads["pre"], "down_head_hat": heads["down"],
-                 "baseline_head": heads["base"]}
-        together = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat, **given)
-        alone = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat, **{role: given[role]})
-        columns = {
-            "pre_head_hat": ("excess_pretrain_risk", "pretrain_std_error"),
-            "down_head_hat": ("excess_transfer_risk", "std_error"),
-            "baseline_head": ("baseline_excess_risk", "baseline_std_error"),
-        }
-        for name, pair in columns.items():
-            got = [getattr(alone, column) for column in pair]
-            if name == role:
-                assert got == [getattr(together, column) for column in pair]
-                assert np.isfinite(got).all()
-            else:
-                assert np.isnan(got).all()
+            measure_excess_risks(truth, x, 2000, truth.down_head, truth.rep, "downstream")
 
     def test_baseline_needs_no_representation(self):
-        truth, rep_hat, heads, x = _chunk_instance(3000)
-        report = measure_excess_risks(truth, x, 3000, baseline_head=heads["base"])
-        with_rep = measure_excess_risks(truth, x, 3000, rep_hat=rep_hat,
-                                        baseline_head=heads["base"])
-        assert (report.baseline_excess_risk, report.baseline_std_error) == (
-            with_rep.baseline_excess_risk, with_rep.baseline_std_error)
-        assert math.isnan(report.excess_transfer_risk)
-        assert math.isnan(report.excess_pretrain_risk)
+        truth, _, heads, x = _chunk_instance(3000)
+        whole = _whole_excess_risks(truth.rep, None, truth.down_head, truth, x, heads["base"])
+        assert measure_excess_risks(
+            truth, x, 3000, heads["base"], None, "downstream") == whole[4:]
 
-    @pytest.mark.parametrize("role", ["pre_head_hat", "down_head_hat"])
-    def test_an_embedding_head_needs_rep_hat(self, role):
+    @pytest.mark.parametrize("stage", ["pretrain", "downstream"])
+    def test_an_embedding_head_needs_rep_hat(self, stage):
+        # an (r, K-1) head given no representation would act on d covariates
         truth, _, heads, x = _chunk_instance(100)
-        head = heads["pre" if role == "pre_head_hat" else "down"]
-        with pytest.raises(ContractViolation, match="needs rep_hat"):
-            measure_excess_risks(truth, x, 100, **{role: head})
+        head = heads["pre" if stage == "pretrain" else "down"]
+        with pytest.raises(ContractViolation, match="needs 10 rows"):
+            measure_excess_risks(truth, x, 100, head, None, stage)
 
 
 class TestRepresentationDifference:
@@ -394,34 +340,32 @@ def _peak_bytes(fn):
 MC_SIZES = [1, 2047, 2048, 2049, 5000]
 
 
+def _one_head_risks(truth, rep_hat, heads, x):
+    """The downstream, pre-training and baseline heads' risks, one call each,
+    in the order of ``_whole_excess_risks``."""
+    n_mc = x.shape[0]
+    return (*measure_excess_risks(truth, x, n_mc, heads["down"], rep_hat, "downstream"),
+            *measure_excess_risks(truth, x, n_mc, heads["pre"], rep_hat, "pretrain"),
+            *measure_excess_risks(truth, x, n_mc, heads["base"], None, "downstream"))
+
+
 class TestChunkedMonteCarlo:
     """The chunked risks give the bits of the whole-block formulas."""
 
     @pytest.mark.parametrize("n_mc", MC_SIZES)
-    @pytest.mark.parametrize("with_heads", [False, True])
-    def test_excess_risks_match_the_whole_block(self, n_mc, with_heads):
+    def test_excess_risks_match_the_whole_block(self, n_mc):
         truth, rep_hat, heads, x = _chunk_instance(n_mc)
-        pre = heads["pre"] if with_heads else None
-        base = heads["base"] if with_heads else None
-        report = measure_excess_risks(truth, x, n_mc, rep_hat=rep_hat, pre_head_hat=pre,
-                                      down_head_hat=heads["down"], baseline_head=base)
-        got = (report.excess_transfer_risk, report.std_error,
-               report.excess_pretrain_risk, report.pretrain_std_error,
-               report.baseline_excess_risk, report.baseline_std_error)
         np.testing.assert_array_equal(
-            got, _whole_excess_risks(rep_hat, pre, heads["down"], truth, x, base))
+            _one_head_risks(truth, rep_hat, heads, x),
+            _whole_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x, heads["base"]))
 
     def test_a_chunk_past_the_shift_free_range_matches_the_whole_block(self):
         # logits far above softmax._SHIFT_FREE_MAX in the second chunk only:
         # each kl_rows call must see the rows that its own chunk held
         truth, rep_hat, heads, x = _chunk_instance(5000)
-        x[_KL_CHUNK:2 * _KL_CHUNK] *= 400.0
-        report = measure_excess_risks(truth, x, 5000, rep_hat=rep_hat,
-                                      pre_head_hat=heads["pre"], down_head_hat=heads["down"],
-                                      baseline_head=heads["base"])
-        got = (report.excess_transfer_risk, report.std_error,
-               report.excess_pretrain_risk, report.pretrain_std_error,
-               report.baseline_excess_risk, report.baseline_std_error)
+        chunk = diagnostics._MC_CHUNK
+        x[chunk:2 * chunk] *= 400.0
+        got = _one_head_risks(truth, rep_hat, heads, x)
         assert np.isfinite(got).all()
         np.testing.assert_array_equal(
             got, _whole_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x,
@@ -479,12 +423,12 @@ class TestMonteCarloMemory:
         rng = derive_rng(41, "mem")
         truth = make_ground_truth(d, 3, 30, 30, 2.0, rng)
         x = sample_covariates(isotropic_covariates(d), n_mc, rng)
-        heads = [LinearHead(h.alpha * 0.9, 1.0) for h in (truth.pre_head, truth.down_head)]
-        base = LinearHead(rng.standard_normal((d, 29)) * 0.05, 1.0)
+        heads = {"pre": LinearHead(truth.pre_head.alpha * 0.9, 1.0),
+                 "down": LinearHead(truth.down_head.alpha * 0.9, 1.0),
+                 "base": LinearHead(rng.standard_normal((d, 29)) * 0.05, 1.0)}
         block = n_mc * 29 * 8
-        peak = _peak_bytes(lambda: measure_excess_risks(
-            truth, x, n_mc, rep_hat=_perturbed_rep(truth, 0.3, rng), pre_head_hat=heads[0],
-            down_head_hat=heads[1], baseline_head=base))
+        peak = _peak_bytes(lambda: _one_head_risks(
+            truth, _perturbed_rep(truth, 0.3, rng), heads, x))
         # the two (n_mc, r) embeddings, one n_mc KL vector, and chunk buffers
         assert peak < block / 2, (peak, block)
 

@@ -1047,9 +1047,10 @@ class TestMomentFrame:
 
 
 class TestFailFast:
-    """A head cap that is not a finite number > 0, a start head that is not a
-    finite (r, K-1) array, or an embedding dimension outside 1..d, is
-    rejected before any objective evaluation."""
+    """A head cap that is not a finite number > 0, a label statistic of
+    another width or with no class column, a start head that is not a finite
+    (r, K-1) array, or an embedding dimension outside 1..d, is rejected
+    before any objective evaluation."""
 
     BAD_CAPS = [0.0, -1.0, np.nan, np.inf]
 
@@ -1074,6 +1075,12 @@ class TestFailFast:
         z = rng.standard_normal((50, 3))
         with pytest.raises(ContractViolation, match=f"label statistic has {rows} rows"):
             fit_head_on_embeddings(z, np.zeros((rows, 2)), 1.0, OptimConfig())
+
+    def test_head_fit_rejects_a_statistic_with_no_class_column(self, no_work):
+        # K = 1: a zero-width statistic used to reach numpy's max reduction
+        z = np.ones((5, 2))
+        with pytest.raises(ContractViolation, match="no class column; need K >= 2"):
+            fit_head_on_embeddings(z, np.zeros((2, 0)), 1.0, OptimConfig())
 
     @pytest.mark.parametrize("start", [
         pytest.param(np.zeros((2, 2)), id="narrow"),
@@ -1125,11 +1132,10 @@ class TestBaseline:
             cfg = OptimConfig(max_iters=1200, grad_tol=1e-7)
             pipe_head, _ = fit_downstream_head(truth.rep, ds, 1.0, cfg)
             base_head, _ = train_baseline(ds, 1.0, cfg)
-            report = measure_excess_risks(
-                truth, sample_covariates(spec, 20_000, derive_rng(seed, "base-mc")), 20_000,
-                rep_hat=truth.rep, down_head_hat=pipe_head, baseline_head=base_head,
-            )
-            wins += report.excess_transfer_risk < report.baseline_excess_risk
+            x = sample_covariates(spec, 20_000, derive_rng(seed, "base-mc"))
+            pipe, _ = measure_excess_risks(truth, x, 20_000, pipe_head, truth.rep, "downstream")
+            base, _ = measure_excess_risks(truth, x, 20_000, base_head, None, "downstream")
+            wins += pipe < base
         assert wins >= 4
 
     def test_empty_dataset_rejected(self):

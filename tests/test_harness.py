@@ -300,9 +300,9 @@ class TestRunSweep:
             calls.append(("pretrain", ds.seed))
             return fit_pre(ds, *args)
 
-        def score_spy(truth, x, n_mc, **heads):
-            calls.append(("score", *sorted(heads)))
-            return score(truth, x, n_mc, **heads)
+        def score_spy(truth, x, n_mc, head, rep_hat, stage):
+            calls.append(("score", stage, "raw" if rep_hat is None else "embedded"))
+            return score(truth, x, n_mc, head, rep_hat, stage)
 
         monkeypatch.setattr(harness, "stage_dataset", stage_spy)
         monkeypatch.setattr(harness, "train_baseline", baseline_spy)
@@ -320,9 +320,9 @@ class TestRunSweep:
             for m in (40, 80):
                 assert count("data", trial, "downstream", m) == 1
                 assert count("baseline", label, m) == 1
-        assert count("score", "baseline_head") == 2 * 2
-        assert count("score", "pre_head_hat", "rep_hat") == 2 * 8
-        assert count("score", "down_head_hat", "rep_hat") == 2 * 16
+        assert count("score", "downstream", "raw") == 2 * 2
+        assert count("score", "pretrain", "embedded") == 2 * 8
+        assert count("score", "downstream", "embedded") == 2 * 16
         assert len(calls) == 2 * (8 + 8 + 2 + 2) + 4 + 16 + 32
         # the cells that share (token, m) carry one baseline pair
         for trial in range(2):

@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferlab import softmax
 from transferlab.errors import ContractViolation
 from transferlab.linalg import sym_spectral
 from transferlab.softmax import (
-    _KL_CHUNK,
     _SHIFT_FREE_MAX,
     _log_partition_cols,
     _max_curvature_ratio,
@@ -414,20 +412,23 @@ class TestShiftFreeBranch:
         assert_kernel_outputs_equal(_log_partition_cols(block), parent_log_partition_cols(block))
 
 
-class TestChunkedKl:
-    """kl_rows in _KL_CHUNK-column chunks against one-chunk evaluations."""
+class TestKlOnOneBlock:
+    """kl_rows on a block of thousands of rows, some of them past the
+    shift-free bound, against the mpmath oracle and the row formula."""
 
-    N = 2 * _KL_CHUNK + 1
+    N = 4097
+    # where the logits past the bound sit: near the first, a middle or the last row
+    AT = 2048
 
     def crossing_rows(self, crossing):
-        lo = crossing * _KL_CHUNK
+        lo = crossing * self.AT
         return min(lo + 7, self.N - 1), min(lo + 9, self.N - 1)
 
     def pair(self, rng, crossing):
         t = rng.normal(0, 3, (self.N, 5))
         m = t + rng.normal(0, 0.5, t.shape)
         if crossing is not None:
-            # one chunk holds logits above the bound, in both arguments
+            # logits above the bound, in both arguments
             row_t, row_m = self.crossing_rows(crossing)
             t[row_t, 2] = _SHIFT_FREE_MAX + 100.0
             m[row_m, 0] = _SHIFT_FREE_MAX + 50.0
@@ -435,7 +436,7 @@ class TestChunkedKl:
 
     @pytest.mark.parametrize("crossing", [None, 0, 1, 2], ids=["none", "first", "middle", "last"])
     @pytest.mark.parametrize("layout", ["c-rows", "class-major"])
-    def test_rows_equal_one_chunk_evaluations(self, crossing, layout, monkeypatch):
+    def test_rows_match_the_oracle(self, crossing, layout):
         rng = np.random.default_rng(11 if crossing is None else crossing)
         t, m = (layouts(a)[layout] for a in self.pair(rng, crossing))
         before = t.copy(), m.copy()
@@ -443,21 +444,8 @@ class TestChunkedKl:
         np.testing.assert_array_equal(t, before[0])
         np.testing.assert_array_equal(m, before[1])
         assert got.shape == (self.N,)
-        # each chunk as a call of its own takes the same branch and bits
-        for lo in range(0, self.N, _KL_CHUNK):
-            hi = lo + _KL_CHUNK
-            np.testing.assert_array_equal(got[lo:hi], kl_rows(t[lo:hi], m[lo:hi]))
-        # the whole block as one chunk
-        monkeypatch.setattr(softmax, "_KL_CHUNK", self.N)
-        whole = kl_rows(t, m)
-        if crossing is None:
-            np.testing.assert_array_equal(got, whole)
-        else:
-            # the crossing chunk is shifted in both; the others move at the last bits
-            lo = crossing * _KL_CHUNK
-            np.testing.assert_array_equal(got[lo:lo + _KL_CHUNK], whole[lo:lo + _KL_CHUNK])
         ref = ref_kl_rows(np.array(before[0]), np.array(before[1]))
-        rows = {0, _KL_CHUNK - 1, _KL_CHUNK, 2 * _KL_CHUNK - 1, 2 * _KL_CHUNK, self.N - 1,
+        rows = {0, self.AT - 1, self.AT, 2 * self.AT - 1, 2 * self.AT, self.N - 1,
                 *rng.integers(0, self.N, 20).tolist()}
         if crossing is not None:
             rows |= set(self.crossing_rows(crossing))
@@ -465,7 +453,6 @@ class TestChunkedKl:
             exact, scale = kl_oracle(t[i], m[i])
             tol = 64 * np.finfo(float).eps * max(scale, 1.0)
             assert abs(got[i] - max(exact, 0.0)) <= tol
-            assert abs(whole[i] - max(exact, 0.0)) <= tol
             assert abs(got[i] - ref[i]) <= tol
 
     def test_empty_rows(self):

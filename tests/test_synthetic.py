@@ -10,9 +10,11 @@ from scipy import stats
 
 from transferlab.model_space import diversity_parameter
 from transferlab import synthetic
+from transferlab.diagnostics import measure_excess_risks, representation_difference
+from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation, InfeasibleDiversityError
 from transferlab.linalg import sym_spectral
-from transferlab.model_space import LinearHead
+from transferlab.model_space import LinearHead, SubspaceRep
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows
 from transferlab.synthetic import (
@@ -67,6 +69,46 @@ class TestMakeGroundTruth:
         assert truth.pre_head.column_cap == truth.down_head.column_cap == HEAD_CAP
         norms = np.linalg.norm(truth.down_head.alpha, axis=0)
         np.testing.assert_allclose(norms, 0.7 * HEAD_CAP, rtol=1e-12)
+
+
+def _draw_dataset(truth, x, stage):
+    return make_dataset(truth, isotropic_covariates(6), 10, derive_rng(0, "stage"), stage=stage)
+
+
+def _score(truth, x, stage):
+    return measure_excess_risks(truth, x, 10, truth.down_head, truth.rep, stage)
+
+
+def _rep_difference(truth, x, stage):
+    return representation_difference(truth.rep, truth, x, OptimConfig(), stage)
+
+
+class TestStageHead:
+    """``GroundTruth.head`` is the one place where a stage names its truth head."""
+
+    def test_each_stage_names_its_head(self):
+        truth = make_ground_truth(6, 2, 5, 3, 1.0, derive_rng(5, "t"))
+        assert truth.head("pretrain") is truth.pre_head
+        assert truth.head("downstream") is truth.down_head
+        assert make_dataset(truth, isotropic_covariates(6), 10, derive_rng(0, "stage"),
+                            stage="downstream").k == truth.k_prime
+
+    @pytest.mark.parametrize("stage", ["pretrian", "Downstream"])
+    @pytest.mark.parametrize("entry", [_draw_dataset, _score, _rep_difference],
+                             ids=["make_dataset", "measure_excess_risks",
+                                  "representation_difference"])
+    def test_an_unknown_stage_is_rejected_before_any_work(self, entry, stage, monkeypatch):
+        # a misspelled stage used to draw the downstream data (K = k')
+        truth = make_ground_truth(6, 2, 5, 3, 1.0, derive_rng(5, "t"))
+        x = sample_covariates(isotropic_covariates(6), 10, derive_rng(6, "x"))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(synthetic, "sample_covariates", no_work)
+        monkeypatch.setattr(SubspaceRep, "apply", no_work)
+        with pytest.raises(ContractViolation, match=f"unknown stage '{stage}'"):
+            entry(truth, x, stage)
 
 
 def reference_sample_covariates(spec, n, rng):
