@@ -138,7 +138,7 @@ def _cmd_pretrain(args) -> int:
         raise ContractViolation(
             f"{source} = {embed_dim} exceeds the data dimension d = {ds.dim}")
     lambda_div = float(cell["lambda_div"]) if args.lambda_div is None else args.lambda_div
-    result = pretrain(ds, embed_dim, HEAD_CAP, lambda_div, cfg.optim_config())
+    result = pretrain(ds, embed_dim, HEAD_CAP, lambda_div, cfg.optimizer)
     save_bundle(args.out, {"rep": result.rep, "pre_head": result.head})
     if args.trace_out:
         _write_trace(args.trace_out, result.trace)

@@ -16,10 +16,6 @@ class SingularMatrixError(ValueError):
     """A positive-definite factorization failed."""
 
 
-class InfeasibleDiversityError(ValueError):
-    """Requested head dimensions cannot yield a full-rank Gram spectrum."""
-
-
 def check_scalars(where: str, values: dict, defaults: dict) -> None:
     """Require each scalar setting to have the type of its default.
 

@@ -32,12 +32,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractViolation, InfeasibleDiversityError, check_scalars, require_keys
+from .errors import ContractViolation, check_scalars, require_keys
 from .model_space import diversity_parameter, principal_angles
 from .rngutil import derive_rng, one_blas_thread
 from .synthetic import (
     GroundTruth,
     LabeledDataset,
+    check_truth_params,
     isotropic_covariates,
     make_dataset,
     make_ground_truth,
@@ -94,16 +95,15 @@ def default_config() -> dict:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep configuration; mirrors the JSON document."""
+    """Validated sweep configuration; mirrors the JSON document, its optimizer built."""
 
     seed: int
     trials: int
     grid: dict
-    optimizer: dict
+    optimizer: OptimConfig
     diagnostics: dict
 
     def __post_init__(self):
-        # the optimizer section is checked by OptimConfig itself
         defaults = default_config()
         check_scalars("", vars(self), defaults)
         check_scalars("diagnostics.", self.diagnostics, defaults["diagnostics"])
@@ -125,22 +125,12 @@ class SweepConfig:
                     raise ContractViolation(
                         f"grid value {v!r} for {key!r} invalid: need "
                         + (f"a finite number >= {floor}" if real else "an integer >= 1"))
-        if any(v < 2 for v in self.grid["k"]) or any(v < 2 for v in self.grid["k_prime"]):
-            raise ContractViolation("class counts must be at least 2")
-        # the grid is a product, so every cell has r <= d and r <= k-1 iff
-        # the extremes do
-        r_max = max(self.grid["r"])
-        if r_max > min(self.grid["d"]) or r_max > min(self.grid["k"]) - 1:
-            raise ContractViolation("every grid cell needs r <= d and r <= k-1")
         if self.diagnostics["risk_mc_samples"] < 1:
             raise ContractViolation("diagnostics.risk_mc_samples must be >= 1")
-        # build the typed sections and the first cell's trial-0 truth, so
-        # that bad values fail before any work
-        self.optim_config()
-        try:
-            cell_truth(self, {key: self.grid[key][0] for key in GRID_KEYS}, 0)
-        except InfeasibleDiversityError as exc:
-            raise ContractViolation(f"first grid cell: {exc}") from exc
+        # the grid is a product, so checking each (truth token, condition
+        # number) combination checks every cell's truth before any work
+        for combo in itertools.product(*_truth_token(self.grid), self.grid["condition_number"]):
+            check_truth_params(*combo)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
@@ -158,10 +148,8 @@ class SweepConfig:
             if unknown:
                 raise ContractViolation(f"unknown {nested} keys {sorted(unknown)}")
             merged[nested] = {**base[nested], **section}
+        merged["optimizer"] = OptimConfig(**merged["optimizer"])
         return cls(**merged)
-
-    def optim_config(self) -> OptimConfig:
-        return OptimConfig(**self.optimizer)
 
 
 @dataclass
@@ -218,7 +206,8 @@ def cells_of(cfg: SweepConfig) -> list[dict]:
 
 
 def _truth_token(cell: dict) -> tuple:
-    """The grid parameters the truth's random draws depend on."""
+    """(d, r, k, k') of a cell, the parameters its truth's draws depend on, in
+    ``make_ground_truth``'s order; of the grid, their lists of values."""
     return (cell["d"], cell["r"], cell["k"], cell["k_prime"])
 
 
@@ -231,10 +220,9 @@ def cell_truth(cfg: SweepConfig, cell: dict, trial: int) -> GroundTruth:
     head's singular values after the draws, so cells that differ only in
     it get the same frames U, V, representation and downstream head.
     """
-    return make_ground_truth(
-        cell["d"], cell["r"], cell["k"], cell["k_prime"], float(cell["condition_number"]),
-        derive_rng(cfg.seed, "truth", trial, _truth_token(cell)),
-    )
+    token = _truth_token(cell)
+    return make_ground_truth(*token, float(cell["condition_number"]),
+                             derive_rng(cfg.seed, "truth", trial, token))
 
 
 def stage_dataset(cfg: SweepConfig, cell: dict, trial: int, stage: str,
@@ -283,7 +271,7 @@ def _run_cell(cfg: SweepConfig, cell: dict, cell_index: int, trial: int, cache: 
 
     def fit_stage_one():
         ds = stage_dataset(cfg, cell, trial, "pretrain", truth)
-        result = pretrain(ds, r, truth.pre_head.column_cap, lam, cfg.optim_config())
+        result = pretrain(ds, r, truth.pre_head.column_cap, lam, cfg.optimizer)
         return result, measure_excess_risks(truth, x_mc, n_mc, result.head, result.rep,
                                             "pretrain")
 

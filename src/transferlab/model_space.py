@@ -102,11 +102,14 @@ class LinearHead:
 def diversity_parameter(head) -> float:
     """Least eigenvalue sigma_r of alpha alpha^T for an r x (K-1) head.
 
-    ``head`` is a ``LinearHead`` or its bare matrix.
+    ``head`` is a ``LinearHead`` or its bare matrix. With r > K-1 the Gram's
+    rank is below r, so the value is exactly 0.0, with no eigendecomposition.
     """
     alpha = head.alpha if isinstance(head, LinearHead) else np.asarray(head, float)
     if alpha.ndim != 2 or min(alpha.shape) < 1:
         raise ContractViolation("head matrix must be 2-D and nonempty")
+    if alpha.shape[0] > alpha.shape[1]:
+        return 0.0
     lam, _ = sym_spectral(alpha @ alpha.T)
     return float(max(lam[-1], 0.0))
 

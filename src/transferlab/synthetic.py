@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, InfeasibleDiversityError, require_keys
+from .errors import ContractViolation, require_keys
 from .linalg import as_matrix, orthonormalize
 from .model_space import (
     LinearHead, SubspaceRep, component_from_payload, component_to_payload, diversity_parameter)
@@ -33,6 +33,7 @@ __all__ = [
     "GroundTruth",
     "LabeledDataset",
     "isotropic_covariates",
+    "check_truth_params",
     "make_ground_truth",
     "sample_covariates",
     "make_dataset",
@@ -147,6 +148,28 @@ class LabeledDataset:
 HEAD_CAP = 1.0
 _TOP_SINGULAR_VALUE = 1.0
 _DOWN_HEAD_FILL = 0.7
+# the largest condition number of a truth: its diversity 1/cond stays far
+# above the float64 rounding of the unit-scale Gram's least eigenvalue
+_MAX_CONDITION_NUMBER = 1e12
+
+
+def check_truth_params(d: int, r: int, k: int, k_prime: int, condition_number: float) -> None:
+    """Raise a ContractViolation naming the combination unless it admits a truth:
+    1 <= r <= min(d, K-1), as the head Gram's rank is at most K-1; K' >= 2; and
+    1 <= cond <= 1e12, with cond = 1 at r = 1 (a one-value spectrum)."""
+    if not 1 <= r <= min(d, k - 1):
+        problem = "need 1 <= r <= d and r <= k-1 (else the head Gram cannot be full rank)"
+    elif k_prime < 2:
+        problem = "need k_prime >= 2"
+    elif not 1.0 <= condition_number <= _MAX_CONDITION_NUMBER:
+        problem = f"need 1 <= condition_number <= {_MAX_CONDITION_NUMBER:g}"
+    elif r == 1 and condition_number != 1.0:
+        problem = "an r=1 spectrum has a single value, so it needs condition_number = 1"
+    else:
+        return
+    raise ContractViolation(
+        f"d={d}, r={r}, k={k}, k_prime={k_prime}, condition_number={condition_number}: "
+        f"{problem}")
 
 
 def make_ground_truth(
@@ -168,18 +191,9 @@ def make_ground_truth(
     directions of norm 0.7. Both heads are capped at ``HEAD_CAP`` = 1.
     Every random draw comes before the spectrum is set, so truths that
     differ only in ``condition_number`` share the frame, U, V and the
-    downstream head.
+    downstream head. ``check_truth_params`` vets the parameters before any draw.
     """
-    if r > d:
-        raise ContractViolation(f"need r <= d, got r={r}, d={d}")
-    if k - 1 < r:
-        raise InfeasibleDiversityError(
-            f"k-1={k - 1} < r={r}: head Gram cannot be full rank"
-        )
-    if condition_number < 1.0:
-        raise ContractViolation("condition number must be >= 1")
-    if r == 1 and condition_number != 1.0:
-        raise InfeasibleDiversityError("r=1 spectrum has a single value; need cond=1")
+    check_truth_params(d, r, k, k_prime, condition_number)
 
     # every draw first, so that the condition number moves none of them
     rep = SubspaceRep.random(d, r, rng)
@@ -187,13 +201,10 @@ def make_ground_truth(
     v = orthonormalize(rng.standard_normal((k - 1, r)))
     dirs = rng.standard_normal((r, k_prime - 1))
 
-    # singular values of alpha so that alpha alpha^T has the requested spectrum
-    s1 = np.sqrt(_TOP_SINGULAR_VALUE)
-    if r == 1:
-        svals = np.array([s1])
-    else:
-        exponents = np.arange(r) / (r - 1)
-        svals = s1 * condition_number ** (-0.5 * exponents)
+    # singular values of alpha so that alpha alpha^T has the requested
+    # spectrum; at r = 1 the condition number is 1, so the one value is sigma_1
+    exponents = np.arange(r) / max(r - 1, 1)
+    svals = np.sqrt(_TOP_SINGULAR_VALUE) * condition_number ** (-0.5 * exponents)
     alpha_pre = (u * svals) @ v.T
 
     dirs /= np.linalg.norm(dirs, axis=0)

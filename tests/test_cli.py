@@ -445,6 +445,11 @@ def test_sweep_and_report(tmp_path, micro_config, capsys):
     {"grid": {"n": [500], "r": [25]}},
     {"grid": {"n": [500], "k": [3]}},
     {"grid": {"n": [500], "r": [1], "condition_number": [2.0]}},
+    # an infeasible r = 1 cell that is not the first, and condition numbers past
+    # 1e12, which used to fail some rows, or one cell's trial-0 build by chance
+    {"grid": {"n": [500], "r": [2, 1], "condition_number": [1.0, 2.0]}},
+    {"grid": {"n": [500], "condition_number": [1e13]}},
+    {"grid": {"n": [500], "condition_number": [1e16]}},
     # a condition number below 1 in a later cell, which used to fail its rows
     {"grid": {"n": [500], "condition_number": [1.0, 0.5]}},
     # line-search settings, now erm constants: rejected as unknown keys

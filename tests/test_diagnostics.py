@@ -1,5 +1,6 @@
 """Diagnostics: diversity, complexities, risk estimators, and rate formulas."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transferlab import diagnostics
+from transferlab import diagnostics, model_space
 from transferlab.errors import ContractViolation
 from transferlab.linalg import orthonormalize
 from transferlab.model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
@@ -54,6 +55,16 @@ class TestDiversityParameter:
         sampled_min = float(np.einsum("ij,jk,ik->i", u, gram, u).min())
         assert nu <= sampled_min + 1e-12
         assert sampled_min <= nu * 1.02
+
+    def test_more_rows_than_columns_reads_exactly_zero(self, monkeypatch):
+        # an r x (K-1) head with r > K-1 has a Gram of rank K-1 < r; an
+        # eigendecomposition reads its zero eigenvalue as rounding of either sign
+        rng = derive_rng(2, "nu")
+        heads = [rng.standard_normal(shape) for shape in [(3, 1)] * 500 + [(20, 1), (5, 2)]]
+        assert [diversity_parameter(alpha) for alpha in heads] == [0.0] * len(heads)
+        assert diversity_parameter(LinearHead(np.ones((4, 2)) / 2, 1.0)) == 0.0
+        monkeypatch.setattr(model_space, "sym_spectral", None)  # and none is made
+        assert diversity_parameter(heads[0]) == 0.0
 
     def test_right_rotation_invariance(self):
         rng = derive_rng(1, "nu")
@@ -359,14 +370,34 @@ class TestChunkedMonteCarlo:
             _one_head_risks(truth, rep_hat, heads, x),
             _whole_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x, heads["base"]))
 
-    def test_a_chunk_past_the_shift_free_range_matches_the_whole_block(self):
+    def test_a_chunk_past_the_shift_free_range_matches_the_whole_block(self, monkeypatch):
         # logits far above softmax._SHIFT_FREE_MAX in the second chunk only:
         # each kl_rows call must see the rows that its own chunk held
         truth, rep_hat, heads, x = _chunk_instance(5000)
         chunk = diagnostics._MC_CHUNK
         x[chunk:2 * chunk] *= 400.0
+        calls = []
+
+        def spy(eta_true, eta_fit):
+            calls.append((eta_true.copy(), eta_fit.copy()))
+            return kl_rows(eta_true, eta_fit)
+
+        monkeypatch.setattr(diagnostics, "kl_rows", spy)
         got = _one_head_risks(truth, rep_hat, heads, x)
         assert np.isfinite(got).all()
+        # the means agree with the whole block's only through rounding, as the
+        # whole block takes the shifted branch on every row; the spy checks
+        # that each call got exactly the logits of its own chunk's rows, for
+        # the heads in _one_head_risks's order
+        z_true, z_hat = truth.rep.apply(x), rep_hat.apply(x)
+        pairs = [(truth.down_head, heads["down"], z_hat), (truth.pre_head, heads["pre"], z_hat),
+                 (truth.down_head, heads["base"], x)]
+        chunks = [slice(lo, lo + chunk) for lo in range(0, x.shape[0], chunk)]
+        assert len(calls) == len(pairs) * len(chunks)
+        for (eta_true, eta_fit), ((true_head, head, z), rows) in zip(
+                calls, itertools.product(pairs, chunks)):
+            np.testing.assert_array_equal(eta_true, (true_head.alpha.T @ z_true.T).T[rows])
+            np.testing.assert_array_equal(eta_fit, (head.alpha.T @ z.T).T[rows])
         np.testing.assert_array_equal(
             got, _whole_excess_risks(rep_hat, heads["pre"], heads["down"], truth, x,
                                      heads["base"]))

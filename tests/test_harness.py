@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,7 +112,29 @@ class TestSweepConfig:
 
     def test_optimizer_accepts_every_optim_field(self):
         cfg = SweepConfig.from_dict({"optimizer": {"max_iters": 7, "grad_tol": 1e-3}})
-        assert cfg.optim_config() == OptimConfig(max_iters=7, grad_tol=1e-3)
+        assert cfg.optimizer == OptimConfig(max_iters=7, grad_tol=1e-3)
+
+    @pytest.mark.parametrize("grid, combo", [
+        # an infeasible cell that is not the first cell
+        ({"r": [2, 1], "condition_number": [1.0, 2.0]},
+         "d=6, r=1, k=6, k_prime=2, condition_number=2.0"),
+        ({"condition_number": [1.0, 1e13]}, "d=6, r=2, k=6, k_prime=2, condition_number="),
+        ({"k_prime": [2, 1]}, "d=6, r=2, k=6, k_prime=1, condition_number=1.0"),
+        ({"d": [6, 1]}, "d=1, r=2, k=6, k_prime=2, condition_number=1.0"),
+        ({"r": [2, 5], "k": [8, 5]}, "d=6, r=5, k=5, k_prime=2, condition_number=1.0"),
+    ])
+    def test_every_cell_truth_is_checked(self, grid, combo):
+        with pytest.raises(ContractViolation, match=re.escape(combo)):
+            SweepConfig.from_dict({"grid": dict(MICRO["grid"], **grid)})
+
+    def test_config_builds_no_truth_and_derives_no_stream(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a config built a truth or derived a stream")
+
+        for name in ("cell_truth", "make_ground_truth", "derive_rng"):
+            monkeypatch.setattr(harness, name, refuse)
+        SweepConfig.from_dict(MICRO)
+        SweepConfig.from_dict({})
 
     @pytest.mark.parametrize("doc", [
         {"seed": "abc"}, {"seed": -5}, {"seed": 1.0}, {"trials": "2"},
@@ -155,6 +178,27 @@ class TestSweepConfig:
         assert [c["n"] for c in cells] == [300, 450, 600]
 
 
+class RiggedStageError(RuntimeError):
+    pass
+
+
+@pytest.fixture
+def fail_cond2_pretraining(monkeypatch):
+    """A two-cell config whose condition-number-2 cell fails at its pre-training
+    data stage; the other cell runs as usual."""
+    draw = harness.stage_dataset
+
+    def rigged(cfg, cell, trial, stage, truth):
+        if stage == "pretrain" and cell["condition_number"] == 2.0:
+            raise RiggedStageError("pre-training data at cond 2")
+        return draw(cfg, cell, trial, stage, truth)
+
+    monkeypatch.setattr(harness, "stage_dataset", rigged)
+    doc = dict(MICRO, trials=1)
+    doc["grid"] = dict(MICRO["grid"], n=[300], condition_number=[1.0, 2.0])
+    return doc
+
+
 class TestRunSweep:
     def test_single_cell_single_trial(self):
         doc = dict(MICRO, trials=1)
@@ -176,17 +220,15 @@ class TestRunSweep:
         run_sweep(cfg, out_csv=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_crash_isolation(self):
-        doc = dict(MICRO, trials=1)
-        # a one-dimensional head spectrum cannot have condition number 2:
-        # that cell must fail at run time, the other succeed
-        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
-        records = run_sweep(SweepConfig.from_dict(doc))
+    def test_crash_isolation(self, fail_cond2_pretraining):
+        # the condition-number-2 cell's pre-training data stage raises: that
+        # cell must fail at run time, the other succeed
+        records = run_sweep(SweepConfig.from_dict(fail_cond2_pretraining))
         statuses = {rec.params["condition_number"]: rec.status for rec in records}
         assert statuses[1.0] == "ok"
         assert statuses[2.0] == "failed"
         failed = [r for r in records if r.status == "failed"][0]
-        assert "InfeasibleDiversityError" in failed.reason
+        assert "RiggedStageError: pre-training data at cond 2" in failed.reason
 
     def test_records_csv_roundtrip(self, micro_csv, micro_records):
         # the file run_sweep streamed while it ran
@@ -236,10 +278,9 @@ class TestRunSweep:
         assert rec.bound_value == evaluate_risk_bound(
             n=300, m=60, k=6, k_prime=2, r=2, d=6, nu_tilde=rec.nu_true)
 
-    def test_failed_row_has_no_outcomes(self):
-        doc = dict(MICRO, trials=1)
-        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
-        failed = [r for r in run_sweep(SweepConfig.from_dict(doc)) if r.status == "failed"]
+    def test_failed_row_has_no_outcomes(self, fail_cond2_pretraining):
+        failed = [r for r in run_sweep(SweepConfig.from_dict(fail_cond2_pretraining))
+                  if r.status == "failed"]
         assert [(r.pretrain_outcome, r.downstream_outcome, r.baseline_outcome)
                 for r in failed] == [("", "", "")]
 
@@ -453,10 +494,8 @@ class TestWriteReport:
             refit = fit_power_law(pts)
             assert refit.slope == pytest.approx(summary.slope_n.slope, abs=1e-12)
 
-    def test_failed_rows_counted(self, tmp_path):
-        doc = dict(MICRO, trials=1)
-        doc["grid"] = dict(MICRO["grid"], n=[300], r=[1], condition_number=[1.0, 2.0])
-        records = run_sweep(SweepConfig.from_dict(doc))
+    def test_failed_rows_counted(self, tmp_path, fail_cond2_pretraining):
+        records = run_sweep(SweepConfig.from_dict(fail_cond2_pretraining))
         summary = write_report(records, tmp_path)
         assert summary.n_failed == 1
         assert summary.n_ok == 1

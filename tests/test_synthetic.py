@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from transferlab.model_space import diversity_parameter
 from transferlab import synthetic
 from transferlab.diagnostics import measure_excess_risks, representation_difference
 from transferlab.erm import OptimConfig
-from transferlab.errors import ContractViolation, InfeasibleDiversityError
+from transferlab.errors import ContractViolation
 from transferlab.linalg import sym_spectral
 from transferlab.model_space import LinearHead, SubspaceRep
 from transferlab.rngutil import derive_rng
@@ -56,13 +57,40 @@ class TestMakeGroundTruth:
         np.testing.assert_array_equal(a.down_head.alpha, b.down_head.alpha)
 
     def test_infeasible_head_width(self):
-        with pytest.raises(InfeasibleDiversityError):
+        with pytest.raises(ContractViolation):
             make_ground_truth(8, 3, 3, 2, 1.0, derive_rng(2, "t"))
 
     def test_rank_one_needs_flat_spectrum(self):
         make_ground_truth(5, 1, 4, 2, 1.0, derive_rng(3, "t"))
-        with pytest.raises(InfeasibleDiversityError):
+        with pytest.raises(ContractViolation):
             make_ground_truth(5, 1, 4, 2, 2.0, derive_rng(3, "t"))
+
+    @pytest.mark.parametrize("cond", [0.5, np.nextafter(1e12, np.inf), 1e13, 1e16,
+                                      math.inf, math.nan])
+    def test_condition_number_outside_one_to_1e12_rejected(self, cond):
+        # past 1e12 the diversity 1/cond nears the rounding of the Gram's
+        # least eigenvalue, and a build can come out rank-deficient
+        with pytest.raises(ContractViolation, match="condition_number <= 1e"):
+            make_ground_truth(10, 3, 20, 2, cond, derive_rng(1, "t"))
+
+    def test_largest_condition_number_builds(self):
+        truth = make_ground_truth(10, 3, 20, 2, 1e12, derive_rng(1, "t"))
+        assert diversity_parameter(truth.pre_head) == pytest.approx(1e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("params", [
+        (8, 3, 3, 2, 1.0), (2, 3, 9, 2, 1.0), (5, 0, 4, 2, 1.0), (5, 1, 4, 2, 2.0),
+        (5, 2, 4, 1, 1.0),  # one downstream class (k' = 1)
+        (5, 2, 4, 2, 1e13),
+    ])
+    def test_rule_names_the_combination_and_draws_nothing(self, params):
+        rng = derive_rng(3, "t")
+        d, r, k, k_prime, cond = params
+        combo = re.escape(f"d={d}, r={r}, k={k}, k_prime={k_prime}, condition_number={cond}")
+        with pytest.raises(ContractViolation, match=combo):
+            synthetic.check_truth_params(*params)
+        with pytest.raises(ContractViolation, match=combo):
+            make_ground_truth(*params, rng)
+        assert rng.random() == derive_rng(3, "t").random()  # the stream is untouched
 
     def test_down_head_norms_inside_cap(self):
         truth = make_ground_truth(7, 3, 10, 4, 2.0, derive_rng(4, "t"))
