@@ -18,8 +18,8 @@ the frames and the covariate law's second moment kappa_d, with no draw.
 All Monte Carlo diagnostics return standard errors. The routines that
 average over the covariate law take the draw itself, so that callers can
 score several fits and quantities on one draw; the others take an
-explicit generator. The KL routines walk the draw ``_MC_CHUNK`` rows at a
-time, handing ``softmax.kl_rows`` one chunk per call: they hold the
+explicit generator. The KL routines walk the draw in ``linalg.row_blocks``
+chunks, handing ``softmax.kl_rows`` one chunk per call: they hold the
 (n_mc, r) embeddings and one n_mc vector, and no (n_mc, K-1) logit or
 probability block.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import singular_values
+from .linalg import ROW_BLOCK, row_blocks, singular_values
 from .model_space import LinearHead, SubspaceRep, principal_angles
 from .softmax import kl_rows, softmax_full_rows
 from .synthetic import GroundTruth, isotropic_covariates
@@ -61,12 +61,9 @@ class ComplexityEstimate:
     std_error: float
 
 
-# Rows per Monte Carlo chunk: each kl_rows call holds two (K-1) x chunk
-# blocks and picks its kernel branch for its chunk alone.
-_MC_CHUNK = 2048
-# Noise scalars per complexity block, about one Monte Carlo logit chunk; a
-# block holds whole draws, at least one.
-_CHUNK_SCALARS = 32 * _MC_CHUNK
+# Noise scalars per complexity block, about one Monte Carlo logit chunk of
+# ROW_BLOCK rows (each picks its kl_rows kernel branch alone); a block holds whole draws.
+_CHUNK_SCALARS = 32 * ROW_BLOCK
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -142,16 +139,11 @@ def mc_complexity_finite(
     return ComplexityEstimate(*_mean_se((noise @ flat.T).max(axis=1) / n))
 
 
-def _mc_chunks(n: int):
-    """The row slices of an n-row draw, ``_MC_CHUNK`` rows each."""
-    return (slice(lo, lo + _MC_CHUNK) for lo in range(0, n, _MC_CHUNK))
-
-
 def _kl_stats(n: int, eta_true, eta_fit) -> tuple[float, float]:
     """Mean and standard error over n rows of the KL between the conditionals
     at the logits ``eta_true(rows)`` and ``eta_fit(rows)``, one chunk at a time."""
     kls = np.empty(n)
-    for rows in _mc_chunks(n):
+    for rows in row_blocks(n):
         kls[rows] = kl_rows(eta_true(rows), eta_fit(rows))
     return _mean_se(kls)
 
@@ -213,7 +205,7 @@ def _soft_label_stat(z: np.ndarray, eta_true) -> np.ndarray:
     if z.shape[0] < 1:
         raise ContractViolation("no samples to fit")
     parts = (z[rows].T @ softmax_full_rows(eta_true(rows))[:, :-1]
-             for rows in _mc_chunks(z.shape[0]))
+             for rows in row_blocks(z.shape[0]))
     return functools.reduce(np.add, parts) / z.shape[0]
 
 

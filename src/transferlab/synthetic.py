@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, require_keys
-from .linalg import as_matrix, orthonormalize
+from .linalg import as_matrix, orthonormalize, row_blocks
 from .model_space import (
     LinearHead, SubspaceRep, component_from_payload, component_to_payload, diversity_parameter)
-from .softmax import softmax_full_rows
+from .softmax import _log_partition_cols
 
 __all__ = [
     "HEAD_CAP",
@@ -115,7 +115,7 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Covariates with one-hot labels; the all-zero row encodes class K."""
+    """Covariates with one-hot labels (all-zero for class K), checked by row block."""
 
     x: np.ndarray
     y: np.ndarray
@@ -129,8 +129,9 @@ class LabeledDataset:
             raise ContractViolation(
                 f"label block {y.shape} does not match n={x.shape[0]}, K={self.k}"
             )
-        if not np.all((y == 0.0) | (y == 1.0)) or np.any(y.sum(axis=1) > 1.0):
-            raise ContractViolation("label rows must be one-hot or all-zero")
+        for b in (y[rows] for rows in row_blocks(y.shape[0])):
+            if not ((b == 0.0) | (b == 1.0)).all() or (b.sum(axis=1) > 1.0).any():
+                raise ContractViolation("label rows must be one-hot or all-zero")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -221,20 +222,24 @@ _MIN_BATCH = 1000
 
 
 def sample_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows of N(0, I_d) restricted to ||x|| <= norm_cap."""
+    """Draw n rows of N(0, I_d) restricted to ||x|| <= norm_cap. Each batch's
+    rows inside the cap move, in order, to its front one row block at a time."""
     if n < 1:
         raise ContractViolation("need n >= 1")
-    out = np.empty((n, spec.dim))
-    got = 0
+    out, got = None, 0
     while got < n:
-        batch = max(n - got, _MIN_BATCH)
-        cand = rng.standard_normal((batch, spec.dim))
-        inside = np.linalg.norm(cand, axis=1) <= spec.norm_cap
-        if got == 0 and inside.all():
-            return cand[:n]  # the batch covers n and the cap rejects none of it
-        keep = cand[inside]
-        take = min(keep.shape[0], n - got)
-        out[got : got + take] = keep[:take]
+        cand = rng.standard_normal((max(n - got, _MIN_BATCH), spec.dim))
+        kept = 0
+        for rows in row_blocks(cand.shape[0]):
+            inside = np.linalg.norm(cand[rows], axis=1) <= spec.norm_cap
+            if kept < rows.start or not inside.all():
+                cand[kept : kept + inside.sum()] = cand[rows][inside]
+            kept += inside.sum()
+        take = min(kept, n - got)
+        if out is None:  # a first batch of n rows is the output itself
+            out = cand if cand.shape[0] == n else np.empty((n, spec.dim))
+        if out is not cand:
+            out[got : got + take] = cand[:take]
         got += take
     return out
 
@@ -245,13 +250,22 @@ def _sample_labels(
     x: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One-hot labels drawn from the softmax conditional of head(rep(x))."""
-    probs = softmax_full_rows(rep.apply(x) @ head.alpha)
-    n, k = probs.shape
+    """One-hot labels drawn from the softmax conditional of head(rep(x)): row i
+    is class min(K, 1 + #{j : P_1 + ... + P_j < u_i}), u_i ~ U(0, 1). Each row
+    block of the output holds its logits, then probabilities, then running sums,
+    by ``softmax_full_rows``'s kernel: the whole draw's bits while all blocks take
+    one kernel branch, as a capped truth's logits (at most 3 sqrt(d)) do for d <= 1e4."""
+    n, width = x.shape[0], head.n_logits
     u = rng.random(n)
-    idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-    # an index past K-1 (rounding in the cumulative sum) is class K too
-    return (idx[:, None] == np.arange(k - 1)).astype(np.float64)
+    y = np.empty((n, width))
+    for rows in row_blocks(n):
+        block = y[rows]
+        np.matmul(rep.apply(x[rows]), head.alpha, out=block)
+        _, expo, _, denom = _log_partition_cols(block.T, out=block.T)
+        np.divide(expo, denom, out=expo)
+        np.cumsum(block, axis=1, out=block)
+        np.equal((block < u[rows, None]).sum(axis=1)[:, None], np.arange(width), out=block)
+    return y
 
 
 def make_dataset(
@@ -271,12 +285,15 @@ def make_dataset(
 
 
 def save_dataset(path, ds: LabeledDataset) -> None:
-    """CSV with a header line and rows x_1,...,x_d,label_index (1-based)."""
+    """CSV with a header line and rows x_1,...,x_d,label_index (1-based),
+    written one row block at a time."""
     labels = np.where(ds.y.sum(axis=1) > 0, ds.y.argmax(axis=1) + 1, ds.k)
     line = ",".join(["%.17g"] * ds.dim) + ",%d\n"
     with open(path, "w") as fh:
         fh.write(f"# d={ds.dim} K={ds.k} n={ds.n} seed={ds.seed}\n")
-        fh.writelines(line % (*row, lab) for row, lab in zip(ds.x.tolist(), labels.tolist()))
+        for rows in row_blocks(ds.n):
+            fh.writelines(line % (*row, lab)
+                          for row, lab in zip(ds.x[rows].tolist(), labels[rows].tolist()))
 
 
 _TRUTH_ROLES = ("rep", "pre_head", "down_head")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from transferlab import diagnostics, model_space
 from transferlab.errors import ContractViolation
-from transferlab.linalg import orthonormalize
+from transferlab.linalg import ROW_BLOCK, orthonormalize
 from transferlab.model_space import LinearHead, SubspaceRep, cap_columns, diversity_parameter
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, kl_rows, softmax_full_rows
@@ -374,7 +374,7 @@ class TestChunkedMonteCarlo:
         # logits far above softmax._SHIFT_FREE_MAX in the second chunk only:
         # each kl_rows call must see the rows that its own chunk held
         truth, rep_hat, heads, x = _chunk_instance(5000)
-        chunk = diagnostics._MC_CHUNK
+        chunk = ROW_BLOCK
         x[chunk:2 * chunk] *= 400.0
         calls = []
 
@@ -426,12 +426,12 @@ class TestSoftLabelStatistic:
         chunked = diagnostics._soft_label_stat(z_hat, lambda rows: eta_true[rows])
         return chunked, z_hat.T @ soft / n_mc, np.abs(z_hat).T @ soft / n_mc
 
-    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n <= diagnostics._MC_CHUNK])
+    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n <= ROW_BLOCK])
     def test_one_chunk_gives_the_whole_block_bits(self, n_mc):
         chunked, whole, _ = self._stats(n_mc)
         assert chunked.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n > diagnostics._MC_CHUNK])
+    @pytest.mark.parametrize("n_mc", [n for n in MC_SIZES if n > ROW_BLOCK])
     def test_more_chunks_agree_within_the_summation_bound(self, n_mc):
         # two orders of summing n_mc terms each err by at most (n_mc - 1) u
         # times the sum of their magnitudes (u = eps / 2), so the two means

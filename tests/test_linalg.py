@@ -5,7 +5,9 @@ import pytest
 
 from transferlab.errors import ContractViolation, DegenerateInput, SingularMatrixError
 from transferlab.linalg import (
+    ROW_BLOCK,
     logdet_psd,
+    row_blocks,
     orthonormalize,
     singular_values,
     sym_spectral,
@@ -163,3 +165,15 @@ def test_singular_values_descending():
     rng = np.random.default_rng(10)
     sv = singular_values(rng.standard_normal((5, 3)))
     assert np.all(np.diff(sv) <= 0)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   ROW_BLOCK + 2, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 7])
+    def test_blocks_cover_the_rows_in_order(self, n):
+        blocks = list(row_blocks(n))
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        sizes = [len(range(n)[rows]) for rows in blocks]
+        assert all(size == ROW_BLOCK for size in sizes[:-1])
+        # a one-row tail joins the block before it
+        assert not sizes or 1 < sizes[-1] <= ROW_BLOCK + 1 or n == 1

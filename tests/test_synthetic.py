@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from transferlab import synthetic
 from transferlab.diagnostics import measure_excess_risks, representation_difference
 from transferlab.erm import OptimConfig
 from transferlab.errors import ContractViolation
-from transferlab.linalg import sym_spectral
+from transferlab.linalg import ROW_BLOCK, row_blocks, sym_spectral
 from transferlab.model_space import LinearHead, SubspaceRep
 from transferlab.rngutil import derive_rng
 from transferlab.softmax import cross_entropy_rows, softmax_full_rows
@@ -445,3 +446,149 @@ class TestDatasetIo:
         for role in ("pre_head", "down_head"):
             np.testing.assert_array_equal(getattr(back, role).alpha, getattr(plain, role).alpha)
             assert getattr(back, role).column_cap == getattr(plain, role).column_cap
+
+
+# The whole-block formulas of the data path, the references for its row
+# blocks; each holds whole (n, K) or (n, d) transients (the covariates' is
+# reference_sample_covariates above). The block-wise code must give their
+# bits, and leave the generator where they leave it.
+def whole_label_parts(rep, head, x, rng):
+    """Probabilities and one-hot labels as whole (n, K) blocks."""
+    probs = softmax_full_rows(rep.apply(x) @ head.alpha)
+    n, k = probs.shape
+    u = rng.random(n)
+    idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+    return probs, (idx[:, None] == np.arange(k - 1)).astype(np.float64)
+
+
+def whole_save_dataset(path, ds):
+    labels = np.where(ds.y.sum(axis=1) > 0, ds.y.argmax(axis=1) + 1, ds.k)
+    line = ",".join(["%.17g"] * ds.dim) + ",%d\n"
+    with open(path, "w") as fh:
+        fh.write(f"# d={ds.dim} K={ds.k} n={ds.n} seed={ds.seed}\n")
+        fh.writelines(line % (*row, lab) for row, lab in zip(ds.x.tolist(), labels.tolist()))
+
+
+BLOCK_SIZES = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """Sampling, checks and the writer go by row block and give the whole-block bits."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_writer_bytes_equal_the_whole_block(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 6, n)
+        y = np.zeros((n, 5))
+        y[labels < 5, labels[labels < 5]] = 1.0
+        ds = LabeledDataset(rng.normal(0, 1, (n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3)),
+                            y, 6, seed="s")
+        save_dataset(tmp_path / "blocks.csv", ds)
+        whole_save_dataset(tmp_path / "whole.csv", ds)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("n", [*BLOCK_SIZES, 50, 20_000])
+    def test_cap_test_equals_the_whole_block(self, d, n):
+        # at d = 1 the cap rejects about 0.27 % of rows, so most of these
+        # draws take the rejecting path; at d = 20 it rejects none. A draw
+        # below the 1000-row batch is an array of its own, not a view of it.
+        spec = isotropic_covariates(d)
+        rng_a, rng_b = derive_rng(4, "cap", n), derive_rng(4, "cap", n)
+        x = sample_covariates(spec, n, rng_a)
+        np.testing.assert_array_equal(x, reference_sample_covariates(spec, n, rng_b))
+        assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+        assert x.flags.c_contiguous and x.flags.owndata
+
+    @pytest.mark.parametrize("k", [2, 30, 300])
+    @pytest.mark.parametrize("n", [*BLOCK_SIZES, 2 * ROW_BLOCK + 2])
+    def test_labels_equal_the_whole_block(self, k, n, monkeypatch):
+        truth = make_ground_truth(20, 1 if k == 2 else 3, k, 2,
+                                  1.0 if k == 2 else 4.0, derive_rng(6, "lab", k))
+        x = sample_covariates(isotropic_covariates(20), n, derive_rng(7, "lab", n))
+        rng_a, rng_b = derive_rng(8, "lab"), derive_rng(8, "lab")
+        seen = []  # each block's probabilities as the running sum receives them
+        cumsum = np.cumsum
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.copy())
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", spy)
+        y = _sample_labels(truth.rep, truth.pre_head, x, rng_a)
+        monkeypatch.undo()
+        probs, labels = whole_label_parts(truth.rep, truth.pre_head, x, rng_b)
+        # one running sum per block, a one-row tail joined to the block before it
+        assert [len(b) for b in seen] == [rows.stop - rows.start for rows in row_blocks(n)]
+        np.testing.assert_array_equal(np.concatenate(seen), probs[:, :-1])
+        np.testing.assert_array_equal(y, labels)
+        assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+
+    @pytest.mark.parametrize("where, bad, message", [
+        ("y", "two-hot", "label rows must be one-hot or all-zero"),
+        ("y", 0.5, "label rows must be one-hot or all-zero"),
+        ("y", np.nan, "labels contains non-finite entries"),
+        ("x", np.inf, "covariates contains non-finite entries"),
+    ])
+    def test_a_bad_row_past_the_first_block_is_rejected(self, where, bad, message):
+        n, k = 2 * ROW_BLOCK + 5, 4
+        rng = derive_rng(9, "bad")
+        x = rng.standard_normal((n, 3))
+        y = np.eye(k)[rng.integers(0, k, n), :-1]
+        row = ROW_BLOCK + 3
+        if bad == "two-hot":
+            y[row] = [1.0, 1.0, 0.0]
+        else:
+            {"x": x, "y": y}[where][row, 1] = bad
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            LabeledDataset(x, y, k)
+
+    def test_a_non_finite_label_is_named_before_a_two_hot_row(self):
+        # the finite check reads every block before the one-hot check starts
+        y = np.eye(4)[np.zeros(ROW_BLOCK + 9, dtype=int), :-1]
+        y[0] = [1.0, 1.0, 0.0]
+        y[ROW_BLOCK + 4, 2] = np.nan
+        with pytest.raises(ContractViolation, match="labels contains non-finite entries"):
+            LabeledDataset(np.zeros((ROW_BLOCK + 9, 2)), y, 4)
+
+
+class TestDataPathMemory:
+    """No step of the data path holds a full-size transient beside its output."""
+
+    def test_writer_holds_one_block(self, tmp_path):
+        n = 20_000
+        rng = derive_rng(10, "mem")
+        truth = make_ground_truth(20, 3, 30, 2, 2.0, rng)
+        ds = make_dataset(truth, isotropic_covariates(20), n, rng)
+        # the whole-block writer peaked at 13.8 MB
+        peak = _peak_bytes(lambda: save_dataset(tmp_path / "d.csv", ds))
+        assert peak < 2e6, peak
+
+    def test_dataset_holds_one_block_beside_its_output(self):
+        n, k = 16_000, 300
+        rng = derive_rng(11, "mem")
+        truth = make_ground_truth(20, 3, k, 2, 2.0, rng)
+        output = n * 20 * 8 + n * (k - 1) * 8
+        # the whole-block sampler peaked at 112 MB, near 3 (n, K) blocks above
+        # its 39 MB output
+        peak = _peak_bytes(lambda: make_dataset(truth, isotropic_covariates(20), n, rng))
+        assert peak <= output + 10e6, (peak, output)
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_covariates_hold_one_block_beside_their_output(self, d):
+        # at d = 2 the first batch rejects a few rows, at d = 20 none; a block
+        # is the block's rows and a few per-row vectors (norms, mask)
+        n = 64_000
+        peak = _peak_bytes(lambda: sample_covariates(isotropic_covariates(d), n,
+                                                     derive_rng(12, "mem")))
+        assert peak <= n * d * 8 + ROW_BLOCK * (d + 4) * 8, peak
